@@ -125,5 +125,6 @@ __all__ = [
     "real_trace",
     "run_scenario",
     "schmidt",
+    "time_ordered",
     "validate",
 ]

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -51,25 +52,38 @@ class RunConfig:
 # matrix file serialization
 # ---------------------------------------------------------------------
 
+def _is_entry(entry) -> bool:
+    return (
+        isinstance(entry, list)
+        and len(entry) == 2
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
+    )
+
+
 def _parse_block(node, rows: int, cols: int, pointer: str) -> np.ndarray:
     if not isinstance(node, list) or len(node) != rows:
         raise SchemaError(pointer, f"expected {rows} rows")
-    out = np.zeros((rows, cols), dtype=np.complex128)
     for i, row in enumerate(node):
         if not isinstance(row, list) or len(row) != cols:
             raise SchemaError(f"{pointer}/{i}", f"expected {cols} entries")
-        for j, entry in enumerate(row):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
-            ):
-                raise SchemaError(f"{pointer}/{i}/{j}", "expected [re, im]")
-            re, im = float(entry[0]), float(entry[1])
-            if not (math.isfinite(re) and math.isfinite(im)):
-                raise SchemaError(f"{pointer}/{i}/{j}", "entries must be finite")
-            out[i, j] = complex(re, im)
-    return out
+    entries = list(chain.from_iterable(node))
+    # Fast path on exact types; anything else (bool, str, list or float
+    # subclasses) falls back to the per-entry check, which names the first
+    # bad entry.
+    if not (
+        set(map(type, entries)) == {list}
+        and set(map(len, entries)) == {2}
+        and set(map(type, chain.from_iterable(entries))) <= {int, float}
+    ):
+        for k, entry in enumerate(entries):
+            if not _is_entry(entry):
+                raise SchemaError(f"{pointer}/{k // cols}/{k % cols}", "expected [re, im]")
+    values = np.array(entries, dtype=np.float64).reshape(rows, cols, 2)
+    finite = np.isfinite(values).all(axis=-1)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise SchemaError(f"{pointer}/{i}/{j}", "entries must be finite")
+    return values.view(np.complex128).reshape(rows, cols)
 
 
 def parse_matrix(obj) -> QMatrix:
@@ -93,9 +107,7 @@ def parse_matrix(obj) -> QMatrix:
 
 
 def _block_to_lists(block: np.ndarray) -> list:
-    return [
-        [[float(entry.real), float(entry.imag)] for entry in row] for row in block
-    ]
+    return np.stack([block.real, block.imag], -1).tolist()
 
 
 def serialize_matrix(m: QMatrix) -> dict:
@@ -325,6 +337,28 @@ def _parse_tolerance(text: str) -> tuple[str, float]:
     return name, value
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads a token such as ``-0.3,0.2`` as a value, not as an option.
+
+    argparse's stock matcher takes only plain negative numbers, so
+    ``--cminus -0.3,0.2`` would exit 2.  Subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def _add_common_options(parser: argparse.ArgumentParser, top_level: bool) -> None:
     # The same options are accepted before and after the subcommand; the
     # subparser copies use SUPPRESS defaults so they never clobber values
@@ -352,7 +386,7 @@ def _add_common_options(parser: argparse.ArgumentParser, top_level: bool) -> Non
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qmix",
         description="Quaternionic density matrices: projection, lifting, "
         "purification, dynamics and the measurement scenario.",
@@ -396,7 +430,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state")
     p.add_argument("--gen", required=True, help="matrix file with the anti-hermitian generator")
     p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=1000)
+    p.add_argument(
+        "--steps",
+        type=_positive_int,
+        default=1000,
+        help="rk4 time steps (default: 1000); the propagator method "
+        "ignores it, a constant generator taking one exponential",
+    )
     p.add_argument("--method", choices=("propagator", "rk4"), default="propagator")
     _add_common_options(p, top_level=False)
     p.set_defaults(handler=_cmd_evolve)
@@ -431,7 +471,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("QMIX_SEED", "0"))
+        raw = os.environ.get("QMIX_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            print(f"error: QMIX_SEED must be an integer, got {raw!r}", file=sys.stderr)
+            return 2
     config = RunConfig(seed=seed, tolerances=dict(args.tol), output=args.output)
     try:
         return args.handler(args, config)

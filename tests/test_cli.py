@@ -265,3 +265,76 @@ def test_output_file(tmp_path):
     target = tmp_path / "out.json"
     assert main(["classify", state, "--output", str(target)]) == 0
     assert json.loads(target.read_text())["classification"] == "Proper"
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [[True, 0.0], ["1", 0.0], [0.5, False], [0.5, 0.0, 0.0], [[0.5], 0.0], 0.5],
+)
+def test_malformed_entries_report_first_pointer(entry):
+    obj = purified_file()
+    obj["beta"][1][0] = entry
+    obj["beta"][1][1] = [None, None]
+    with pytest.raises(SchemaError) as excinfo:
+        parse_matrix(obj)
+    assert excinfo.value.pointer == "/beta/1/0"
+    assert "expected [re, im]" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_entries_report_first_pointer(value):
+    obj = half_mixed()
+    obj["alpha"][0][1] = [0.0, value]
+    obj["alpha"][1][0] = [value, 0.0]
+    with pytest.raises(SchemaError) as excinfo:
+        parse_matrix(json.loads(json.dumps(obj)))
+    assert excinfo.value.pointer == "/alpha/0/1"
+    assert "finite" in str(excinfo.value)
+
+
+def test_parse_keeps_negative_zero():
+    obj = half_mixed()
+    obj["alpha"][0][1] = [-0.0, -0.0]
+    mat = parse_matrix(obj)
+    assert np.signbit(mat.alpha[0, 1].real) and np.signbit(mat.alpha[0, 1].imag)
+    assert json.dumps(serialize_matrix(mat)) == json.dumps(obj)
+
+
+def test_scenario_accepts_negative_values_space_separated(tmp_path):
+    spaced = tmp_path / "spaced.json"
+    joined = tmp_path / "joined.json"
+    values = {"--cplus": "-0.8,0", "--cminus": "-0.36,-0.48", "--nhat": "-0.5,-1e-1"}
+    argv = ["scenario"]
+    for flag, value in values.items():
+        argv += [flag, value]
+    assert main(argv + ["--output", str(spaced)]) == 0
+    argv = ["scenario"] + [f"{flag}={value}" for flag, value in values.items()]
+    assert main(argv + ["--output", str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    report = json.loads(spaced.read_text())
+    assert report["inputs"]["c_minus"] == [-0.36, -0.48]
+    assert report["inputs"]["n_hat"] == {"theta": -0.5, "phi": -0.1}
+
+
+def test_option_still_not_taken_as_value(capsys):
+    assert main(["scenario", "--cplus", "0.6,0", "--cminus", "--nhat"]) == 2
+    capsys.readouterr()
+
+
+def test_bad_seed_environment_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("QMIX_SEED", "abc")
+    assert main(["check-props", "--nmax", "3", "--trials", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "QMIX_SEED" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("method", ["propagator", "rk4"])
+@pytest.mark.parametrize("steps", ["0", "-3", "2.5"])
+def test_non_positive_steps_is_usage_error(tmp_path, capsys, method, steps):
+    state = write_json(tmp_path / "state.json", half_mixed())
+    gen = write_json(tmp_path / "gen.json", {"rows": 2, "cols": 2, "alpha": [[[0, 0]] * 2] * 2})
+    argv = ["evolve", state, "--gen", gen, "--steps", steps, "--method", method]
+    assert main(argv) == 2
+    assert "--steps" in capsys.readouterr().err

@@ -286,3 +286,40 @@ def test_evolved_proper_state_agrees_with_complex_theory():
     want = u @ source.alpha @ u.conj().T
     assert np.abs(evolved.alpha - want).max() <= 1e-13
     assert embed_proper(complex_projection(evolved)).classification is MixtureKind.PROPER
+
+
+# -- chi-space solvers ------------------------------------------------------------
+
+def test_time_ordered_constant_generator_is_one_exponential():
+    rng = np.random.default_rng(69)
+    gen = random_generator(4, rng, quaternionic=True)
+    exact = expm_q(gen.samples[0] * -0.7)
+    for steps in (1, 3, 1000):
+        u = time_ordered(gen, t=0.7, steps=steps).u
+        assert np.array_equal(u.alpha, exact.alpha)
+        assert np.array_equal(u.beta, exact.beta)
+
+
+def test_time_ordered_schedule_matches_stepwise_product():
+    rng = np.random.default_rng(70)
+    samples = [random_generator(3, rng, quaternionic=True).samples[0] for _ in range(4)]
+    gen = Generator.schedule(samples, horizon=1.5)
+    assert frobenius_norm(samples[0] @ samples[1] - samples[1] @ samples[0]) > 0.1
+    steps = 37
+    h = 1.5 / steps
+    reference = QMatrix.identity(3)
+    for k in range(steps):
+        reference = expm_q(gen.at((k + 0.5) * h) * (-h)) @ reference
+    prop = time_ordered(gen, t=1.5, steps=steps)
+    assert frobenius_norm(prop.u - reference) <= 1e-12
+
+
+def test_integrate_drift_names_the_failing_step():
+    # zero on [0, 1], then ramping to a huge generator: steps 0 and 1 are
+    # exact, step 2 samples the ramp and blows the drift gate
+    big = random_generator(2, np.random.default_rng(71), norm=1e8).samples[0]
+    zero = QMatrix.zeros(2)
+    gen = Generator.schedule([zero, zero, big], horizon=2.0)
+    rho = random_density(2, MixtureKind.IMPROPER, 72)
+    with pytest.raises(DriftExceeded, match="at step 2 "):
+        integrate(rho, gen, t=2.0, steps=4)
