@@ -28,9 +28,9 @@ def main():
 
     print(f"{'t':>6} {'leak (jI)':>12} {'closed form':>12} {'leak (complex gen)':>19}")
     for t in np.linspace(0.0, args.tmax, args.points):
-        quater = evolve(rho, Propagator(u=expm_q(j_gen * -t), t0=0.0, t1=t))
+        quater = evolve(rho, Propagator(u=expm_q(j_gen * -t)))
         closed = abs(np.sin(2 * t)) * np.linalg.norm(alpha.imag)
-        comp = evolve(rho, Propagator(u=expm_q(complex_gen.samples[0] * -t), t0=0.0, t1=t))
+        comp = evolve(rho, Propagator(u=expm_q(complex_gen.samples[0] * -t)))
         print(f"{t:6.2f} {quater.beta_norm:12.6f} {closed:12.6f} {comp.beta_norm:19.3e}")
 
 

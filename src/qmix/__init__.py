@@ -64,7 +64,7 @@ from .qmatrix import (
     rank_q,
     real_trace,
 )
-from .quaternion import Quaternion, qconj, qmul
+from .quaternion import Quaternion
 from .scenario import (
     PropositionSummary,
     ScenarioReport,
@@ -116,8 +116,6 @@ __all__ = [
     "projected_evolution",
     "projected_rate_check",
     "purify",
-    "qconj",
-    "qmul",
     "random_density",
     "random_generator",
     "rank_bounds_check",

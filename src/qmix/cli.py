@@ -23,7 +23,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -31,7 +31,7 @@ import numpy as np
 from . import density, dynamics, scenario
 from .density import CDensity, Observable, QDensity
 from .errors import QmixError, SchemaError
-from .qmatrix import QMatrix
+from .qmatrix import VALIDATION_TOL, QMatrix
 
 SCHEMA_VERSION = 1
 
@@ -41,11 +41,8 @@ class RunConfig:
     """Per-invocation knobs shared by the subcommands."""
 
     seed: int = 0
-    tolerances: dict[str, float] = field(default_factory=dict)
+    validate_tol: float = VALIDATION_TOL
     output: str | None = None
-
-    def tol(self, name: str, default: float) -> float:
-        return self.tolerances.get(name, default)
 
 
 # ---------------------------------------------------------------------
@@ -214,7 +211,7 @@ def serialize_summary(summary: scenario.PropositionSummary) -> dict:
 # ---------------------------------------------------------------------
 
 def _cmd_validate(args, config: RunConfig) -> int:
-    rho = density.validate(load_matrix(args.file), tol=config.tol("validate", 1e-10))
+    rho = density.validate(load_matrix(args.file), tol=config.validate_tol)
     _emit(
         {
             "schema_version": SCHEMA_VERSION,
@@ -228,14 +225,14 @@ def _cmd_validate(args, config: RunConfig) -> int:
 
 
 def _cmd_project(args, config: RunConfig) -> int:
-    rho = density.validate(load_matrix(args.file), tol=config.tol("validate", 1e-10))
+    rho = density.validate(load_matrix(args.file), tol=config.validate_tol)
     projected = density.complex_projection(rho)
     _emit(serialize_matrix(QMatrix.from_complex(projected.mat)), config)
     return 0
 
 
 def _cmd_classify(args, config: RunConfig) -> int:
-    rho = density.validate(load_matrix(args.file), tol=config.tol("validate", 1e-10))
+    rho = density.validate(load_matrix(args.file), tol=config.validate_tol)
     _emit(
         {
             "schema_version": SCHEMA_VERSION,
@@ -249,7 +246,7 @@ def _cmd_classify(args, config: RunConfig) -> int:
 
 def _cmd_lift(args, config: RunConfig) -> int:
     mat = load_matrix(args.file)
-    source = CDensity.from_matrix(mat.alpha, tol=config.tol("validate", 1e-10))
+    source = CDensity.from_matrix(mat.alpha, tol=config.validate_tol)
     lifted = density.lift(source, args.rank)
     _emit(serialize_matrix(lifted.mat), config)
     return 0
@@ -257,7 +254,7 @@ def _cmd_lift(args, config: RunConfig) -> int:
 
 def _cmd_purify(args, config: RunConfig) -> int:
     mat = load_matrix(args.file)
-    source = CDensity.from_matrix(mat.alpha, tol=config.tol("validate", 1e-10))
+    source = CDensity.from_matrix(mat.alpha, tol=config.validate_tol)
     pure = density.purify(source)
     _emit(serialize_matrix(pure.mat), config)
     return 0
@@ -265,9 +262,9 @@ def _cmd_purify(args, config: RunConfig) -> int:
 
 def _cmd_expect(args, config: RunConfig) -> int:
     obs = Observable.from_qmatrix(
-        load_matrix(args.observable), tol=config.tol("validate", 1e-10)
+        load_matrix(args.observable), tol=config.validate_tol
     )
-    rho = density.validate(load_matrix(args.state), tol=config.tol("validate", 1e-10))
+    rho = density.validate(load_matrix(args.state), tol=config.validate_tol)
     value = density.expectation(obs, rho)
     _emit(
         {
@@ -281,7 +278,7 @@ def _cmd_expect(args, config: RunConfig) -> int:
 
 
 def _cmd_evolve(args, config: RunConfig) -> int:
-    rho = density.validate(load_matrix(args.state), tol=config.tol("validate", 1e-10))
+    rho = density.validate(load_matrix(args.state), tol=config.validate_tol)
     gen = dynamics.Generator.constant(load_matrix(args.gen))
     if args.method == "rk4":
         evolved = dynamics.integrate(rho, gen, args.t, args.steps)
@@ -324,17 +321,21 @@ def _cmd_check_props(args, config: RunConfig) -> int:
     return 0 if summary.passed else 1
 
 
-def _parse_tolerance(text: str) -> tuple[str, float]:
+def _parse_tolerance(text: str) -> float:
     name, _, raw = text.partition("=")
     if not name or not raw:
-        raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected validate=VALUE, got {text!r}")
+    if name != "validate":
+        raise argparse.ArgumentTypeError(
+            f"unknown tolerance {name!r}; the only one is 'validate'"
+        )
     try:
         value = float(raw)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
     if not value > 0:
         raise argparse.ArgumentTypeError(f"tolerance must be positive, got {value!r}")
-    return name, value
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -372,11 +373,10 @@ def _add_common_options(parser: argparse.ArgumentParser, top_level: bool) -> Non
     )
     parser.add_argument(
         "--tol",
-        action="append",
         type=_parse_tolerance,
-        default=[] if top_level else suppress,
-        metavar="NAME=VALUE",
-        help="tolerance override, repeatable (e.g. validate=1e-8)",
+        default=VALIDATION_TOL if top_level else suppress,
+        metavar="validate=VALUE",
+        help=f"density-validation tolerance (default: {VALIDATION_TOL:g}); the last one wins",
     )
     parser.add_argument(
         "--output",
@@ -477,7 +477,7 @@ def main(argv=None) -> int:
         except ValueError:
             print(f"error: QMIX_SEED must be an integer, got {raw!r}", file=sys.stderr)
             return 2
-    config = RunConfig(seed=seed, tolerances=dict(args.tol), output=args.output)
+    config = RunConfig(seed=seed, validate_tol=args.tol, output=args.output)
     try:
         return args.handler(args, config)
     except QmixError as exc:
@@ -486,11 +486,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def dispatch(argv) -> int:
-    """Alias for :func:`main`, taking an explicit argument vector."""
-    return main(argv)
 
 
 if __name__ == "__main__":

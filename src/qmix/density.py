@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    NotHermitian,
     NotNormalized,
     NotOrthogonal,
     NotPositive,
@@ -37,17 +36,15 @@ from .errors import (
     TraceNotOne,
 )
 from .qmatrix import (
+    VALIDATION_TOL,
     QMatrix,
     eigvals_hermitian,
     hermiticity_deviation,
-    rank_q,
+    numerical_rank,
     real_trace,
+    require_hermitian,
 )
 
-#: Default tolerance for hermiticity / positivity / trace validation.
-VALIDATION_TOL = 1e-10
-#: Relative floor used when counting nonzero eigenvalues of a complex density.
-RANK_REL_TOL = 1e-12
 #: Relative tolerance for grouping degenerate eigenvalues in ``lift``.
 DEGENERACY_REL_TOL = 1e-10
 
@@ -71,11 +68,19 @@ def proper_tolerance(n: int, alpha_norm: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class QDensity:
-    """Validated quaternionic density matrix with cached classification."""
+    """Validated quaternionic density with cached classification and spectrum.
+
+    ``eigenvalues`` are the paired chi eigenvalues, one per pair, ascending.
+    """
 
     mat: QMatrix
     classification: MixtureKind
     beta_norm: float
+    eigenvalues: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return numerical_rank(self.eigenvalues)
 
     @property
     def alpha(self) -> np.ndarray:
@@ -96,48 +101,26 @@ class QDensity:
 
 @dataclass(frozen=True, eq=False)
 class CDensity:
-    """Complex density matrix (hermitian, positive, unit trace) with rank."""
+    """Complex density matrix (hermitian, positive, unit trace) with spectrum."""
 
     mat: np.ndarray
-    rank: int
+    eigenvalues: np.ndarray
 
     @classmethod
     def from_matrix(cls, mat: np.ndarray, tol: float = VALIDATION_TOL) -> "CDensity":
-        """Validate a complex matrix as a density matrix.
-
-        Raises :class:`NotHermitian`, :class:`NotPositive` or
-        :class:`TraceNotOne` naming the violated invariant and the
-        measured deviation.
-        """
+        """Validate a complex matrix as a density matrix; see :func:`_density_gate`."""
         mat = np.asarray(mat, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatch(f"density matrix must be square, got {mat.shape}")
-        dev = float(np.abs(mat - mat.conj().T).max(initial=0.0))
-        if dev > tol:
-            raise NotHermitian(f"hermiticity deviation {dev:.3e} exceeds {tol:.3e}")
-        eigs = np.linalg.eigvalsh(mat)
-        if eigs.min(initial=0.0) < -tol:
-            raise NotPositive(
-                f"minimum eigenvalue {eigs.min():.3e} below -{tol:.3e}"
-            )
-        trace = float(np.trace(mat).real)
-        if abs(trace - 1.0) > tol:
-            raise TraceNotOne(f"trace {trace!r} deviates from 1 by {abs(trace - 1.0):.3e}")
-        return cls(mat=mat, rank=_complex_rank(eigs))
+        return cls(mat=mat, eigenvalues=_density_gate(mat, tol))
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
 
-
-def _complex_rank(eigs: np.ndarray) -> int:
-    """Count eigenvalues above the scale-aware zero floor."""
-    scale = float(np.abs(eigs).max(initial=0.0))
-    if scale == 0.0:
-        return 0
-    n = eigs.size
-    threshold = max(n * np.finfo(np.float64).eps, RANK_REL_TOL) * scale
-    return int(np.count_nonzero(eigs > threshold))
+    @property
+    def rank(self) -> int:
+        return numerical_rank(self.eigenvalues)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,9 +132,7 @@ class Observable:
 
     @classmethod
     def from_qmatrix(cls, mat: QMatrix, tol: float = VALIDATION_TOL) -> "Observable":
-        dev = hermiticity_deviation(mat)
-        if dev > tol:
-            raise NotHermitian(f"hermiticity deviation {dev:.3e} exceeds {tol:.3e}")
+        require_hermitian(hermiticity_deviation(mat), tol)
         return cls(mat=mat, is_complex=float(np.linalg.norm(mat.beta)) <= tol)
 
     @classmethod
@@ -163,26 +144,44 @@ class Observable:
 # validation and classification
 # ---------------------------------------------------------------------
 
+def _density_gate(mat: QMatrix | np.ndarray, tol: float) -> np.ndarray:
+    """The one density gate: hermitian, positive and unit real trace at ``tol``.
+
+    ``mat`` is a square QMatrix, whose spectrum comes from its chi image
+    (:func:`eigvals_hermitian` checks hermiticity first), or a square
+    complex array.  Every test reads ``not measured <= tol``: a non-finite
+    entry makes the hermiticity deviation NaN or inf, so it fails as a
+    :class:`NotHermitian` before any eigensolver runs.  Returns the
+    spectrum, ascending; the raised error names the violated invariant,
+    the measured value and the tolerance.
+    """
+    if isinstance(mat, QMatrix):
+        eigs = eigvals_hermitian(mat, tol=tol)
+        trace = real_trace(mat)
+    else:
+        require_hermitian(float(np.abs(mat - mat.conj().T).max(initial=0.0)), tol)
+        eigs = np.linalg.eigvalsh(mat)
+        trace = float(np.trace(mat).real)
+    lowest = float(eigs.min(initial=0.0))
+    if not -lowest <= tol:
+        raise NotPositive(f"minimum eigenvalue {lowest:.3e} below -{tol:.3e}")
+    if not abs(trace - 1.0) <= tol:
+        raise TraceNotOne(
+            f"real trace {trace!r} deviates from 1 by {abs(trace - 1.0):.3e}, beyond {tol:.3e}"
+        )
+    return eigs
+
+
 def validate(m: QMatrix, tol: float = VALIDATION_TOL) -> QDensity:
     """Validate a quaternionic matrix as a density matrix and classify it.
 
-    Checks hermiticity, positivity (through the complex-adjoint
-    spectrum) and unit real trace, each at ``tol``; the raised error
-    names the violated invariant and the measured deviation.  The
+    Runs :func:`_density_gate` and keeps its spectrum.  The
     proper/improper classification uses the scale-aware zero test
     :func:`proper_tolerance` on ||rho_beta||_F.
     """
     if not m.is_square:
         raise DimensionMismatch(f"density matrix must be square, got {m.shape}")
-    dev = hermiticity_deviation(m)
-    if dev > tol:
-        raise NotHermitian(f"hermiticity deviation {dev:.3e} exceeds {tol:.3e}")
-    eigs = eigvals_hermitian(m, tol=tol)
-    if eigs.size and eigs.min() < -tol:
-        raise NotPositive(f"minimum eigenvalue {eigs.min():.3e} below -{tol:.3e}")
-    trace = real_trace(m)
-    if abs(trace - 1.0) > tol:
-        raise TraceNotOne(f"real trace {trace!r} deviates from 1 by {abs(trace - 1.0):.3e}")
+    eigs = _density_gate(m, tol)
     beta_norm = float(np.linalg.norm(m.beta))
     alpha_norm = float(np.linalg.norm(m.alpha))
     kind = (
@@ -190,7 +189,7 @@ def validate(m: QMatrix, tol: float = VALIDATION_TOL) -> QDensity:
         if beta_norm <= proper_tolerance(m.rows, alpha_norm)
         else MixtureKind.IMPROPER
     )
-    return QDensity(mat=m, classification=kind, beta_norm=beta_norm)
+    return QDensity(mat=m, classification=kind, beta_norm=beta_norm, eigenvalues=eigs)
 
 
 def classify(rho: QDensity) -> MixtureKind:
@@ -239,11 +238,13 @@ def discriminating_observable(rho: QDensity) -> Observable:
     return Observable.from_qmatrix(QMatrix(np.zeros_like(rho.beta), rho.beta.copy()))
 
 
-def rank_bounds_check(
-    rho: QDensity, tol: float | None = None
-) -> tuple[int, int, bool]:
-    """Return (m, rank of projection, whether m <= rank <= 2m holds)."""
-    m = rank_q(rho.mat, tol=tol)
+def rank_bounds_check(rho: QDensity) -> tuple[int, int, bool]:
+    """Return (m, rank of projection, whether m <= rank <= 2m holds).
+
+    Both ranks come from cached spectra under the one rank rule; chi's
+    eigenvalues pair up (F. Zhang, LAA 251, 1997), so no SVD is needed.
+    """
+    m = rho.rank
     rank_alpha = complex_projection(rho).rank
     return m, rank_alpha, (m <= rank_alpha <= 2 * m)
 

@@ -45,27 +45,20 @@ from .errors import (
 )
 from .qmatrix import (
     EXPM_MEMBERSHIP_TOL,
+    VALIDATION_TOL,
     QMatrix,
     chi,
     chi_inverse,
     expm_q,
     frobenius_norm,
+    hermiticity_deviation,
     max_abs,
 )
 
-#: Anti-hermiticity tolerance for generator samples.
-GENERATOR_TOL = 1e-10
 #: Unitarity tolerance for propagators.
 UNITARITY_TOL = 1e-9
 #: Cap on the per-step hermiticity/trace correction in ``integrate``.
 DRIFT_TOL = 1e-6
-
-
-def anti_hermiticity_deviation(m: QMatrix) -> float:
-    """Max entry deviation of M from -M^dag."""
-    dev_alpha = np.abs(m.alpha + m.alpha.conj().T).max(initial=0.0)
-    dev_beta = np.abs(m.beta - m.beta.T).max(initial=0.0)
-    return float(max(dev_alpha, dev_beta))
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +68,8 @@ class Generator:
     ``samples`` holds H at equally spaced times covering [0, horizon];
     a single sample means a constant generator.  Anti-hermiticity
     (alpha block anti-hermitian, beta block symmetric) is enforced on
-    every sample at construction.
+    every sample at construction, at ``VALIDATION_TOL``; a non-finite
+    sample fails it.
     """
 
     samples: tuple[QMatrix, ...]
@@ -89,10 +83,11 @@ class Generator:
         for idx, h in enumerate(self.samples):
             if not h.is_square or h.rows != dim:
                 raise DimensionMismatch(f"sample {idx} has shape {h.shape}")
-            dev = anti_hermiticity_deviation(h)
-            if dev > GENERATOR_TOL:
+            dev = hermiticity_deviation(h, sign=-1)
+            if not dev <= VALIDATION_TOL:
                 raise NotAntiHermitian(
-                    f"sample {idx} deviates from anti-hermiticity by {dev:.3e}"
+                    f"sample {idx} deviates from anti-hermiticity by {dev:.3e}, "
+                    f"beyond {VALIDATION_TOL:.3e}"
                 )
         if len(self.samples) > 1 and self.horizon <= 0.0:
             raise ValueError("a sampled schedule needs a positive horizon")
@@ -138,26 +133,26 @@ class Generator:
 
 @dataclass(frozen=True, eq=False)
 class Propagator:
-    """Unitary propagator over [t0, t1]; unitarity checked at construction."""
+    """Unitary propagator; unitarity checked at construction (NaN fails)."""
 
     u: QMatrix
-    t0: float = 0.0
-    t1: float = 0.0
 
     def __post_init__(self):
         if not self.u.is_square:
             raise DimensionMismatch(f"propagator must be square, got {self.u.shape}")
         dev = max_abs(self.u.h @ self.u - QMatrix.identity(self.u.rows))
-        if dev > UNITARITY_TOL:
-            raise NotUnitary(f"U^dag U deviates from identity by {dev:.3e}")
+        if not dev <= UNITARITY_TOL:
+            raise NotUnitary(
+                f"U^dag U deviates from identity by {dev:.3e}, beyond {UNITARITY_TOL:.3e}"
+            )
 
     @classmethod
     def identity(cls, n: int) -> "Propagator":
         return cls(u=QMatrix.identity(n))
 
     @classmethod
-    def from_complex_unitary(cls, u: np.ndarray, t0: float = 0.0, t1: float = 0.0) -> "Propagator":
-        return cls(u=QMatrix.from_complex(u), t0=t0, t1=t1)
+    def from_complex_unitary(cls, u: np.ndarray) -> "Propagator":
+        return cls(u=QMatrix.from_complex(u))
 
     @property
     def dim(self) -> int:
@@ -208,13 +203,13 @@ def time_ordered(gen: Generator, t: float, steps: int) -> Propagator:
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if len(gen.samples) == 1:
-        return Propagator(u=expm_q(gen.samples[0] * (-t)), t0=0.0, t1=t)
+        return Propagator(u=expm_q(gen.samples[0] * (-t)))
     h = t / steps
     ham = gen.chi_at()
     u = np.eye(2 * gen.dim, dtype=np.complex128)
     for k in range(steps):
         u = scipy.linalg.expm(ham((k + 0.5) * h) * (-h)) @ u
-    return Propagator(u=chi_inverse(u, tol=EXPM_MEMBERSHIP_TOL), t0=0.0, t1=t)
+    return Propagator(u=chi_inverse(u, tol=EXPM_MEMBERSHIP_TOL))
 
 
 def integrate(
@@ -275,8 +270,8 @@ def projected_rate_check(rho: QDensity, gen: Generator, h: float = 1e-4) -> floa
     -[H_a, rho_a] + conj(H_b) rho_b - conj(rho_b) H_b.  The residual
     shrinks as O(h^2).
     """
-    forward = Propagator(u=expm_q(gen.at(h / 2) * (-h)), t0=0.0, t1=h)
-    backward = Propagator(u=expm_q(gen.at(0.0) * h), t0=0.0, t1=-h)
+    forward = Propagator(u=expm_q(gen.at(h / 2) * (-h)))
+    backward = Propagator(u=expm_q(gen.at(0.0) * h))
     plus = evolve(rho, forward)
     minus = evolve(rho, backward)
     fd = (plus.alpha - minus.alpha) / (2.0 * h)
@@ -325,7 +320,7 @@ def partition_witness(
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
         gen = random_generator(n, rng, quaternionic=True)
         rho = random_density(n, MixtureKind.PROPER, rng)
-        prop = Propagator(u=expm_q(gen.samples[0] * (-t)), t0=0.0, t1=t)
+        prop = Propagator(u=expm_q(gen.samples[0] * (-t)))
         leak = float(np.linalg.norm(evolve(rho, prop).beta))
         if leak > leak_threshold:
             return gen, rho, leak

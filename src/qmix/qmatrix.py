@@ -38,8 +38,10 @@ CHI_MEMBERSHIP_TOL = 1e-10
 EXPM_MEMBERSHIP_TOL = 1e-9
 #: Relative gap allowed between the two copies of each chi eigenvalue.
 EIG_PAIRING_TOL = 1e-8
-#: Default hermiticity tolerance for spectral entry points.
-HERMITIAN_TOL = 1e-10
+#: Max entry deviation allowed by hermiticity, positivity and trace checks.
+VALIDATION_TOL = 1e-10
+#: Relative floor of the numerical-rank rule (see :func:`numerical_rank`).
+RANK_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +167,7 @@ def chi_membership_deviation(c: np.ndarray) -> float:
     n, m = c.shape[0] // 2, c.shape[1] // 2
     dev_diag = np.abs(c[n:, m:] - c[:n, :m].conj()).max(initial=0.0)
     dev_off = np.abs(c[:n, m:] + c[n:, :m].conj()).max(initial=0.0)
-    return max(dev_diag, dev_off)
+    return float(np.maximum(dev_diag, dev_off))  # NaN-propagating, unlike max()
 
 
 def chi_inverse(c: np.ndarray, tol: float = CHI_MEMBERSHIP_TOL) -> QMatrix:
@@ -177,7 +179,7 @@ def chi_inverse(c: np.ndarray, tol: float = CHI_MEMBERSHIP_TOL) -> QMatrix:
     """
     c = np.asarray(c, dtype=np.complex128)
     deviation = chi_membership_deviation(c)
-    if deviation > tol:
+    if not deviation <= tol:
         raise NotInChiImage(
             f"block symmetry deviation {deviation:.3e} exceeds {tol:.3e}"
         )
@@ -209,20 +211,30 @@ def max_abs(m: QMatrix) -> float:
     return float(np.sqrt(mags.max(initial=0.0)))
 
 
-def hermiticity_deviation(m: QMatrix) -> float:
-    """Max entry deviation of M from M^dag."""
+def hermiticity_deviation(m: QMatrix, sign: int = 1) -> float:
+    """Max entry deviation of M from sign * M^dag.
+
+    ``sign=-1`` measures anti-hermiticity (alpha anti-hermitian, beta
+    symmetric).  A non-finite entry always gives a non-finite deviation.
+    """
     if not m.is_square:
         raise DimensionMismatch(f"hermiticity needs a square matrix, got {m.shape}")
-    dev_alpha = np.abs(m.alpha - m.alpha.conj().T).max(initial=0.0)
-    dev_beta = np.abs(m.beta + m.beta.T).max(initial=0.0)
-    return max(dev_alpha, dev_beta)
+    dev_alpha = np.abs(m.alpha - sign * m.alpha.conj().T).max(initial=0.0)
+    dev_beta = np.abs(m.beta + sign * m.beta.T).max(initial=0.0)
+    return float(np.maximum(dev_alpha, dev_beta))
 
 
-def is_hermitian(m: QMatrix, tol: float = HERMITIAN_TOL) -> bool:
+def require_hermitian(deviation: float, tol: float) -> None:
+    """Raise :class:`NotHermitian` unless ``deviation <= tol``; NaN fails."""
+    if not deviation <= tol:
+        raise NotHermitian(f"hermiticity deviation {deviation:.3e} exceeds {tol:.3e}")
+
+
+def is_hermitian(m: QMatrix, tol: float = VALIDATION_TOL) -> bool:
     return m.is_square and hermiticity_deviation(m) <= tol
 
 
-def is_positive_semidefinite(m: QMatrix, tol: float = HERMITIAN_TOL) -> bool:
+def is_positive_semidefinite(m: QMatrix, tol: float = VALIDATION_TOL) -> bool:
     """Hermitian with all eigenvalues >= -tol."""
     if not m.is_square or not is_hermitian(m, tol):
         return False
@@ -236,7 +248,7 @@ def is_positive_semidefinite(m: QMatrix, tol: float = HERMITIAN_TOL) -> bool:
 
 def eigvals_hermitian(
     m: QMatrix,
-    tol: float = HERMITIAN_TOL,
+    tol: float = VALIDATION_TOL,
     pairing_tol: float = EIG_PAIRING_TOL,
 ) -> np.ndarray:
     """Eigenvalues of a hermitian quaternionic matrix, ascending.
@@ -245,11 +257,10 @@ def eigvals_hermitian(
     sorted values are paired and each pair returned once (as the pair
     mean).  A pair gap beyond ``pairing_tol`` relative to the spectral
     scale raises :class:`PairingFailure`, which indicates a bug rather
-    than a data condition.
+    than a data condition.  The hermiticity check runs first, so a
+    non-finite entry never reaches the eigensolver.
     """
-    deviation = hermiticity_deviation(m)
-    if deviation > tol:
-        raise NotHermitian(f"hermiticity deviation {deviation:.3e} exceeds {tol:.3e}")
+    require_hermitian(hermiticity_deviation(m), tol)
     eigs = np.linalg.eigvalsh(chi(m))
     first, second = eigs[0::2], eigs[1::2]
     scale = max(float(np.abs(eigs).max(initial=0.0)), 1.0)
@@ -261,24 +272,29 @@ def eigvals_hermitian(
     return (first + second) / 2
 
 
+def numerical_rank(values: np.ndarray, tol: float | None = None) -> int:
+    """Count ``values`` above ``tol`` times the largest magnitude.
+
+    The package's one numerical-rank rule, applied to the cached spectrum
+    of a density and to the singular-value pairs in :func:`rank_q`.  The
+    default ``tol`` is ``max(values.size * eps, RANK_REL_TOL)``.
+    """
+    scale = float(np.abs(values).max(initial=0.0))
+    if scale == 0.0:
+        return 0
+    if tol is None:
+        tol = max(values.size * np.finfo(np.float64).eps, RANK_REL_TOL)
+    return int(np.count_nonzero(values > tol * scale))
+
+
 def rank_q(m: QMatrix, tol: float | None = None) -> int:
     """Quaternionic rank: half the numerical rank of chi(M).
 
     Singular values of a chi image come in pairs; adjacent sorted values
-    are averaged and pairs above ``tol * sigma_max`` counted.  Default
-    tolerance is the standard numerical-rank choice
-    ``max(rows, cols) * machine epsilon``.
+    are averaged and the pairs counted by :func:`numerical_rank`.
     """
-    if tol is None:
-        tol = max(m.rows, m.cols) * np.finfo(np.float64).eps
     sigma = np.linalg.svd(chi(m), compute_uv=False)
-    if sigma.size == 0:
-        return 0
-    pairs = (sigma[0::2] + sigma[1::2]) / 2
-    threshold = tol * sigma[0]
-    if sigma[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(pairs > threshold))
+    return numerical_rank((sigma[0::2] + sigma[1::2]) / 2, tol)
 
 
 def expm_q(m: QMatrix) -> QMatrix:

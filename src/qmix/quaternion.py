@@ -106,13 +106,3 @@ ONE = Quaternion(1, 0)
 I = Quaternion(1j, 0)
 J = Quaternion(0, 1)
 K = I * J  # = Quaternion(0, -1j)
-
-
-def qmul(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Quaternion product under the complex-pair rule."""
-    return a * b
-
-
-def qconj(a: Quaternion) -> Quaternion:
-    """Quaternion conjugate: negates the i, j and k parts."""
-    return a.conjugate()

@@ -51,7 +51,7 @@ from .errors import (
     PropositionViolated,
     QmixError,
 )
-from .qmatrix import QMatrix, frobenius_norm, rank_q
+from .qmatrix import QMatrix, frobenius_norm
 
 #: Entrywise tolerance for the two mixture routes agreeing.
 MIXTURE_MATCH_TOL = 1e-12
@@ -63,8 +63,6 @@ DISCRIMINATOR_TOL = 1e-10
 DISCRIMINATOR_ZERO_TOL = 1e-12
 #: Idempotency tolerance certifying the purified state is a projector.
 PURITY_TOL = 1e-10
-#: Rank tolerance used when asserting constructed ranks.
-RANK_CHECK_TOL = 1e-10
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -180,7 +178,7 @@ def run_scenario(
     # Purity of the improper representative: rank one and idempotent.
     scaled = rho_improper.mat
     idem_residual = frobenius_norm(scaled @ scaled - scaled)
-    rank_one = rank_q(scaled, tol=RANK_CHECK_TOL) == 1
+    rank_one = rho_improper.rank == 1
 
     # Complex observables, transformed into the measured eigenbasis.
     basis = direction_basis(theta, phi)
@@ -344,8 +342,7 @@ def check_propositions(
 
         projected = complex_projection(rho)
         herm = float(np.abs(projected.mat - projected.mat.conj().T).max())
-        eigs = np.linalg.eigvalsh(projected.mat)
-        negativity = max(0.0, float(-eigs.min()))
+        negativity = max(0.0, float(-projected.eigenvalues.min()))
         trace_dev = abs(float(np.trace(projected.mat).real) - 1.0)
         record(
             "projection_is_density",
@@ -355,7 +352,8 @@ def check_propositions(
             f"projection invalid: herm={herm:.3e} neg={negativity:.3e} trace={trace_dev:.3e}",
         )
 
-        m = rank_q(rho.mat, tol=RANK_CHECK_TOL)
+        # Ranks come from the spectra the density gate cached: no SVD.
+        m = rho.rank
         record(
             "projection_rank_bounds",
             m <= projected.rank <= 2 * m,
@@ -372,7 +370,7 @@ def check_propositions(
             lifted = lift(source, target)
             round_trip = float(np.abs(lifted.alpha - source.mat).max())
             worst = max(worst, round_trip)
-            got = rank_q(lifted.mat, tol=RANK_CHECK_TOL)
+            got = lifted.rank
             if round_trip > 1e-12 or got != target:
                 ok = False
                 detail = f"target {target}: round_trip={round_trip:.3e}, rank={got}"
@@ -382,7 +380,7 @@ def check_propositions(
         two = _random_complex_density_of_rank(rng, n, 2)
         pure = purify(two)
         idem = frobenius_norm(pure.mat @ pure.mat - pure.mat)
-        rank_ok = rank_q(pure.mat, tol=RANK_CHECK_TOL) == 1
+        rank_ok = pure.rank == 1
         refusal_ok = True
         if n >= 3:
             three = _random_complex_density_of_rank(rng, n, 3)

@@ -62,3 +62,36 @@ def qclose(x: QMatrix, y: QMatrix, tol=1e-12) -> bool:
         np.abs(x.alpha - y.alpha).max() <= tol
         and np.abs(x.beta - y.beta).max() <= tol
     )
+
+
+#: (block, position, value) cases for the non-finite input regressions.
+NON_FINITE_CASES = [
+    (block, position, value)
+    for block in ("alpha", "beta")
+    for position in ("diagonal", "off-diagonal")
+    for value in (float("nan"), float("inf"))
+]
+
+
+def with_non_finite(m: QMatrix, block: str, position: str, value: float) -> QMatrix:
+    """Copy of ``m`` with ``value`` in one block, at (0, 0) or mirrored.
+
+    Off the diagonal the value goes to (0, 1) and, with the sign that
+    keeps the block hermitian (alpha) or skew (beta), to (1, 0), so the
+    input looks like a density matrix to a NaN-blind comparison.
+    """
+    blocks = {"alpha": m.alpha.copy(), "beta": m.beta.copy()}
+    target = blocks[block]
+    if position == "diagonal":
+        target[0, 0] = value
+    else:
+        target[0, 1] = value
+        target[1, 0] = value if block == "alpha" else -value
+    return QMatrix(blocks["alpha"], blocks["beta"])
+
+
+def assert_names_value_and_tolerance(error: Exception, tol: float) -> None:
+    """The message carries the non-finite measurement and the tolerance."""
+    words = str(error).replace(",", " ").split()
+    assert "nan" in words or "inf" in words, str(error)
+    assert f"{tol:.3e}" in str(error), str(error)

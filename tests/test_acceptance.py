@@ -173,7 +173,7 @@ def test_criterion_07_integrator_matches_propagator():
     rng = np.random.default_rng(7)
     gen = random_generator(4, rng, quaternionic=True, norm=1.0)
     rho = random_density(4, MixtureKind.IMPROPER, rng)
-    prop = Propagator(u=expm_q(gen.samples[0] * -1.0), t0=0.0, t1=1.0)
+    prop = Propagator(u=expm_q(gen.samples[0] * -1.0))
     exact = evolve(rho, prop)
     err_1000 = frobenius_norm(exact.mat - integrate(rho, gen, 1.0, 1000).mat)
     err_250 = frobenius_norm(exact.mat - integrate(rho, gen, 1.0, 250).mat)
@@ -190,7 +190,7 @@ def test_criterion_08_projection_path_checks():
         n = int(rng.integers(2, 5))
         rho = random_density(n, MixtureKind.IMPROPER, rng)
         gen = random_generator(n, rng, quaternionic=True)
-        prop = Propagator(u=expm_q(gen.samples[0] * -1.0), t0=0.0, t1=1.0)
+        prop = Propagator(u=expm_q(gen.samples[0] * -1.0))
         gap = np.abs(
             projected_evolution(rho, prop).mat - complex_projection(evolve(rho, prop)).mat
         ).max()

@@ -260,6 +260,12 @@ def test_bad_tolerance_is_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_unknown_tolerance_name_is_usage_error(capsys):
+    assert main(["--tol", "bogus=1e-3", "classify", "x.json"]) == 2
+    err = capsys.readouterr().err
+    assert "bogus" in err and "validate" in err
+
+
 def test_output_file(tmp_path):
     state = write_json(tmp_path / "state.json", half_mixed())
     target = tmp_path / "out.json"
@@ -338,3 +344,18 @@ def test_non_positive_steps_is_usage_error(tmp_path, capsys, method, steps):
     argv = ["evolve", state, "--gen", gen, "--steps", steps, "--method", method]
     assert main(argv) == 2
     assert "--steps" in capsys.readouterr().err
+
+
+def test_overflowing_propagator_exits_one_with_one_error_line(tmp_path, capsys):
+    # a finite generator scaled by 1e200: expm returns NaN, which must fail
+    # a gate as a QmixError rather than reach an eigensolver
+    state = write_json(tmp_path / "state.json", purified_file())
+    scaled = [[[1e200 * x for x in entry] for entry in row] for row in [
+        [[0.0, 0.3], [0.1, 0.2]], [[-0.1, 0.2], [0.0, -0.4]]
+    ]]
+    gen = write_json(tmp_path / "gen.json", {"rows": 2, "cols": 2, "alpha": scaled})
+    assert main(["evolve", state, "--gen", gen, "--method", "propagator"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1

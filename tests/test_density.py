@@ -36,7 +36,13 @@ from qmix.errors import (
     TraceNotOne,
 )
 
-from support import qclose, random_complex
+from support import (
+    NON_FINITE_CASES,
+    assert_names_value_and_tolerance,
+    qclose,
+    random_complex,
+    with_non_finite,
+)
 
 E0 = np.array([1.0, 0.0])
 E1 = np.array([0.0, 1.0])
@@ -88,6 +94,47 @@ def test_validate_rejects_wrong_trace():
 def test_validate_error_message_carries_deviation():
     with pytest.raises(TraceNotOne, match="deviates from 1 by"):
         validate(QMatrix.from_complex(np.eye(2)))
+
+
+def _no_eigensolver(*args, **kwargs):
+    raise AssertionError("non-finite input reached an eigensolver")
+
+
+@pytest.mark.parametrize("block,position,value", NON_FINITE_CASES)
+def test_validate_rejects_non_finite_before_eigensolver(monkeypatch, block, position, value):
+    mat = with_non_finite(QMatrix.from_complex(np.eye(2) / 2), block, position, value)
+    monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigensolver)
+    with pytest.raises(NotHermitian) as excinfo:
+        validate(mat)
+    assert_names_value_and_tolerance(excinfo.value, 1e-10)
+
+
+@pytest.mark.parametrize(
+    "position,value", [(p, v) for b, p, v in NON_FINITE_CASES if b == "alpha"]
+)
+def test_cdensity_rejects_non_finite_before_eigensolver(monkeypatch, position, value):
+    mat = with_non_finite(QMatrix.from_complex(np.eye(2) / 2), "alpha", position, value)
+    monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigensolver)
+    with pytest.raises(NotHermitian) as excinfo:
+        CDensity.from_matrix(mat.alpha)
+    assert_names_value_and_tolerance(excinfo.value, 1e-10)
+
+
+@pytest.mark.parametrize("block,position,value", NON_FINITE_CASES)
+def test_observable_rejects_non_finite(block, position, value):
+    mat = with_non_finite(QMatrix.from_complex(np.diag([1.0, -1.0])), block, position, value)
+    with pytest.raises(NotHermitian) as excinfo:
+        Observable.from_qmatrix(mat)
+    assert_names_value_and_tolerance(excinfo.value, 1e-10)
+
+
+def test_density_caches_its_spectrum_and_rank():
+    rho = validate(purified_two_level())
+    assert np.allclose(rho.eigenvalues, [0.0, 1.0], atol=1e-15)
+    assert rho.rank == rank_q(rho.mat) == 1
+    projected = complex_projection(rho)
+    assert np.array_equal(projected.eigenvalues, np.linalg.eigvalsh(projected.mat))
+    assert projected.rank == 2
 
 
 # -- projection and classification ---------------------------------------
@@ -196,13 +243,13 @@ def test_expectation_dimension_check():
 def test_rank_bounds_proper():
     rng = np.random.default_rng(35)
     rho = random_density(4, MixtureKind.PROPER, rng)
-    m, rank_alpha, ok = rank_bounds_check(rho, tol=1e-10)
+    m, rank_alpha, ok = rank_bounds_check(rho)
     assert ok and rank_alpha == m
 
 
 def test_rank_bounds_purified_state():
     rho = validate(purified_two_level())
-    assert rank_bounds_check(rho, tol=1e-10) == (1, 2, True)
+    assert rank_bounds_check(rho) == (1, 2, True)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
@@ -211,7 +258,7 @@ def test_rank_bounds_hold_on_randoms(seed, n):
     rng = np.random.default_rng(seed)
     kind = [MixtureKind.IMPROPER, "Pure-Q"][seed % 2]
     rho = random_density(n, kind, rng)
-    _, _, ok = rank_bounds_check(rho, tol=1e-10)
+    _, _, ok = rank_bounds_check(rho)
     assert ok
 
 

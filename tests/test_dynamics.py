@@ -26,12 +26,18 @@ from qmix import (
 from qmix.density import Observable, embed_proper, validate
 from qmix.errors import DriftExceeded, NotAntiHermitian, NotUnitary
 
-from support import random_complex, random_complex_unitary
+from support import (
+    NON_FINITE_CASES,
+    assert_names_value_and_tolerance,
+    random_complex,
+    random_complex_unitary,
+    with_non_finite,
+)
 
 
 def quaternionic_unitary(rng, n, t=1.0) -> Propagator:
     gen = random_generator(n, rng, quaternionic=True)
-    return Propagator(u=expm_q(gen.samples[0] * (-t)), t0=0.0, t1=t)
+    return Propagator(u=expm_q(gen.samples[0] * (-t)))
 
 
 # -- construction guards -------------------------------------------------
@@ -44,6 +50,20 @@ def test_generator_rejects_hermitian_sample():
 def test_propagator_rejects_non_unitary():
     with pytest.raises(NotUnitary):
         Propagator(u=QMatrix.from_complex(2 * np.eye(2)))
+
+
+@pytest.mark.parametrize("block,position,value", NON_FINITE_CASES)
+def test_generator_rejects_non_finite_sample(block, position, value):
+    with pytest.raises(NotAntiHermitian) as excinfo:
+        Generator.constant(with_non_finite(QMatrix.zeros(2), block, position, value))
+    assert_names_value_and_tolerance(excinfo.value, 1e-10)
+
+
+@pytest.mark.parametrize("block,position,value", NON_FINITE_CASES)
+def test_propagator_rejects_non_finite(block, position, value):
+    with pytest.raises(NotUnitary) as excinfo:
+        Propagator(u=with_non_finite(QMatrix.identity(2), block, position, value))
+    assert_names_value_and_tolerance(excinfo.value, 1e-9)
 
 
 def test_generator_schedule_interpolation():
@@ -94,7 +114,7 @@ def test_quaternionic_dynamics_leaks_known_state():
     gen = Generator.constant(QMatrix(np.zeros((2, 2)), np.eye(2)))
     alpha = np.array([[0.5, -0.5j], [0.5j, 0.5]])
     rho = validate(QMatrix.from_complex(alpha))
-    prop = Propagator(u=expm_q(gen.samples[0] * -1.0), t0=0.0, t1=1.0)
+    prop = Propagator(u=expm_q(gen.samples[0] * -1.0))
     evolved = evolve(rho, prop)
     want = abs(np.sin(2.0)) / np.sqrt(2)
     assert evolved.beta_norm == pytest.approx(want, abs=1e-12)
@@ -107,7 +127,7 @@ def test_real_proper_state_immune_to_j_identity_generator():
     # jI commutes with real matrices, so this proper state cannot leak
     gen = Generator.constant(QMatrix(np.zeros((2, 2)), np.eye(2)))
     rho = validate(QMatrix.from_complex(np.diag([1.0, 0.0])))
-    prop = Propagator(u=expm_q(gen.samples[0] * -1.0), t0=0.0, t1=1.0)
+    prop = Propagator(u=expm_q(gen.samples[0] * -1.0))
     assert evolve(rho, prop).beta_norm <= 1e-15
 
 
@@ -157,7 +177,7 @@ def test_integrate_matches_propagator_for_constant_generator():
     rng = np.random.default_rng(57)
     gen = random_generator(4, rng, quaternionic=True)
     rho = random_density(4, MixtureKind.IMPROPER, rng)
-    prop = Propagator(u=expm_q(gen.samples[0] * -1.0), t0=0.0, t1=1.0)
+    prop = Propagator(u=expm_q(gen.samples[0] * -1.0))
     exact = evolve(rho, prop)
     stepped = integrate(rho, gen, t=1.0, steps=1000)
     assert frobenius_norm(exact.mat - stepped.mat) <= 1e-8
@@ -167,7 +187,7 @@ def test_integrate_is_fourth_order():
     rng = np.random.default_rng(58)
     gen = random_generator(3, rng, quaternionic=True)
     rho = random_density(3, MixtureKind.IMPROPER, rng)
-    prop = Propagator(u=expm_q(gen.samples[0] * -1.0), t0=0.0, t1=1.0)
+    prop = Propagator(u=expm_q(gen.samples[0] * -1.0))
     exact = evolve(rho, prop)
     errors = [
         frobenius_norm(exact.mat - integrate(rho, gen, t=1.0, steps=steps).mat)
@@ -273,7 +293,7 @@ def test_complex_dynamics_never_leaks():
     for _ in range(20):
         gen = random_generator(3, rng, quaternionic=False)
         rho = random_density(3, MixtureKind.PROPER, rng)
-        prop = Propagator(u=expm_q(gen.samples[0] * -1.0), t0=0.0, t1=1.0)
+        prop = Propagator(u=expm_q(gen.samples[0] * -1.0))
         assert evolve(rho, prop).beta_norm <= 1e-10
 
 

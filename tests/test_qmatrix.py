@@ -23,12 +23,15 @@ from qmix.errors import DimensionMismatch, NotHermitian, NotInChiImage
 from qmix.quaternion import Quaternion
 
 from support import (
+    NON_FINITE_CASES,
+    assert_names_value_and_tolerance,
     chi_blocks,
     chi_oracle_matmul,
     qclose,
     random_complex,
     random_hermitian_qmatrix,
     random_qmatrix,
+    with_non_finite,
 )
 
 J_MAT_1 = QMatrix(np.zeros((1, 1)), np.ones((1, 1)))
@@ -61,6 +64,14 @@ def test_chi_membership():
     image[0, 0] += 1e-6
     with pytest.raises(NotInChiImage):
         chi_inverse(image)
+
+
+@pytest.mark.parametrize("block,position,value", NON_FINITE_CASES)
+def test_chi_inverse_rejects_non_finite(block, position, value):
+    mat = with_non_finite(random_qmatrix(np.random.default_rng(14), 3), block, position, value)
+    with pytest.raises(NotInChiImage) as excinfo:
+        chi_inverse(chi(mat))
+    assert_names_value_and_tolerance(excinfo.value, 1e-10)
 
 
 def test_chi_membership_symmetry_condition():
