@@ -338,14 +338,19 @@ def _parse_tolerance(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """Argument type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -367,7 +372,7 @@ def _add_common_options(parser: argparse.ArgumentParser, top_level: bool) -> Non
     suppress = argparse.SUPPRESS
     parser.add_argument(
         "--seed",
-        type=int,
+        type=_int_at_least(0),
         default=None if top_level else suppress,
         help="random seed; defaults to QMIX_SEED, then 0",
     )
@@ -432,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument(
         "--steps",
-        type=_positive_int,
+        type=_int_at_least(1),
         default=1000,
         help="rk4 time steps (default: 1000); the propagator method "
         "ignores it, a constant generator taking one exponential",
@@ -455,8 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_scenario)
 
     p = sub.add_parser("check-props", help="run the randomized structural audit")
-    p.add_argument("--nmax", type=int, default=6)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--nmax", type=_int_at_least(2), default=6)
+    p.add_argument("--trials", type=_int_at_least(0), default=100)
     _add_common_options(p, top_level=False)
     p.set_defaults(handler=_cmd_check_props)
 
@@ -473,9 +478,9 @@ def main(argv=None) -> int:
     if seed is None:
         raw = os.environ.get("QMIX_SEED", "0")
         try:
-            seed = int(raw)
-        except ValueError:
-            print(f"error: QMIX_SEED must be an integer, got {raw!r}", file=sys.stderr)
+            seed = _int_at_least(0)(raw)
+        except argparse.ArgumentTypeError as exc:
+            print(f"error: QMIX_SEED: {exc}", file=sys.stderr)
             return 2
     config = RunConfig(seed=seed, validate_tol=args.tol, output=args.output)
     try:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .errors import (
 from .qmatrix import (
     VALIDATION_TOL,
     QMatrix,
+    check_slices,
     eigvals_hermitian,
     hermiticity_deviation,
     numerical_rank,
@@ -78,7 +80,7 @@ class QDensity:
     beta_norm: float
     eigenvalues: np.ndarray
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return numerical_rank(self.eigenvalues)
 
@@ -118,9 +120,18 @@ class CDensity:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return numerical_rank(self.eigenvalues)
+
+    @cached_property
+    def top_eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The top-``rank`` eigenpairs in :func:`lift`'s order, computed once.
+
+        See :func:`_ordered_spectral_terms`; every lift of this density
+        reads them, whatever its target rank.
+        """
+        return _ordered_spectral_terms(self.mat, self.rank)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,27 +160,48 @@ def _density_gate(mat: QMatrix | np.ndarray, tol: float) -> np.ndarray:
 
     ``mat`` is a square QMatrix, whose spectrum comes from its chi image
     (:func:`eigvals_hermitian` checks hermiticity first), or a square
-    complex array.  Every test reads ``not measured <= tol``: a non-finite
-    entry makes the hermiticity deviation NaN or inf, so it fails as a
-    :class:`NotHermitian` before any eigensolver runs.  Returns the
-    spectrum, ascending; the raised error names the violated invariant,
-    the measured value and the tolerance.
+    complex array.  Every test reads ``measured <= tol``, so NaN fails: a
+    non-finite entry makes the hermiticity deviation NaN or inf, and it
+    fails as a :class:`NotHermitian` before any eigensolver runs.
+    Returns the spectrum, ascending; the raised error names the violated
+    invariant, the measured value and the tolerance.
+
+    A stack of shape (..., n, n) is gated in one pass and gives spectra
+    of shape (..., n).  Each invariant is tested on every slice before
+    the next, and the first failing slice raises the error it would
+    raise alone, with its index in the message and in ``index``.
     """
     if isinstance(mat, QMatrix):
         eigs = eigvals_hermitian(mat, tol=tol)
-        trace = real_trace(mat)
+        alpha = mat.alpha
     else:
-        require_hermitian(float(np.abs(mat - mat.conj().T).max(initial=0.0)), tol)
+        axes = (-2, -1)
+        require_hermitian(np.abs(mat - mat.conj().swapaxes(*axes)).max(axes, initial=0.0), tol)
         eigs = np.linalg.eigvalsh(mat)
-        trace = float(np.trace(mat).real)
-    lowest = float(eigs.min(initial=0.0))
-    if not -lowest <= tol:
-        raise NotPositive(f"minimum eigenvalue {lowest:.3e} below -{tol:.3e}")
-    if not abs(trace - 1.0) <= tol:
-        raise TraceNotOne(
-            f"real trace {trace!r} deviates from 1 by {abs(trace - 1.0):.3e}, beyond {tol:.3e}"
-        )
+        alpha = mat
+    lowest = eigs.min(-1, initial=0.0)
+    check_slices(
+        -lowest <= tol,
+        NotPositive,
+        lambda i: f"minimum eigenvalue {lowest[i]:.3e} below -{tol:.3e}",
+    )
+    trace = np.trace(alpha, axis1=-2, axis2=-1).real
+    deviation = abs(trace - 1.0)
+    check_slices(
+        deviation <= tol,
+        TraceNotOne,
+        lambda i: f"real trace {float(trace[i])!r} deviates from 1 by "
+        f"{deviation[i]:.3e}, beyond {tol:.3e}",
+    )
     return eigs
+
+
+def _mixture_kind(m: QMatrix) -> tuple[MixtureKind, float]:
+    """Classification by the zero test :func:`proper_tolerance`, and ||beta||_F."""
+    beta_norm = float(np.linalg.norm(m.beta))
+    alpha_norm = float(np.linalg.norm(m.alpha))
+    proper = beta_norm <= proper_tolerance(m.rows, alpha_norm)
+    return (MixtureKind.PROPER if proper else MixtureKind.IMPROPER), beta_norm
 
 
 def validate(m: QMatrix, tol: float = VALIDATION_TOL) -> QDensity:
@@ -179,16 +211,10 @@ def validate(m: QMatrix, tol: float = VALIDATION_TOL) -> QDensity:
     proper/improper classification uses the scale-aware zero test
     :func:`proper_tolerance` on ||rho_beta||_F.
     """
-    if not m.is_square:
+    if len(m.shape) != 2 or not m.is_square:
         raise DimensionMismatch(f"density matrix must be square, got {m.shape}")
     eigs = _density_gate(m, tol)
-    beta_norm = float(np.linalg.norm(m.beta))
-    alpha_norm = float(np.linalg.norm(m.alpha))
-    kind = (
-        MixtureKind.PROPER
-        if beta_norm <= proper_tolerance(m.rows, alpha_norm)
-        else MixtureKind.IMPROPER
-    )
+    kind, beta_norm = _mixture_kind(m)
     return QDensity(mat=m, classification=kind, beta_norm=beta_norm, eigenvalues=eigs)
 
 
@@ -294,13 +320,13 @@ def block_purify(
     return QMatrix(alpha, beta)
 
 
-def _phase_normalize(vec: np.ndarray) -> np.ndarray:
-    """Rotate a vector's global phase so its largest component is real positive."""
-    idx = int(np.argmax(np.abs(vec)))
-    pivot = vec[idx]
-    if pivot == 0:
-        return vec
-    return vec * (np.conj(pivot) / abs(pivot))
+def _phase_normalize(vecs: np.ndarray) -> np.ndarray:
+    """Rotate each column's global phase so its largest component is real positive.
+
+    The columns are eigenvectors, of unit norm, so no pivot is zero.
+    """
+    pivots = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    return vecs * (np.conj(pivots) / np.abs(pivots))
 
 
 def _ordered_spectral_terms(mat: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
@@ -311,11 +337,9 @@ def _ordered_spectral_terms(mat: np.ndarray, rank: int) -> tuple[np.ndarray, np.
     normalized components, so repeated calls on equal inputs agree.
     """
     eigs, vecs = np.linalg.eigh(mat)
-    order = np.argsort(-eigs, kind="stable")
-    eigs = eigs[order][:rank]
-    vecs = vecs[:, order][:, :rank]
-    vecs = np.column_stack([_phase_normalize(vecs[:, i]) for i in range(rank)]) \
-        if rank else vecs[:, :0]
+    order = np.argsort(-eigs, kind="stable")[:rank]
+    eigs = eigs[order]
+    vecs = _phase_normalize(vecs[:, order])
     scale = float(np.abs(eigs).max(initial=0.0)) or 1.0
     start = 0
     while start < rank:
@@ -339,8 +363,14 @@ def lift(rho_alpha: CDensity, target_rank: int) -> QDensity:
     The construction pairs the top eigenvectors of rho_alpha, largest
     eigenvalues first and adjacent in the descending order, and replaces
     each of the k = m - target_rank pairs by a rank-one quaternionic
-    block; the remaining spectral terms stay complex.  Zero eigenvalues
-    carry no rank and are never paired.
+    block (:func:`block_purify` with weights sqrt(lambda)); the remaining
+    spectral terms stay complex.  Zero eigenvalues carry no rank and are
+    never paired.
+
+    Summed over the blocks, alpha is the top-m spectral sum of rho_alpha
+    and beta is B - B^T with B = sum_k sqrt(lambda_u lambda_v) conj(v) u^dag,
+    one product each.  The paired eigenvectors must be orthonormal within
+    ``VALIDATION_TOL`` (one Gram-matrix test).
     """
     m = rho_alpha.rank
     if m <= 1:
@@ -351,19 +381,21 @@ def lift(rho_alpha: CDensity, target_rank: int) -> QDensity:
             f"target rank {target_rank} outside admissible range "
             f"[{lo}, {m}] for projection rank {m}"
         )
-    eigs, vecs = _ordered_spectral_terms(rho_alpha.mat, m)
-    pairs = m - target_rank
-    n = rho_alpha.dim
-    total = QMatrix.zeros(n)
-    for k in range(pairs):
-        a, b = 2 * k, 2 * k + 1
-        total = total + block_purify(
-            vecs[:, a], vecs[:, b], np.sqrt(eigs[a]), np.sqrt(eigs[b])
+    eigs, vecs = rho_alpha.top_eigenpairs
+    k = 2 * (m - target_rank)  # the leading k eigenpairs form the pairs
+    gram = vecs[:, :k].conj().T @ vecs[:, :k]
+    gram.flat[:: k + 1] -= 1.0  # subtract the identity
+    deviation = float(np.abs(gram).max(initial=0.0))
+    if not deviation <= VALIDATION_TOL:
+        raise NotOrthogonal(
+            f"paired eigenvectors deviate from orthonormal by {deviation:.3e}, "
+            f"beyond {VALIDATION_TOL:.3e}"
         )
-    for i in range(2 * pairs, m):
-        term = eigs[i] * np.outer(vecs[:, i], vecs[:, i].conj())
-        total = total + QMatrix.from_complex(term)
-    return validate(total)
+    u, v = vecs[:, 0:k:2], vecs[:, 1:k:2]
+    weights = np.sqrt(eigs[0:k:2]) * np.sqrt(eigs[1:k:2])
+    alpha = (vecs * eigs) @ vecs.conj().T
+    cross = (v.conj() * weights) @ u.conj().T
+    return validate(QMatrix(alpha, cross - cross.T))
 
 
 def purify(rho_alpha: CDensity) -> QDensity:
@@ -405,13 +437,21 @@ def random_density(n: int, kind: MixtureKind | str, seed=None) -> QDensity:
     surely).  Improper and Pure-Q require n >= 2: a 1 x 1 hermitian
     quaternion has no skew part.
     """
-    rng = _as_rng(seed)
+    return validate(_random_density_matrix(n, kind, _as_rng(seed)))
+
+
+def _random_density_matrix(n: int, kind: MixtureKind | str, rng: np.random.Generator) -> QMatrix:
+    """The unvalidated draw behind :func:`random_density`, at unit real trace.
+
+    Improper and Pure-Q draws are repeated, up to 16 times, while the
+    classification rule of :func:`validate` calls them proper.
+    """
     label = kind.value.lower() if isinstance(kind, MixtureKind) else str(kind).lower()
     if label == "proper":
         g = _ginibre(rng, n)
         mat = g @ g.conj().T
         mat /= np.trace(mat).real
-        return validate(QMatrix.from_complex(mat))
+        return QMatrix.from_complex(mat)
     if label not in ("improper", "pure-q"):
         raise ValueError(f"unknown density kind: {kind!r}")
     if n < 2:
@@ -427,7 +467,7 @@ def random_density(n: int, kind: MixtureKind | str, seed=None) -> QDensity:
             wb = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             w = QMatrix(wa.reshape(-1, 1), wb.reshape(-1, 1))
             mat = w @ w.h
-        rho = validate(mat / real_trace(mat))
-        if rho.classification is MixtureKind.IMPROPER:
-            return rho
+        mat = mat / real_trace(mat)
+        if _mixture_kind(mat)[0] is MixtureKind.IMPROPER:
+            return mat
     raise RuntimeError(f"random {label} generation kept landing on beta ~ 0")

@@ -242,23 +242,26 @@ def integrate(
         return mat @ hc - hc @ mat
 
     current = chi(rho0.mat)
-    for k in range(steps):
-        tau = k * h
-        k1 = rate(tau, current)
-        k2 = rate(tau + h / 2, current + k1 * (h / 2))
-        k3 = rate(tau + h / 2, current + k2 * (h / 2))
-        k4 = rate(tau + h, current + k3 * h)
-        raw = current + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (h / 6.0)
-        hermitized = (raw + raw.conj().T) * 0.5
-        herm_correction = float(np.linalg.norm(raw - hermitized)) / np.sqrt(2.0)
-        trace = float(np.trace(hermitized).real) / 2.0
-        correction = max(herm_correction, abs(trace - 1.0))
-        # written so that a non-finite iterate (NaN correction) fails too
-        if not correction <= drift_tol:
-            raise DriftExceeded(
-                f"correction {correction:.3e} at step {k} exceeds {drift_tol:.0e}"
-            )
-        current = hermitized / trace
+    # An overflowing iterate turns to inf/NaN, which the drift gate below
+    # rejects, so numpy's overflow and invalid-value warnings add nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            tau = k * h
+            k1 = rate(tau, current)
+            k2 = rate(tau + h / 2, current + k1 * (h / 2))
+            k3 = rate(tau + h / 2, current + k2 * (h / 2))
+            k4 = rate(tau + h, current + k3 * h)
+            raw = current + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (h / 6.0)
+            hermitized = (raw + raw.conj().T) * 0.5
+            herm_correction = float(np.linalg.norm(raw - hermitized)) / np.sqrt(2.0)
+            trace = float(np.trace(hermitized).real) / 2.0
+            correction = max(herm_correction, abs(trace - 1.0))
+            # written so that a non-finite iterate (NaN correction) fails too
+            if not correction <= drift_tol:
+                raise DriftExceeded(
+                    f"correction {correction:.3e} at step {k} exceeds {drift_tol:.0e}"
+                )
+            current = hermitized / trace
     return validate(chi_inverse(current))
 
 

@@ -6,7 +6,13 @@ that failures are auditable without re-running the check.
 
 
 class QmixError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``index`` locates the failing slice when a check ran on a stack of
+    matrices (its leading-axis index); it is ``()`` otherwise.
+    """
+
+    index: tuple[int, ...] = ()
 
 
 class DimensionMismatch(QmixError):

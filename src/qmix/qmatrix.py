@@ -24,13 +24,14 @@ assumed.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, NotHermitian, NotInChiImage, PairingFailure
+from .errors import DimensionMismatch, NotHermitian, NotInChiImage, PairingFailure, QmixError
 
 #: Max entry deviation allowed when reading a matrix back out of a chi image.
 CHI_MEMBERSHIP_TOL = 1e-10
@@ -43,10 +44,19 @@ VALIDATION_TOL = 1e-10
 #: Relative floor of the numerical-rank rule (see :func:`numerical_rank`).
 RANK_REL_TOL = 1e-12
 
+_EPS = np.finfo(np.float64).eps
+
 
 @dataclass(frozen=True, eq=False)
 class QMatrix:
-    """Quaternionic matrix alpha + j*beta; both blocks share one shape."""
+    """Quaternionic matrix alpha + j*beta; both blocks share one shape.
+
+    Blocks of shape (..., rows, cols) hold a stack of matrices indexed by
+    the leading axes; products, sums, the adjoint and the stack-aware
+    helpers :func:`chi`, :func:`hermiticity_deviation` and
+    :func:`eigvals_hermitian` act slice by slice, and indexing selects
+    slices.
+    """
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -54,8 +64,8 @@ class QMatrix:
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=np.complex128)
         beta = np.asarray(self.beta, dtype=np.complex128)
-        if alpha.ndim != 2:
-            raise DimensionMismatch(f"alpha must be 2-D, got ndim={alpha.ndim}")
+        if alpha.ndim < 2:
+            raise DimensionMismatch(f"alpha must be at least 2-D, got ndim={alpha.ndim}")
         if beta.shape != alpha.shape:
             raise DimensionMismatch(
                 f"beta shape {beta.shape} != alpha shape {alpha.shape}"
@@ -82,25 +92,29 @@ class QMatrix:
     # -- shape --------------------------------------------------------
     @property
     def rows(self) -> int:
-        return self.alpha.shape[0]
+        return self.alpha.shape[-2]
 
     @property
     def cols(self) -> int:
-        return self.alpha.shape[1]
+        return self.alpha.shape[-1]
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.alpha.shape
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
+    def __getitem__(self, index) -> "QMatrix":
+        """Slices of a stack, by an index over its leading axes."""
+        return QMatrix(self.alpha[index], self.beta[index])
+
     # -- algebra ------------------------------------------------------
     @property
     def h(self) -> "QMatrix":
         """Quaternionic adjoint: alpha -> alpha^dag, beta -> -beta^T."""
-        return QMatrix(self.alpha.conj().T, -self.beta.T)
+        return QMatrix(self.alpha.conj().swapaxes(-1, -2), -self.beta.swapaxes(-1, -2))
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if not isinstance(other, QMatrix):
@@ -150,8 +164,20 @@ class QMatrix:
 # ---------------------------------------------------------------------
 
 def chi(m: QMatrix) -> np.ndarray:
-    """Complex-adjoint image [[alpha, -conj(beta)], [beta, conj(alpha)]]."""
-    return np.block([[m.alpha, -m.beta.conj()], [m.beta, m.alpha.conj()]])
+    """Complex-adjoint image [[alpha, -conj(beta)], [beta, conj(alpha)]].
+
+    A stack of shape (..., n, m) gives a stack of shape (..., 2n, 2m).
+    """
+    alpha, beta = m.alpha, m.beta
+    n, k = alpha.shape[-2:]
+    out = np.empty(alpha.shape[:-2] + (2 * n, 2 * k), dtype=np.complex128)
+    out[..., :n, :k] = alpha
+    upper_right = out[..., :n, k:]
+    np.conjugate(beta, out=upper_right)
+    np.negative(upper_right, out=upper_right)
+    out[..., n:, :k] = beta
+    np.conjugate(alpha, out=out[..., n:, k:])
+    return out
 
 
 def chi_membership_deviation(c: np.ndarray) -> float:
@@ -193,6 +219,27 @@ def chi_inverse(c: np.ndarray, tol: float = CHI_MEMBERSHIP_TOL) -> QMatrix:
 # traces, norms, structure tests
 # ---------------------------------------------------------------------
 
+def check_slices(ok, error: type[QmixError], describe: Callable[[tuple], str]) -> None:
+    """Raise ``error`` at the first slice where ``ok`` is False.
+
+    ``ok`` is one truth value, or an array of them over the leading axes
+    of a stack; callers write it as ``measured <= tol`` so that NaN fails.
+    ``describe(index)`` gives the message for the failing index (``()``
+    for a single matrix).  For a stack the message ends by naming the
+    slice, and the error's ``index`` attribute holds it.
+    """
+    if ok.all() if isinstance(ok, np.ndarray) else ok:
+        return
+    ok = np.asarray(ok)
+    index = tuple(int(i) for i in np.unravel_index(int(np.argmin(ok)), ok.shape))
+    message = describe(index)
+    if index:
+        message += f" at slice {index[0] if len(index) == 1 else index}"
+    exc = error(message)
+    exc.index = index
+    raise exc
+
+
 def real_trace(m: QMatrix) -> float:
     """Re Tr M = Re Tr M_alpha; equals (1/2) Re Tr chi(M)."""
     if not m.is_square:
@@ -211,23 +258,31 @@ def max_abs(m: QMatrix) -> float:
     return float(np.sqrt(mags.max(initial=0.0)))
 
 
-def hermiticity_deviation(m: QMatrix, sign: int = 1) -> float:
-    """Max entry deviation of M from sign * M^dag.
+def hermiticity_deviation(m: QMatrix, sign: int = 1):
+    """Max entry deviation of M from sign * M^dag; one per slice for a stack.
 
     ``sign=-1`` measures anti-hermiticity (alpha anti-hermitian, beta
     symmetric).  A non-finite entry always gives a non-finite deviation.
     """
     if not m.is_square:
         raise DimensionMismatch(f"hermiticity needs a square matrix, got {m.shape}")
-    dev_alpha = np.abs(m.alpha - sign * m.alpha.conj().T).max(initial=0.0)
-    dev_beta = np.abs(m.beta + sign * m.beta.T).max(initial=0.0)
-    return float(np.maximum(dev_alpha, dev_beta))
+    axes = (-2, -1)
+    alpha_adj, beta_t = m.alpha.conj().swapaxes(*axes), m.beta.swapaxes(*axes)
+    if sign < 0:
+        alpha_adj, beta_t = -alpha_adj, -beta_t
+    dev_alpha = np.abs(m.alpha - alpha_adj).max(axes, initial=0.0)
+    dev_beta = np.abs(m.beta + beta_t).max(axes, initial=0.0)
+    deviation = np.maximum(dev_alpha, dev_beta)
+    return float(deviation) if deviation.ndim == 0 else deviation
 
 
-def require_hermitian(deviation: float, tol: float) -> None:
-    """Raise :class:`NotHermitian` unless ``deviation <= tol``; NaN fails."""
-    if not deviation <= tol:
-        raise NotHermitian(f"hermiticity deviation {deviation:.3e} exceeds {tol:.3e}")
+def require_hermitian(deviation, tol: float) -> None:
+    """Raise :class:`NotHermitian` unless every ``deviation <= tol``; NaN fails."""
+    check_slices(
+        deviation <= tol,
+        NotHermitian,
+        lambda i: f"hermiticity deviation {np.asarray(deviation)[i]:.3e} exceeds {tol:.3e}",
+    )
 
 
 def is_hermitian(m: QMatrix, tol: float = VALIDATION_TOL) -> bool:
@@ -236,9 +291,12 @@ def is_hermitian(m: QMatrix, tol: float = VALIDATION_TOL) -> bool:
 
 def is_positive_semidefinite(m: QMatrix, tol: float = VALIDATION_TOL) -> bool:
     """Hermitian with all eigenvalues >= -tol."""
-    if not m.is_square or not is_hermitian(m, tol):
+    if not m.is_square:
         return False
-    eigs = eigvals_hermitian(m, tol=tol)
+    try:
+        eigs = eigvals_hermitian(m, tol=tol)
+    except NotHermitian:
+        return False
     return bool(eigs.size == 0 or eigs.min() >= -tol)
 
 
@@ -258,33 +316,39 @@ def eigvals_hermitian(
     mean).  A pair gap beyond ``pairing_tol`` relative to the spectral
     scale raises :class:`PairingFailure`, which indicates a bug rather
     than a data condition.  The hermiticity check runs first, so a
-    non-finite entry never reaches the eigensolver.
+    non-finite entry never reaches the eigensolver.  A stack of shape
+    (..., n, n) gives spectra of shape (..., n), and every slice is
+    checked before the one eigensolver call.
     """
     require_hermitian(hermiticity_deviation(m), tol)
     eigs = np.linalg.eigvalsh(chi(m))
-    first, second = eigs[0::2], eigs[1::2]
-    scale = max(float(np.abs(eigs).max(initial=0.0)), 1.0)
-    worst = float(np.abs(first - second).max(initial=0.0))
-    if worst > pairing_tol * scale:
-        raise PairingFailure(
-            f"adjacent eigenvalue gap {worst:.3e} exceeds {pairing_tol:.0e} * {scale:.3e}"
-        )
+    first, second = eigs[..., 0::2], eigs[..., 1::2]
+    scale = np.maximum(np.abs(eigs).max(-1, initial=0.0), 1.0)
+    worst = np.abs(first - second).max(-1, initial=0.0)
+    check_slices(
+        ~(worst > pairing_tol * scale),
+        PairingFailure,
+        lambda i: f"adjacent eigenvalue gap {worst[i]:.3e} exceeds "
+        f"{pairing_tol:.0e} * {scale[i]:.3e}",
+    )
     return (first + second) / 2
 
 
-def numerical_rank(values: np.ndarray, tol: float | None = None) -> int:
+def numerical_rank(values: np.ndarray, tol: float | None = None):
     """Count ``values`` above ``tol`` times the largest magnitude.
 
     The package's one numerical-rank rule, applied to the cached spectrum
     of a density and to the singular-value pairs in :func:`rank_q`.  The
-    default ``tol`` is ``max(values.size * eps, RANK_REL_TOL)``.
+    default ``tol`` is ``max(n * eps, RANK_REL_TOL)`` for n values.
+    Counts along the last axis: an int for one spectrum, an integer
+    array for a stack of them.
     """
-    scale = float(np.abs(values).max(initial=0.0))
-    if scale == 0.0:
-        return 0
     if tol is None:
-        tol = max(values.size * np.finfo(np.float64).eps, RANK_REL_TOL)
-    return int(np.count_nonzero(values > tol * scale))
+        tol = max(values.shape[-1] * _EPS, RANK_REL_TOL)
+    above = values > tol * np.abs(values).max(-1, initial=0.0, keepdims=True)
+    if above.ndim == 1:
+        return int(np.count_nonzero(above))
+    return np.count_nonzero(above, axis=-1)
 
 
 def rank_q(m: QMatrix, tol: float | None = None) -> int:

@@ -20,6 +20,7 @@ rank two.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +41,10 @@ from .density import (
     discriminating_observable,
     embed_proper,
     expectation,
+    _density_gate,
+    _random_density_matrix,
     lift,
     purify,
-    random_density,
     validate,
 )
 from .errors import (
@@ -51,7 +53,7 @@ from .errors import (
     PropositionViolated,
     QmixError,
 )
-from .qmatrix import QMatrix, frobenius_norm
+from .qmatrix import VALIDATION_TOL, QMatrix, frobenius_norm, numerical_rank
 
 #: Entrywise tolerance for the two mixture routes agreeing.
 MIXTURE_MATCH_TOL = 1e-12
@@ -272,16 +274,63 @@ class PropositionSummary:
 
 
 _AUDIT_KINDS = (MixtureKind.IMPROPER, "Pure-Q", MixtureKind.PROPER)
+_AUDIT_CHECKS = (
+    "projection_is_density",
+    "projection_rank_bounds",
+    "lift_round_trip",
+    "purify_rank_two",
+)
 
 
-def _random_complex_density_of_rank(
+def _draw_spectral_data(
     rng: np.random.Generator, n: int, rank: int
-) -> CDensity:
-    frame = np.linalg.qr(rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank)))[0]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Frame draw and weights of a random complex density of the given rank."""
+    frame = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
     weights = rng.uniform(0.2, 1.0, size=rank)
     weights /= weights.sum()
-    mat = (frame * weights) @ frame.conj().T
-    return CDensity.from_matrix(mat)
+    return frame, weights
+
+
+def _complex_densities(draws: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Stack of (Q w) Q^dag, Q the orthonormal QR factor of each frame draw.
+
+    Draws of one rank share one stacked QR, which gives each slice the
+    factor a QR of that frame alone gives.
+    """
+    n = draws[0][0].shape[0]
+    out = np.empty((len(draws), n, n), dtype=np.complex128)
+    ranks = [frame.shape[1] for frame, _ in draws]
+    for rank in set(ranks):
+        index = [i for i, r in enumerate(ranks) if r == rank]
+        frames = np.linalg.qr(np.stack([draws[i][0] for i in index]))[0]
+        weights = np.stack([draws[i][1] for i in index])[:, None, :]
+        out[index] = (frames * weights) @ frames.conj().swapaxes(-1, -2)
+    return out
+
+
+def _draw_trial(seed: int, trial: int, n: int) -> tuple:
+    """Every random draw of one audit trial, from its own stream, in order.
+
+    Returns the state (a QMatrix) and the spectral data of the source,
+    rank-two and (for n >= 3) rank-three complex densities, none of
+    them gated yet.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+    state = _random_density_matrix(n, _AUDIT_KINDS[trial % len(_AUDIT_KINDS)], rng)
+    source = _draw_spectral_data(rng, n, rng.integers(2, n + 1))
+    two = _draw_spectral_data(rng, n, 2)
+    three = _draw_spectral_data(rng, n, 3) if n >= 3 else None
+    return state, source, two, three
+
+
+def _gate_error(mat) -> QmixError | None:
+    """The error the density gate raises on one matrix, if any."""
+    try:
+        _density_gate(mat, VALIDATION_TOL)
+    except QmixError as exc:
+        return exc
+    return None
 
 
 def check_propositions(
@@ -303,102 +352,168 @@ def check_propositions(
     the offending trial seed.  ``corrupt=True`` deliberately breaks the
     skew symmetry of generated states (a negative control: the audit
     must catch it).
+
+    Trial ``t`` has dimension ``2 + t % (n_max - 1)`` and draws from
+    ``SeedSequence(entropy=seed, spawn_key=(t,))``.  The trials of one
+    dimension run together: their states, projections and complex
+    densities are gated as stacks, and the projection and rank checks
+    are vectorized; lift and purify run per trial.  The result is that
+    of running the trials one by one: the tallies are the same, and a
+    failure raises what the lowest failing trial raises at its first
+    failing check.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    tallies = {
-        name: [0, 0, 0.0]
-        for name in (
-            "projection_is_density",
-            "projection_rank_bounds",
-            "lift_round_trip",
-            "purify_rank_two",
-        )
-    }
-
-    def record(name: str, ok: bool, residual: float, trial_seed: int, detail: str):
-        entry = tallies[name]
-        entry[0] += 1
-        entry[2] = max(entry[2], residual)
-        if not ok:
-            entry[1] += 1
-            raise PropositionViolated(name, trial_seed, detail)
-
-    for trial in range(trials):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
-        )
-        n = 2 + trial % (n_max - 1)
-        kind = _AUDIT_KINDS[trial % len(_AUDIT_KINDS)]
-        try:
-            rho = random_density(n, kind, rng)
-            if corrupt:
-                beta = (rho.beta + rho.beta.T) / 2 + 0.1 * np.eye(n)
-                rho = validate(QMatrix(rho.alpha, beta))
-        except QmixError as exc:
-            raise PropositionViolated(
-                "projection_is_density", trial, f"state generation failed: {exc}"
-            ) from exc
-
-        projected = complex_projection(rho)
-        herm = float(np.abs(projected.mat - projected.mat.conj().T).max())
-        negativity = max(0.0, float(-projected.eigenvalues.min()))
-        trace_dev = abs(float(np.trace(projected.mat).real) - 1.0)
-        record(
-            "projection_is_density",
-            herm <= 1e-10 and negativity <= 1e-10 and trace_dev <= 1e-12,
-            max(herm, negativity, trace_dev),
-            trial,
-            f"projection invalid: herm={herm:.3e} neg={negativity:.3e} trace={trace_dev:.3e}",
-        )
-
-        # Ranks come from the spectra the density gate cached: no SVD.
-        m = rho.rank
-        record(
-            "projection_rank_bounds",
-            m <= projected.rank <= 2 * m,
-            0.0,
-            trial,
-            f"rank bounds broken: m={m}, rank_alpha={projected.rank}",
-        )
-
-        source = _random_complex_density_of_rank(rng, n, rng.integers(2, n + 1))
-        worst = 0.0
-        ok = True
-        detail = ""
-        for target in range((source.rank + 1) // 2, source.rank + 1):
-            lifted = lift(source, target)
-            round_trip = float(np.abs(lifted.alpha - source.mat).max())
-            worst = max(worst, round_trip)
-            got = lifted.rank
-            if round_trip > 1e-12 or got != target:
-                ok = False
-                detail = f"target {target}: round_trip={round_trip:.3e}, rank={got}"
-                break
-        record("lift_round_trip", ok, worst, trial, detail)
-
-        two = _random_complex_density_of_rank(rng, n, 2)
-        pure = purify(two)
-        idem = frobenius_norm(pure.mat @ pure.mat - pure.mat)
-        rank_ok = pure.rank == 1
-        refusal_ok = True
-        if n >= 3:
-            three = _random_complex_density_of_rank(rng, n, 3)
-            try:
-                purify(three)
-                refusal_ok = False
-            except NotPurifiable:
-                pass
-        record(
-            "purify_rank_two",
-            rank_ok and idem <= PURITY_TOL and refusal_ok,
-            idem,
-            trial,
-            f"purify failed: rank_ok={rank_ok} idem={idem:.3e} refusal_ok={refusal_ok}",
-        )
-
+    tallies = {name: [0, 0.0] for name in _AUDIT_CHECKS}
+    failure: list = []  # [trial, error] of the lowest failing trial so far
+    for n in range(2, n_max + 1):
+        _audit_dimension(n, range(n - 2, trials, n_max - 1), seed, corrupt, tallies, failure)
+    if failure:
+        raise failure[1]
     rows = tuple(
-        PropositionRow(name, entry[0], entry[1], entry[2])
-        for name, entry in tallies.items()
+        PropositionRow(name, attempts, 0, worst) for name, (attempts, worst) in tallies.items()
     )
     return PropositionSummary(rows=rows, trials=trials, n_max=n_max, seed=seed)
+
+
+def _audit_dimension(
+    n: int, trials: range, seed: int, corrupt: bool, tallies: dict, failure: list
+) -> None:
+    """The audit stages of :func:`check_propositions` for the trials of dimension n.
+
+    ``count`` is the number of leading trials still running.  Each stage
+    runs on the trials below the lowest failure found so far; a trial
+    that fails at position i stores its error in ``failure`` and cuts
+    ``count`` to i.
+    """
+
+    def fail(i: int, error: Exception) -> int:
+        failure[:] = [trials[i], error]
+        return i
+
+    def gate(mats, count: int, wrap=lambda trial, error: error):
+        # After a failing slice, the slices before it still need the
+        # invariants the stacked gate did not reach.
+        while True:
+            try:
+                return count, _density_gate(mats[:count], VALIDATION_TOL)
+            except QmixError as exc:
+                i = exc.index[0]
+                count = fail(i, wrap(trials[i], _gate_error(mats[i]) or exc))
+
+    def generation_failed(trial: int, error: QmixError) -> PropositionViolated:
+        violation = PropositionViolated(
+            "projection_is_density", trial, f"state generation failed: {error}"
+        )
+        violation.__cause__ = error
+        return violation
+
+    def record(name: str, count: int, ok: np.ndarray, residual: np.ndarray, detail) -> int:
+        bad = np.flatnonzero(~ok[:count])
+        if bad.size:
+            i = int(bad[0])
+            count = fail(i, PropositionViolated(name, trials[i], detail(i)))
+        tally = tallies[name]
+        tally[0] += count
+        tally[1] = max(tally[1], float(np.max(residual[:count], initial=0.0)))
+        return count
+
+    count = len(trials) if not failure else bisect_left(trials, failure[0])
+    draws = []
+    for i in range(count):
+        try:
+            draws.append(_draw_trial(seed, trials[i], n))
+        except RuntimeError as exc:  # random_density's retries ran out
+            count = fail(i, exc)
+            break
+    if not count:
+        return
+    states = QMatrix(np.stack([d[0].alpha for d in draws]), np.stack([d[0].beta for d in draws]))
+    count, state_eigs = gate(states, count, generation_failed)
+    if corrupt:
+        beta = (states.beta + states.beta.swapaxes(-1, -2)) / 2 + 0.1 * np.eye(n)
+        states = QMatrix(states.alpha, beta)
+        count, state_eigs = gate(states, count, generation_failed)
+
+    projected = states.alpha
+    count, projected_eigs = gate(projected, count)
+    herm = np.abs(projected[:count] - projected[:count].conj().swapaxes(-1, -2)).max((-2, -1))
+    negativity = np.maximum(0.0, -projected_eigs[:count].min(-1))
+    trace_dev = np.abs(np.trace(projected[:count], axis1=-2, axis2=-1).real - 1.0)
+    count = record(
+        "projection_is_density",
+        count,
+        (herm <= 1e-10) & (negativity <= 1e-10) & (trace_dev <= 1e-12),
+        np.maximum(np.maximum(herm, negativity), trace_dev),
+        lambda i: f"projection invalid: herm={herm[i]:.3e} neg={negativity[i]:.3e} "
+        f"trace={trace_dev[i]:.3e}",
+    )
+
+    # Ranks come from the spectra the density gate returned: no SVD.
+    m = numerical_rank(state_eigs[:count])
+    rank_alpha = numerical_rank(projected_eigs[:count])
+    count = record(
+        "projection_rank_bounds",
+        count,
+        (m <= rank_alpha) & (rank_alpha <= 2 * m),
+        np.zeros(count),
+        lambda i: f"rank bounds broken: m={m[i]}, rank_alpha={rank_alpha[i]}",
+    )
+
+    sources = _complex_densities([d[1] for d in draws])
+    count, source_eigs = gate(sources, count)
+    round_trips = np.zeros(count)
+    lift_ok = np.ones(count, dtype=bool)
+    lift_detail = {}
+    for i in range(count):
+        source = CDensity(mat=sources[i], eigenvalues=source_eigs[i])
+        try:
+            for target in range((source.rank + 1) // 2, source.rank + 1):
+                lifted = lift(source, target)
+                round_trip = float(np.abs(lifted.alpha - source.mat).max())
+                round_trips[i] = max(round_trips[i], round_trip)
+                got = lifted.rank
+                if round_trip > 1e-12 or got != target:
+                    lift_ok[i] = False
+                    lift_detail[i] = f"target {target}: round_trip={round_trip:.3e}, rank={got}"
+                    break
+        except QmixError as exc:
+            count = fail(i, exc)
+            break
+        if not lift_ok[i]:
+            break
+    count = record("lift_round_trip", count, lift_ok, round_trips, lift_detail.get)
+
+    twos = _complex_densities([d[2] for d in draws])
+    count, two_eigs = gate(twos, count)
+    idem = np.zeros(count)
+    rank_ok = np.ones(count, dtype=bool)
+    for i in range(count):
+        try:
+            pure = purify(CDensity(mat=twos[i], eigenvalues=two_eigs[i]))
+        except QmixError as exc:
+            count = fail(i, exc)
+            break
+        idem[i] = frobenius_norm(pure.mat @ pure.mat - pure.mat)
+        rank_ok[i] = pure.rank == 1
+    refusal_ok = np.ones(count, dtype=bool)
+    if n >= 3:
+        threes = _complex_densities([d[3] for d in draws])
+        count, three_eigs = gate(threes, count)
+        for i in range(count):
+            try:
+                purify(CDensity(mat=threes[i], eigenvalues=three_eigs[i]))
+            except NotPurifiable:
+                continue
+            except QmixError as exc:
+                count = fail(i, exc)
+                break
+            refusal_ok[i] = False
+    record(
+        "purify_rank_two",
+        count,
+        rank_ok[:count] & (idem[:count] <= PURITY_TOL) & refusal_ok[:count],
+        idem,
+        lambda i: f"purify failed: rank_ok={bool(rank_ok[i])} idem={idem[i]:.3e} "
+        f"refusal_ok={bool(refusal_ok[i])}",
+    )

@@ -9,6 +9,10 @@ complex-adjoint images and reads the blocks back out by slicing.
 import numpy as np
 
 from qmix import QMatrix
+from qmix.density import CDensity, complex_projection, lift, purify, random_density, validate
+from qmix.errors import NotPurifiable, PropositionViolated, QmixError
+from qmix.qmatrix import frobenius_norm
+from qmix.scenario import _AUDIT_KINDS, PURITY_TOL, PropositionRow, PropositionSummary
 
 
 def hamilton_mul(q, p):
@@ -95,3 +99,135 @@ def assert_names_value_and_tolerance(error: Exception, tol: float) -> None:
     words = str(error).replace(",", " ").split()
     assert "nan" in words or "inf" in words, str(error)
     assert f"{tol:.3e}" in str(error), str(error)
+
+
+# -- the sequential audit, the reference for the batched one ----------------
+
+def _random_complex_density_of_rank(
+    rng: np.random.Generator, n: int, rank: int
+) -> CDensity:
+    frame = np.linalg.qr(rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank)))[0]
+    weights = rng.uniform(0.2, 1.0, size=rank)
+    weights /= weights.sum()
+    mat = (frame * weights) @ frame.conj().T
+    return CDensity.from_matrix(mat)
+
+
+def reference_check_propositions(
+    n_max: int, trials: int, seed: int, corrupt: bool = False
+) -> PropositionSummary:
+    """The audit run one trial at a time, the reference for ``check_propositions``.
+
+    Runs ``trials`` seeded rounds over dimensions 2..n_max and tallies:
+
+    * projection_is_density - the complex projection of every generated
+      density is hermitian, positive and unit trace;
+    * projection_rank_bounds - m <= rank of projection <= 2m;
+    * lift_round_trip - every admissible lift target succeeds, projects
+      back entrywise, and lands on the requested rank;
+    * purify_rank_two - rank-two projections purify to quaternionic
+      rank one (idempotent), rank-three ones are refused.
+
+    Any failure raises :class:`PropositionViolated` naming the check and
+    the offending trial seed.  ``corrupt=True`` deliberately breaks the
+    skew symmetry of generated states (a negative control: the audit
+    must catch it).
+    """
+    if n_max < 2:
+        raise ValueError(f"n_max must be >= 2, got {n_max}")
+    tallies = {
+        name: [0, 0, 0.0]
+        for name in (
+            "projection_is_density",
+            "projection_rank_bounds",
+            "lift_round_trip",
+            "purify_rank_two",
+        )
+    }
+
+    def record(name: str, ok: bool, residual: float, trial_seed: int, detail: str):
+        entry = tallies[name]
+        entry[0] += 1
+        entry[2] = max(entry[2], residual)
+        if not ok:
+            entry[1] += 1
+            raise PropositionViolated(name, trial_seed, detail)
+
+    for trial in range(trials):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
+        )
+        n = 2 + trial % (n_max - 1)
+        kind = _AUDIT_KINDS[trial % len(_AUDIT_KINDS)]
+        try:
+            rho = random_density(n, kind, rng)
+            if corrupt:
+                beta = (rho.beta + rho.beta.T) / 2 + 0.1 * np.eye(n)
+                rho = validate(QMatrix(rho.alpha, beta))
+        except QmixError as exc:
+            raise PropositionViolated(
+                "projection_is_density", trial, f"state generation failed: {exc}"
+            ) from exc
+
+        projected = complex_projection(rho)
+        herm = float(np.abs(projected.mat - projected.mat.conj().T).max())
+        negativity = max(0.0, float(-projected.eigenvalues.min()))
+        trace_dev = abs(float(np.trace(projected.mat).real) - 1.0)
+        record(
+            "projection_is_density",
+            herm <= 1e-10 and negativity <= 1e-10 and trace_dev <= 1e-12,
+            max(herm, negativity, trace_dev),
+            trial,
+            f"projection invalid: herm={herm:.3e} neg={negativity:.3e} trace={trace_dev:.3e}",
+        )
+
+        # Ranks come from the spectra the density gate cached: no SVD.
+        m = rho.rank
+        record(
+            "projection_rank_bounds",
+            m <= projected.rank <= 2 * m,
+            0.0,
+            trial,
+            f"rank bounds broken: m={m}, rank_alpha={projected.rank}",
+        )
+
+        source = _random_complex_density_of_rank(rng, n, rng.integers(2, n + 1))
+        worst = 0.0
+        ok = True
+        detail = ""
+        for target in range((source.rank + 1) // 2, source.rank + 1):
+            lifted = lift(source, target)
+            round_trip = float(np.abs(lifted.alpha - source.mat).max())
+            worst = max(worst, round_trip)
+            got = lifted.rank
+            if round_trip > 1e-12 or got != target:
+                ok = False
+                detail = f"target {target}: round_trip={round_trip:.3e}, rank={got}"
+                break
+        record("lift_round_trip", ok, worst, trial, detail)
+
+        two = _random_complex_density_of_rank(rng, n, 2)
+        pure = purify(two)
+        idem = frobenius_norm(pure.mat @ pure.mat - pure.mat)
+        rank_ok = pure.rank == 1
+        refusal_ok = True
+        if n >= 3:
+            three = _random_complex_density_of_rank(rng, n, 3)
+            try:
+                purify(three)
+                refusal_ok = False
+            except NotPurifiable:
+                pass
+        record(
+            "purify_rank_two",
+            rank_ok and idem <= PURITY_TOL and refusal_ok,
+            idem,
+            trial,
+            f"purify failed: rank_ok={rank_ok} idem={idem:.3e} refusal_ok={refusal_ok}",
+        )
+
+    rows = tuple(
+        PropositionRow(name, entry[0], entry[1], entry[2])
+        for name, entry in tallies.items()
+    )
+    return PropositionSummary(rows=rows, trials=trials, n_max=n_max, seed=seed)

@@ -1,6 +1,7 @@
 """CLI: matrix file schema, subcommands, exit codes, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -346,15 +347,45 @@ def test_non_positive_steps_is_usage_error(tmp_path, capsys, method, steps):
     assert "--steps" in capsys.readouterr().err
 
 
-def test_overflowing_propagator_exits_one_with_one_error_line(tmp_path, capsys):
-    # a finite generator scaled by 1e200: expm returns NaN, which must fail
-    # a gate as a QmixError rather than reach an eigensolver
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["--nmax", "1"], "--nmax"),
+        (["--nmax", "2.5"], "--nmax"),
+        (["--trials", "-2"], "--trials"),
+        (["--seed", "-1"], "--seed"),
+    ],
+)
+def test_bad_audit_arguments_are_usage_errors(capsys, argv, option):
+    assert main(["check-props", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}:" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_negative_seed_environment_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("QMIX_SEED", "-5")
+    assert main(["check-props", "--nmax", "3", "--trials", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: QMIX_SEED")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("method", ["propagator", "rk4"])
+def test_overflowing_propagator_exits_one_with_one_error_line(tmp_path, capsys, method):
+    # a finite generator scaled by 1e200: expm returns NaN and the rk4
+    # iterate overflows; either must fail a gate as a QmixError, with no
+    # traceback and no numpy warning on the way
     state = write_json(tmp_path / "state.json", purified_file())
     scaled = [[[1e200 * x for x in entry] for entry in row] for row in [
         [[0.0, 0.3], [0.1, 0.2]], [[-0.1, 0.2], [0.0, -0.4]]
     ]]
     gen = write_json(tmp_path / "gen.json", {"rows": 2, "cols": 2, "alpha": scaled})
-    assert main(["evolve", state, "--gen", gen, "--method", "propagator"]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", state, "--gen", gen, "--method", method]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")

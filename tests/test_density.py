@@ -24,6 +24,7 @@ from qmix import (
     rank_q,
     validate,
 )
+from qmix.density import _density_gate
 from qmix.errors import (
     DimensionMismatch,
     NotHermitian,
@@ -126,6 +127,60 @@ def test_observable_rejects_non_finite(block, position, value):
     with pytest.raises(NotHermitian) as excinfo:
         Observable.from_qmatrix(mat)
     assert_names_value_and_tolerance(excinfo.value, 1e-10)
+
+
+def _random_states(seed, count, n):
+    rng = np.random.default_rng(seed)
+    return [random_density(n, MixtureKind.IMPROPER, rng).mat for _ in range(count)]
+
+
+def _stack(mats):
+    return QMatrix(np.stack([m.alpha for m in mats]), np.stack([m.beta for m in mats]))
+
+
+def test_density_gate_on_a_stack_gives_the_per_slice_spectra():
+    mats = _random_states(41, 5, 4)
+    spectra = _density_gate(_stack(mats), 1e-10)
+    complex_spectra = _density_gate(np.stack([m.alpha for m in mats]), 1e-10)
+    assert spectra.shape == complex_spectra.shape == (5, 4)
+    for i, mat in enumerate(mats):
+        assert np.array_equal(spectra[i], _density_gate(mat, 1e-10))
+        assert np.array_equal(complex_spectra[i], _density_gate(mat.alpha, 1e-10))
+
+
+@pytest.mark.parametrize("block,position,value", NON_FINITE_CASES)
+def test_density_gate_stack_names_non_finite_slice_before_eigensolver(
+    monkeypatch, block, position, value
+):
+    mats = _random_states(42, 4, 3)
+    mats[1] = with_non_finite(mats[1], block, position, value)
+    monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigensolver)
+    stacks = [_stack(mats)] + ([np.stack([m.alpha for m in mats])] if block == "alpha" else [])
+    for stack in stacks:
+        with pytest.raises(NotHermitian) as excinfo:
+            _density_gate(stack, 1e-10)
+        assert excinfo.value.index == (1,)
+        assert str(excinfo.value).endswith(" at slice 1")
+        assert_names_value_and_tolerance(excinfo.value, 1e-10)
+
+
+@pytest.mark.parametrize(
+    "error,spoil",
+    [
+        (NotPositive, lambda m: QMatrix(m.alpha + np.diag([1.0, 0.0, -1.0]), m.beta)),
+        (TraceNotOne, lambda m: m * 1.25),
+    ],
+)
+def test_density_gate_stack_reports_the_first_failing_slice(error, spoil):
+    mats = _random_states(43, 5, 3)
+    for i in (2, 4):
+        mats[i] = spoil(mats[i])
+    with pytest.raises(error) as alone:
+        _density_gate(mats[2], 1e-10)
+    with pytest.raises(error) as stacked:
+        _density_gate(_stack(mats), 1e-10)
+    assert stacked.value.index == (2,)
+    assert str(stacked.value) == f"{alone.value} at slice 2"
 
 
 def test_density_caches_its_spectrum_and_rank():
@@ -327,6 +382,35 @@ def test_lift_rank_four_all_targets():
         lifted = lift(source, target)
         assert np.abs(lifted.alpha - source.mat).max() <= 1e-10
         assert rank_q(lifted.mat, tol=1e-10) == target
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_lift_matches_the_sum_of_purification_blocks(seed):
+    # the blockwise construction, one block_purify per pair, is the oracle
+    rng = np.random.default_rng(seed)
+    source = random_cdensity(rng, 6, rank=int(rng.integers(2, 7)))
+    for target in range((source.rank + 1) // 2, source.rank + 1):
+        lifted = lift(source, target)
+        eigs, vecs = source.top_eigenpairs
+        pairs = source.rank - target
+        total = QMatrix.zeros(6)
+        for k in range(pairs):
+            a, b = 2 * k, 2 * k + 1
+            total = total + block_purify(vecs[:, a], vecs[:, b], np.sqrt(eigs[a]), np.sqrt(eigs[b]))
+        for i in range(2 * pairs, source.rank):
+            total = total + QMatrix.from_complex(eigs[i] * np.outer(vecs[:, i], vecs[:, i].conj()))
+        assert qclose(lifted.mat, total, tol=1e-15)
+        assert np.array_equal(lifted.beta, -lifted.beta.T)
+
+
+def test_lift_decomposes_its_source_once(monkeypatch):
+    source = random_cdensity(np.random.default_rng(44), 6, rank=6)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda mat: calls.append(mat) or eigh(mat))
+    for target in (3, 4, 5, 6):
+        lift(source, target)
+    assert len(calls) == 1
 
 
 def test_lift_rejects_out_of_range_rank():

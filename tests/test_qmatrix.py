@@ -19,7 +19,9 @@ from qmix import (
     rank_q,
     real_trace,
 )
+from qmix import qmatrix
 from qmix.errors import DimensionMismatch, NotHermitian, NotInChiImage
+from qmix.qmatrix import hermiticity_deviation, numerical_rank
 from qmix.quaternion import Quaternion
 
 from support import (
@@ -54,6 +56,17 @@ def test_chi_round_trip_exact():
         back = chi_inverse(chi(mat))
         assert np.array_equal(back.alpha, mat.alpha)
         assert np.array_equal(back.beta, mat.beta)
+
+
+def test_chi_of_a_stack_is_the_stack_of_chis():
+    rng = np.random.default_rng(26)
+    stack = QMatrix(*(random_complex(rng, 12, 2).reshape(4, 3, 2) for _ in range(2)))
+    images = chi(stack)
+    assert images.shape == (4, 6, 4)
+    for i in range(4):
+        assert np.array_equal(images[i], chi_blocks(stack.alpha[i], stack.beta[i]))
+    nested = QMatrix(stack.alpha.reshape(2, 2, 3, 2), stack.beta.reshape(2, 2, 3, 2))
+    assert np.array_equal(chi(nested).reshape(4, 6, 4), images)
 
 
 def test_chi_membership():
@@ -237,6 +250,50 @@ def test_eigvals_pairing_on_randoms():
         scale = max(1.0, np.abs(eigs).max())
         assert np.abs(eigs[0::2] - eigs[1::2]).max() <= 1e-8 * scale
         assert eigvals_hermitian(mat).size == n
+
+
+def test_eigvals_of_a_stack_are_the_per_slice_spectra():
+    rng = np.random.default_rng(27)
+    mats = [random_hermitian_qmatrix(rng, 4) for _ in range(5)]
+    stack = QMatrix(np.stack([m.alpha for m in mats]), np.stack([m.beta for m in mats]))
+    eigs = eigvals_hermitian(stack)
+    assert eigs.shape == (5, 4)
+    deviations = hermiticity_deviation(stack)
+    for i, mat in enumerate(mats):
+        assert np.array_equal(eigs[i], eigvals_hermitian(mat))
+        assert deviations[i] == hermiticity_deviation(mat)
+    ranks = numerical_rank(eigs)
+    assert ranks.tolist() == [numerical_rank(row) for row in eigs]
+
+
+def test_eigvals_stack_names_the_non_finite_slice_before_eigensolver(monkeypatch):
+    rng = np.random.default_rng(28)
+    mats = [random_hermitian_qmatrix(rng, 3) for _ in range(4)]
+    mats[2] = with_non_finite(mats[2], "beta", "off-diagonal", float("nan"))
+    mats[3] = with_non_finite(mats[3], "alpha", "diagonal", float("inf"))
+    stack = QMatrix(np.stack([m.alpha for m in mats]), np.stack([m.beta for m in mats]))
+
+    def no_eigensolver(*args, **kwargs):
+        raise AssertionError("non-finite input reached an eigensolver")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolver)
+    with pytest.raises(NotHermitian) as excinfo:
+        eigvals_hermitian(stack)
+    assert excinfo.value.index == (2,)
+    assert str(excinfo.value).endswith(" at slice 2")
+    assert_names_value_and_tolerance(excinfo.value, 1e-10)
+
+
+def test_positivity_measures_hermiticity_once(monkeypatch):
+    calls = []
+
+    def counting(m, sign=1):
+        calls.append(m)
+        return hermiticity_deviation(m, sign)
+
+    monkeypatch.setattr(qmatrix, "hermiticity_deviation", counting)
+    assert is_positive_semidefinite(QMatrix.identity(3))
+    assert len(calls) == 1
 
 
 def test_negative_example_minimum_eigenvalue():

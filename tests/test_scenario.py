@@ -11,10 +11,12 @@ from qmix import (
     evolve,
     run_scenario,
 )
-from qmix.errors import NotNormalized, PropositionViolated
+import support
+from qmix import density, scenario
+from qmix.errors import NotNormalized, PropositionViolated, RankOutOfRange
 from qmix.scenario import direction_basis, spin_along
 
-from support import random_complex_unitary
+from support import random_complex_unitary, reference_check_propositions
 
 HALF = 1 / np.sqrt(2)
 
@@ -129,5 +131,58 @@ def test_check_propositions_deterministic():
 def test_check_propositions_negative_control():
     with pytest.raises(PropositionViolated) as excinfo:
         check_propositions(n_max=4, trials=10, seed=5, corrupt=True)
-    assert excinfo.value.name == "projection_is_density"
+    with pytest.raises(PropositionViolated) as reference:
+        reference_check_propositions(n_max=4, trials=10, seed=5, corrupt=True)
+    assert excinfo.value.name == reference.value.name == "projection_is_density"
+    assert excinfo.value.seed == reference.value.seed
+    assert str(excinfo.value) == str(reference.value)
     assert "seed" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("n_max,trials", [(2, 9), (3, 13), (6, 23)])
+def test_check_propositions_matches_the_sequential_reference(seed, n_max, trials):
+    batched = check_propositions(n_max, trials, seed)
+    reference = reference_check_propositions(n_max, trials, seed)
+    assert batched.passed == reference.passed
+    for got, want in zip(batched.rows, reference.rows, strict=True):
+        assert (got.name, got.attempts, got.failures) == (want.name, want.attempts, want.failures)
+        assert abs(got.worst_residual - want.worst_residual) <= 1e-15
+
+
+def _inject_faults(monkeypatch):
+    """Data-dependent faults in three stages, so that several trials of
+    several dimensions fail; the batched audit must still report the
+    lowest failing trial, as the trial-by-trial reference does."""
+    draw, lift, purify = density._random_density_matrix, density.lift, density.purify
+
+    def faulty_draw(n, kind, rng):
+        mat = draw(n, kind, rng)
+        return mat * 1.5 if n == 5 and mat.alpha[0, 0].real > 0.25 else mat
+
+    def faulty_lift(source, target):
+        if source.dim == 3 and target == source.rank and source.mat[0, 0].real > 0.6:
+            raise RankOutOfRange(f"injected lift fault at {float(source.mat[0, 0].real)!r}")
+        return lift(source, target)
+
+    def faulty_purify(source):
+        if source.dim == 4 and source.rank == 2 and source.mat[1, 1].real > 0.5:
+            raise NotNormalized(f"injected purify fault at {float(source.mat[1, 1].real)!r}")
+        return purify(source)
+
+    monkeypatch.setattr(density, "_random_density_matrix", faulty_draw)
+    monkeypatch.setattr(scenario, "_random_density_matrix", faulty_draw)
+    for module in (scenario, support):
+        monkeypatch.setattr(module, "lift", faulty_lift)
+        monkeypatch.setattr(module, "purify", faulty_purify)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_check_propositions_raises_what_the_lowest_failing_trial_raises(monkeypatch, seed):
+    _inject_faults(monkeypatch)
+    with pytest.raises(Exception) as reference:
+        reference_check_propositions(6, 40, seed)
+    with pytest.raises(Exception) as batched:
+        check_propositions(6, 40, seed)
+    assert type(batched.value) is type(reference.value)
+    assert str(batched.value) == str(reference.value)
