@@ -4,13 +4,15 @@
 import argparse
 
 from qmix import check_propositions
+from qmix.cli import _int_at_least
 
 
 def main():
+    # The bounds of `qmix check-props`: a bad value exits 2 with one line.
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--nmax", type=int, default=6)
-    parser.add_argument("--trials", type=int, default=1000)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--nmax", type=_int_at_least(2), default=6)
+    parser.add_argument("--trials", type=_int_at_least(0), default=1000)
+    parser.add_argument("--seed", type=_int_at_least(0), default=0)
     args = parser.parse_args()
 
     summary = check_propositions(args.nmax, args.trials, args.seed)

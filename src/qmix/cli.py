@@ -19,6 +19,7 @@ environment variable, then to 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -390,7 +391,13 @@ def _add_common_options(parser: argparse.ArgumentParser, top_level: bool) -> Non
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared by later ones.
+
+    Parsing reads it and never changes it: every ``parse_args`` call
+    fills a fresh namespace from the declared defaults.
+    """
     parser = _Parser(
         prog="qmix",
         description="Quaternionic density matrices: projection, lifting, "

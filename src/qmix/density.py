@@ -176,7 +176,9 @@ def _density_gate(mat: QMatrix | np.ndarray, tol: float) -> np.ndarray:
         alpha = mat.alpha
     else:
         axes = (-2, -1)
-        require_hermitian(np.abs(mat - mat.conj().swapaxes(*axes)).max(axes, initial=0.0), tol)
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, and NaN fails
+            deviation = np.abs(mat - mat.conj().swapaxes(*axes)).max(axes, initial=0.0)
+        require_hermitian(deviation, tol)
         eigs = np.linalg.eigvalsh(mat)
         alpha = mat
     lowest = eigs.min(-1, initial=0.0)
@@ -356,21 +358,12 @@ def _ordered_spectral_terms(mat: np.ndarray, rank: int) -> tuple[np.ndarray, np.
     return eigs, vecs
 
 
-def lift(rho_alpha: CDensity, target_rank: int) -> QDensity:
-    """Quaternionic density of rank ``target_rank`` projecting onto ``rho_alpha``.
+def _lift_blocks(rho_alpha: CDensity, target_rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (alpha, beta) blocks of :func:`lift`, not yet validated.
 
-    Requires m = rank(rho_alpha) > 1 and ceil(m/2) <= target_rank <= m.
-    The construction pairs the top eigenvectors of rho_alpha, largest
-    eigenvalues first and adjacent in the descending order, and replaces
-    each of the k = m - target_rank pairs by a rank-one quaternionic
-    block (:func:`block_purify` with weights sqrt(lambda)); the remaining
-    spectral terms stay complex.  Zero eigenvalues carry no rank and are
-    never paired.
-
-    Summed over the blocks, alpha is the top-m spectral sum of rho_alpha
-    and beta is B - B^T with B = sum_k sqrt(lambda_u lambda_v) conj(v) u^dag,
-    one product each.  The paired eigenvectors must be orthonormal within
-    ``VALIDATION_TOL`` (one Gram-matrix test).
+    Checks the admissible range and runs the Gram-matrix orthogonality
+    test of the paired eigenvectors; the density gate is left to the
+    caller, which may gate many lifts as one stack.
     """
     m = rho_alpha.rank
     if m <= 1:
@@ -395,24 +388,55 @@ def lift(rho_alpha: CDensity, target_rank: int) -> QDensity:
     weights = np.sqrt(eigs[0:k:2]) * np.sqrt(eigs[1:k:2])
     alpha = (vecs * eigs) @ vecs.conj().T
     cross = (v.conj() * weights) @ u.conj().T
-    return validate(QMatrix(alpha, cross - cross.T))
+    return alpha, cross - cross.T
+
+
+def lift(rho_alpha: CDensity, target_rank: int) -> QDensity:
+    """Quaternionic density of rank ``target_rank`` projecting onto ``rho_alpha``.
+
+    Requires m = rank(rho_alpha) > 1 and ceil(m/2) <= target_rank <= m.
+    The construction pairs the top eigenvectors of rho_alpha, largest
+    eigenvalues first and adjacent in the descending order, and replaces
+    each of the k = m - target_rank pairs by a rank-one quaternionic
+    block (:func:`block_purify` with weights sqrt(lambda)); the remaining
+    spectral terms stay complex.  Zero eigenvalues carry no rank and are
+    never paired.
+
+    Summed over the blocks, alpha is the top-m spectral sum of rho_alpha
+    and beta is B - B^T with B = sum_k sqrt(lambda_u lambda_v) conj(v) u^dag,
+    one product each.  The paired eigenvectors must be orthonormal within
+    ``VALIDATION_TOL`` (one Gram-matrix test).
+
+    Two steps: the builder :func:`_lift_blocks` checks the target and the
+    pairing and returns the blocks, and :func:`validate` gates and
+    classifies the result.  The audit calls the builder alone and gates
+    the lifts of many sources as one stack.
+    """
+    return validate(QMatrix(*_lift_blocks(rho_alpha, target_rank)))
+
+
+def _purify_blocks(rho_alpha: CDensity) -> tuple[np.ndarray, np.ndarray]:
+    """The (alpha, beta) blocks of :func:`purify`, not yet validated."""
+    if rho_alpha.rank == 1:
+        return rho_alpha.mat, np.zeros_like(rho_alpha.mat)
+    if rho_alpha.rank == 2:
+        return _lift_blocks(rho_alpha, 1)
+    raise NotPurifiable(
+        f"projection rank {rho_alpha.rank} exceeds 2, the largest rank "
+        "a quaternionic pure state can project onto"
+    )
 
 
 def purify(rho_alpha: CDensity) -> QDensity:
     """Quaternionic rank-one density projecting onto ``rho_alpha``.
 
     Possible exactly when rank(rho_alpha) <= 2.  Rank-one input is
-    already the projection of a pure state and is embedded unchanged;
-    rank-two input delegates to ``lift(rho_alpha, 1)``.
+    already the projection of a pure state and is embedded unchanged
+    (beta = 0, as :func:`embed_proper` does); rank-two input is lifted
+    to rank one.  Like :func:`lift`, a builder (:func:`_purify_blocks`)
+    followed by :func:`validate`.
     """
-    if rho_alpha.rank == 1:
-        return embed_proper(rho_alpha)
-    if rho_alpha.rank == 2:
-        return lift(rho_alpha, 1)
-    raise NotPurifiable(
-        f"projection rank {rho_alpha.rank} exceeds 2, the largest rank "
-        "a quaternionic pure state can project onto"
-    )
+    return validate(QMatrix(*_purify_blocks(rho_alpha)))
 
 
 # ---------------------------------------------------------------------

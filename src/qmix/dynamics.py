@@ -140,7 +140,8 @@ class Propagator:
     def __post_init__(self):
         if not self.u.is_square:
             raise DimensionMismatch(f"propagator must be square, got {self.u.shape}")
-        dev = max_abs(self.u.h @ self.u - QMatrix.identity(self.u.rows))
+        with np.errstate(invalid="ignore"):  # a non-finite entry gives NaN, which fails
+            dev = max_abs(self.u.h @ self.u - QMatrix.identity(self.u.rows))
         if not dev <= UNITARITY_TOL:
             raise NotUnitary(
                 f"U^dag U deviates from identity by {dev:.3e}, beyond {UNITARITY_TOL:.3e}"

@@ -191,8 +191,9 @@ def chi_membership_deviation(c: np.ndarray) -> float:
     if c.ndim != 2 or c.shape[0] % 2 or c.shape[1] % 2:
         raise DimensionMismatch(f"chi image must have even shape, got {c.shape}")
     n, m = c.shape[0] // 2, c.shape[1] // 2
-    dev_diag = np.abs(c[n:, m:] - c[:n, :m].conj()).max(initial=0.0)
-    dev_off = np.abs(c[:n, m:] + c[n:, :m].conj()).max(initial=0.0)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, and NaN fails
+        dev_diag = np.abs(c[n:, m:] - c[:n, :m].conj()).max(initial=0.0)
+        dev_off = np.abs(c[:n, m:] + c[n:, :m].conj()).max(initial=0.0)
     return float(np.maximum(dev_diag, dev_off))  # NaN-propagating, unlike max()
 
 
@@ -270,8 +271,9 @@ def hermiticity_deviation(m: QMatrix, sign: int = 1):
     alpha_adj, beta_t = m.alpha.conj().swapaxes(*axes), m.beta.swapaxes(*axes)
     if sign < 0:
         alpha_adj, beta_t = -alpha_adj, -beta_t
-    dev_alpha = np.abs(m.alpha - alpha_adj).max(axes, initial=0.0)
-    dev_beta = np.abs(m.beta + beta_t).max(axes, initial=0.0)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, and NaN fails
+        dev_alpha = np.abs(m.alpha - alpha_adj).max(axes, initial=0.0)
+        dev_beta = np.abs(m.beta + beta_t).max(axes, initial=0.0)
     deviation = np.maximum(dev_alpha, dev_beta)
     return float(deviation) if deviation.ndim == 0 else deviation
 

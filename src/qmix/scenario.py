@@ -42,8 +42,9 @@ from .density import (
     embed_proper,
     expectation,
     _density_gate,
+    _lift_blocks,
+    _purify_blocks,
     _random_density_matrix,
-    lift,
     purify,
     validate,
 )
@@ -324,13 +325,36 @@ def _draw_trial(seed: int, trial: int, n: int) -> tuple:
     return state, source, two, three
 
 
-def _gate_error(mat) -> QmixError | None:
-    """The error the density gate raises on one matrix, if any."""
-    try:
-        _density_gate(mat, VALIDATION_TOL)
-    except QmixError as exc:
-        return exc
-    return None
+def _gate_prefix(
+    mats: QMatrix | np.ndarray, count: int
+) -> tuple[int, np.ndarray, QmixError | None]:
+    """Gate ``mats[:count]`` as one stack, down to its lowest failing slice.
+
+    Returns the number of slices before the lowest failing one (``count``
+    when none fails), their spectra, and the error that slice raises when
+    gated alone (None when none fails).  A stacked gate stops at the
+    first invariant that breaks anywhere, so after a failure the slices
+    before the failing one are gated again.
+    """
+    error = None
+    while True:
+        try:
+            return count, _density_gate(mats[:count], VALIDATION_TOL), error
+        except QmixError as exc:
+            count = exc.index[0]
+            error = exc
+        try:
+            _density_gate(mats[count], VALIDATION_TOL)
+        except QmixError as alone:
+            error = alone
+
+
+def _stacked(blocks: list[tuple[np.ndarray, np.ndarray]], n: int) -> QMatrix:
+    """One (len(blocks), n, n) stack of (alpha, beta) blocks; empty is fine."""
+    return QMatrix(
+        np.reshape([a for a, _ in blocks], (-1, n, n)),
+        np.reshape([b for _, b in blocks], (-1, n, n)),
+    )
 
 
 def check_propositions(
@@ -357,8 +381,12 @@ def check_propositions(
     ``SeedSequence(entropy=seed, spawn_key=(t,))``.  The trials of one
     dimension run together: their states, projections and complex
     densities are gated as stacks, and the projection and rank checks
-    are vectorized; lift and purify run per trial.  The result is that
-    of running the trials one by one: the tallies are the same, and a
+    are vectorized.  Lifts and purifications are built per trial and
+    target (the range and Gram tests of :func:`lift`), then every lift
+    of the dimension is gated as one stack, and so is every
+    purification; round trips, ranks and idempotency are read off the
+    stacks.  The result is that of running the trials one by one with
+    :func:`lift` and :func:`purify`: the tallies are the same, and a
     failure raises what the lowest failing trial raises at its first
     failing check.
     """
@@ -389,17 +417,13 @@ def _audit_dimension(
 
     def fail(i: int, error: Exception) -> int:
         failure[:] = [trials[i], error]
-        return i
+        return int(i)
 
     def gate(mats, count: int, wrap=lambda trial, error: error):
-        # After a failing slice, the slices before it still need the
-        # invariants the stacked gate did not reach.
-        while True:
-            try:
-                return count, _density_gate(mats[:count], VALIDATION_TOL)
-            except QmixError as exc:
-                i = exc.index[0]
-                count = fail(i, wrap(trials[i], _gate_error(mats[i]) or exc))
+        count, eigs, error = _gate_prefix(mats, count)
+        if error is not None:
+            fail(count, wrap(trials[count], error))
+        return count, eigs
 
     def generation_failed(trial: int, error: QmixError) -> PropositionViolated:
         violation = PropositionViolated(
@@ -408,14 +432,17 @@ def _audit_dimension(
         violation.__cause__ = error
         return violation
 
+    def tally(name: str, count: int, residual: np.ndarray) -> None:
+        entry = tallies[name]
+        entry[0] += count
+        entry[1] = max(entry[1], float(np.max(residual, initial=0.0)))
+
     def record(name: str, count: int, ok: np.ndarray, residual: np.ndarray, detail) -> int:
         bad = np.flatnonzero(~ok[:count])
         if bad.size:
             i = int(bad[0])
             count = fail(i, PropositionViolated(name, trials[i], detail(i)))
-        tally = tallies[name]
-        tally[0] += count
-        tally[1] = max(tally[1], float(np.max(residual[:count], initial=0.0)))
+        tally(name, count, residual[:count])
         return count
 
     count = len(trials) if not failure else bisect_left(trials, failure[0])
@@ -460,47 +487,68 @@ def _audit_dimension(
         lambda i: f"rank bounds broken: m={m[i]}, rank_alpha={rank_alpha[i]}",
     )
 
+    # Every admissible lift of every source is built (range and Gram
+    # tests) trial by trial, target by target, and the lifts are gated as
+    # one stack.  A trial fails at its first failing target, where the
+    # build, the gate and the round trip fail in that order; ``stop``
+    # holds the earliest failure found.
     sources = _complex_densities([d[1] for d in draws])
     count, source_eigs = gate(sources, count)
-    round_trips = np.zeros(count)
-    lift_ok = np.ones(count, dtype=bool)
-    lift_detail = {}
+    blocks, owner, targets, stop = [], [], [], None
     for i in range(count):
         source = CDensity(mat=sources[i], eigenvalues=source_eigs[i])
         try:
             for target in range((source.rank + 1) // 2, source.rank + 1):
-                lifted = lift(source, target)
-                round_trip = float(np.abs(lifted.alpha - source.mat).max())
-                round_trips[i] = max(round_trips[i], round_trip)
-                got = lifted.rank
-                if round_trip > 1e-12 or got != target:
-                    lift_ok[i] = False
-                    lift_detail[i] = f"target {target}: round_trip={round_trip:.3e}, rank={got}"
-                    break
+                blocks.append(_lift_blocks(source, target))
+                owner.append(i)
+                targets.append(target)
         except QmixError as exc:
-            count = fail(i, exc)
+            stop = (i, exc)
             break
-        if not lift_ok[i]:
-            break
-    count = record("lift_round_trip", count, lift_ok, round_trips, lift_detail.get)
+    lifts = _stacked(blocks, n)
+    gated, lift_eigs, error = _gate_prefix(lifts, len(blocks))
+    if error is not None:
+        stop = (owner[gated], error)
+    owner, targets = np.array(owner[:gated], dtype=int), np.array(targets[:gated], dtype=int)
+    round_trips = np.abs(lifts.alpha[:gated] - sources[owner]).max((-2, -1), initial=0.0)
+    got = numerical_rank(lift_eigs)
+    bad = np.flatnonzero((round_trips > 1e-12) | (got != targets))
+    if bad.size:
+        p = bad[0]
+        stop = (owner[p], PropositionViolated(
+            "lift_round_trip",
+            trials[owner[p]],
+            f"target {targets[p]}: round_trip={round_trips[p]:.3e}, rank={got[p]}",
+        ))
+    if stop is not None:
+        count = fail(*stop)
+    tally("lift_round_trip", count, round_trips[owner < count])
 
+    # Purification: built per trial, gated as one stack; the rank-one and
+    # idempotency checks read the stack.  The idempotency norm is taken
+    # slice by slice, so it sums in the order of the single-matrix one.
     twos = _complex_densities([d[2] for d in draws])
     count, two_eigs = gate(twos, count)
-    idem = np.zeros(count)
-    rank_ok = np.ones(count, dtype=bool)
+    blocks = []
     for i in range(count):
         try:
-            pure = purify(CDensity(mat=twos[i], eigenvalues=two_eigs[i]))
+            blocks.append(_purify_blocks(CDensity(mat=twos[i], eigenvalues=two_eigs[i])))
         except QmixError as exc:
             count = fail(i, exc)
             break
-        idem[i] = frobenius_norm(pure.mat @ pure.mat - pure.mat)
-        rank_ok[i] = pure.rank == 1
+    pures = _stacked(blocks, n)
+    count, pure_eigs = gate(pures, count)
+    pures = pures[:count]
+    square = pures @ pures - pures
+    idem = np.array([frobenius_norm(square[i]) for i in range(count)])
+    rank_ok = numerical_rank(pure_eigs) == 1
     refusal_ok = np.ones(count, dtype=bool)
     if n >= 3:
         threes = _complex_densities([d[3] for d in draws])
         count, three_eigs = gate(threes, count)
-        for i in range(count):
+        # purify refuses a rank above two before any other work; a lower
+        # rank takes the whole call, so its error or success is purify's.
+        for i in np.flatnonzero(numerical_rank(three_eigs) <= 2):
             try:
                 purify(CDensity(mat=threes[i], eigenvalues=three_eigs[i]))
             except NotPurifiable:

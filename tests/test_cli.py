@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qmix.cli import main, parse_matrix, serialize_matrix
+from qmix.cli import build_parser, main, parse_matrix, serialize_matrix
 from qmix.errors import SchemaError
 
 from support import random_qmatrix
@@ -254,6 +254,33 @@ def test_tolerance_override(tmp_path, capsys):
     capsys.readouterr()
     assert main(["--tol", "validate=1e-6", "validate", path]) == 0
     capsys.readouterr()
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    audit = ["check-props", "--nmax", "3", "--trials", "6"]
+    assert main(audit + ["--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 3
+    monkeypatch.setenv("QMIX_SEED", "7")
+    assert main(audit) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 7
+    # A usage error leaves nothing behind for the next call.
+    assert main(["check-props", "--nmax", "1"]) == 2
+    assert main(audit) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 7
+    # Neither a tolerance nor an output path carries over.  The trace is
+    # off unity by 5e-9: admitted at 1e-8, rejected at the default.
+    slack = {"rows": 1, "cols": 1, "alpha": [[[1.000000005, 0.0]]]}
+    path = write_json(tmp_path / "state.json", slack)
+    target = tmp_path / "out.json"
+    loose = ["--tol", "validate=1e-8"]
+    for argv in (loose + ["validate", path], ["validate", path] + loose):
+        assert main(argv + ["--output", str(target)]) == 0
+        assert json.loads(target.read_text())["valid"] is True
+        assert main(["validate", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: real trace") == 2
 
 
 def test_bad_tolerance_is_usage_error(capsys):

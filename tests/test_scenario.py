@@ -11,7 +11,6 @@ from qmix import (
     evolve,
     run_scenario,
 )
-import support
 from qmix import density, scenario
 from qmix.errors import NotNormalized, PropositionViolated, RankOutOfRange
 from qmix.scenario import direction_basis, spin_along
@@ -151,30 +150,43 @@ def test_check_propositions_matches_the_sequential_reference(seed, n_max, trials
 
 
 def _inject_faults(monkeypatch):
-    """Data-dependent faults in three stages, so that several trials of
-    several dimensions fail; the batched audit must still report the
-    lowest failing trial, as the trial-by-trial reference does."""
-    draw, lift, purify = density._random_density_matrix, density.lift, density.purify
+    """Data-dependent faults in the state draws, the lift and purify
+    builders and the density gate of their results, so that several
+    trials of several dimensions fail; the batched audit must still
+    report the lowest failing trial, as the trial-by-trial reference
+    does.  Both reach the same private builders, patched in each module
+    that looks them up.  Over seeds 0-7 the winners include a builder
+    error, a trace failure below a positivity failure of the same stack
+    (a stacked gate tests positivity first), and a positivity failure at
+    a trial's first target with a builder error at its last."""
+    draw = density._random_density_matrix
+    lift_blocks, purify_blocks = density._lift_blocks, density._purify_blocks
 
     def faulty_draw(n, kind, rng):
         mat = draw(n, kind, rng)
-        return mat * 1.5 if n == 5 and mat.alpha[0, 0].real > 0.25 else mat
+        return mat * 1.5 if n == 5 and mat.alpha[0, 0].real > 0.26 else mat
 
-    def faulty_lift(source, target):
-        if source.dim == 3 and target == source.rank and source.mat[0, 0].real > 0.6:
+    def faulty_lift_blocks(source, target):
+        if source.dim in (3, 6) and target == source.rank and source.mat[0, 0].real > 0.45:
             raise RankOutOfRange(f"injected lift fault at {float(source.mat[0, 0].real)!r}")
-        return lift(source, target)
+        alpha, beta = lift_blocks(source, target)
+        if source.dim != 6:
+            return alpha, beta
+        if target == source.rank - 1 and source.mat[2, 2].real > 0.25:
+            return alpha * 1.5, beta * 1.5  # TraceNotOne, for purify too
+        if target == (source.rank + 1) // 2 < source.rank - 1 and source.mat[3, 3].real > 0.15:
+            return alpha + np.diag([1.0, -1.0, 0, 0, 0, 0]), beta  # NotPositive, trace kept
+        return alpha, beta
 
-    def faulty_purify(source):
+    def faulty_purify_blocks(source):
         if source.dim == 4 and source.rank == 2 and source.mat[1, 1].real > 0.5:
             raise NotNormalized(f"injected purify fault at {float(source.mat[1, 1].real)!r}")
-        return purify(source)
+        return purify_blocks(source)
 
-    monkeypatch.setattr(density, "_random_density_matrix", faulty_draw)
-    monkeypatch.setattr(scenario, "_random_density_matrix", faulty_draw)
-    for module in (scenario, support):
-        monkeypatch.setattr(module, "lift", faulty_lift)
-        monkeypatch.setattr(module, "purify", faulty_purify)
+    for module in (density, scenario):
+        monkeypatch.setattr(module, "_random_density_matrix", faulty_draw)
+        monkeypatch.setattr(module, "_lift_blocks", faulty_lift_blocks)
+        monkeypatch.setattr(module, "_purify_blocks", faulty_purify_blocks)
 
 
 @pytest.mark.parametrize("seed", range(8))

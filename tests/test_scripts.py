@@ -19,11 +19,28 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_script_runs(script, args):
+    proc = run_script(script, args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+
+
+@pytest.mark.parametrize(
+    "option,value",
+    [("--nmax", "1"), ("--nmax", "2.5"), ("--trials", "-2"), ("--seed", "-1")],
+)
+def test_audit_script_rejects_what_check_props_rejects(option, value):
+    proc = run_script("audit_propositions.py", [option, value])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    error_lines = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert len(error_lines) == 1 and option in error_lines[0], proc.stderr
+
+
+def run_script(script, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
