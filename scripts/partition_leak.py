@@ -12,13 +12,14 @@ import argparse
 import numpy as np
 
 from qmix import Propagator, QMatrix, evolve, expm_q, random_generator, validate
+from qmix.cli import _int_at_least
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--tmax", type=float, default=3.0)
-    parser.add_argument("--points", type=int, default=13)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--points", type=_int_at_least(1), default=13)
+    parser.add_argument("--seed", type=_int_at_least(0), default=0)
     args = parser.parse_args()
 
     alpha = np.array([[0.5, -0.5j], [0.5j, 0.5]])
@@ -30,7 +31,7 @@ def main():
     for t in np.linspace(0.0, args.tmax, args.points):
         quater = evolve(rho, Propagator(u=expm_q(j_gen * -t)))
         closed = abs(np.sin(2 * t)) * np.linalg.norm(alpha.imag)
-        comp = evolve(rho, Propagator(u=expm_q(complex_gen.samples[0] * -t)))
+        comp = evolve(rho, Propagator(u=expm_q(complex_gen.h * -t)))
         print(f"{t:6.2f} {quater.beta_norm:12.6f} {closed:12.6f} {comp.beta_norm:19.3e}")
 
 

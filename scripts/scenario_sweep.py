@@ -12,11 +12,12 @@ import argparse
 import numpy as np
 
 from qmix import run_scenario
+from qmix.cli import _int_at_least
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--points", type=int, default=11, help="number of weights to sweep")
+    parser.add_argument("--points", type=_int_at_least(1), default=11, help="number of weights to sweep")
     parser.add_argument("--theta", type=float, default=0.0, help="polar angle of the measured axis")
     parser.add_argument("--phi", type=float, default=0.0, help="azimuthal angle of the measured axis")
     args = parser.parse_args()

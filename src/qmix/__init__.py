@@ -5,7 +5,8 @@ The complex projection P(M) = M_alpha partitions density matrices into
 classes with a unique complex member each; proper mixtures are the
 beta = 0 members, improper mixtures the rest.  The package provides the
 scalar and matrix algebra, validation, lifting and purification, unitary
-dynamics with its projected form, bipartite machinery (Schmidt data,
+dynamics under a constant generator (U(t) = exp(-tH)) with its projected
+form, bipartite machinery (Schmidt data,
 partial trace, nonselective projective update), a measurement scenario
 that distinguishes the two mixture kinds by a quaternionic observable,
 and a CLI with JSON matrix files.
@@ -26,7 +27,6 @@ from .density import (
     Observable,
     QDensity,
     block_purify,
-    classify,
     complex_projection,
     discriminating_observable,
     embed_proper,
@@ -58,7 +58,6 @@ from .qmatrix import (
     expm_q,
     frobenius_norm,
     hermiticity_deviation,
-    is_hermitian,
     is_positive_semidefinite,
     max_abs,
     rank_q,
@@ -92,7 +91,6 @@ __all__ = [
     "chi",
     "chi_inverse",
     "chi_membership_deviation",
-    "classify",
     "complex_projection",
     "discriminating_observable",
     "eigvals_hermitian",
@@ -103,7 +101,6 @@ __all__ = [
     "frobenius_norm",
     "hermiticity_deviation",
     "integrate",
-    "is_hermitian",
     "is_positive_semidefinite",
     "kron",
     "lift",

@@ -46,7 +46,7 @@ class BipartiteState:
                 f"vector length {vec.size} != {n1} * {n2}"
             )
         norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > STATE_NORM_TOL:
+        if not abs(norm - 1.0) <= STATE_NORM_TOL:
             raise NotNormalized(f"state norm {norm!r} off unity by {abs(norm - 1.0):.3e}")
         object.__setattr__(self, "dims", (int(n1), int(n2)))
         object.__setattr__(self, "vec", vec)
@@ -54,25 +54,19 @@ class BipartiteState:
     def density(self) -> np.ndarray:
         return np.outer(self.vec, self.vec.conj())
 
-    @property
-    def schmidt_weights(self) -> np.ndarray:
-        if self.schmidt is None:
-            raise ValueError("schmidt data not filled; call schmidt() first")
-        return np.array([w for w, _, _ in self.schmidt])
-
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product with the row-major index convention."""
     return np.kron(np.asarray(a, np.complex128), np.asarray(b, np.complex128))
 
 
-def schmidt(state: BipartiteState, tol: float = FAMILY_TOL) -> BipartiteState:
+def schmidt(state: BipartiteState) -> BipartiteState:
     """Return the state with its Schmidt data filled in.
 
     The state is reshaped to an n1 x n2 coefficient matrix and factored
     by SVD; singular values are the Schmidt weights (descending) and the
     factors give the orthonormal left/right families.  Weights at or
-    below ``tol`` carry no correlation and are dropped.
+    below ``FAMILY_TOL`` carry no correlation and are dropped.
     """
     n1, n2 = state.dims
     coeff = state.vec.reshape(n1, n2)
@@ -80,7 +74,7 @@ def schmidt(state: BipartiteState, tol: float = FAMILY_TOL) -> BipartiteState:
     terms = tuple(
         (float(w), left[:, i].copy(), right_h[i, :].copy())
         for i, w in enumerate(weights)
-        if w > tol
+        if w > FAMILY_TOL
     )
     return replace(state, schmidt=terms)
 
@@ -107,12 +101,12 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int], over: int) -> CDensity
 
 @dataclass(frozen=True, eq=False)
 class ProjectorFamily:
-    """Orthogonal complex projectors summing to the identity."""
+    """Orthogonal complex projectors summing to the identity, at ``FAMILY_TOL``."""
 
     projectors: tuple[np.ndarray, ...]
 
     @classmethod
-    def from_projectors(cls, projectors, tol: float = FAMILY_TOL) -> "ProjectorFamily":
+    def from_projectors(cls, projectors) -> "ProjectorFamily":
         mats = tuple(np.asarray(p, dtype=np.complex128) for p in projectors)
         if not mats:
             raise ValueError("projector family cannot be empty")
@@ -120,29 +114,29 @@ class ProjectorFamily:
         for idx, p in enumerate(mats):
             if p.shape != (n, n):
                 raise DimensionMismatch(f"projector {idx} has shape {p.shape}, expected ({n}, {n})")
-        worst = 0.0
-        for i, p in enumerate(mats):
-            for j, q in enumerate(mats):
-                target = p if i == j else 0.0
-                worst = max(worst, float(np.abs(p @ q - target).max()))
-        if worst > tol:
+        # np.max, unlike max(), propagates NaN, so a non-finite family fails
+        worst = float(np.max([
+            np.abs(p @ q - (p if i == j else 0.0)).max()
+            for i, p in enumerate(mats)
+            for j, q in enumerate(mats)
+        ]))
+        if not worst <= FAMILY_TOL:
             raise NotOrthogonal(
                 f"projector products deviate from orthogonality by {worst:.3e}"
             )
         completeness = float(np.abs(sum(mats) - np.eye(n)).max())
-        if completeness > tol:
+        if not completeness <= FAMILY_TOL:
             raise NotNormalized(
                 f"projector sum deviates from identity by {completeness:.3e}"
             )
         return cls(projectors=mats)
 
     @classmethod
-    def from_basis(cls, basis: np.ndarray, tol: float = FAMILY_TOL) -> "ProjectorFamily":
+    def from_basis(cls, basis: np.ndarray) -> "ProjectorFamily":
         """Rank-one family from the columns of a unitary basis matrix."""
         basis = np.asarray(basis, dtype=np.complex128)
         return cls.from_projectors(
-            [np.outer(basis[:, i], basis[:, i].conj()) for i in range(basis.shape[1])],
-            tol=tol,
+            [np.outer(basis[:, i], basis[:, i].conj()) for i in range(basis.shape[1])]
         )
 
 
@@ -165,9 +159,7 @@ def lueders_nonselective(rho: CDensity, family: ProjectorFamily) -> CDensity:
     return CDensity.from_matrix(out)
 
 
-def measurement_interaction(
-    phi0, apparatus_dim: int = 2
-) -> tuple[np.ndarray, BipartiteState]:
+def measurement_interaction(phi0) -> tuple[np.ndarray, BipartiteState]:
     """Premeasurement coupling of a two-level system to a two-level pointer.
 
     ``phi0 = (c_plus, c_minus)`` are the coefficients of the system
@@ -177,13 +169,11 @@ def measurement_interaction(
     basis and |0> = |u>.  The returned state U(phi0 (x) |0>) carries its
     Schmidt data, whose weights are (|c_plus|, |c_minus|).
     """
-    if apparatus_dim != 2:
-        raise DimensionMismatch("the pointer is modeled on a two-level system")
     phi0 = np.asarray(phi0, dtype=np.complex128).reshape(-1)
     if phi0.size != 2:
         raise DimensionMismatch(f"system state must have two components, got {phi0.size}")
     norm2 = float(np.vdot(phi0, phi0).real)
-    if abs(norm2 - 1.0) > STATE_NORM_TOL:
+    if not abs(norm2 - 1.0) <= STATE_NORM_TOL:
         raise NotNormalized(
             f"|c+|^2 + |c-|^2 = {norm2!r} off unity by {abs(norm2 - 1.0):.3e}"
         )

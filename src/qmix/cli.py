@@ -159,7 +159,7 @@ def serialize_report(report: scenario.ScenarioReport) -> dict:
             "c_minus": _complex_pair(report.c_minus),
             "n_hat": {"theta": report.n_hat[0], "phi": report.n_hat[1]},
         },
-        "improper_representation": report.improper_representation,
+        "improper_representation": "purified",
         "rho_improper": serialize_density(report.rho_improper),
         "rho_proper": serialize_density(report.rho_proper),
         "complex_expectations": [
@@ -280,38 +280,36 @@ def _cmd_expect(args, config: RunConfig) -> int:
 
 def _cmd_evolve(args, config: RunConfig) -> int:
     rho = density.validate(load_matrix(args.state), tol=config.validate_tol)
-    gen = dynamics.Generator.constant(load_matrix(args.gen))
+    gen = dynamics.Generator(load_matrix(args.gen))
     if args.method == "rk4":
         evolved = dynamics.integrate(rho, gen, args.t, args.steps)
     else:
-        prop = dynamics.time_ordered(gen, args.t, args.steps)
-        evolved = dynamics.evolve(rho, prop)
+        evolved = dynamics.evolve(rho, dynamics.time_ordered(gen, args.t))
     _emit(serialize_matrix(evolved.mat), config)
     return 0
 
 
-def _parse_complex(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected 're,im', got {text!r}")
+def _finite_float(text: str) -> float:
+    """Argument type: a finite float; nan and inf are usage errors."""
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
-def _parse_angles(text: str) -> tuple[float, float]:
+def _parse_pair(text: str) -> tuple[float, float]:
+    """Argument type: two finite floats written ``x,y``."""
     parts = text.split(",")
     if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected 'theta,phi', got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+        raise argparse.ArgumentTypeError(f"expected two comma-separated numbers, got {text!r}")
+    return _finite_float(parts[0]), _finite_float(parts[1])
 
 
 def _cmd_scenario(args, config: RunConfig) -> int:
-    report = scenario.run_scenario(args.cplus, args.cminus, n_hat=args.nhat)
+    report = scenario.run_scenario(complex(*args.cplus), complex(*args.cminus), n_hat=args.nhat)
     _emit(serialize_report(report), config)
     return 0 if report.passed else 1
 
@@ -441,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="evolve a state under a constant generator")
     p.add_argument("state")
     p.add_argument("--gen", required=True, help="matrix file with the anti-hermitian generator")
-    p.add_argument("--t", type=float, default=1.0)
+    p.add_argument("--t", type=_finite_float, default=1.0)
     p.add_argument(
         "--steps",
         type=_int_at_least(1),
@@ -454,11 +452,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_evolve)
 
     p = sub.add_parser("scenario", help="run the measurement scenario and emit the report")
-    p.add_argument("--cplus", type=_parse_complex, required=True, metavar="RE,IM")
-    p.add_argument("--cminus", type=_parse_complex, required=True, metavar="RE,IM")
+    p.add_argument("--cplus", type=_parse_pair, required=True, metavar="RE,IM")
+    p.add_argument("--cminus", type=_parse_pair, required=True, metavar="RE,IM")
     p.add_argument(
         "--nhat",
-        type=_parse_angles,
+        type=_parse_pair,
         default=(0.0, 0.0),
         metavar="THETA,PHI",
         help="measurement direction in radians (default: the z axis)",

@@ -96,10 +96,6 @@ class QDensity:
     def dim(self) -> int:
         return self.mat.rows
 
-    @property
-    def is_proper(self) -> bool:
-        return self.classification is MixtureKind.PROPER
-
 
 @dataclass(frozen=True, eq=False)
 class CDensity:
@@ -147,8 +143,8 @@ class Observable:
         return cls(mat=mat, is_complex=float(np.linalg.norm(mat.beta)) <= tol)
 
     @classmethod
-    def from_complex(cls, mat: np.ndarray, tol: float = VALIDATION_TOL) -> "Observable":
-        return cls.from_qmatrix(QMatrix.from_complex(mat), tol=tol)
+    def from_complex(cls, mat: np.ndarray) -> "Observable":
+        return cls.from_qmatrix(QMatrix.from_complex(mat))
 
 
 # ---------------------------------------------------------------------
@@ -220,11 +216,6 @@ def validate(m: QMatrix, tol: float = VALIDATION_TOL) -> QDensity:
     return QDensity(mat=m, classification=kind, beta_norm=beta_norm, eigenvalues=eigs)
 
 
-def classify(rho: QDensity) -> MixtureKind:
-    """Proper iff ||rho_beta||_F passes the scale-aware zero test."""
-    return rho.classification
-
-
 def complex_projection(rho: QDensity) -> CDensity:
     """P(rho) = (1/2)(rho - i rho i) = rho_alpha, validated as a density.
 
@@ -281,13 +272,7 @@ def rank_bounds_check(rho: QDensity) -> tuple[int, int, bool]:
 # purification blocks, lift, purify
 # ---------------------------------------------------------------------
 
-def block_purify(
-    u: np.ndarray,
-    v: np.ndarray,
-    cu: complex,
-    cv: complex,
-    tol: float = VALIDATION_TOL,
-) -> QMatrix:
+def block_purify(u: np.ndarray, v: np.ndarray, cu: complex, cv: complex) -> QMatrix:
     """Rank-one quaternionic block projecting onto |cu|^2 uu* + |cv|^2 vv*.
 
     For an orthonormal pair (u, v) and weights (cu, cv), returns the
@@ -299,6 +284,8 @@ def block_purify(
 
     with real trace |cu|^2 + |cv|^2 and quaternionic rank one.  With
     cv = 0 the block degenerates to a purely complex rank-one term.
+    Unit norms and orthogonality are checked at ``VALIDATION_TOL``; a
+    non-finite vector fails them.
     """
     u = np.asarray(u, dtype=np.complex128).reshape(-1)
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
@@ -306,11 +293,11 @@ def block_purify(
         raise DimensionMismatch(f"vector shapes differ: {u.shape} vs {v.shape}")
     for name, vec in (("u", u), ("v", v)):
         norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > tol:
+        if not abs(norm - 1.0) <= VALIDATION_TOL:
             raise NotNormalized(f"{name} has norm {norm!r}, off unity by {abs(norm - 1.0):.3e}")
     overlap = abs(np.vdot(u, v))
-    if overlap > tol:
-        raise NotOrthogonal(f"|<u, v>| = {overlap:.3e} exceeds {tol:.3e}")
+    if not overlap <= VALIDATION_TOL:
+        raise NotOrthogonal(f"|<u, v>| = {overlap:.3e} exceeds {VALIDATION_TOL:.3e}")
     cu = complex(cu)
     cv = complex(cv)
     weight = abs(cu) ** 2 + abs(cv) ** 2

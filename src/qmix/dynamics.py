@@ -1,10 +1,10 @@
 """Quaternionic unitary dynamics and its complex projection.
 
-States evolve by conjugation, rho(t) = U(t) rho(0) U(t)^dag, with the
-propagator generated by an anti-hermitian quaternionic H(t) through
-U(t) = T exp(-int_0^t H(u) du); the equivalent differential form is
-d rho/dt = -[H(t), rho(t)].  Generators absorb the imaginary unit:
-there is no preferred global i to factor out of a quaternionic H.
+States evolve by conjugation, rho(t) = U(t) rho(0) U(t)^dag, under a
+constant anti-hermitian quaternionic generator H, with propagator
+U(t) = exp(-tH); the equivalent differential form is
+d rho/dt = -[H, rho(t)].  Generators absorb the imaginary unit: there
+is no preferred global i to factor out of a quaternionic H.
 
 The complex projection of the evolved state has the closed form
 
@@ -18,14 +18,10 @@ beta evolves as conj(U_a) rho_b U_a^dag, so beta = 0 is preserved and
 a proper state into the improper class; ``partition_witness`` exhibits
 such a leak.
 
-Time dependence is a sampled schedule on a uniform grid, evaluated by
-linear interpolation and integrated per step with midpoint sampling.
-
 Both solvers run on complex-adjoint images: chi is a linear algebra
-homomorphism (F. Zhang, LAA 251, 1997), so interpolation, products and
-the RK4 stages act on raw 2n x 2n arrays and the result is read back
-once, with a chi-membership check.  A constant generator's propagator
-is a single exponential exp(-t H).
+homomorphism (F. Zhang, LAA 251, 1997), so the propagator is one
+exponential of chi(H) (``expm_q``) and the RK4 stages act on raw
+2n x 2n arrays, read back once with a chi-membership check.
 """
 
 from __future__ import annotations
@@ -33,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .density import CDensity, MixtureKind, QDensity, random_density, validate
 from .errors import (
@@ -44,7 +39,6 @@ from .errors import (
     WitnessNotFound,
 )
 from .qmatrix import (
-    EXPM_MEMBERSHIP_TOL,
     VALIDATION_TOL,
     QMatrix,
     chi,
@@ -59,76 +53,38 @@ from .qmatrix import (
 UNITARITY_TOL = 1e-9
 #: Cap on the per-step hermiticity/trace correction in ``integrate``.
 DRIFT_TOL = 1e-6
+#: Evolution time of each candidate in ``partition_witness``.
+WITNESS_TIME = 1.0
+#: ||beta||_F a ``partition_witness`` leak must exceed.
+WITNESS_LEAK_THRESHOLD = 1e-6
+#: Candidates ``partition_witness`` draws before it gives up.
+WITNESS_MAX_ATTEMPTS = 100
 
 
 @dataclass(frozen=True, eq=False)
 class Generator:
-    """Anti-hermitian generator, constant or sampled on a uniform grid.
+    """Constant anti-hermitian generator H.
 
-    ``samples`` holds H at equally spaced times covering [0, horizon];
-    a single sample means a constant generator.  Anti-hermiticity
-    (alpha block anti-hermitian, beta block symmetric) is enforced on
-    every sample at construction, at ``VALIDATION_TOL``; a non-finite
-    sample fails it.
+    Anti-hermiticity (alpha block anti-hermitian, beta block symmetric)
+    is enforced at construction, at ``VALIDATION_TOL``; a non-finite
+    entry fails it.
     """
 
-    samples: tuple[QMatrix, ...]
-    horizon: float = 0.0
+    h: QMatrix
 
     def __post_init__(self):
-        if not self.samples:
-            raise ValueError("generator needs at least one sample")
-        object.__setattr__(self, "samples", tuple(self.samples))
-        dim = self.samples[0].rows
-        for idx, h in enumerate(self.samples):
-            if not h.is_square or h.rows != dim:
-                raise DimensionMismatch(f"sample {idx} has shape {h.shape}")
-            dev = hermiticity_deviation(h, sign=-1)
-            if not dev <= VALIDATION_TOL:
-                raise NotAntiHermitian(
-                    f"sample {idx} deviates from anti-hermiticity by {dev:.3e}, "
-                    f"beyond {VALIDATION_TOL:.3e}"
-                )
-        if len(self.samples) > 1 and self.horizon <= 0.0:
-            raise ValueError("a sampled schedule needs a positive horizon")
-
-    @classmethod
-    def constant(cls, h: QMatrix) -> "Generator":
-        return cls(samples=(h,))
-
-    @classmethod
-    def schedule(cls, samples, horizon: float) -> "Generator":
-        return cls(samples=tuple(samples), horizon=float(horizon))
+        if not self.h.is_square:
+            raise DimensionMismatch(f"generator must be square, got {self.h.shape}")
+        dev = hermiticity_deviation(self.h, sign=-1)
+        if not dev <= VALIDATION_TOL:
+            raise NotAntiHermitian(
+                f"generator deviates from anti-hermiticity by {dev:.3e}, "
+                f"beyond {VALIDATION_TOL:.3e}"
+            )
 
     @property
     def dim(self) -> int:
-        return self.samples[0].rows
-
-    def _cell(self, t: float) -> tuple[int, float]:
-        """Grid cell ``i`` and weight ``w`` of sample ``i + 1`` at time ``t``."""
-        t = min(max(t, 0.0), self.horizon)
-        x = t / (self.horizon / (len(self.samples) - 1))
-        i = min(int(x), len(self.samples) - 2)
-        return i, x - i
-
-    def at(self, t: float) -> QMatrix:
-        """Generator at time ``t``: linear interpolation, clamped ends."""
-        if len(self.samples) == 1:
-            return self.samples[0]
-        i, w = self._cell(t)
-        return self.samples[i] * (1.0 - w) + self.samples[i + 1] * w
-
-    def chi_at(self):
-        """``tau -> chi(self.at(tau))``, interpolating images computed once."""
-        images = [chi(h) for h in self.samples]
-        if len(images) == 1:
-            return lambda tau: images[0]
-
-        def at(tau: float) -> np.ndarray:
-            i, w = self._cell(tau)
-            return images[i] * (1.0 - w) + images[i + 1] * w
-
-        return at
+        return self.h.rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,21 +103,9 @@ class Propagator:
                 f"U^dag U deviates from identity by {dev:.3e}, beyond {UNITARITY_TOL:.3e}"
             )
 
-    @classmethod
-    def identity(cls, n: int) -> "Propagator":
-        return cls(u=QMatrix.identity(n))
-
-    @classmethod
-    def from_complex_unitary(cls, u: np.ndarray) -> "Propagator":
-        return cls(u=QMatrix.from_complex(u))
-
     @property
     def dim(self) -> int:
         return self.u.rows
-
-    @property
-    def is_complex(self) -> bool:
-        return float(np.linalg.norm(self.u.beta)) <= UNITARITY_TOL
 
 
 def evolve(rho: QDensity, prop: Propagator) -> QDensity:
@@ -193,41 +137,25 @@ def projected_evolution(rho0: QDensity, prop: Propagator) -> CDensity:
     return CDensity.from_matrix(out)
 
 
-def time_ordered(gen: Generator, t: float, steps: int) -> Propagator:
-    """Time-ordered propagator U(t) = T exp(-int_0^t H(u) du).
+def time_ordered(gen: Generator, t: float) -> Propagator:
+    """Propagator U(t) = exp(-tH) of the constant generator H.
 
-    A constant generator gives exactly exp(-t H) and ignores ``steps``.
-    A sampled schedule is an ordered product of ``steps`` exponentials
-    exp(-h H(t_mid)) with midpoint sampling, later factors multiplying
-    from the left, formed on chi images and read back once.
+    The time-ordered exponential of a constant generator is a single
+    matrix exponential (:func:`expm_q`).
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if len(gen.samples) == 1:
-        return Propagator(u=expm_q(gen.samples[0] * (-t)))
-    h = t / steps
-    ham = gen.chi_at()
-    u = np.eye(2 * gen.dim, dtype=np.complex128)
-    for k in range(steps):
-        u = scipy.linalg.expm(ham((k + 0.5) * h) * (-h)) @ u
-    return Propagator(u=chi_inverse(u, tol=EXPM_MEMBERSHIP_TOL))
+    return Propagator(u=expm_q(gen.h * (-t)))
 
 
-def integrate(
-    rho0: QDensity,
-    gen: Generator,
-    t: float,
-    steps: int,
-    drift_tol: float = DRIFT_TOL,
-) -> QDensity:
-    """Integrate d rho/dt = -[H(t), rho] with classic fourth-order steps.
+def integrate(rho0: QDensity, gen: Generator, t: float, steps: int) -> QDensity:
+    """Integrate d rho/dt = -[H, rho] with classic fourth-order steps.
 
-    The stages run on chi(rho) against chi(H).  After every step the
-    iterate is re-hermitized ((rho + rho^dag)/2) and trace-renormalized;
-    the applied correction (quaternionic Frobenius norm, which is
-    ||chi||_F / sqrt(2), and trace offset, Re Tr chi / 2 - 1) is
-    measured and :class:`DriftExceeded` raised if it ever passes
-    ``drift_tol``.  Silent drift is never allowed to accumulate.
+    The stages run on chi(rho) against chi(H), computed once.  After
+    every step the iterate is re-hermitized ((rho + rho^dag)/2) and
+    trace-renormalized; the applied correction (quaternionic Frobenius
+    norm, which is ||chi||_F / sqrt(2), and trace offset,
+    Re Tr chi / 2 - 1) is measured and :class:`DriftExceeded` raised if
+    it ever passes ``DRIFT_TOL``.  Silent drift is never allowed to
+    accumulate.
     """
     if gen.dim != rho0.dim:
         raise DimensionMismatch(
@@ -236,31 +164,29 @@ def integrate(
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     h = t / steps
-    ham = gen.chi_at()
+    ham = chi(gen.h)
 
-    def rate(tau: float, mat: np.ndarray) -> np.ndarray:
-        hc = ham(tau)
-        return mat @ hc - hc @ mat
+    def rate(mat: np.ndarray) -> np.ndarray:
+        return mat @ ham - ham @ mat
 
     current = chi(rho0.mat)
     # An overflowing iterate turns to inf/NaN, which the drift gate below
     # rejects, so numpy's overflow and invalid-value warnings add nothing.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
-            tau = k * h
-            k1 = rate(tau, current)
-            k2 = rate(tau + h / 2, current + k1 * (h / 2))
-            k3 = rate(tau + h / 2, current + k2 * (h / 2))
-            k4 = rate(tau + h, current + k3 * h)
+            k1 = rate(current)
+            k2 = rate(current + k1 * (h / 2))
+            k3 = rate(current + k2 * (h / 2))
+            k4 = rate(current + k3 * h)
             raw = current + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (h / 6.0)
             hermitized = (raw + raw.conj().T) * 0.5
             herm_correction = float(np.linalg.norm(raw - hermitized)) / np.sqrt(2.0)
             trace = float(np.trace(hermitized).real) / 2.0
             correction = max(herm_correction, abs(trace - 1.0))
             # written so that a non-finite iterate (NaN correction) fails too
-            if not correction <= drift_tol:
+            if not correction <= DRIFT_TOL:
                 raise DriftExceeded(
-                    f"correction {correction:.3e} at step {k} exceeds {drift_tol:.0e}"
+                    f"correction {correction:.3e} at step {k} exceeds {DRIFT_TOL:.0e}"
                 )
             current = hermitized / trace
     return validate(chi_inverse(current))
@@ -269,18 +195,15 @@ def integrate(
 def projected_rate_check(rho: QDensity, gen: Generator, h: float = 1e-4) -> float:
     """Residual between the finite-difference projected rate and its formula.
 
-    Evolves one midpoint-sampled step forward and backward, takes the
-    central difference of the projection at t = 0, and compares with
+    Evolves by exp(-hH) forward and exp(hH) backward, takes the central
+    difference of the projection at t = 0, and compares with
     -[H_a, rho_a] + conj(H_b) rho_b - conj(rho_b) H_b.  The residual
     shrinks as O(h^2).
     """
-    forward = Propagator(u=expm_q(gen.at(h / 2) * (-h)))
-    backward = Propagator(u=expm_q(gen.at(0.0) * h))
-    plus = evolve(rho, forward)
-    minus = evolve(rho, backward)
+    plus = evolve(rho, time_ordered(gen, h))
+    minus = evolve(rho, time_ordered(gen, -h))
     fd = (plus.alpha - minus.alpha) / (2.0 * h)
-    ham = gen.at(0.0)
-    ha, hb = ham.alpha, ham.beta
+    ha, hb = gen.h.alpha, gen.h.beta
     ra, rb = rho.alpha, rho.beta
     rhs = -(ha @ ra - ra @ ha) + hb.conj() @ rb - rb.conj() @ hb
     return float(np.linalg.norm(fd - rhs))
@@ -301,33 +224,28 @@ def random_generator(
     scale = frobenius_norm(ham)
     if scale > 0:
         ham = ham * (norm / scale)
-    return Generator.constant(ham)
+    return Generator(ham)
 
 
-def partition_witness(
-    n: int,
-    seed: int,
-    t: float = 1.0,
-    leak_threshold: float = 1e-6,
-    max_attempts: int = 100,
-) -> tuple[Generator, QDensity, float]:
+def partition_witness(n: int, seed: int) -> tuple[Generator, QDensity, float]:
     """Find a proper state that a quaternionic dynamics makes improper.
 
     Draws random (generator, proper state) pairs from seeds derived from
-    ``seed`` and returns the first whose evolution over ``t`` leaks beta
-    norm above ``leak_threshold``.  Such witnesses are generic, so
-    exhausting ``max_attempts`` raises :class:`WitnessNotFound`.
+    ``seed`` and returns the first whose evolution over ``WITNESS_TIME``
+    leaks beta norm above ``WITNESS_LEAK_THRESHOLD``.  Such witnesses are
+    generic, so exhausting ``WITNESS_MAX_ATTEMPTS`` draws raises
+    :class:`WitnessNotFound`.
     """
     if n < 2:
         raise DimensionMismatch("partition witnesses need dimension >= 2")
-    for attempt in range(max_attempts):
+    for attempt in range(WITNESS_MAX_ATTEMPTS):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
         gen = random_generator(n, rng, quaternionic=True)
         rho = random_density(n, MixtureKind.PROPER, rng)
-        prop = Propagator(u=expm_q(gen.samples[0] * (-t)))
-        leak = float(np.linalg.norm(evolve(rho, prop).beta))
-        if leak > leak_threshold:
+        leak = float(np.linalg.norm(evolve(rho, time_ordered(gen, WITNESS_TIME)).beta))
+        if leak > WITNESS_LEAK_THRESHOLD:
             return gen, rho, leak
     raise WitnessNotFound(
-        f"no leak above {leak_threshold:.0e} in {max_attempts} attempts (n={n}, seed={seed})"
+        f"no leak above {WITNESS_LEAK_THRESHOLD:.0e} in {WITNESS_MAX_ATTEMPTS} attempts "
+        f"(n={n}, seed={seed})"
     )

@@ -24,7 +24,7 @@ class NotHermitian(QmixError):
 
 
 class NotAntiHermitian(QmixError):
-    """Generator sample fails the anti-hermiticity test."""
+    """Generator fails the anti-hermiticity test."""
 
 
 class NotPositive(QmixError):

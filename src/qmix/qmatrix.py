@@ -81,11 +81,6 @@ class QMatrix:
         return cls(alpha, np.zeros_like(alpha))
 
     @classmethod
-    def zeros(cls, rows: int, cols: int | None = None) -> "QMatrix":
-        cols = rows if cols is None else cols
-        return cls(np.zeros((rows, cols), np.complex128), np.zeros((rows, cols), np.complex128))
-
-    @classmethod
     def identity(cls, n: int) -> "QMatrix":
         return cls.from_complex(np.eye(n, dtype=np.complex128))
 
@@ -287,35 +282,27 @@ def require_hermitian(deviation, tol: float) -> None:
     )
 
 
-def is_hermitian(m: QMatrix, tol: float = VALIDATION_TOL) -> bool:
-    return m.is_square and hermiticity_deviation(m) <= tol
-
-
-def is_positive_semidefinite(m: QMatrix, tol: float = VALIDATION_TOL) -> bool:
-    """Hermitian with all eigenvalues >= -tol."""
+def is_positive_semidefinite(m: QMatrix) -> bool:
+    """Hermitian with all eigenvalues >= -VALIDATION_TOL."""
     if not m.is_square:
         return False
     try:
-        eigs = eigvals_hermitian(m, tol=tol)
+        eigs = eigvals_hermitian(m)
     except NotHermitian:
         return False
-    return bool(eigs.size == 0 or eigs.min() >= -tol)
+    return bool(eigs.size == 0 or eigs.min() >= -VALIDATION_TOL)
 
 
 # ---------------------------------------------------------------------
 # spectral computations (all through chi)
 # ---------------------------------------------------------------------
 
-def eigvals_hermitian(
-    m: QMatrix,
-    tol: float = VALIDATION_TOL,
-    pairing_tol: float = EIG_PAIRING_TOL,
-) -> np.ndarray:
+def eigvals_hermitian(m: QMatrix, tol: float = VALIDATION_TOL) -> np.ndarray:
     """Eigenvalues of a hermitian quaternionic matrix, ascending.
 
     The eigenvalues of chi(M) occur in even-multiplicity pairs; adjacent
     sorted values are paired and each pair returned once (as the pair
-    mean).  A pair gap beyond ``pairing_tol`` relative to the spectral
+    mean).  A pair gap beyond ``EIG_PAIRING_TOL`` relative to the spectral
     scale raises :class:`PairingFailure`, which indicates a bug rather
     than a data condition.  The hermiticity check runs first, so a
     non-finite entry never reaches the eigensolver.  A stack of shape
@@ -328,10 +315,10 @@ def eigvals_hermitian(
     scale = np.maximum(np.abs(eigs).max(-1, initial=0.0), 1.0)
     worst = np.abs(first - second).max(-1, initial=0.0)
     check_slices(
-        ~(worst > pairing_tol * scale),
+        ~(worst > EIG_PAIRING_TOL * scale),
         PairingFailure,
         lambda i: f"adjacent eigenvalue gap {worst[i]:.3e} exceeds "
-        f"{pairing_tol:.0e} * {scale[i]:.3e}",
+        f"{EIG_PAIRING_TOL:.0e} * {scale[i]:.3e}",
     )
     return (first + second) / 2
 

@@ -112,7 +112,6 @@ class ScenarioReport:
     complex_expectation_table: tuple[ExpectationRow, ...]
     quaternionic_discriminator: DiscriminatorResult
     checks: dict[str, CheckResult]
-    improper_representation: str = "purified"
 
     @property
     def passed(self) -> bool:
@@ -151,7 +150,7 @@ def run_scenario(
     c_plus = complex(c_plus)
     c_minus = complex(c_minus)
     norm2 = abs(c_plus) ** 2 + abs(c_minus) ** 2
-    if abs(norm2 - 1.0) > 1e-12:
+    if not abs(norm2 - 1.0) <= 1e-12:
         raise NotNormalized(
             f"|c+|^2 + |c-|^2 = {norm2!r} off unity by {abs(norm2 - 1.0):.3e}"
         )

@@ -14,6 +14,7 @@ from qmix import (
     MixtureKind,
     Observable,
     Propagator,
+    QMatrix,
     complex_projection,
     embed_proper,
     evolve,
@@ -173,7 +174,7 @@ def test_criterion_07_integrator_matches_propagator():
     rng = np.random.default_rng(7)
     gen = random_generator(4, rng, quaternionic=True, norm=1.0)
     rho = random_density(4, MixtureKind.IMPROPER, rng)
-    prop = Propagator(u=expm_q(gen.samples[0] * -1.0))
+    prop = Propagator(u=expm_q(gen.h * -1.0))
     exact = evolve(rho, prop)
     err_1000 = frobenius_norm(exact.mat - integrate(rho, gen, 1.0, 1000).mat)
     err_250 = frobenius_norm(exact.mat - integrate(rho, gen, 1.0, 250).mat)
@@ -190,7 +191,7 @@ def test_criterion_08_projection_path_checks():
         n = int(rng.integers(2, 5))
         rho = random_density(n, MixtureKind.IMPROPER, rng)
         gen = random_generator(n, rng, quaternionic=True)
-        prop = Propagator(u=expm_q(gen.samples[0] * -1.0))
+        prop = Propagator(u=expm_q(gen.h * -1.0))
         gap = np.abs(
             projected_evolution(rho, prop).mat - complex_projection(evolve(rho, prop)).mat
         ).max()
@@ -210,11 +211,11 @@ def test_criterion_09_partition_dichotomy():
     for trial in range(500):
         n = 2 + trial % 3
         rho = random_density(n, KINDS[trial % 3], rng)
-        prop = Propagator.from_complex_unitary(random_complex_unitary(rng, n))
+        prop = Propagator(QMatrix.from_complex(random_complex_unitary(rng, n)))
         preserved += evolve(rho, prop).classification == rho.classification
     leaks = {}
     for n in (2, 3, 4):
-        _, _, leak = partition_witness(n, seed=900 + n, max_attempts=100)
+        _, _, leak = partition_witness(n, seed=900 + n)
         leaks[n] = leak
     ok = preserved == 500 and all(leak > 1e-6 for leak in leaks.values())
     report(

@@ -20,6 +20,11 @@ from support import random_complex, random_complex_unitary
 HALF = 1 / np.sqrt(2)
 
 
+def weights_of(state):
+    """Schmidt weights of a state whose Schmidt data is filled, descending."""
+    return np.array([w for w, _, _ in state.schmidt])
+
+
 def random_state(rng, n1, n2) -> BipartiteState:
     vec = rng.standard_normal(n1 * n2) + 1j * rng.standard_normal(n1 * n2)
     return BipartiteState(dims=(n1, n2), vec=vec / np.linalg.norm(vec))
@@ -47,6 +52,8 @@ def test_kron_defining_property():
 def test_state_norm_enforced():
     with pytest.raises(NotNormalized):
         BipartiteState(dims=(2, 2), vec=np.ones(4))
+    with pytest.raises(NotNormalized):
+        BipartiteState(dims=(2, 2), vec=[np.nan, 0.0, 0.0, 0.0])
 
 
 def test_schmidt_product_state():
@@ -54,7 +61,7 @@ def test_schmidt_product_state():
     v = np.array([HALF, HALF])
     state = schmidt(BipartiteState(dims=(2, 2), vec=np.kron(u, v)))
     assert len(state.schmidt) == 1
-    assert state.schmidt_weights[0] == pytest.approx(1.0)
+    assert weights_of(state)[0] == pytest.approx(1.0)
 
 
 def test_schmidt_balanced_entangled_state():
@@ -62,14 +69,14 @@ def test_schmidt_balanced_entangled_state():
     vec[0] = HALF  # |+>|u>
     vec[3] = HALF  # |->|d>
     state = schmidt(BipartiteState(dims=(2, 2), vec=vec))
-    assert np.allclose(state.schmidt_weights, [HALF, HALF])
+    assert np.allclose(weights_of(state), [HALF, HALF])
 
 
 def test_schmidt_reconstruction_and_normalization():
     rng = np.random.default_rng(41)
     for n1, n2 in [(2, 2), (3, 4), (4, 2)]:
         state = schmidt(random_state(rng, n1, n2))
-        weights = state.schmidt_weights
+        weights = weights_of(state)
         assert np.all(np.diff(weights) <= 0)
         assert np.sum(weights**2) == pytest.approx(1.0, abs=1e-12)
         rebuilt = sum(
@@ -104,7 +111,7 @@ def test_partial_trace_eigenvalues_are_schmidt_weights_squared():
     reduced = partial_trace(state.density(), dims=(3, 3), over=2)
     eigs = np.sort(np.linalg.eigvalsh(reduced.mat))[::-1]
     weights = np.zeros(3)
-    weights[: len(state.schmidt)] = state.schmidt_weights**2
+    weights[: len(state.schmidt)] = weights_of(state)**2
     assert np.abs(eigs - weights).max() <= 1e-10
 
 
@@ -173,6 +180,8 @@ def test_projector_family_rejects_non_orthogonal():
     p = np.diag([1.0, 0.0])
     with pytest.raises(NotOrthogonal):
         ProjectorFamily.from_projectors([p, p])
+    with pytest.raises(NotOrthogonal):  # NaN fails, it does not drop out of the max
+        ProjectorFamily.from_projectors([np.diag([np.nan, 0.0]), np.diag([0.0, 1.0])])
 
 
 def test_projector_family_rejects_incomplete():
@@ -191,7 +200,7 @@ def test_measurement_interaction_pointer_follows_system():
 
 def test_measurement_interaction_balanced():
     _, state = measurement_interaction((HALF, HALF))
-    assert np.allclose(sorted(state.schmidt_weights), [HALF, HALF])
+    assert np.allclose(sorted(weights_of(state)), [HALF, HALF])
     reduced = partial_trace(state.density(), dims=(2, 2), over=2)
     assert np.abs(reduced.mat - np.eye(2) / 2).max() <= 1e-15
 
@@ -208,3 +217,5 @@ def test_measurement_interaction_general_amplitudes():
 def test_measurement_interaction_rejects_unnormalized():
     with pytest.raises(NotNormalized):
         measurement_interaction((1.0, 1.0))
+    with pytest.raises(NotNormalized):
+        measurement_interaction((np.nan, 0.8))

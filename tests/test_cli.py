@@ -374,6 +374,33 @@ def test_non_positive_steps_is_usage_error(tmp_path, capsys, method, steps):
     assert "--steps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command,option,template",
+    [
+        ("evolve-propagator", "--t", "{}"),
+        ("evolve-rk4", "--t", "{}"),
+        ("scenario", "--cplus", "{},0"),
+        ("scenario", "--cminus", "0,{}"),
+        ("scenario", "--nhat", "{},0"),
+    ],
+    ids=["propagator-t", "rk4-t", "cplus", "cminus", "nhat"],
+)
+def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, command, option, template, value):
+    if command == "scenario":
+        argv = ["scenario", "--cplus=0.6,0", "--cminus=0.8,0"]
+    else:
+        state = write_json(tmp_path / "state.json", half_mixed())
+        gen = write_json(tmp_path / "gen.json", {"rows": 2, "cols": 2, "alpha": [[[0, 0]] * 2] * 2})
+        argv = ["evolve", state, "--gen", gen, "--method", command.removeprefix("evolve-")]
+    assert main([*argv, f"{option}={template.format(value)}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    error_lines = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(error_lines) == 1 and f"argument {option}:" in error_lines[0], captured.err
+
+
 @pytest.mark.parametrize(
     "argv,option",
     [

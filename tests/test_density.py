@@ -11,7 +11,6 @@ from qmix import (
     Observable,
     QMatrix,
     block_purify,
-    classify,
     complex_projection,
     discriminating_observable,
     embed_proper,
@@ -222,14 +221,14 @@ def test_projection_always_yields_valid_density(seed, n):
 def test_classify_embedded_complex_density_is_proper():
     rng = np.random.default_rng(31)
     rho = embed_proper(random_cdensity(rng, 3))
-    assert classify(rho) is MixtureKind.PROPER
+    assert rho.classification is MixtureKind.PROPER
 
 
 def test_classify_lift_below_full_rank_is_improper():
     rng = np.random.default_rng(32)
     source = random_cdensity(rng, 4, rank=4)
     lowered = lift(source, 3)
-    assert classify(lowered) is MixtureKind.IMPROPER
+    assert lowered.classification is MixtureKind.IMPROPER
 
 
 def test_proper_tolerance_scales():
@@ -356,6 +355,8 @@ def test_block_purify_rejects_unnormalized_vectors():
     with pytest.raises(NotNormalized):
         block_purify(2 * E0, E1, HALF, HALF)
     with pytest.raises(NotNormalized):
+        block_purify(np.array([np.nan, 0.0]), E1, HALF, HALF)
+    with pytest.raises(NotNormalized):
         block_purify(E0, E1, 0.0, 0.0)
 
 
@@ -393,7 +394,7 @@ def test_lift_matches_the_sum_of_purification_blocks(seed):
         lifted = lift(source, target)
         eigs, vecs = source.top_eigenpairs
         pairs = source.rank - target
-        total = QMatrix.zeros(6)
+        total = QMatrix.from_complex(np.zeros((6, 6)))
         for k in range(pairs):
             a, b = 2 * k, 2 * k + 1
             total = total + block_purify(vecs[:, a], vecs[:, b], np.sqrt(eigs[a]), np.sqrt(eigs[b]))
@@ -452,7 +453,7 @@ def test_purify_rank_one_returns_embedding():
 def test_purify_two_level():
     pure = purify(CDensity.from_matrix(np.diag([0.5, 0.5])))
     assert rank_q(pure.mat, tol=1e-10) == 1
-    assert classify(pure) is MixtureKind.IMPROPER
+    assert pure.classification is MixtureKind.IMPROPER
 
 
 def test_purify_rank_three_refused():

@@ -6,8 +6,8 @@ import pytest
 from qmix import (
     MixtureKind,
     Propagator,
+    QMatrix,
     check_propositions,
-    classify,
     evolve,
     run_scenario,
 )
@@ -78,6 +78,8 @@ def test_scenario_complex_amplitudes_and_tilted_axis():
 def test_scenario_rejects_unnormalized():
     with pytest.raises(NotNormalized):
         run_scenario(1.0, 1.0)
+    with pytest.raises(NotNormalized):
+        run_scenario(float("nan"), 0.8)
 
 
 def test_scenario_checks_all_carry_residuals():
@@ -100,9 +102,9 @@ def test_classifications_stable_under_complex_postprocessing():
     rng = np.random.default_rng(71)
     report = run_scenario(np.sqrt(0.7), np.sqrt(0.3))
     for _ in range(10):
-        prop = Propagator.from_complex_unitary(random_complex_unitary(rng, 2))
-        assert classify(evolve(report.rho_improper, prop)) is MixtureKind.IMPROPER
-        assert classify(evolve(report.rho_proper, prop)) is MixtureKind.PROPER
+        prop = Propagator(QMatrix.from_complex(random_complex_unitary(rng, 2)))
+        assert evolve(report.rho_improper, prop).classification is MixtureKind.IMPROPER
+        assert evolve(report.rho_proper, prop).classification is MixtureKind.PROPER
 
 
 def test_check_propositions_zero_trials():

@@ -25,11 +25,21 @@ def test_script_runs(script, args):
 
 
 @pytest.mark.parametrize(
-    "option,value",
-    [("--nmax", "1"), ("--nmax", "2.5"), ("--trials", "-2"), ("--seed", "-1")],
+    "script,option,value",
+    [
+        pytest.param("audit_propositions.py", "--nmax", "1", id="--nmax-1"),
+        pytest.param("audit_propositions.py", "--nmax", "2.5", id="--nmax-2.5"),
+        pytest.param("audit_propositions.py", "--trials", "-2", id="--trials--2"),
+        pytest.param("audit_propositions.py", "--seed", "-1", id="--seed--1"),
+        ("scenario_sweep.py", "--points", "-1"),
+        ("scenario_sweep.py", "--points", "0"),
+        ("partition_leak.py", "--points", "-1"),
+        ("partition_leak.py", "--seed", "-1"),
+    ],
 )
-def test_audit_script_rejects_what_check_props_rejects(option, value):
-    proc = run_script("audit_propositions.py", [option, value])
+def test_audit_script_rejects_what_check_props_rejects(script, option, value):
+    # every script bounds its integers as the CLI does: one usage line, exit 2
+    proc = run_script(script, [option, value])
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
