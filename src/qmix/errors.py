@@ -36,7 +36,11 @@ class TraceNotOne(QmixError):
 
 
 class NotUnitary(QmixError):
-    """Propagator fails the unitarity test at the stated tolerance."""
+    """Propagator fails the unitarity test at the stated tolerance.
+
+    Also raised when an exponent's spectral radius is too large for the
+    phases of its exponential to be computed to that tolerance.
+    """
 
 
 class NotInChiImage(QmixError):

@@ -16,10 +16,11 @@ routed through the complex-adjoint image
     chi(M) = [[M_alpha, -conj(M_beta)], [M_beta, conj(M_alpha)]],
 
 a 2n x 2m complex matrix.  chi is an algebra homomorphism, which lets
-well-tested complex LAPACK kernels do the heavy lifting; no native
-quaternionic eigensolver is attempted.  Eigenvalues and singular values
-of a chi image occur in pairs, and the pair structure is checked, not
-assumed.
+numpy's complex LAPACK kernels do the heavy lifting; no native
+quaternionic eigensolver is attempted, and numpy is the only numerical
+dependency.  Eigenvalues and singular values of a chi image occur in
+pairs, and the pair structure is checked, not assumed.  The exponential
+is taken of anti-hermitian matrices only, by their eigenvectors.
 """
 
 from __future__ import annotations
@@ -29,9 +30,16 @@ from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
-import scipy.linalg
 
-from .errors import DimensionMismatch, NotHermitian, NotInChiImage, PairingFailure, QmixError
+from .errors import (
+    DimensionMismatch,
+    NotAntiHermitian,
+    NotHermitian,
+    NotInChiImage,
+    NotUnitary,
+    PairingFailure,
+    QmixError,
+)
 
 #: Max entry deviation allowed when reading a matrix back out of a chi image.
 CHI_MEMBERSHIP_TOL = 1e-10
@@ -282,6 +290,19 @@ def require_hermitian(deviation, tol: float) -> None:
     )
 
 
+def require_anti_hermitian(m: QMatrix, what: str) -> None:
+    """Raise :class:`NotAntiHermitian` unless M is anti-hermitian at ``VALIDATION_TOL``.
+
+    ``what`` names the matrix in the message; a non-finite entry fails.
+    """
+    deviation = hermiticity_deviation(m, sign=-1)
+    if not deviation <= VALIDATION_TOL:
+        raise NotAntiHermitian(
+            f"{what} deviates from anti-hermiticity by {deviation:.3e}, "
+            f"beyond {VALIDATION_TOL:.3e}"
+        )
+
+
 def is_positive_semidefinite(m: QMatrix) -> bool:
     """Hermitian with all eigenvalues >= -VALIDATION_TOL."""
     if not m.is_square:
@@ -351,12 +372,26 @@ def rank_q(m: QMatrix, tol: float | None = None) -> int:
 
 
 def expm_q(m: QMatrix) -> QMatrix:
-    """Matrix exponential, computed as chi^{-1}(exp(chi(M))).
+    """Exponential of an anti-hermitian matrix, a quaternionic unitary.
 
-    The chi block symmetry commutes with every power of the argument,
-    hence with the exponential series, so the result is read back with
-    a membership assertion rather than a silent projection.
+    chi(M) is anti-hermitian with M, so -i chi(M) is hermitian and, with
+    (w, V) = eigh(-i chi(M)), exp(chi(M)) = V diag(e^{iw}) V^dag: the
+    eigenvector method, sound for normal matrices (Moler & Van Loan,
+    SIAM Rev. 45, 2003).  Any other argument raises
+    :class:`NotAntiHermitian`.  A phase w carries an error of about
+    |w| * eps, so a spectral radius that puts it beyond
+    ``EXPM_MEMBERSHIP_TOL`` raises :class:`NotUnitary` rather than return
+    a unitary of meaningless phases.  The result is read back with a
+    membership assertion rather than a silent projection.
     """
     if not m.is_square:
         raise DimensionMismatch(f"exponential needs a square matrix, got {m.shape}")
-    return chi_inverse(scipy.linalg.expm(chi(m)), tol=EXPM_MEMBERSHIP_TOL)
+    require_anti_hermitian(m, "exponent")
+    w, v = np.linalg.eigh(-1j * chi(m))
+    radius = float(np.abs(w).max(initial=0.0))
+    if not radius * _EPS <= EXPM_MEMBERSHIP_TOL:
+        raise NotUnitary(
+            f"exponent spectral radius {radius:.3e} exceeds {EXPM_MEMBERSHIP_TOL / _EPS:.3e}, "
+            f"the bound for phases accurate to {EXPM_MEMBERSHIP_TOL:.0e}"
+        )
+    return chi_inverse((v * np.exp(1j * w)) @ v.conj().T, tol=EXPM_MEMBERSHIP_TOL)

@@ -145,7 +145,8 @@ def run_scenario(
     ``n_hat`` gives the measured spin direction as polar/azimuthal
     angles in radians; all matrices in the report are expressed in that
     direction's eigenbasis.  Raises :class:`NotNormalized` unless
-    |c_plus|^2 + |c_minus|^2 = 1.
+    |c_plus|^2 + |c_minus|^2 = 1, and :class:`QmixError` for a
+    non-finite angle.
     """
     c_plus = complex(c_plus)
     c_minus = complex(c_minus)
@@ -155,6 +156,9 @@ def run_scenario(
             f"|c+|^2 + |c-|^2 = {norm2!r} off unity by {abs(norm2 - 1.0):.3e}"
         )
     theta, phi = float(n_hat[0]), float(n_hat[1])
+    for name, angle in (("theta", theta), ("phi", phi)):
+        if not np.isfinite(angle):
+            raise QmixError(f"direction angle {name} = {angle!r} is not finite")
 
     # Improper route: couple to the pointer, trace the pointer out.
     _, psi_t = measurement_interaction((c_plus, c_minus))

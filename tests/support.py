@@ -56,6 +56,12 @@ def random_hermitian_qmatrix(rng, n) -> QMatrix:
     return QMatrix((a + a.conj().T) / 2, (b - b.T) / 2)
 
 
+def random_anti_hermitian_qmatrix(rng, n) -> QMatrix:
+    a = random_complex(rng, n)
+    b = random_complex(rng, n)
+    return QMatrix((a - a.conj().T) / 2, (b + b.T) / 2)
+
+
 def random_complex_unitary(rng, n):
     q, r = np.linalg.qr(random_complex(rng, n))
     return q * (np.diag(r) / np.abs(np.diag(r)))

@@ -1,7 +1,11 @@
 """CLI: matrix file schema, subcommands, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -444,3 +448,44 @@ def test_overflowing_propagator_exits_one_with_one_error_line(tmp_path, capsys, 
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert len(captured.err.splitlines()) == 1
+
+
+NO_SCIPY_PROBE = """
+import json
+import sys
+
+import qmix.cli
+
+first = "import qmix.cli" if "scipy" in sys.modules else None
+for argv in json.loads(sys.argv[1]):
+    assert qmix.cli.main(argv) == 0, argv
+    if first is None and "scipy" in sys.modules:
+        first = " ".join(argv[:3])
+print(first)
+"""
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    # scipy is a test dependency only: neither the import of the CLI nor
+    # any subcommand may pull it in
+    state = write_json(tmp_path / "state.json", purified_file())
+    gen = write_json(tmp_path / "gen.json", {
+        "rows": 2,
+        "cols": 2,
+        "alpha": [[[0.0, 0.3], [0.1, 0.2]], [[-0.1, 0.2], [0.0, -0.4]]],
+        "beta": [[[0.2, 0.1], [0.05, -0.3]], [[0.05, -0.3], [0.4, 0.0]]],
+    })
+    out = str(tmp_path / "out.json")
+    commands = [
+        ["evolve", state, "--gen", gen, "--method", "propagator", "--output", out],
+        ["evolve", state, "--gen", gen, "--method", "rk4", "--output", out],
+        ["scenario", "--cplus=0.6,0", "--cminus=0,0.8", "--nhat=0.4,1.1", "--output", out],
+        ["check-props", "--nmax", "3", "--trials", "4", "--seed", "0", "--output", out],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_PROBE, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "None", f"scipy first loaded by {proc.stdout.strip()}"

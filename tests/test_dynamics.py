@@ -1,5 +1,7 @@
 """Unitary dynamics, its complex projection, and the partition dichotomy."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from qmix import (
     time_ordered,
 )
 from qmix.density import Observable, embed_proper, validate
-from qmix.errors import DriftExceeded, NotAntiHermitian, NotUnitary
+from qmix.errors import DriftExceeded, NotAntiHermitian, NotUnitary, QmixError
 
 from support import (
     NON_FINITE_CASES,
@@ -209,6 +211,16 @@ def test_time_ordered_zero_generator():
     prop = time_ordered(gen, t=1.0)
     assert np.abs(prop.u.alpha - np.eye(3)).max() <= 1e-14
     assert np.abs(prop.u.beta).max() <= 1e-14
+
+
+@pytest.mark.parametrize("t", [float("inf"), float("-inf"), float("nan")])
+def test_time_ordered_rejects_non_finite_time(t):
+    gen = random_generator(2, np.random.default_rng(62))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QmixError) as excinfo:
+            time_ordered(gen, t)
+    assert f"t = {t!r}" in str(excinfo.value)
 
 
 # -- projected rate -----------------------------------------------------------

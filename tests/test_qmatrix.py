@@ -19,8 +19,14 @@ from qmix import (
     real_trace,
 )
 from qmix import qmatrix
-from qmix.errors import DimensionMismatch, NotHermitian, NotInChiImage
-from qmix.qmatrix import hermiticity_deviation, numerical_rank
+from qmix.errors import (
+    DimensionMismatch,
+    NotAntiHermitian,
+    NotHermitian,
+    NotInChiImage,
+    NotUnitary,
+)
+from qmix.qmatrix import chi_membership_deviation, hermiticity_deviation, numerical_rank
 from qmix.quaternion import Quaternion
 
 from support import (
@@ -29,6 +35,7 @@ from support import (
     chi_blocks,
     chi_oracle_matmul,
     qclose,
+    random_anti_hermitian_qmatrix,
     random_complex,
     random_hermitian_qmatrix,
     random_qmatrix,
@@ -353,10 +360,59 @@ def test_expm_of_anti_hermitian_is_unitary():
 def test_expm_commutes_with_adjoint():
     rng = np.random.default_rng(23)
     for _ in range(20):
-        mat = random_qmatrix(rng, 3) * 0.5
+        mat = random_anti_hermitian_qmatrix(rng, 3) * 0.5
         lhs = expm_q(mat.h)
         rhs = expm_q(mat).h
         assert qclose(lhs, rhs, tol=1e-10)
+
+
+@pytest.mark.parametrize("block,position,value", NON_FINITE_CASES)
+def test_expm_rejects_non_finite(block, position, value):
+    with pytest.raises(NotAntiHermitian) as excinfo:
+        expm_q(with_non_finite(QMatrix.from_complex(np.zeros((2, 2))), block, position, value))
+    assert_names_value_and_tolerance(excinfo.value, 1e-10)
+
+
+def test_expm_rejects_non_anti_hermitian():
+    rng = np.random.default_rng(24)
+    for mat in (random_hermitian_qmatrix(rng, 3), random_qmatrix(rng, 3)):
+        with pytest.raises(NotAntiHermitian):
+            expm_q(mat)
+
+
+def test_expm_phase_guard():
+    # phases of exp(s H) carry an error of about |s| |H| eps; past the
+    # membership tolerance the exponential refuses instead of guessing
+    ham = random_anti_hermitian_qmatrix(np.random.default_rng(25), 4)
+    ham = ham / qmatrix.frobenius_norm(ham)
+    bound = qmatrix.EXPM_MEMBERSHIP_TOL / np.finfo(np.float64).eps
+    u = expm_q(ham * (bound / 4))
+    assert max_abs(u.h @ u - QMatrix.identity(4)) <= 1e-13
+    with pytest.raises(NotUnitary) as excinfo:
+        expm_q(ham * (bound * 4))
+    assert f"{bound:.3e}" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 32, 64])
+@pytest.mark.parametrize("norm", [1.0, 30.0, 1e3])
+def test_expm_matches_scipy(monkeypatch, n, norm):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    seen = []
+    chi_inverse = qmatrix.chi_inverse
+
+    def recording_chi_inverse(c, tol):
+        seen.append(chi_membership_deviation(c))
+        return chi_inverse(c, tol)
+
+    ham = random_anti_hermitian_qmatrix(np.random.default_rng(26 + n), n)
+    ham = ham * (norm / qmatrix.frobenius_norm(ham))
+    monkeypatch.setattr(qmatrix, "chi_inverse", recording_chi_inverse)
+    u = expm_q(ham)
+    monkeypatch.undo()
+    reference = scipy_linalg.expm(chi_blocks(ham.alpha, ham.beta))
+    assert np.abs(chi_blocks(u.alpha, u.beta) - reference).max() <= 1e-12
+    assert max_abs(u.h @ u - QMatrix.identity(n)) <= 1e-13
+    assert seen and max(seen) <= 1e-12
 
 
 # -- construction and arithmetic ----------------------------------------

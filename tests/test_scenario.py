@@ -1,5 +1,7 @@
 """Measurement scenario end to end, plus the randomized audit."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from qmix import (
     run_scenario,
 )
 from qmix import density, scenario
-from qmix.errors import NotNormalized, PropositionViolated, RankOutOfRange
+from qmix.errors import NotNormalized, PropositionViolated, QmixError, RankOutOfRange
 from qmix.scenario import direction_basis, spin_along
 
 from support import random_complex_unitary, reference_check_propositions
@@ -80,6 +82,23 @@ def test_scenario_rejects_unnormalized():
         run_scenario(1.0, 1.0)
     with pytest.raises(NotNormalized):
         run_scenario(float("nan"), 0.8)
+
+
+@pytest.mark.parametrize(
+    "n_hat,name",
+    [
+        ((float("inf"), 0.0), "theta"),
+        ((float("nan"), 0.0), "theta"),
+        ((0.3, float("inf")), "phi"),
+        ((0.3, float("nan")), "phi"),
+    ],
+)
+def test_scenario_rejects_non_finite_direction(n_hat, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QmixError) as excinfo:
+            run_scenario(0.6, 0.8, n_hat=n_hat)
+    assert f"{name} = " in str(excinfo.value)
 
 
 def test_scenario_checks_all_carry_residuals():
