@@ -188,6 +188,24 @@ def test_evolve_subcommand_both_methods(tmp_path, capsys):
     assert np.abs(a - b).max() <= 1e-8
 
 
+def test_evolve_methods_agree_on_generator_within_tolerance(tmp_path, capsys):
+    # a real part of 4e-11 on an alpha diagonal entry: anti-hermitian to
+    # 8e-11, within the generator gate, and 1.6e-10 once scaled by t = 2
+    state = write_json(tmp_path / "state.json", purified_file())
+    gen = write_json(tmp_path / "gen.json", {
+        "rows": 2,
+        "cols": 2,
+        "alpha": [[[4e-11, 0.3], [0.1, 0.2]], [[-0.1, 0.2], [0.0, -0.4]]],
+    })
+    outputs = []
+    for method in ("propagator", "rk4"):
+        assert main(["evolve", state, "--gen", gen, "--t", "2", "--method", method]) == 0
+        outputs.append(json.loads(capsys.readouterr().out))
+    for block in ("alpha", "beta"):
+        diff = np.array(outputs[0][block]) - np.array(outputs[1][block])
+        assert np.abs(diff).max() <= 1e-8
+
+
 def test_scenario_subcommand_discriminator(tmp_path, capsys):
     root = "0.7071067811865476,0"
     assert main(["scenario", "--cplus", root, "--cminus", root]) == 0

@@ -223,6 +223,29 @@ def test_time_ordered_rejects_non_finite_time(t):
     assert f"t = {t!r}" in str(excinfo.value)
 
 
+def test_time_ordered_accepts_generator_at_its_deviation_bound():
+    # Generator admits an anti-hermiticity deviation up to 1e-10; a real
+    # part of 4e-11 on one alpha diagonal entry deviates by 8e-11, which
+    # -tH would scale to 8e-10 at t = 10, past the exponential's own gate
+    rng = np.random.default_rng(73)
+    base = random_generator(4, rng, quaternionic=True).h
+    alpha = base.alpha.copy()
+    alpha[0, 0] += 4e-11
+    gen = Generator(QMatrix(alpha, base.beta))
+    rho = random_density(4, MixtureKind.IMPROPER, rng)
+    exact = evolve(rho, time_ordered(gen, 10.0))
+    stepped = integrate(rho, gen, t=10.0, steps=2000)
+    assert frobenius_norm(exact.mat - stepped.mat) <= 1e-8
+
+
+def test_time_ordered_rejects_overflowing_exponent():
+    gen = random_generator(2, np.random.default_rng(74), norm=30.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QmixError, match=r"overflows at evolution time t = 1e\+308"):
+            time_ordered(gen, 1e308)
+
+
 # -- projected rate -----------------------------------------------------------
 
 def test_projected_rate_zero_generator():
