@@ -2,9 +2,11 @@
 """Run the randomized structural audit and print the tally table."""
 
 import argparse
+import sys
 
 from qmix import check_propositions
 from qmix.cli import _int_at_least
+from qmix.errors import QmixError
 
 
 def main():
@@ -15,7 +17,11 @@ def main():
     parser.add_argument("--seed", type=_int_at_least(0), default=0)
     args = parser.parse_args()
 
-    summary = check_propositions(args.nmax, args.trials, args.seed)
+    try:
+        summary = check_propositions(args.nmax, args.trials, args.seed)
+    except QmixError as exc:  # one line and exit 1, as `qmix check-props` does
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"{args.trials} trials, dimensions 2..{args.nmax}, seed {args.seed}\n")
     print(f"{'check':<26} {'attempts':>8} {'failures':>8} {'worst residual':>15}")
     for row in summary.rows:
@@ -24,4 +30,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

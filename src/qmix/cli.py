@@ -24,7 +24,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -35,15 +34,6 @@ from .errors import QmixError, SchemaError
 from .qmatrix import VALIDATION_TOL, QMatrix
 
 SCHEMA_VERSION = 1
-
-
-@dataclass
-class RunConfig:
-    """Per-invocation knobs shared by the subcommands."""
-
-    seed: int = 0
-    validate_tol: float = VALIDATION_TOL
-    output: str | None = None
 
 
 # ---------------------------------------------------------------------
@@ -125,10 +115,10 @@ def load_matrix(path: str) -> QMatrix:
     return parse_matrix(obj)
 
 
-def _emit(payload: dict, config: RunConfig) -> None:
+def _emit(payload: dict, output: str | None) -> None:
     text = json.dumps(payload, indent=2) + "\n"
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as handle:
+    if output:
+        with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -211,8 +201,8 @@ def serialize_summary(summary: scenario.PropositionSummary) -> dict:
 # subcommands
 # ---------------------------------------------------------------------
 
-def _cmd_validate(args, config: RunConfig) -> int:
-    rho = density.validate(load_matrix(args.file), tol=config.validate_tol)
+def _cmd_validate(args) -> int:
+    rho = density.validate(load_matrix(args.file), tol=args.tol)
     _emit(
         {
             "schema_version": SCHEMA_VERSION,
@@ -220,52 +210,50 @@ def _cmd_validate(args, config: RunConfig) -> int:
             "classification": rho.classification.value,
             "beta_norm": rho.beta_norm,
         },
-        config,
+        args.output,
     )
     return 0
 
 
-def _cmd_project(args, config: RunConfig) -> int:
-    rho = density.validate(load_matrix(args.file), tol=config.validate_tol)
+def _cmd_project(args) -> int:
+    rho = density.validate(load_matrix(args.file), tol=args.tol)
     projected = density.complex_projection(rho)
-    _emit(serialize_matrix(QMatrix.from_complex(projected.mat)), config)
+    _emit(serialize_matrix(QMatrix.from_complex(projected.mat)), args.output)
     return 0
 
 
-def _cmd_classify(args, config: RunConfig) -> int:
-    rho = density.validate(load_matrix(args.file), tol=config.validate_tol)
+def _cmd_classify(args) -> int:
+    rho = density.validate(load_matrix(args.file), tol=args.tol)
     _emit(
         {
             "schema_version": SCHEMA_VERSION,
             "classification": rho.classification.value,
             "beta_norm": rho.beta_norm,
         },
-        config,
+        args.output,
     )
     return 0
 
 
-def _cmd_lift(args, config: RunConfig) -> int:
+def _cmd_lift(args) -> int:
     mat = load_matrix(args.file)
-    source = CDensity.from_matrix(mat.alpha, tol=config.validate_tol)
+    source = CDensity.from_matrix(mat.alpha, tol=args.tol)
     lifted = density.lift(source, args.rank)
-    _emit(serialize_matrix(lifted.mat), config)
+    _emit(serialize_matrix(lifted.mat), args.output)
     return 0
 
 
-def _cmd_purify(args, config: RunConfig) -> int:
+def _cmd_purify(args) -> int:
     mat = load_matrix(args.file)
-    source = CDensity.from_matrix(mat.alpha, tol=config.validate_tol)
+    source = CDensity.from_matrix(mat.alpha, tol=args.tol)
     pure = density.purify(source)
-    _emit(serialize_matrix(pure.mat), config)
+    _emit(serialize_matrix(pure.mat), args.output)
     return 0
 
 
-def _cmd_expect(args, config: RunConfig) -> int:
-    obs = Observable.from_qmatrix(
-        load_matrix(args.observable), tol=config.validate_tol
-    )
-    rho = density.validate(load_matrix(args.state), tol=config.validate_tol)
+def _cmd_expect(args) -> int:
+    obs = Observable.from_qmatrix(load_matrix(args.observable), tol=args.tol)
+    rho = density.validate(load_matrix(args.state), tol=args.tol)
     value = density.expectation(obs, rho)
     _emit(
         {
@@ -273,19 +261,19 @@ def _cmd_expect(args, config: RunConfig) -> int:
             "value": value,
             "observable_is_complex": obs.is_complex,
         },
-        config,
+        args.output,
     )
     return 0
 
 
-def _cmd_evolve(args, config: RunConfig) -> int:
-    rho = density.validate(load_matrix(args.state), tol=config.validate_tol)
+def _cmd_evolve(args) -> int:
+    rho = density.validate(load_matrix(args.state), tol=args.tol)
     gen = dynamics.Generator(load_matrix(args.gen))
     if args.method == "rk4":
         evolved = dynamics.integrate(rho, gen, args.t, args.steps)
     else:
         evolved = dynamics.evolve(rho, dynamics.time_ordered(gen, args.t))
-    _emit(serialize_matrix(evolved.mat), config)
+    _emit(serialize_matrix(evolved.mat), args.output)
     return 0
 
 
@@ -308,15 +296,15 @@ def _parse_pair(text: str) -> tuple[float, float]:
     return _finite_float(parts[0]), _finite_float(parts[1])
 
 
-def _cmd_scenario(args, config: RunConfig) -> int:
+def _cmd_scenario(args) -> int:
     report = scenario.run_scenario(complex(*args.cplus), complex(*args.cminus), n_hat=args.nhat)
-    _emit(serialize_report(report), config)
+    _emit(serialize_report(report), args.output)
     return 0 if report.passed else 1
 
 
-def _cmd_check_props(args, config: RunConfig) -> int:
-    summary = scenario.check_propositions(args.nmax, args.trials, config.seed)
-    _emit(serialize_summary(summary), config)
+def _cmd_check_props(args) -> int:
+    summary = scenario.check_propositions(args.nmax, args.trials, args.seed)
+    _emit(serialize_summary(summary), args.output)
     return 0 if summary.passed else 1
 
 
@@ -479,17 +467,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    seed = args.seed
-    if seed is None:
+    if args.seed is None:
         raw = os.environ.get("QMIX_SEED", "0")
         try:
-            seed = _int_at_least(0)(raw)
+            args.seed = _int_at_least(0)(raw)
         except argparse.ArgumentTypeError as exc:
             print(f"error: QMIX_SEED: {exc}", file=sys.stderr)
             return 2
-    config = RunConfig(seed=seed, validate_tol=args.tol, output=args.output)
     try:
-        return args.handler(args, config)
+        return args.handler(args)
     except QmixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

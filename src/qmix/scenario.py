@@ -15,12 +15,13 @@ check with measured residuals.
 rest of the package leans on: the projection of a density is a density,
 its rank is pinched between m and 2m, lifts round-trip at every
 admissible rank, and purification works exactly up to projection
-rank two.
+rank two.  A batched pass over stacks proves success; only when it
+raises does a replay run the trials one at a time, through the public
+functions, to raise what the first failing trial raises.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,7 @@ from .density import (
     discriminating_observable,
     embed_proper,
     expectation,
+    lift,
     _density_gate,
     _lift_blocks,
     _purify_blocks,
@@ -278,12 +280,6 @@ class PropositionSummary:
 
 
 _AUDIT_KINDS = (MixtureKind.IMPROPER, "Pure-Q", MixtureKind.PROPER)
-_AUDIT_CHECKS = (
-    "projection_is_density",
-    "projection_rank_bounds",
-    "lift_round_trip",
-    "purify_rank_two",
-)
 
 
 def _draw_spectral_data(
@@ -328,36 +324,61 @@ def _draw_trial(seed: int, trial: int, n: int) -> tuple:
     return state, source, two, three
 
 
-def _gate_prefix(
-    mats: QMatrix | np.ndarray, count: int
-) -> tuple[int, np.ndarray, QmixError | None]:
-    """Gate ``mats[:count]`` as one stack, down to its lowest failing slice.
+def _stacked(pairs) -> QMatrix:
+    """One stack of (alpha, beta) block pairs, of which there is at least one."""
+    return QMatrix(*map(np.stack, zip(*pairs)))
 
-    Returns the number of slices before the lowest failing one (``count``
-    when none fails), their spectra, and the error that slice raises when
-    gated alone (None when none fails).  A stacked gate stops at the
-    first invariant that breaks anywhere, so after a failure the slices
-    before the failing one are gated again.
+
+def _corrupted(states: QMatrix) -> QMatrix:
+    """The negative control: each beta made symmetric and shifted, so never skew."""
+    beta = states.beta
+    return QMatrix(states.alpha, (beta + beta.swapaxes(-1, -2)) / 2 + 0.1 * np.eye(beta.shape[-1]))
+
+
+#: The audit's checks, in order, and the detail a failure of each reports.
+_DETAILS = {
+    "projection_is_density": "projection invalid: herm={herm:.3e} neg={neg:.3e} trace={trace:.3e}",
+    "projection_rank_bounds": "rank bounds broken: m={m}, rank_alpha={rank_alpha}",
+    "lift_round_trip": "target {target}: round_trip={round_trip:.3e}, rank={rank}",
+    "purify_rank_two": "purify failed: rank_ok={rank_ok} idem={idem:.3e} refusal_ok={refusal_ok}",
+}
+
+
+def _projection_measures(mat: np.ndarray, eigs: np.ndarray) -> dict:
+    """Hermiticity, negativity and trace deviation of complex projections, per slice."""
+    return {
+        "herm": np.abs(mat - mat.conj().swapaxes(-1, -2)).max((-2, -1)),
+        "neg": np.maximum(0.0, -eigs.min(-1)),
+        "trace": np.abs(np.trace(mat, axis1=-2, axis2=-1).real - 1.0),
+    }
+
+
+def _judge(name: str, trials, **measured) -> np.ndarray:
+    """Residuals of check ``name``, one per trial; raises for the first failing trial.
+
+    ``measured`` holds the check's inputs, one per entry of ``trials``
+    (scalars for one trial).  Both parts of the audit judge here, so
+    each threshold is written once.
     """
-    error = None
-    while True:
-        try:
-            return count, _density_gate(mats[:count], VALIDATION_TOL), error
-        except QmixError as exc:
-            count = exc.index[0]
-            error = exc
-        try:
-            _density_gate(mats[count], VALIDATION_TOL)
-        except QmixError as alone:
-            error = alone
-
-
-def _stacked(blocks: list[tuple[np.ndarray, np.ndarray]], n: int) -> QMatrix:
-    """One (len(blocks), n, n) stack of (alpha, beta) blocks; empty is fine."""
-    return QMatrix(
-        np.reshape([a for a, _ in blocks], (-1, n, n)),
-        np.reshape([b for _, b in blocks], (-1, n, n)),
-    )
+    v = {key: np.atleast_1d(value) for key, value in measured.items()}
+    if name == "projection_is_density":
+        ok = (v["herm"] <= 1e-10) & (v["neg"] <= 1e-10) & (v["trace"] <= 1e-12)
+        residual = np.maximum(np.maximum(v["herm"], v["neg"]), v["trace"])
+    elif name == "projection_rank_bounds":
+        ok = (v["m"] <= v["rank_alpha"]) & (v["rank_alpha"] <= 2 * v["m"])
+        residual = np.zeros(ok.shape)
+    elif name == "lift_round_trip":
+        ok = ~(v["round_trip"] > 1e-12) & (v["rank"] == v["target"])
+        residual = v["round_trip"]
+    else:
+        ok = v["rank_ok"] & (v["idem"] <= PURITY_TOL) & v["refusal_ok"]
+        residual = v["idem"]
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        i = bad[0]
+        detail = _DETAILS[name].format(**{key: value[i] for key, value in v.items()})
+        raise PropositionViolated(name, int(trials[i]), detail)
+    return residual
 
 
 def check_propositions(
@@ -381,190 +402,129 @@ def check_propositions(
     must catch it).
 
     Trial ``t`` has dimension ``2 + t % (n_max - 1)`` and draws from
-    ``SeedSequence(entropy=seed, spawn_key=(t,))``.  The trials of one
-    dimension run together: their states, projections and complex
-    densities are gated as stacks, and the projection and rank checks
-    are vectorized.  Lifts and purifications are built per trial and
-    target (the range and Gram tests of :func:`lift`), then every lift
-    of the dimension is gated as one stack, and so is every
-    purification; round trips, ranks and idempotency are read off the
-    stacks.  The result is that of running the trials one by one with
-    :func:`lift` and :func:`purify`: the tallies are the same, and a
-    failure raises what the lowest failing trial raises at its first
-    failing check.
+    ``SeedSequence(entropy=seed, spawn_key=(t,))``.  The batched pass,
+    :func:`_audit_dimension`, proves success and tallies; at a failure
+    it just raises, and the replay runs trials 0, 1, 2, ... alone
+    (:func:`_check_trial`) until one raises what a trial-by-trial audit
+    raises.  If none does (rounding broke a stack, not a matrix), the
+    batched pass's error is raised.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    tallies = {name: [0, 0.0] for name in _AUDIT_CHECKS}
-    failure: list = []  # [trial, error] of the lowest failing trial so far
-    for n in range(2, n_max + 1):
-        _audit_dimension(n, range(n - 2, trials, n_max - 1), seed, corrupt, tallies, failure)
-    if failure:
-        raise failure[1]
-    rows = tuple(
-        PropositionRow(name, attempts, 0, worst) for name, (attempts, worst) in tallies.items()
-    )
+    worst = dict.fromkeys(_DETAILS, 0.0)
+    try:
+        for n in range(2, min(n_max, trials + 1) + 1):  # the dimensions with trials
+            _audit_dimension(n, range(n - 2, trials, n_max - 1), seed, corrupt, worst)
+    except (QmixError, RuntimeError):
+        for trial in range(trials):
+            _check_trial(seed, trial, n_max, corrupt)
+        raise
+    rows = tuple(PropositionRow(name, trials, 0, residual) for name, residual in worst.items())
     return PropositionSummary(rows=rows, trials=trials, n_max=n_max, seed=seed)
 
 
-def _audit_dimension(
-    n: int, trials: range, seed: int, corrupt: bool, tallies: dict, failure: list
-) -> None:
-    """The audit stages of :func:`check_propositions` for the trials of dimension n.
+def _audit_dimension(n: int, trials: range, seed: int, corrupt: bool, worst: dict) -> None:
+    """The batched pass of :func:`check_propositions` for the trials of dimension n.
 
-    ``count`` is the number of leading trials still running.  Each stage
-    runs on the trials below the lowest failure found so far; a trial
-    that fails at position i stores its error in ``failure`` and cuts
-    ``count`` to i.
+    Gates states, projections, lifts and purifications as stacks,
+    raises at the first failure it meets, and keeps each check's worst
+    residual in ``worst``.
     """
 
-    def fail(i: int, error: Exception) -> int:
-        failure[:] = [trials[i], error]
-        return int(i)
+    def tally(name: str, trial_ids, **measured) -> None:
+        residual = _judge(name, trial_ids, **measured)
+        worst[name] = max(worst[name], float(np.max(residual, initial=0.0)))
 
-    def gate(mats, count: int, wrap=lambda trial, error: error):
-        count, eigs, error = _gate_prefix(mats, count)
-        if error is not None:
-            fail(count, wrap(trials[count], error))
-        return count, eigs
-
-    def generation_failed(trial: int, error: QmixError) -> PropositionViolated:
-        violation = PropositionViolated(
-            "projection_is_density", trial, f"state generation failed: {error}"
-        )
-        violation.__cause__ = error
-        return violation
-
-    def tally(name: str, count: int, residual: np.ndarray) -> None:
-        entry = tallies[name]
-        entry[0] += count
-        entry[1] = max(entry[1], float(np.max(residual, initial=0.0)))
-
-    def record(name: str, count: int, ok: np.ndarray, residual: np.ndarray, detail) -> int:
-        bad = np.flatnonzero(~ok[:count])
-        if bad.size:
-            i = int(bad[0])
-            count = fail(i, PropositionViolated(name, trials[i], detail(i)))
-        tally(name, count, residual[:count])
-        return count
-
-    count = len(trials) if not failure else bisect_left(trials, failure[0])
-    draws = []
-    for i in range(count):
-        try:
-            draws.append(_draw_trial(seed, trials[i], n))
-        except RuntimeError as exc:  # random_density's retries ran out
-            count = fail(i, exc)
-            break
-    if not count:
-        return
-    states = QMatrix(np.stack([d[0].alpha for d in draws]), np.stack([d[0].beta for d in draws]))
-    count, state_eigs = gate(states, count, generation_failed)
-    if corrupt:
-        beta = (states.beta + states.beta.swapaxes(-1, -2)) / 2 + 0.1 * np.eye(n)
-        states = QMatrix(states.alpha, beta)
-        count, state_eigs = gate(states, count, generation_failed)
-
+    draws = [_draw_trial(seed, trial, n) for trial in trials]
+    states = _stacked((d[0].alpha, d[0].beta) for d in draws)
+    if corrupt:  # fails the gate: the unbroken states need no gate of their own
+        states = _corrupted(states)
+    state_eigs = _density_gate(states, VALIDATION_TOL)
     projected = states.alpha
-    count, projected_eigs = gate(projected, count)
-    herm = np.abs(projected[:count] - projected[:count].conj().swapaxes(-1, -2)).max((-2, -1))
-    negativity = np.maximum(0.0, -projected_eigs[:count].min(-1))
-    trace_dev = np.abs(np.trace(projected[:count], axis1=-2, axis2=-1).real - 1.0)
-    count = record(
-        "projection_is_density",
-        count,
-        (herm <= 1e-10) & (negativity <= 1e-10) & (trace_dev <= 1e-12),
-        np.maximum(np.maximum(herm, negativity), trace_dev),
-        lambda i: f"projection invalid: herm={herm[i]:.3e} neg={negativity[i]:.3e} "
-        f"trace={trace_dev[i]:.3e}",
-    )
-
+    projected_eigs = _density_gate(projected, VALIDATION_TOL)
+    tally("projection_is_density", trials, **_projection_measures(projected, projected_eigs))
     # Ranks come from the spectra the density gate returned: no SVD.
-    m = numerical_rank(state_eigs[:count])
-    rank_alpha = numerical_rank(projected_eigs[:count])
-    count = record(
-        "projection_rank_bounds",
-        count,
-        (m <= rank_alpha) & (rank_alpha <= 2 * m),
-        np.zeros(count),
-        lambda i: f"rank bounds broken: m={m[i]}, rank_alpha={rank_alpha[i]}",
-    )
+    m, rank_alpha = numerical_rank(state_eigs), numerical_rank(projected_eigs)
+    tally("projection_rank_bounds", trials, m=m, rank_alpha=rank_alpha)
 
-    # Every admissible lift of every source is built (range and Gram
-    # tests) trial by trial, target by target, and the lifts are gated as
-    # one stack.  A trial fails at its first failing target, where the
-    # build, the gate and the round trip fail in that order; ``stop``
-    # holds the earliest failure found.
     sources = _complex_densities([d[1] for d in draws])
-    count, source_eigs = gate(sources, count)
-    blocks, owner, targets, stop = [], [], [], None
-    for i in range(count):
-        source = CDensity(mat=sources[i], eigenvalues=source_eigs[i])
-        try:
-            for target in range((source.rank + 1) // 2, source.rank + 1):
-                blocks.append(_lift_blocks(source, target))
-                owner.append(i)
-                targets.append(target)
-        except QmixError as exc:
-            stop = (i, exc)
-            break
-    lifts = _stacked(blocks, n)
-    gated, lift_eigs, error = _gate_prefix(lifts, len(blocks))
-    if error is not None:
-        stop = (owner[gated], error)
-    owner, targets = np.array(owner[:gated], dtype=int), np.array(targets[:gated], dtype=int)
-    round_trips = np.abs(lifts.alpha[:gated] - sources[owner]).max((-2, -1), initial=0.0)
-    got = numerical_rank(lift_eigs)
-    bad = np.flatnonzero((round_trips > 1e-12) | (got != targets))
-    if bad.size:
-        p = bad[0]
-        stop = (owner[p], PropositionViolated(
-            "lift_round_trip",
-            trials[owner[p]],
-            f"target {targets[p]}: round_trip={round_trips[p]:.3e}, rank={got[p]}",
-        ))
-    if stop is not None:
-        count = fail(*stop)
-    tally("lift_round_trip", count, round_trips[owner < count])
+    source_eigs = _density_gate(sources, VALIDATION_TOL)
+    # Lifts are built per source and target (the range and Gram tests of
+    # lift), then gated as one stack.
+    blocks, owner, targets = [], [], []
+    for i, (mat, eigs) in enumerate(zip(sources, source_eigs)):
+        source = CDensity(mat=mat, eigenvalues=eigs)
+        for target in range((source.rank + 1) // 2, source.rank + 1):
+            blocks.append(_lift_blocks(source, target))
+            owner.append(i)
+            targets.append(target)
+    lifts = _stacked(blocks)
+    lift_eigs = _density_gate(lifts, VALIDATION_TOL)
+    round_trip = np.abs(lifts.alpha - sources[owner]).max((-2, -1))
+    rank = numerical_rank(lift_eigs)
+    lift_trials = [trials[i] for i in owner]
+    tally("lift_round_trip", lift_trials, round_trip=round_trip, rank=rank, target=targets)
 
-    # Purification: built per trial, gated as one stack; the rank-one and
-    # idempotency checks read the stack.  The idempotency norm is taken
-    # slice by slice, so it sums in the order of the single-matrix one.
+    # The idempotency norm is taken slice by slice, so it sums in the
+    # order of the single-matrix one.
     twos = _complex_densities([d[2] for d in draws])
-    count, two_eigs = gate(twos, count)
-    blocks = []
-    for i in range(count):
-        try:
-            blocks.append(_purify_blocks(CDensity(mat=twos[i], eigenvalues=two_eigs[i])))
-        except QmixError as exc:
-            count = fail(i, exc)
-            break
-    pures = _stacked(blocks, n)
-    count, pure_eigs = gate(pures, count)
-    pures = pures[:count]
+    two_eigs = _density_gate(twos, VALIDATION_TOL)
+    pures = _stacked(_purify_blocks(CDensity(mat, eigs)) for mat, eigs in zip(twos, two_eigs))
+    pure_eigs = _density_gate(pures, VALIDATION_TOL)
     square = pures @ pures - pures
-    idem = np.array([frobenius_norm(square[i]) for i in range(count)])
-    rank_ok = numerical_rank(pure_eigs) == 1
-    refusal_ok = np.ones(count, dtype=bool)
+    idem = np.array([frobenius_norm(square[i]) for i in range(len(trials))])
+    refusal_ok = np.ones(len(trials), dtype=bool)
     if n >= 3:
         threes = _complex_densities([d[3] for d in draws])
-        count, three_eigs = gate(threes, count)
+        three_eigs = _density_gate(threes, VALIDATION_TOL)
         # purify refuses a rank above two before any other work; a lower
         # rank takes the whole call, so its error or success is purify's.
         for i in np.flatnonzero(numerical_rank(three_eigs) <= 2):
             try:
                 purify(CDensity(mat=threes[i], eigenvalues=three_eigs[i]))
+                refusal_ok[i] = False
             except NotPurifiable:
-                continue
-            except QmixError as exc:
-                count = fail(i, exc)
-                break
-            refusal_ok[i] = False
-    record(
-        "purify_rank_two",
-        count,
-        rank_ok[:count] & (idem[:count] <= PURITY_TOL) & refusal_ok[:count],
-        idem,
-        lambda i: f"purify failed: rank_ok={bool(rank_ok[i])} idem={idem[i]:.3e} "
-        f"refusal_ok={bool(refusal_ok[i])}",
-    )
+                pass
+    rank_ok = numerical_rank(pure_eigs) == 1
+    tally("purify_rank_two", trials, rank_ok=rank_ok, idem=idem, refusal_ok=refusal_ok)
+
+
+def _check_trial(seed: int, trial: int, n_max: int, corrupt: bool) -> None:
+    """Trial ``trial`` of :func:`check_propositions` alone, check by check.
+
+    Raises what the trial raises at its first failing check, in the
+    order of a trial-by-trial audit; returns None if it passes.  A
+    ``RuntimeError`` from the state draw passes through unwrapped.
+    """
+    n = 2 + trial % (n_max - 1)
+    state, source, two, three = _draw_trial(seed, trial, n)
+    try:
+        rho = validate(state)
+        if corrupt:
+            rho = validate(_corrupted(state))
+    except QmixError as exc:
+        raise PropositionViolated(
+            "projection_is_density", trial, f"state generation failed: {exc}"
+        ) from exc
+    projected = complex_projection(rho)
+    measures = _projection_measures(projected.mat, projected.eigenvalues)
+    _judge("projection_is_density", [trial], **measures)
+    _judge("projection_rank_bounds", [trial], m=rho.rank, rank_alpha=projected.rank)
+
+    source = CDensity.from_matrix(_complex_densities([source])[0])
+    for target in range((source.rank + 1) // 2, source.rank + 1):
+        lifted = lift(source, target)
+        round_trip = np.abs(lifted.alpha - source.mat).max()
+        _judge("lift_round_trip", [trial], round_trip=round_trip, rank=lifted.rank, target=target)
+
+    pure = purify(CDensity.from_matrix(_complex_densities([two])[0]))
+    idem = frobenius_norm(pure.mat @ pure.mat - pure.mat)
+    refusal_ok = True
+    if three is not None:
+        three = CDensity.from_matrix(_complex_densities([three])[0])
+        try:
+            purify(three)
+            refusal_ok = False
+        except NotPurifiable:
+            pass
+    _judge("purify_rank_two", [trial], rank_ok=pure.rank == 1, idem=idem, refusal_ok=refusal_ok)

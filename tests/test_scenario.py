@@ -14,7 +14,13 @@ from qmix import (
     run_scenario,
 )
 from qmix import density, scenario
-from qmix.errors import NotNormalized, PropositionViolated, QmixError, RankOutOfRange
+from qmix.errors import (
+    NotNormalized,
+    PropositionViolated,
+    QmixError,
+    RankOutOfRange,
+    TraceNotOne,
+)
 from qmix.scenario import direction_basis, spin_along
 
 from support import random_complex_unitary, reference_check_propositions
@@ -148,11 +154,12 @@ def test_check_propositions_deterministic():
     assert one == two
 
 
-def test_check_propositions_negative_control():
+@pytest.mark.parametrize("seed", range(8))
+def test_check_propositions_negative_control(seed):
     with pytest.raises(PropositionViolated) as excinfo:
-        check_propositions(n_max=4, trials=10, seed=5, corrupt=True)
+        check_propositions(n_max=4, trials=10, seed=seed, corrupt=True)
     with pytest.raises(PropositionViolated) as reference:
-        reference_check_propositions(n_max=4, trials=10, seed=5, corrupt=True)
+        reference_check_propositions(n_max=4, trials=10, seed=seed, corrupt=True)
     assert excinfo.value.name == reference.value.name == "projection_is_density"
     assert excinfo.value.seed == reference.value.seed
     assert str(excinfo.value) == str(reference.value)
@@ -210,12 +217,39 @@ def _inject_faults(monkeypatch):
         monkeypatch.setattr(module, "_purify_blocks", faulty_purify_blocks)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_check_propositions_raises_what_the_lowest_failing_trial_raises(monkeypatch, seed):
+# In the smaller shapes only the dimension-3 lift fault and the
+# dimension-4 purify fault can fire, so their seeds are the first eight
+# at which the reference fails.
+@pytest.mark.parametrize(
+    "n_max,trials,seed",
+    [pytest.param(6, 40, seed, id=str(seed)) for seed in range(8)]
+    + [(4, 25, seed) for seed in (1, 2, 6, 9, 12, 13, 14, 16)]
+    + [(3, 11, seed) for seed in (0, 2, 4, 6, 9, 11, 12, 13)],
+)
+def test_check_propositions_raises_what_the_lowest_failing_trial_raises(
+    monkeypatch, n_max, trials, seed
+):
     _inject_faults(monkeypatch)
     with pytest.raises(Exception) as reference:
-        reference_check_propositions(6, 40, seed)
+        reference_check_propositions(n_max, trials, seed)
     with pytest.raises(Exception) as batched:
-        check_propositions(6, 40, seed)
+        check_propositions(n_max, trials, seed)
     assert type(batched.value) is type(reference.value)
     assert str(batched.value) == str(reference.value)
+
+
+def test_check_propositions_raises_when_only_the_stacked_lift_gate_fails(monkeypatch):
+    # No single lift fails, so no trial fails on its own: the audit must
+    # still raise the stacked gate's error, not return a summary.
+    gate = scenario._density_gate
+
+    def lift_stack_fails(mat, tol):
+        # At n = 2 every source has rank 2 and two lift targets, so the
+        # lifts are the one QMatrix stack of two slices per trial.
+        if isinstance(mat, QMatrix) and mat.alpha.ndim == 3 and len(mat.alpha) == 2 * 5:
+            raise TraceNotOne("injected failure of the stacked lift gate")
+        return gate(mat, tol)
+
+    monkeypatch.setattr(scenario, "_density_gate", lift_stack_fails)
+    with pytest.raises(TraceNotOne, match="stacked lift gate"):
+        check_propositions(n_max=2, trials=5, seed=0)

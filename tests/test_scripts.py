@@ -1,11 +1,15 @@
 """Smoke runs of the experiment scripts with small arguments."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import qmix
+from qmix.errors import PropositionViolated
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,6 +49,21 @@ def test_audit_script_rejects_what_check_props_rejects(script, option, value):
     assert "Traceback" not in proc.stderr
     error_lines = [line for line in proc.stderr.splitlines() if "error:" in line]
     assert len(error_lines) == 1 and option in error_lines[0], proc.stderr
+
+
+def test_audit_script_reports_a_violation_in_one_line(monkeypatch, capsys):
+    # a failed audit exits 1 with one error line, as `qmix check-props` does
+    def violated(n_max, trials, seed):
+        raise PropositionViolated("lift_round_trip", 3, "injected")
+
+    monkeypatch.setattr(qmix, "check_propositions", violated)
+    monkeypatch.setattr(sys, "argv", ["audit_propositions.py", "--trials", "5"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(ROOT / "scripts" / "audit_propositions.py"), run_name="__main__")
+    assert exit_info.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: lift_round_trip violated (seed 3): injected\n"
 
 
 def run_script(script, args):
