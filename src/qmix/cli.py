@@ -8,8 +8,10 @@ Matrix files are JSON objects
 
 with "beta" optional (omitted means zero, and zero beta is omitted on
 write, so write(read(f)) reproduces a canonical file byte for byte).
-All emitted numbers use full double precision and no locale formatting;
-identical invocations produce byte-identical output.
+Every report is ``json.dumps(payload, indent=2)`` plus a newline, byte
+for byte, so numbers keep full double precision and json's spelling of
+NaN and the infinities; identical invocations produce byte-identical
+output.
 
 Exit codes: 0 on success, 1 on validation failure, 2 on usage errors.
 The default seed comes from --seed, falling back to the QMIX_SEED
@@ -21,10 +23,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -48,6 +52,14 @@ def _is_entry(entry) -> bool:
     )
 
 
+def _as_float(x) -> float:
+    """``float(x)``, or inf for an integer past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
 def _parse_block(node, rows: int, cols: int, pointer: str) -> np.ndarray:
     if not isinstance(node, list) or len(node) != rows:
         raise SchemaError(pointer, f"expected {rows} rows")
@@ -66,7 +78,12 @@ def _parse_block(node, rows: int, cols: int, pointer: str) -> np.ndarray:
         for k, entry in enumerate(entries):
             if not _is_entry(entry):
                 raise SchemaError(f"{pointer}/{k // cols}/{k % cols}", "expected [re, im]")
-    values = np.array(entries, dtype=np.float64).reshape(rows, cols, 2)
+    try:
+        values = np.array(entries, dtype=np.float64)
+    except OverflowError:
+        # the finiteness check below names the entry that overflowed
+        values = np.array([list(map(_as_float, entry)) for entry in entries])
+    values = values.reshape(rows, cols, 2)
     finite = np.isfinite(values).all(axis=-1)
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
@@ -110,13 +127,75 @@ def load_matrix(path: str) -> QMatrix:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             obj = json.load(handle)
-        except json.JSONDecodeError as exc:
+        # ValueError covers bytes that are not UTF-8, malformed JSON and an
+        # integer past Python's digit limit; RecursionError, deep nesting.
+        except (ValueError, RecursionError) as exc:
             raise SchemaError("", f"invalid JSON: {exc}") from exc
     return parse_matrix(obj)
 
 
+@functools.lru_cache(maxsize=32)
+def _block_layout(rows: int, cols: int, pad: str) -> str:
+    """``%s`` template of a rows x cols block of pairs, as indent=2 lays it out at ``pad``."""
+    pad1, pad2, pad3 = pad + "  ", pad + "    ", pad + "      "
+    pair = f"[\n{pad3}%s,\n{pad3}%s\n{pad2}]"
+    row = f"[\n{pad2}" + f",\n{pad2}".join([pair] * cols) + f"\n{pad1}]"
+    return f"[\n{pad1}" + f",\n{pad1}".join([row] * rows) + f"\n{pad}]"
+
+
+def _block_leaves(node: list) -> list | None:
+    """Numbers of a rectangular list of lists of number pairs, row-major; else None."""
+    if type(node[0]) is not list or not node[0] or type(node[0][0]) is not list:
+        return None
+    if set(map(type, node)) != {list} or len(set(map(len, node))) != 1:
+        return None
+    entries = list(chain.from_iterable(node))
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        return None
+    flat = list(chain.from_iterable(entries))
+    return flat if set(map(type, flat)) <= {float, int} else None
+
+
+def _dumps(node, pad: str = "") -> str:
+    """``json.dumps(node, indent=2)`` for a value nested at indent ``pad``.
+
+    Matrix blocks, the bulk of a report, are filled into a cached layout
+    with number text from json's C encoder, so every float reads exactly
+    as json writes it.  Report keys are strings.
+    """
+    if isinstance(node, str):
+        return encode_basestring_ascii(node)
+    if isinstance(node, float) and math.isfinite(node):
+        return float.__repr__(node)
+    if isinstance(node, bool):
+        return "true" if node else "false"
+    if isinstance(node, int):
+        return int.__repr__(node)
+    if node is None:
+        return "null"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(node, (list, tuple)):
+        if not node:
+            return "[]"
+        flat = _block_leaves(node)
+        if flat is not None:
+            leaves = json.dumps(flat)[1:-1].split(", ")
+            return _block_layout(len(node), len(node[0]), pad) % tuple(leaves)
+        items = [_dumps(value, inner) for value in node]
+        return f"[\n{inner}{sep.join(items)}\n{pad}]"
+    if isinstance(node, dict):
+        if not node:
+            return "{}"
+        # encode_basestring_ascii raises TypeError on a key that is not a string
+        items = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in node.items()]
+        return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
+    # non-finite floats; anything else raises TypeError
+    return json.dumps(node)
+
+
 def _emit(payload: dict, output: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    text = _dumps(payload) + "\n"
     if output:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)

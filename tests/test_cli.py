@@ -1,6 +1,10 @@
 """CLI: matrix file schema, subcommands, exit codes, determinism."""
 
+import contextlib
+import io
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,8 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qmix.cli import build_parser, main, parse_matrix, serialize_matrix
+from qmix.cli import _emit, build_parser, main, parse_matrix, serialize_matrix
 from qmix.errors import SchemaError
 
 from support import random_qmatrix
@@ -89,6 +95,47 @@ def test_bad_dimension_fields():
     with pytest.raises(SchemaError) as excinfo:
         parse_matrix({"rows": 0, "cols": 2, "alpha": []})
     assert excinfo.value.pointer == "/rows"
+
+
+# -- report writer -------------------------------------------------------------
+
+NUMBERS = st.one_of(
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308, 1e-308, math.nan, math.inf, -math.inf]),
+    st.floats(),
+    st.integers(),
+    st.booleans(),
+)
+
+
+@st.composite
+def blocks(draw):
+    """A rows x cols list of [re, im] pairs, the shape of a matrix block."""
+    size = st.one_of(st.integers(1, 3), st.integers(1, 64))
+    rows, cols = draw(size), draw(size)
+    leaves = st.one_of(st.floats(), NUMBERS, st.sampled_from([None, "", "1, 2", "ü"]))
+    values = itertools.cycle(draw(st.lists(leaves, min_size=1, max_size=8)))
+    return [[[next(values), next(values)] for _ in range(cols)] for _ in range(rows)]
+
+
+PAYLOADS = st.recursive(
+    st.one_of(NUMBERS, st.none(), st.text(max_size=8), blocks()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=8), children, max_size=4),
+    ),
+    max_leaves=6,
+)
+
+
+@given(PAYLOADS)
+@example([[[-0.0, 5e-324], [1e308, -1e-308]], [[math.nan, math.inf], [-math.inf, 1.5]]])
+@example({"ü": [[[1, 2], [3, -4]]], "b": [[[True, False]]], "s": [[["1, 2", 0.5]]], "e": [{}, []]})
+@settings(max_examples=150, deadline=None)
+def test_report_writer_is_json_dumps_indent_two(payload):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(payload, None)
+    assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
 
 
 # -- subcommands -------------------------------------------------------------
@@ -264,6 +311,27 @@ def test_malformed_file_exits_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "content,detail",
+    [
+        (b'\xff\xfe{"rows": 1}', ": invalid JSON: 'utf-8' codec can't decode"),
+        (b"[" * 100_000 + b"]" * 100_000, ": invalid JSON: maximum recursion depth"),
+        (b'{"rows": 1, "cols": 1, "alpha": [[[0, -1' + b"0" * 400 + b"]]]}",
+         "/alpha/0/0: entries must be finite"),
+        (b'{"rows": 1' + b"0" * 5000 + b"}", ": invalid JSON: Exceeds the limit"),
+    ],
+    ids=["not-utf8", "nested-too-deep", "integer-past-float-range", "integer-past-digit-limit"],
+)
+def test_malformed_file_is_one_error_line(tmp_path, capsys, content, detail):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {detail}")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_tolerance_override(tmp_path, capsys):
     # trace off unity by 5e-9: rejected at the default, admitted at 1e-6
     slack = {
@@ -321,6 +389,41 @@ def test_output_file(tmp_path):
     target = tmp_path / "out.json"
     assert main(["classify", state, "--output", str(target)]) == 0
     assert json.loads(target.read_text())["classification"] == "Proper"
+
+
+REPORT_ARGV = {
+    "validate": ["validate", "{state}"],
+    "classify": ["classify", "{state}"],
+    "project": ["project", "{state}"],
+    "lift": ["lift", "{state}", "--rank", "1"],
+    "purify": ["purify", "{state}"],
+    "expect": ["expect", "{state}", "{state}"],
+    "evolve-propagator": ["evolve", "{state}", "--gen", "{gen}", "--method", "propagator"],
+    "evolve-rk4": ["evolve", "{state}", "--gen", "{gen}", "--method", "rk4", "--steps", "50"],
+    "scenario": ["scenario", "--cplus=0.6,0", "--cminus=0,0.8", "--nhat=0.4,1.1"],
+    "check-props": ["check-props", "--nmax", "3", "--trials", "4", "--seed", "0"],
+}
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+@pytest.mark.parametrize("command", sorted(REPORT_ARGV))
+def test_reports_are_json_dumps_indent_two(tmp_path, capsys, command, to_file):
+    files = {
+        "state": write_json(tmp_path / "state.json", purified_file()),
+        "gen": write_json(tmp_path / "gen.json", {
+            "rows": 2,
+            "cols": 2,
+            "alpha": [[[0.0, 0.3], [0.1, 0.2]], [[-0.1, 0.2], [0.0, -0.4]]],
+            "beta": [[[0.2, 0.1], [0.05, -0.3]], [[0.05, -0.3], [0.4, 0.0]]],
+        }),
+    }
+    argv = [arg.format(**files) for arg in REPORT_ARGV[command]]
+    target = tmp_path / "out.json"
+    if to_file:
+        argv += ["--output", str(target)]
+    assert main(argv) == 0
+    text = target.read_text() if to_file else capsys.readouterr().out
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 @pytest.mark.parametrize(
