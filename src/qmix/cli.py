@@ -14,6 +14,7 @@ NaN and the infinities; identical invocations produce byte-identical
 output.
 
 Exit codes: 0 on success, 1 on validation failure, 2 on usage errors.
+A report that reads ``"passed": false`` is written in full and exits 1.
 The default seed comes from --seed, falling back to the QMIX_SEED
 environment variable, then to 0.
 """
@@ -277,83 +278,84 @@ def serialize_summary(summary: scenario.PropositionSummary) -> dict:
 
 
 # ---------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its report, and main writes it
 # ---------------------------------------------------------------------
 
-def _cmd_validate(args) -> int:
-    rho = density.validate(load_matrix(args.file), tol=args.tol)
-    _emit(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "valid": True,
-            "classification": rho.classification.value,
-            "beta_norm": rho.beta_norm,
-        },
-        args.output,
-    )
-    return 0
+def _load_density(path: str, tol: float) -> QDensity:
+    return density.validate(load_matrix(path), tol=tol)
 
 
-def _cmd_project(args) -> int:
-    rho = density.validate(load_matrix(args.file), tol=args.tol)
-    projected = density.complex_projection(rho)
-    _emit(serialize_matrix(QMatrix.from_complex(projected.mat)), args.output)
-    return 0
+def _load_complex_source(path: str, tol: float) -> CDensity:
+    return CDensity.from_matrix(load_matrix(path).alpha, tol=tol)
 
 
-def _cmd_classify(args) -> int:
-    rho = density.validate(load_matrix(args.file), tol=args.tol)
-    _emit(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "classification": rho.classification.value,
-            "beta_norm": rho.beta_norm,
-        },
-        args.output,
-    )
-    return 0
+def _cmd_classify(args) -> dict:
+    """The classify report; validate's also reads ``"valid": true``."""
+    rho = _load_density(args.file, args.tol)
+    valid = {"valid": True} if args.command == "validate" else {}
+    return {
+        "schema_version": SCHEMA_VERSION,
+        **valid,
+        "classification": rho.classification.value,
+        "beta_norm": rho.beta_norm,
+    }
 
 
-def _cmd_lift(args) -> int:
-    mat = load_matrix(args.file)
-    source = CDensity.from_matrix(mat.alpha, tol=args.tol)
-    lifted = density.lift(source, args.rank)
-    _emit(serialize_matrix(lifted.mat), args.output)
-    return 0
+def _cmd_project(args) -> dict:
+    projected = density.complex_projection(_load_density(args.file, args.tol))
+    return serialize_matrix(QMatrix.from_complex(projected.mat))
 
 
-def _cmd_purify(args) -> int:
-    mat = load_matrix(args.file)
-    source = CDensity.from_matrix(mat.alpha, tol=args.tol)
-    pure = density.purify(source)
-    _emit(serialize_matrix(pure.mat), args.output)
-    return 0
+def _cmd_lift(args) -> dict:
+    source = _load_complex_source(args.file, args.tol)
+    return serialize_matrix(density.lift(source, args.rank).mat)
 
 
-def _cmd_expect(args) -> int:
+def _cmd_purify(args) -> dict:
+    return serialize_matrix(density.purify(_load_complex_source(args.file, args.tol)).mat)
+
+
+def _cmd_expect(args) -> dict:
     obs = Observable.from_qmatrix(load_matrix(args.observable), tol=args.tol)
-    rho = density.validate(load_matrix(args.state), tol=args.tol)
-    value = density.expectation(obs, rho)
-    _emit(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "value": value,
-            "observable_is_complex": obs.is_complex,
-        },
-        args.output,
-    )
-    return 0
+    value = density.expectation(obs, _load_density(args.state, args.tol))
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "value": value,
+        "observable_is_complex": obs.is_complex,
+    }
 
 
-def _cmd_evolve(args) -> int:
-    rho = density.validate(load_matrix(args.state), tol=args.tol)
+def _cmd_evolve(args) -> dict:
+    rho = _load_density(args.state, args.tol)
     gen = dynamics.Generator(load_matrix(args.gen))
     if args.method == "rk4":
         evolved = dynamics.integrate(rho, gen, args.t, args.steps)
     else:
         evolved = dynamics.evolve(rho, dynamics.time_ordered(gen, args.t))
-    _emit(serialize_matrix(evolved.mat), args.output)
-    return 0
+    return serialize_matrix(evolved.mat)
+
+
+def _cmd_scenario(args) -> dict:
+    report = scenario.run_scenario(complex(*args.cplus), complex(*args.cminus), n_hat=args.nhat)
+    return serialize_report(report)
+
+
+def _cmd_check_props(args) -> dict:
+    return serialize_summary(scenario.check_propositions(args.nmax, args.trials, args.seed))
+
+
+#: name -> (help, handler, positional arguments); build_parser adds the options.
+_COMMANDS = {
+    "validate": ("validate and classify a density matrix file", _cmd_classify, "file"),
+    "project": ("complex projection of a density matrix", _cmd_project, "file"),
+    "classify": ("report the proper/improper classification", _cmd_classify, "file"),
+    "lift": ("lift a complex density to a target quaternionic rank", _cmd_lift, "file"),
+    "purify": ("purify a complex density of rank at most two", _cmd_purify, "file"),
+    "expect": ("expectation value of an observable in a state", _cmd_expect, "observable state"),
+    "evolve": ("evolve a state under a constant generator", _cmd_evolve, "state"),
+    "scenario": ("run the measurement scenario and emit the report", _cmd_scenario, ""),
+    "check-props": ("run the randomized structural audit", _cmd_check_props, ""),
+}
 
 
 def _finite_float(text: str) -> float:
@@ -373,18 +375,6 @@ def _parse_pair(text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected two comma-separated numbers, got {text!r}")
     return _finite_float(parts[0]), _finite_float(parts[1])
-
-
-def _cmd_scenario(args) -> int:
-    report = scenario.run_scenario(complex(*args.cplus), complex(*args.cminus), n_hat=args.nhat)
-    _emit(serialize_report(report), args.output)
-    return 0 if report.passed else 1
-
-
-def _cmd_check_props(args) -> int:
-    summary = scenario.check_propositions(args.nmax, args.trials, args.seed)
-    _emit(serialize_summary(summary), args.output)
-    return 0 if summary.passed else 1
 
 
 def _parse_tolerance(text: str) -> float:
@@ -431,28 +421,26 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
-def _add_common_options(parser: argparse.ArgumentParser, top_level: bool) -> None:
-    # The same options are accepted before and after the subcommand; the
-    # subparser copies use SUPPRESS defaults so they never clobber values
-    # parsed at the top level.
+def _add_common_options(parser: argparse.ArgumentParser) -> None:
+    # The same options are accepted before and after the subcommand.  No
+    # copy has a default, so one not given never clobbers one that was:
+    # main supplies the defaults in the namespace it parses into.
     suppress = argparse.SUPPRESS
     parser.add_argument(
         "--seed",
         type=_int_at_least(0),
-        default=None if top_level else suppress,
+        default=suppress,
         help="random seed; defaults to QMIX_SEED, then 0",
     )
     parser.add_argument(
         "--tol",
         type=_parse_tolerance,
-        default=VALIDATION_TOL if top_level else suppress,
+        default=suppress,
         metavar="validate=VALUE",
         help=f"density-validation tolerance (default: {VALIDATION_TOL:g}); the last one wins",
     )
     parser.add_argument(
-        "--output",
-        default=None if top_level else suppress,
-        help="write the report here instead of stdout",
+        "--output", default=suppress, help="write the report here instead of stdout"
     )
 
 
@@ -461,50 +449,24 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built on the first call and shared by later ones.
 
     Parsing reads it and never changes it: every ``parse_args`` call
-    fills a fresh namespace from the declared defaults.
+    fills a fresh namespace.
     """
     parser = _Parser(
         prog="qmix",
         description="Quaternionic density matrices: projection, lifting, "
         "purification, dynamics and the measurement scenario.",
     )
-    _add_common_options(parser, top_level=True)
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for name, (help_text, handler, positionals) in _COMMANDS.items():
+        commands[name] = p = sub.add_parser(name, help=help_text)
+        for positional in positionals.split():
+            p.add_argument(positional)
+        p.set_defaults(handler=handler)
 
-    p = sub.add_parser("validate", help="validate and classify a density matrix file")
-    p.add_argument("file")
-    _add_common_options(p, top_level=False)
-    p.set_defaults(handler=_cmd_validate)
+    commands["lift"].add_argument("--rank", type=int, required=True)
 
-    p = sub.add_parser("project", help="complex projection of a density matrix")
-    p.add_argument("file")
-    _add_common_options(p, top_level=False)
-    p.set_defaults(handler=_cmd_project)
-
-    p = sub.add_parser("classify", help="report the proper/improper classification")
-    p.add_argument("file")
-    _add_common_options(p, top_level=False)
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("lift", help="lift a complex density to a target quaternionic rank")
-    p.add_argument("file")
-    p.add_argument("--rank", type=int, required=True)
-    _add_common_options(p, top_level=False)
-    p.set_defaults(handler=_cmd_lift)
-
-    p = sub.add_parser("purify", help="purify a complex density of rank at most two")
-    p.add_argument("file")
-    _add_common_options(p, top_level=False)
-    p.set_defaults(handler=_cmd_purify)
-
-    p = sub.add_parser("expect", help="expectation value of an observable in a state")
-    p.add_argument("observable")
-    p.add_argument("state")
-    _add_common_options(p, top_level=False)
-    p.set_defaults(handler=_cmd_expect)
-
-    p = sub.add_parser("evolve", help="evolve a state under a constant generator")
-    p.add_argument("state")
+    p = commands["evolve"]
     p.add_argument("--gen", required=True, help="matrix file with the anti-hermitian generator")
     p.add_argument("--t", type=_finite_float, default=1.0)
     p.add_argument(
@@ -515,10 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
         "ignores it, a constant generator taking one exponential",
     )
     p.add_argument("--method", choices=("propagator", "rk4"), default="propagator")
-    _add_common_options(p, top_level=False)
-    p.set_defaults(handler=_cmd_evolve)
 
-    p = sub.add_parser("scenario", help="run the measurement scenario and emit the report")
+    p = commands["scenario"]
     p.add_argument("--cplus", type=_parse_pair, required=True, metavar="RE,IM")
     p.add_argument("--cminus", type=_parse_pair, required=True, metavar="RE,IM")
     p.add_argument(
@@ -528,22 +488,21 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="THETA,PHI",
         help="measurement direction in radians (default: the z axis)",
     )
-    _add_common_options(p, top_level=False)
-    p.set_defaults(handler=_cmd_scenario)
 
-    p = sub.add_parser("check-props", help="run the randomized structural audit")
+    p = commands["check-props"]
     p.add_argument("--nmax", type=_int_at_least(2), default=6)
     p.add_argument("--trials", type=_int_at_least(0), default=100)
-    _add_common_options(p, top_level=False)
-    p.set_defaults(handler=_cmd_check_props)
 
+    # last, so each command's help lists its own options first
+    for p in (parser, *commands.values()):
+        _add_common_options(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    defaults = argparse.Namespace(seed=None, tol=VALIDATION_TOL, output=None)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv, defaults)
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.seed is None:
@@ -554,13 +513,12 @@ def main(argv=None) -> int:
             print(f"error: QMIX_SEED: {exc}", file=sys.stderr)
             return 2
     try:
-        return args.handler(args)
-    except QmixError as exc:
+        report = args.handler(args)
+        _emit(report, args.output)
+    except (QmixError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, QmixError) else 2
+    return 0 if report.get("passed", True) else 1
 
 
 if __name__ == "__main__":

@@ -99,9 +99,13 @@ class PropositionViolated(QmixError):
 
 
 class SchemaError(QmixError):
-    """Matrix file violates the JSON schema; pointer locates the node."""
+    """Matrix file violates the JSON schema; pointer locates the node.
+
+    The message is ``"{pointer}: {detail}"``, or the detail alone at the
+    document root, whose pointer is ``""``.
+    """
 
     def __init__(self, pointer: str, detail: str):
         self.pointer = pointer
         self.detail = detail
-        super().__init__(f"{pointer}: {detail}")
+        super().__init__(f"{pointer}: {detail}" if pointer else detail)

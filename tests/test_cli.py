@@ -1,6 +1,7 @@
 """CLI: matrix file schema, subcommands, exit codes, determinism."""
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qmix import scenario
 from qmix.cli import _emit, build_parser, main, parse_matrix, serialize_matrix
 from qmix.errors import SchemaError
 
@@ -314,13 +316,15 @@ def test_malformed_file_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize(
     "content,detail",
     [
-        (b'\xff\xfe{"rows": 1}', ": invalid JSON: 'utf-8' codec can't decode"),
-        (b"[" * 100_000 + b"]" * 100_000, ": invalid JSON: maximum recursion depth"),
+        (b'\xff\xfe{"rows": 1}', "invalid JSON: 'utf-8' codec can't decode"),
+        (b"[" * 100_000 + b"]" * 100_000, "invalid JSON: maximum recursion depth"),
         (b'{"rows": 1, "cols": 1, "alpha": [[[0, -1' + b"0" * 400 + b"]]]}",
          "/alpha/0/0: entries must be finite"),
-        (b'{"rows": 1' + b"0" * 5000 + b"}", ": invalid JSON: Exceeds the limit"),
+        (b'{"rows": 1' + b"0" * 5000 + b"}", "invalid JSON: Exceeds the limit"),
+        (b"[1, 2]", "matrix file must be a JSON object"),
     ],
-    ids=["not-utf8", "nested-too-deep", "integer-past-float-range", "integer-past-digit-limit"],
+    ids=["not-utf8", "nested-too-deep", "integer-past-float-range", "integer-past-digit-limit",
+         "array-root"],
 )
 def test_malformed_file_is_one_error_line(tmp_path, capsys, content, detail):
     path = tmp_path / "bad.json"
@@ -405,7 +409,9 @@ REPORT_ARGV = {
 }
 
 
-@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+@pytest.mark.parametrize(
+    "to_file", [False, "after", "before"], ids=["stdout", "output", "output-first"]
+)
 @pytest.mark.parametrize("command", sorted(REPORT_ARGV))
 def test_reports_are_json_dumps_indent_two(tmp_path, capsys, command, to_file):
     files = {
@@ -419,11 +425,41 @@ def test_reports_are_json_dumps_indent_two(tmp_path, capsys, command, to_file):
     }
     argv = [arg.format(**files) for arg in REPORT_ARGV[command]]
     target = tmp_path / "out.json"
-    if to_file:
+    if to_file == "after":
         argv += ["--output", str(target)]
+    elif to_file == "before":
+        argv = ["--output", str(target), *argv]
     assert main(argv) == 0
     text = target.read_text() if to_file else capsys.readouterr().out
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_failing_scenario_check_exits_one_with_full_report(monkeypatch, capsys):
+    real = scenario.run_scenario
+
+    def one_check_fails(*args, **kwargs):
+        report = real(*args, **kwargs)
+        name, check = next(iter(report.checks.items()))
+        failed = dataclasses.replace(check, passed=False)
+        return dataclasses.replace(report, checks={**report.checks, name: failed})
+
+    monkeypatch.setattr(scenario, "run_scenario", one_check_fails)
+    assert main(REPORT_ARGV["scenario"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["passed"] is False
+    assert [check["passed"] for check in report["checks"].values()].count(False) == 1
+    assert report["quaternionic_discriminator"]["on_improper"] > 0
+
+
+def test_output_into_missing_directory_exits_two(tmp_path, capsys):
+    state = write_json(tmp_path / "state.json", half_mixed())
+    assert main(["classify", state, "--output", str(tmp_path / "nope" / "out.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(
