@@ -378,6 +378,7 @@ def _parse_pair(text: str) -> tuple[float, float]:
 
 
 def _parse_tolerance(text: str) -> float:
+    """Argument type: ``validate=VALUE`` with a finite VALUE, 0 < VALUE < 1."""
     name, _, raw = text.partition("=")
     if not name or not raw:
         raise argparse.ArgumentTypeError(f"expected validate=VALUE, got {text!r}")
@@ -389,8 +390,8 @@ def _parse_tolerance(text: str) -> float:
         value = float(raw)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"tolerance must be positive, got {value!r}")
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must be finite with 0 < VALUE < 1, got {raw!r}")
     return value
 
 
@@ -437,7 +438,8 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         type=_parse_tolerance,
         default=suppress,
         metavar="validate=VALUE",
-        help=f"density-validation tolerance (default: {VALIDATION_TOL:g}); the last one wins",
+        help=f"density-validation tolerance, finite with 0 < VALUE < 1 "
+        f"(default: {VALIDATION_TOL:g}); the last one wins",
     )
     parser.add_argument(
         "--output", default=suppress, help="write the report here instead of stdout"

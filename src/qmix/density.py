@@ -14,7 +14,9 @@ Constructive content:
 * ``lift`` builds, for a complex density of rank m > 1 and any target
   rank m' with ceil(m/2) <= m' <= m, a quaternionic density of rank m'
   projecting back onto it, by replacing pairs of spectral terms with
-  rank-one quaternionic blocks (``block_purify``).
+  rank-one quaternionic blocks (``block_purify``).  Its alpha block is
+  the full spectral sum of the source, every eigenpair of one ``eigh``
+  call, so terms below the rank threshold are kept too.
 * ``purify`` is the extreme case m' = 1, possible exactly when m <= 2.
 """
 
@@ -39,16 +41,13 @@ from .errors import (
 from .qmatrix import (
     VALIDATION_TOL,
     QMatrix,
+    _paired_eigvals,
     check_slices,
-    eigvals_hermitian,
     hermiticity_deviation,
     numerical_rank,
     real_trace,
     require_hermitian,
 )
-
-#: Relative tolerance for grouping degenerate eigenvalues in ``lift``.
-DEGENERACY_REL_TOL = 1e-10
 
 
 class MixtureKind(enum.Enum):
@@ -121,13 +120,16 @@ class CDensity:
         return numerical_rank(self.eigenvalues)
 
     @cached_property
-    def top_eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The top-``rank`` eigenpairs in :func:`lift`'s order, computed once.
+    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every eigenpair of one ``eigh`` call, computed once.
 
-        See :func:`_ordered_spectral_terms`; every lift of this density
-        reads them, whatever its target rank.
+        Eigenvalues descend, ties keep ``eigh``'s order, and each
+        eigenvector is phase-normalized (:func:`_phase_normalize`).
+        Every lift of this density reads them, whatever its target rank.
         """
-        return _ordered_spectral_terms(self.mat, self.rank)
+        eigs, vecs = np.linalg.eigh(self.mat)
+        order = np.argsort(-eigs, kind="stable")
+        return eigs[order], _phase_normalize(vecs[:, order])
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,13 +154,15 @@ class Observable:
 # ---------------------------------------------------------------------
 
 def _density_gate(mat: QMatrix | np.ndarray, tol: float) -> np.ndarray:
-    """The one density gate: hermitian, positive and unit real trace at ``tol``.
+    """The one density gate: hermitian, unit real trace and positive at ``tol``.
 
-    ``mat`` is a square QMatrix, whose spectrum comes from its chi image
-    (:func:`eigvals_hermitian` checks hermiticity first), or a square
-    complex array.  Every test reads ``measured <= tol``, so NaN fails: a
-    non-finite entry makes the hermiticity deviation NaN or inf, and it
-    fails as a :class:`NotHermitian` before any eigensolver runs.
+    ``mat`` is a square QMatrix, whose spectrum comes from its chi image,
+    or a square complex array.  The tests run in that order, each read as
+    ``measured <= tol`` so that NaN fails: a non-finite entry fails as a
+    :class:`NotHermitian`.  Before the eigensolver, an entry above
+    1 + (2n + 1) tol fails as :class:`NotPositive`, so nothing overflows
+    there: no eigenvalue below -tol and trace 1 +- tol bound the norm by
+    1 + n tol, and the rest covers the hermiticity deviation admitted.
     Returns the spectrum, ascending; the raised error names the violated
     invariant, the measured value and the tolerance.
 
@@ -167,29 +171,38 @@ def _density_gate(mat: QMatrix | np.ndarray, tol: float) -> np.ndarray:
     the next, and the first failing slice raises the error it would
     raise alone, with its index in the message and in ``index``.
     """
-    if isinstance(mat, QMatrix):
-        eigs = eigvals_hermitian(mat, tol=tol)
-        alpha = mat.alpha
-    else:
-        axes = (-2, -1)
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN, and NaN fails
+    axes = (-2, -1)
+    quaternionic = isinstance(mat, QMatrix)
+    alpha = mat.alpha if quaternionic else mat
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail every test
+        magnitude = np.abs(alpha).max(axes, initial=0.0)
+        if quaternionic:
+            deviation = hermiticity_deviation(mat)
+            magnitude = np.maximum(magnitude, np.abs(mat.beta).max(axes, initial=0.0))
+        else:
             deviation = np.abs(mat - mat.conj().swapaxes(*axes)).max(axes, initial=0.0)
-        require_hermitian(deviation, tol)
-        eigs = np.linalg.eigvalsh(mat)
-        alpha = mat
+        trace = np.trace(alpha, axis1=-2, axis2=-1).real
+        trace_deviation = abs(trace - 1.0)
+    require_hermitian(deviation, tol)
+    check_slices(
+        trace_deviation <= tol,
+        TraceNotOne,
+        lambda i: f"real trace {float(trace[i])!r} deviates from 1 by "
+        f"{trace_deviation[i]:.3e}, beyond {tol:.3e}",
+    )
+    bound = 1.0 + (2 * mat.shape[-1] + 1) * tol
+    check_slices(
+        magnitude <= bound,
+        NotPositive,
+        lambda i: f"entry magnitude {magnitude[i]:.3e} exceeds {bound!r}, "
+        f"the bound for a unit-trace matrix with no eigenvalue below -{tol:.3e}",
+    )
+    eigs = _paired_eigvals(mat) if quaternionic else np.linalg.eigvalsh(mat)
     lowest = eigs.min(-1, initial=0.0)
     check_slices(
         -lowest <= tol,
         NotPositive,
         lambda i: f"minimum eigenvalue {lowest[i]:.3e} below -{tol:.3e}",
-    )
-    trace = np.trace(alpha, axis1=-2, axis2=-1).real
-    deviation = abs(trace - 1.0)
-    check_slices(
-        deviation <= tol,
-        TraceNotOne,
-        lambda i: f"real trace {float(trace[i])!r} deviates from 1 by "
-        f"{deviation[i]:.3e}, beyond {tol:.3e}",
     )
     return eigs
 
@@ -318,33 +331,6 @@ def _phase_normalize(vecs: np.ndarray) -> np.ndarray:
     return vecs * (np.conj(pivots) / np.abs(pivots))
 
 
-def _ordered_spectral_terms(mat: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-``rank`` eigenpairs, eigenvalues descending, deterministic order.
-
-    Eigenvectors are phase-normalized; within a degenerate group the
-    order is fixed by descending lexicographic comparison of the
-    normalized components, so repeated calls on equal inputs agree.
-    """
-    eigs, vecs = np.linalg.eigh(mat)
-    order = np.argsort(-eigs, kind="stable")[:rank]
-    eigs = eigs[order]
-    vecs = _phase_normalize(vecs[:, order])
-    scale = float(np.abs(eigs).max(initial=0.0)) or 1.0
-    start = 0
-    while start < rank:
-        stop = start + 1
-        while stop < rank and abs(eigs[start] - eigs[stop]) <= DEGENERACY_REL_TOL * scale:
-            stop += 1
-        if stop - start > 1:
-            keys = sorted(
-                range(start, stop),
-                key=lambda i: tuple((-c.real, -c.imag) for c in vecs[:, i]),
-            )
-            vecs[:, start:stop] = vecs[:, keys]
-        start = stop
-    return eigs, vecs
-
-
 def _lift_blocks(rho_alpha: CDensity, target_rank: int) -> tuple[np.ndarray, np.ndarray]:
     """The (alpha, beta) blocks of :func:`lift`, not yet validated.
 
@@ -361,7 +347,7 @@ def _lift_blocks(rho_alpha: CDensity, target_rank: int) -> tuple[np.ndarray, np.
             f"target rank {target_rank} outside admissible range "
             f"[{lo}, {m}] for projection rank {m}"
         )
-    eigs, vecs = rho_alpha.top_eigenpairs
+    eigs, vecs = rho_alpha.eigenpairs
     k = 2 * (m - target_rank)  # the leading k eigenpairs form the pairs
     gram = vecs[:, :k].conj().T @ vecs[:, :k]
     gram.flat[:: k + 1] -= 1.0  # subtract the identity
@@ -382,16 +368,19 @@ def lift(rho_alpha: CDensity, target_rank: int) -> QDensity:
     """Quaternionic density of rank ``target_rank`` projecting onto ``rho_alpha``.
 
     Requires m = rank(rho_alpha) > 1 and ceil(m/2) <= target_rank <= m.
-    The construction pairs the top eigenvectors of rho_alpha, largest
-    eigenvalues first and adjacent in the descending order, and replaces
-    each of the k = m - target_rank pairs by a rank-one quaternionic
-    block (:func:`block_purify` with weights sqrt(lambda)); the remaining
-    spectral terms stay complex.  Zero eigenvalues carry no rank and are
+    The construction pairs the eigenvectors of :attr:`CDensity.eigenpairs`
+    (one ``eigh`` call; ties kept in its order), largest eigenvalues first
+    and adjacent in the descending order, and replaces each of the
+    k = m - target_rank pairs by a rank-one quaternionic block
+    (:func:`block_purify` with weights sqrt(lambda)); every other
+    spectral term stays complex.  Terms below the rank threshold are
     never paired.
 
-    Summed over the blocks, alpha is the top-m spectral sum of rho_alpha
+    Summed over the blocks, alpha is the full spectral sum of rho_alpha
     and beta is B - B^T with B = sum_k sqrt(lambda_u lambda_v) conj(v) u^dag,
-    one product each.  The paired eigenvectors must be orthonormal within
+    one product each.  Pairing keeps the trace, against which
+    :func:`~qmix.qmatrix.numerical_rank` measures, so the lift lands on
+    ``target_rank``.  The paired eigenvectors must be orthonormal within
     ``VALIDATION_TOL`` (one Gram-matrix test).
 
     Two steps: the builder :func:`_lift_blocks` checks the target and the

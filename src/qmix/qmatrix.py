@@ -331,6 +331,11 @@ def eigvals_hermitian(m: QMatrix, tol: float = VALIDATION_TOL) -> np.ndarray:
     checked before the one eigensolver call.
     """
     require_hermitian(hermiticity_deviation(m), tol)
+    return _paired_eigvals(m)
+
+
+def _paired_eigvals(m: QMatrix) -> np.ndarray:
+    """:func:`eigvals_hermitian` for a caller that has tested hermiticity itself."""
     eigs = np.linalg.eigvalsh(chi(m))
     first, second = eigs[..., 0::2], eigs[..., 1::2]
     scale = np.maximum(np.abs(eigs).max(-1, initial=0.0), 1.0)
@@ -345,17 +350,18 @@ def eigvals_hermitian(m: QMatrix, tol: float = VALIDATION_TOL) -> np.ndarray:
 
 
 def numerical_rank(values: np.ndarray, tol: float | None = None):
-    """Count ``values`` above ``tol`` times the largest magnitude.
+    """Count ``values`` above ``tol`` times the sum of their magnitudes.
 
     The package's one numerical-rank rule, applied to the cached spectrum
-    of a density and to the singular-value pairs in :func:`rank_q`.  The
-    default ``tol`` is ``max(n * eps, RANK_REL_TOL)`` for n values.
+    of a density and to the singular-value pairs in :func:`rank_q`.  For a
+    density that sum is its trace, which a lift keeps, so lifting cannot
+    move the threshold.  The default ``tol`` is ``max(n * eps, RANK_REL_TOL)``.
     Counts along the last axis: an int for one spectrum, an integer
     array for a stack of them.
     """
     if tol is None:
         tol = max(values.shape[-1] * _EPS, RANK_REL_TOL)
-    above = values > tol * np.abs(values).max(-1, initial=0.0, keepdims=True)
+    above = values > tol * np.abs(values).sum(-1, keepdims=True)
     if above.ndim == 1:
         return int(np.count_nonzero(above))
     return np.count_nonzero(above, axis=-1)
@@ -365,7 +371,8 @@ def rank_q(m: QMatrix, tol: float | None = None) -> int:
     """Quaternionic rank: half the numerical rank of chi(M).
 
     Singular values of a chi image come in pairs; adjacent sorted values
-    are averaged and the pairs counted by :func:`numerical_rank`.
+    are averaged and the pairs counted by :func:`numerical_rank`, so the
+    threshold is ``tol`` times their sum (the trace, for a density).
     """
     sigma = np.linalg.svd(chi(m), compute_uv=False)
     return numerical_rank((sigma[0::2] + sigma[1::2]) / 2, tol)

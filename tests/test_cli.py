@@ -382,6 +382,19 @@ def test_bad_tolerance_is_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value", ["inf", "1e300", "1", "nan", "0"])
+def test_tolerance_must_be_finite_and_below_one(tmp_path, capsys, value):
+    # an unbounded tolerance would admit [[5]], a matrix of trace 5
+    path = write_json(tmp_path / "five.json", {"rows": 1, "cols": 1, "alpha": [[[5.0, 0.0]]]})
+    assert main(["--tol", f"validate={value}", "validate", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [
+        f"qmix: error: argument --tol: must be finite with 0 < VALUE < 1, got '{value}'"
+    ]
+
+
 def test_unknown_tolerance_name_is_usage_error(capsys):
     assert main(["--tol", "bogus=1e-3", "classify", "x.json"]) == 2
     err = capsys.readouterr().err
@@ -601,6 +614,31 @@ def test_overflowing_propagator_exits_one_with_one_error_line(tmp_path, capsys, 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["evolve", state, "--gen", gen, "--method", method]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+HUGE_DENSITIES = {
+    "diagonal": {"alpha": [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1e308, 0.0]]]},
+    "off-diagonal": {"alpha": [[[0.5, 0.0], [1e308, 0.0]], [[1e308, 0.0], [0.5, 0.0]]]},
+    "beta": {
+        "alpha": half_mixed()["alpha"],
+        "beta": [[[0.0, 0.0], [1.7e308, 1.7e308]], [[-1.7e308, -1.7e308], [0.0, 0.0]]],
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "classify", "project"])
+@pytest.mark.parametrize("name", sorted(HUGE_DENSITIES))
+def test_huge_density_exits_one_with_one_error_line(tmp_path, capsys, name, command):
+    # finite entries near the float limit fail the density gate before
+    # any arithmetic on them can overflow
+    path = write_json(tmp_path / "huge.json", {"rows": 2, "cols": 2, **HUGE_DENSITIES[name]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, path]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")

@@ -182,6 +182,39 @@ def test_density_gate_stack_reports_the_first_failing_slice(error, spoil):
     assert str(stacked.value) == f"{alone.value} at slice 2"
 
 
+@pytest.mark.parametrize("quaternionic", [False, True], ids=["complex", "quaternionic"])
+def test_density_gate_admits_the_largest_entry_a_density_can_have(quaternionic):
+    # trace one and lowest eigenvalue -tol: the largest eigenvalue is 1 + (n-1) tol
+    n, tol = 4, 1e-10
+    mat = np.diag([1 + (n - 1) * tol] + [-tol] * (n - 1)).astype(complex)
+    eigs = _density_gate(QMatrix.from_complex(mat) if quaternionic else mat, tol)
+    assert eigs.max() == 1 + (n - 1) * tol
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        np.array([[0.5, 1e308], [1e308, 0.5]], dtype=complex),
+        QMatrix(np.diag([0.5, 0.5]), np.array([[0, 1.7e308 + 1.7e308j], [-1.7e308 - 1.7e308j, 0]])),
+        QMatrix.from_complex([[0.5, 2.0], [2.0, 0.5]]),
+    ],
+    ids=["complex", "quaternionic-overflow", "quaternionic"],
+)
+def test_density_gate_rejects_a_huge_entry_before_any_eigensolver(monkeypatch, mat):
+    # unit trace, so an entry beyond the bound proves an eigenvalue below -tol
+    monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigensolver)
+    with pytest.raises(NotPositive, match="entry magnitude .* exceeds 1.0000000005,"):
+        _density_gate(mat, 1e-10)
+
+
+def test_density_gate_tests_the_trace_before_entry_magnitudes(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigensolver)
+    with pytest.raises(TraceNotOne, match="real trace 0.0 deviates"):
+        _density_gate(np.diag([1e308, -1e308]).astype(complex), 1e-10)
+    with pytest.raises(TraceNotOne, match="real trace inf deviates"):
+        _density_gate(np.diag([1.7e308, 1.7e308]).astype(complex), 1e-10)
+
+
 def test_density_caches_its_spectrum_and_rank():
     rho = validate(purified_two_level())
     assert np.allclose(rho.eigenvalues, [0.0, 1.0], atol=1e-15)
@@ -392,13 +425,14 @@ def test_lift_matches_the_sum_of_purification_blocks(seed):
     source = random_cdensity(rng, 6, rank=int(rng.integers(2, 7)))
     for target in range((source.rank + 1) // 2, source.rank + 1):
         lifted = lift(source, target)
-        eigs, vecs = source.top_eigenpairs
+        eigs, vecs = source.eigenpairs
         pairs = source.rank - target
         total = QMatrix.from_complex(np.zeros((6, 6)))
         for k in range(pairs):
             a, b = 2 * k, 2 * k + 1
             total = total + block_purify(vecs[:, a], vecs[:, b], np.sqrt(eigs[a]), np.sqrt(eigs[b]))
-        for i in range(2 * pairs, source.rank):
+        # every eigenpair, those below the rank threshold included
+        for i in range(2 * pairs, source.dim):
             total = total + QMatrix.from_complex(eigs[i] * np.outer(vecs[:, i], vecs[:, i].conj()))
         assert qclose(lifted.mat, total, tol=1e-15)
         assert np.array_equal(lifted.beta, -lifted.beta.T)
@@ -459,6 +493,77 @@ def test_purify_two_level():
 def test_purify_rank_three_refused():
     with pytest.raises(NotPurifiable):
         purify(CDensity.from_matrix(np.eye(3) / 3))
+
+
+# -- hard spectra ------------------------------------------------------------
+# Near-singular and near-degenerate spectra in random unitary frames, from
+# n = 2 to 64.  The rank threshold is RANK_REL_TOL = 1e-12 times the trace.
+
+HARD_DIMS = [2, 3, 8, 16, 32, 64]
+HARD_FAMILIES = ["degenerate", "split-1e-11", "geometric-1e-13", "geometric-1e-14", "straddling"]
+
+
+def hard_spectrum(family: str, n: int) -> np.ndarray:
+    """Descending eigenvalues of unit sum."""
+    levels = np.ceil(np.arange(n, 0, -1) / 2)  # equal pairs: 4, 4, 3, 3, ...
+    if family == "degenerate":
+        values = levels
+        values[n - n // 4:] = 0.0  # and an exactly zero tail
+    elif family == "split-1e-11":
+        values = levels / levels.sum()
+        values[0::2] += 1e-11
+    elif family == "geometric-1e-13":
+        values = np.geomspace(1.0, 1e-13, n)
+    elif family == "geometric-1e-14":
+        values = np.geomspace(1.0, 1e-14, n)
+    else:  # one value each side of the threshold, below a flat head
+        head = np.ones(max(n - 2, 1))
+        values = np.r_[head / head.sum() * (1 - 2.5e-12), 2e-12, 5e-13][:n]
+    return values / values.sum()
+
+
+def rank_two_spectrum(family: str, n: int) -> np.ndarray:
+    """Two values above the rank threshold, the rest of ``family``'s kind below it."""
+    head, tail = {
+        "degenerate": ([0.5, 0.5], np.zeros(n - 2)),
+        "split-1e-11": ([0.5 + 5e-12, 0.5 - 5e-12], np.zeros(n - 2)),
+        "geometric-1e-13": ([0.6, 0.4], np.geomspace(5e-13, 1e-13, n - 2)),
+        "geometric-1e-14": ([0.6, 0.4], np.geomspace(5e-13, 1e-14, n - 2)),
+        "straddling": ([1 - 2e-12, 2e-12], np.full(n - 2, 5e-13)),
+    }[family]
+    values = np.r_[head, tail]
+    return values / values.sum()
+
+
+def in_random_frame(values: np.ndarray, seed: int) -> CDensity:
+    n = values.size
+    frame = np.linalg.qr(random_complex(np.random.default_rng(seed), n))[0]
+    return CDensity.from_matrix((frame * values) @ frame.conj().T)
+
+
+@pytest.mark.parametrize("n", HARD_DIMS)
+@pytest.mark.parametrize("family", HARD_FAMILIES)
+def test_lift_round_trips_and_lands_on_its_rank_on_hard_spectra(family, n):
+    values = hard_spectrum(family, n)
+    source = in_random_frame(values, seed=n)
+    assert source.rank == np.count_nonzero(values > 1e-12)
+    targets = range((source.rank + 1) // 2, source.rank + 1) if source.rank > 1 else ()
+    for target in targets:
+        lifted = lift(source, target)
+        assert np.abs(lifted.alpha - source.mat).max() <= 1e-12
+        assert lifted.rank == target
+        assert rank_bounds_check(lifted) == (target, source.rank, True)
+
+
+@pytest.mark.parametrize("n", HARD_DIMS)
+@pytest.mark.parametrize("family", HARD_FAMILIES)
+def test_purify_round_trips_to_rank_one_on_hard_spectra(family, n):
+    source = in_random_frame(rank_two_spectrum(family, n), seed=n)
+    assert source.rank == 2
+    pure = purify(source)
+    assert np.abs(pure.alpha - source.mat).max() <= 1e-12
+    assert pure.rank == 1
+    assert rank_bounds_check(pure) == (1, 2, True)
 
 
 # -- random generation ---------------------------------------------------------
