@@ -23,6 +23,7 @@ Constructive content:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,6 +35,7 @@ from .errors import (
     NotOrthogonal,
     NotPositive,
     NotPurifiable,
+    QmixError,
     RankOne,
     RankOutOfRange,
     TraceNotOne,
@@ -43,6 +45,7 @@ from .qmatrix import (
     QMatrix,
     _paired_eigvals,
     check_slices,
+    chi,
     hermiticity_deviation,
     numerical_rank,
     real_trace,
@@ -142,7 +145,9 @@ class Observable:
     @classmethod
     def from_qmatrix(cls, mat: QMatrix, tol: float = VALIDATION_TOL) -> "Observable":
         require_hermitian(hermiticity_deviation(mat), tol)
-        return cls(mat=mat, is_complex=float(np.linalg.norm(mat.beta)) <= tol)
+        with np.errstate(over="ignore"):  # an overflowing norm reads inf: not complex
+            beta_norm = float(np.linalg.norm(mat.beta))
+        return cls(mat=mat, is_complex=beta_norm <= tol)
 
     @classmethod
     def from_complex(cls, mat: np.ndarray) -> "Observable":
@@ -156,8 +161,9 @@ class Observable:
 def _density_gate(mat: QMatrix | np.ndarray, tol: float) -> np.ndarray:
     """The one density gate: hermitian, unit real trace and positive at ``tol``.
 
-    ``mat`` is a square QMatrix, whose spectrum comes from its chi image,
-    or a square complex array.  The tests run in that order, each read as
+    ``mat`` is a square QMatrix, whose chi image is built once and read
+    by the hermiticity, magnitude and eigenvalue steps, or a square
+    complex array, read as given.  The tests run in that order, each read as
     ``measured <= tol`` so that NaN fails: a non-finite entry fails as a
     :class:`NotHermitian`.  Before the eigensolver, an entry above
     1 + (2n + 1) tol fails as :class:`NotPositive`, so nothing overflows
@@ -171,16 +177,11 @@ def _density_gate(mat: QMatrix | np.ndarray, tol: float) -> np.ndarray:
     the next, and the first failing slice raises the error it would
     raise alone, with its index in the message and in ``index``.
     """
-    axes = (-2, -1)
     quaternionic = isinstance(mat, QMatrix)
-    alpha = mat.alpha if quaternionic else mat
+    image, alpha = (chi(mat), mat.alpha) if quaternionic else (mat, mat)
+    deviation = hermiticity_deviation(image)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail every test
-        magnitude = np.abs(alpha).max(axes, initial=0.0)
-        if quaternionic:
-            deviation = hermiticity_deviation(mat)
-            magnitude = np.maximum(magnitude, np.abs(mat.beta).max(axes, initial=0.0))
-        else:
-            deviation = np.abs(mat - mat.conj().swapaxes(*axes)).max(axes, initial=0.0)
+        magnitude = np.abs(image).max((-2, -1), initial=0.0)
         trace = np.trace(alpha, axis1=-2, axis2=-1).real
         trace_deviation = abs(trace - 1.0)
     require_hermitian(deviation, tol)
@@ -197,7 +198,9 @@ def _density_gate(mat: QMatrix | np.ndarray, tol: float) -> np.ndarray:
         lambda i: f"entry magnitude {magnitude[i]:.3e} exceeds {bound!r}, "
         f"the bound for a unit-trace matrix with no eigenvalue below -{tol:.3e}",
     )
-    eigs = _paired_eigvals(mat) if quaternionic else np.linalg.eigvalsh(mat)
+    eigs = np.linalg.eigvalsh(image)
+    if quaternionic:
+        eigs = _paired_eigvals(eigs)
     lowest = eigs.min(-1, initial=0.0)
     check_slices(
         -lowest <= tol,
@@ -249,15 +252,20 @@ def expectation(a: Observable, rho: QDensity) -> float:
 
     For a complex observable the second term vanishes and the value
     coincides with the complex-theory prediction Tr(A_alpha rho_alpha),
-    whatever rho_beta is.
+    whatever rho_beta is.  A value that overflows raises
+    :class:`QmixError`.
     """
     if a.mat.shape != rho.mat.shape:
         raise DimensionMismatch(
             f"observable {a.mat.shape} does not match state {rho.mat.shape}"
         )
-    value = np.trace(a.mat.alpha @ rho.alpha)
-    value -= np.trace(a.mat.beta.conj() @ rho.beta)
-    return float(value.real)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        value = np.trace(a.mat.alpha @ rho.alpha)
+        value -= np.trace(a.mat.beta.conj() @ rho.beta)
+    value = float(value.real)
+    if not math.isfinite(value):
+        raise QmixError(f"expectation value Re Tr(A rho) = {value!r} is not finite")
+    return value
 
 
 def discriminating_observable(rho: QDensity) -> Observable:

@@ -10,12 +10,13 @@ and the adjoint is (M_alpha + j*M_beta)^dag = M_alpha^dag - j*M_beta^T,
 so M is hermitian exactly when M_alpha is hermitian and M_beta is
 skew-symmetric.
 
-All spectral work (eigenvalues, rank, positivity, the exponential) is
-routed through the complex-adjoint image
+All spectral work (eigenvalues, rank, positivity, the exponential) and
+the one hermiticity measure are routed through the complex-adjoint image
 
     chi(M) = [[M_alpha, -conj(M_beta)], [M_beta, conj(M_alpha)]],
 
-a 2n x 2m complex matrix.  chi is an algebra homomorphism, which lets
+a 2n x 2m complex matrix.  chi is a *-homomorphism (chi(M^dag) =
+chi(M)^dag), so M is hermitian exactly when chi(M) is, and it lets
 numpy's complex LAPACK kernels do the heavy lifting; no native
 quaternionic eigensolver is attempted, and numpy is the only numerical
 dependency.  Eigenvalues and singular values of a chi image occur in
@@ -262,22 +263,22 @@ def max_abs(m: QMatrix) -> float:
     return float(np.sqrt(mags.max(initial=0.0)))
 
 
-def hermiticity_deviation(m: QMatrix, sign: int = 1):
+def hermiticity_deviation(m: QMatrix | np.ndarray, sign: int = 1):
     """Max entry deviation of M from sign * M^dag; one per slice for a stack.
 
-    ``sign=-1`` measures anti-hermiticity (alpha anti-hermitian, beta
-    symmetric).  A non-finite entry always gives a non-finite deviation.
+    A QMatrix is measured through its chi image, a complex array as
+    given: chi is a *-homomorphism, so M is hermitian exactly when chi(M)
+    is, that is alpha hermitian and beta skew (``sign=-1``: alpha
+    anti-hermitian and beta symmetric).  A non-finite entry always gives
+    a non-finite deviation, and no entry size makes numpy warn.
     """
-    if not m.is_square:
+    if m.shape[-2] != m.shape[-1]:
         raise DimensionMismatch(f"hermiticity needs a square matrix, got {m.shape}")
-    axes = (-2, -1)
-    alpha_adj, beta_t = m.alpha.conj().swapaxes(*axes), m.beta.swapaxes(*axes)
-    if sign < 0:
-        alpha_adj, beta_t = -alpha_adj, -beta_t
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, and NaN fails
-        dev_alpha = np.abs(m.alpha - alpha_adj).max(axes, initial=0.0)
-        dev_beta = np.abs(m.beta + beta_t).max(axes, initial=0.0)
-    deviation = np.maximum(dev_alpha, dev_beta)
+    image = chi(m) if isinstance(m, QMatrix) else m
+    adjoint = image.conj().swapaxes(-2, -1)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail every test
+        gap = image - adjoint if sign > 0 else image + adjoint
+        deviation = np.abs(gap).max((-2, -1), initial=0.0)
     return float(deviation) if deviation.ndim == 0 else deviation
 
 
@@ -290,10 +291,11 @@ def require_hermitian(deviation, tol: float) -> None:
     )
 
 
-def require_anti_hermitian(m: QMatrix, what: str) -> None:
+def require_anti_hermitian(m: QMatrix | np.ndarray, what: str) -> None:
     """Raise :class:`NotAntiHermitian` unless M is anti-hermitian at ``VALIDATION_TOL``.
 
-    ``what`` names the matrix in the message; a non-finite entry fails.
+    ``m`` is a QMatrix or its chi image; ``what`` names the matrix in the
+    message; a non-finite entry fails.
     """
     deviation = hermiticity_deviation(m, sign=-1)
     if not deviation <= VALIDATION_TOL:
@@ -318,25 +320,27 @@ def is_positive_semidefinite(m: QMatrix) -> bool:
 # spectral computations (all through chi)
 # ---------------------------------------------------------------------
 
-def eigvals_hermitian(m: QMatrix, tol: float = VALIDATION_TOL) -> np.ndarray:
+def eigvals_hermitian(m: QMatrix) -> np.ndarray:
     """Eigenvalues of a hermitian quaternionic matrix, ascending.
 
-    The eigenvalues of chi(M) occur in even-multiplicity pairs; adjacent
-    sorted values are paired and each pair returned once (as the pair
-    mean).  A pair gap beyond ``EIG_PAIRING_TOL`` relative to the spectral
-    scale raises :class:`PairingFailure`, which indicates a bug rather
-    than a data condition.  The hermiticity check runs first, so a
-    non-finite entry never reaches the eigensolver.  A stack of shape
-    (..., n, n) gives spectra of shape (..., n), and every slice is
-    checked before the one eigensolver call.
+    The chi image is built once: its hermiticity is tested at
+    ``VALIDATION_TOL`` first, so a non-finite entry never reaches the
+    eigensolver, and its spectrum is paired by :func:`_paired_eigvals`.
+    A stack of shape (..., n, n) gives spectra of shape (..., n), and
+    every slice is checked before the one eigensolver call.
     """
-    require_hermitian(hermiticity_deviation(m), tol)
-    return _paired_eigvals(m)
+    image = chi(m)
+    require_hermitian(hermiticity_deviation(image), VALIDATION_TOL)
+    return _paired_eigvals(np.linalg.eigvalsh(image))
 
 
-def _paired_eigvals(m: QMatrix) -> np.ndarray:
-    """:func:`eigvals_hermitian` for a caller that has tested hermiticity itself."""
-    eigs = np.linalg.eigvalsh(chi(m))
+def _paired_eigvals(eigs: np.ndarray) -> np.ndarray:
+    """Adjacent values of ascending chi spectra, paired: one pair mean each.
+
+    A pair gap beyond ``EIG_PAIRING_TOL`` relative to the spectral scale
+    raises :class:`PairingFailure`, which indicates a bug rather than a
+    data condition.
+    """
     first, second = eigs[..., 0::2], eigs[..., 1::2]
     scale = np.maximum(np.abs(eigs).max(-1, initial=0.0), 1.0)
     worst = np.abs(first - second).max(-1, initial=0.0)
@@ -393,8 +397,9 @@ def expm_q(m: QMatrix) -> QMatrix:
     """
     if not m.is_square:
         raise DimensionMismatch(f"exponential needs a square matrix, got {m.shape}")
-    require_anti_hermitian(m, "exponent")
-    w, v = np.linalg.eigh(-1j * chi(m))
+    image = chi(m)
+    require_anti_hermitian(image, "exponent")
+    w, v = np.linalg.eigh(-1j * image)
     radius = float(np.abs(w).max(initial=0.0))
     if not radius * _EPS <= EXPM_MEMBERSHIP_TOL:
         raise NotUnitary(

@@ -645,6 +645,73 @@ def test_huge_density_exits_one_with_one_error_line(tmp_path, capsys, name, comm
     assert len(captured.err.splitlines()) == 1
 
 
+PURE_STATE = {"rows": 2, "cols": 2, "alpha": [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]}
+
+
+def test_overflowing_expectation_exits_one_with_one_error_line(tmp_path, capsys):
+    # Re Tr(A rho) = 2e308 overflows: an error line, never "value": Infinity
+    state = write_json(tmp_path / "state.json", PURE_STATE)
+    huge = [[[1e308, 0.0], [1e308, 0.0]], [[1e308, 0.0], [1e308, 0.0]]]
+    obs = write_json(tmp_path / "obs.json", {"rows": 2, "cols": 2, "alpha": huge})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["expect", obs, state]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "not finite" in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_huge_skew_beta_observable_has_a_finite_expectation(tmp_path, capsys):
+    # ||beta||_F overflows, which reads as not complex; the value is finite
+    state = write_json(tmp_path / "state.json", purified_file())
+    obs = write_json(tmp_path / "obs.json", {
+        "rows": 2,
+        "cols": 2,
+        "alpha": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        "beta": [[[0.0, 0.0], [1e300, 0.0]], [[-1e300, 0.0], [0.0, 0.0]]],
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["expect", obs, state]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["observable_is_complex"] is False
+    assert math.isfinite(report["value"])
+    assert report["value"] == pytest.approx(-1e300, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expect", "{operand}", "{state}"],
+        ["evolve", "{state}", "--gen", "{operand}", "--method", "propagator"],
+        ["evolve", "{state}", "--gen", "{operand}", "--method", "rk4"],
+    ],
+    ids=["expect", "evolve-propagator", "evolve-rk4"],
+)
+def test_huge_operand_of_wrong_symmetry_exits_one_without_warning(tmp_path, capsys, argv):
+    # A - A^dag and H + H^dag overflow here: inf fails the symmetry test
+    # with one error line and no numpy warning
+    files = {
+        "state": write_json(tmp_path / "state.json", PURE_STATE),
+        "operand": write_json(tmp_path / "operand.json", {
+            "rows": 2,
+            "cols": 2,
+            "alpha": [[[1.7e308, 0.0], [1.7e308, 0.0]], [[-1.7e308, 0.0], [1.7e308, 0.0]]],
+            "beta": [[[0.0, 0.0], [-1.7e308, 0.0]], [[-1.7e308, 0.0], [0.0, 0.0]]],
+        }),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([arg.format(**files) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "inf" in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
 NO_SCIPY_PROBE = """
 import json
 import sys

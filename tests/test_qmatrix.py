@@ -1,5 +1,7 @@
 """Matrix layer against the complex-adjoint oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -221,6 +223,48 @@ def test_hermitian_characterization_backward():
 def test_skew_beta_example_is_hermitian():
     mat = QMatrix(np.diag([0.5, 0.5]), np.array([[0, -0.5], [0.5, 0]]))
     assert hermiticity_deviation(mat) <= 1e-10
+
+
+def _block_deviation(m, sign):
+    """The oracle: max(|alpha - sign alpha^dag|, |beta + sign beta^T|) per slice."""
+    alpha_adj, beta_t = m.alpha.conj().swapaxes(-1, -2), m.beta.swapaxes(-1, -2)
+    if sign < 0:
+        alpha_adj, beta_t = -alpha_adj, -beta_t
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev_alpha = np.abs(m.alpha - alpha_adj).max((-2, -1), initial=0.0)
+        dev_beta = np.abs(m.beta + beta_t).max((-2, -1), initial=0.0)
+    return np.maximum(dev_alpha, dev_beta)
+
+
+def _deviation_cases():
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 3, 5):
+        yield random_qmatrix(rng, n, n)
+        yield random_hermitian_qmatrix(rng, n)
+        yield random_anti_hermitian_qmatrix(rng, n)
+        yield random_hermitian_qmatrix(rng, n) + random_qmatrix(rng, n, n) * 1e-11
+        yield random_anti_hermitian_qmatrix(rng, n) + random_qmatrix(rng, n, n) * 1e-11
+    base = random_hermitian_qmatrix(rng, 3)
+    for block, position, value in NON_FINITE_CASES + [("alpha", "off-diagonal", 1.7e308)]:
+        yield with_non_finite(base, block, position, value)
+        yield with_non_finite(base, block, position, -value)
+    slices = [random_hermitian_qmatrix(rng, 3) for _ in range(3)]
+    slices.append(with_non_finite(slices[0], "beta", "diagonal", float("inf")))
+    slices.append(random_qmatrix(rng, 3, 3))
+    yield QMatrix(np.stack([m.alpha for m in slices]), np.stack([m.beta for m in slices]))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_hermiticity_through_chi_equals_the_block_test(sign):
+    # chi is a *-homomorphism: the chi image's deviation from hermiticity
+    # is the blockwise one, to the bit, for finite and non-finite entries
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in _deviation_cases():
+            got = hermiticity_deviation(m, sign)
+            want = _block_deviation(m, sign)
+            assert np.shape(got) == want.shape
+            assert np.array_equal(got, want, equal_nan=True), (got, want)
 
 
 # -- eigenvalues, rank, positivity --------------------------------------

@@ -88,6 +88,12 @@ def test_scenario_rejects_unnormalized():
         run_scenario(1.0, 1.0)
     with pytest.raises(NotNormalized):
         run_scenario(float("nan"), 0.8)
+    # the norm is tested before the angles, and a huge amplitude fails it
+    # as a QmixError rather than a float OverflowError
+    with pytest.raises(NotNormalized):
+        run_scenario(1.0, 1.0, n_hat=(float("nan"), 0.0))
+    with pytest.raises(NotNormalized, match="= inf off unity"):
+        run_scenario(1e200, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -155,9 +161,19 @@ def test_check_propositions_deterministic():
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_check_propositions_negative_control(seed):
+def test_check_propositions_negative_control(monkeypatch, seed):
+    # every drawn state gets the reference's corruption: a beta made
+    # symmetric and shifted, so never skew; the audit must catch it
+    draw = scenario._draw_trial
+
+    def corrupted_draw(seed, trial, n):
+        state, *rest = draw(seed, trial, n)
+        beta = (state.beta + state.beta.T) / 2 + 0.1 * np.eye(n)
+        return (QMatrix(state.alpha, beta), *rest)
+
+    monkeypatch.setattr(scenario, "_draw_trial", corrupted_draw)
     with pytest.raises(PropositionViolated) as excinfo:
-        check_propositions(n_max=4, trials=10, seed=seed, corrupt=True)
+        check_propositions(n_max=4, trials=10, seed=seed)
     with pytest.raises(PropositionViolated) as reference:
         reference_check_propositions(n_max=4, trials=10, seed=seed, corrupt=True)
     assert excinfo.value.name == reference.value.name == "projection_is_density"
