@@ -6,16 +6,15 @@ classes with a unique complex member each; proper mixtures are the
 beta = 0 members, improper mixtures the rest.  The package provides the
 scalar and matrix algebra, validation, lifting and purification, unitary
 dynamics under a constant generator (U(t) = exp(-tH)) with its projected
-form, bipartite machinery (Schmidt data,
-partial trace, nonselective projective update), a measurement scenario
-that distinguishes the two mixture kinds by a quaternionic observable,
-and a CLI with JSON matrix files.
+form, bipartite machinery (Schmidt terms, partial trace, nonselective
+projective update), a measurement scenario that distinguishes the two
+mixture kinds by a quaternionic observable, and a CLI with JSON matrix
+files.
 """
 
 from .bipartite import (
     BipartiteState,
     ProjectorFamily,
-    kron,
     lueders_nonselective,
     measurement_interaction,
     partial_trace,
@@ -102,7 +101,6 @@ __all__ = [
     "hermiticity_deviation",
     "integrate",
     "is_positive_semidefinite",
-    "kron",
     "lift",
     "lueders_nonselective",
     "max_abs",

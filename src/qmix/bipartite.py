@@ -1,4 +1,4 @@
-"""Complex bipartite machinery: tensor products, Schmidt data, partial trace.
+"""Complex bipartite machinery: Schmidt terms, partial trace, projective update.
 
 This module stays entirely inside complex quantum mechanics.  It supplies
 the two standard routes to a mixed state of a subsystem:
@@ -13,7 +13,7 @@ Index convention is row-major throughout: the compound basis vector
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,15 +28,10 @@ FAMILY_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class BipartiteState:
-    """Pure state on a tensor product, with optional Schmidt data.
-
-    ``schmidt`` holds (weight, left vector, right vector) triples with
-    weights descending; it is filled by :func:`schmidt`.
-    """
+    """Unit-norm pure state on a tensor product of dimensions ``dims``."""
 
     dims: tuple[int, int]
     vec: np.ndarray
-    schmidt: tuple[tuple[float, np.ndarray, np.ndarray], ...] | None = None
 
     def __post_init__(self):
         vec = np.asarray(self.vec, dtype=np.complex128).reshape(-1)
@@ -55,13 +50,8 @@ class BipartiteState:
         return np.outer(self.vec, self.vec.conj())
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product with the row-major index convention."""
-    return np.kron(np.asarray(a, np.complex128), np.asarray(b, np.complex128))
-
-
-def schmidt(state: BipartiteState) -> BipartiteState:
-    """Return the state with its Schmidt data filled in.
+def schmidt(state: BipartiteState) -> tuple[tuple[float, np.ndarray, np.ndarray], ...]:
+    """Schmidt terms of the state: (weight, left vector, right vector) triples.
 
     The state is reshaped to an n1 x n2 coefficient matrix and factored
     by SVD; singular values are the Schmidt weights (descending) and the
@@ -71,12 +61,11 @@ def schmidt(state: BipartiteState) -> BipartiteState:
     n1, n2 = state.dims
     coeff = state.vec.reshape(n1, n2)
     left, weights, right_h = np.linalg.svd(coeff)
-    terms = tuple(
+    return tuple(
         (float(w), left[:, i].copy(), right_h[i, :].copy())
         for i, w in enumerate(weights)
         if w > FAMILY_TOL
     )
-    return replace(state, schmidt=terms)
 
 
 def partial_trace(rho: np.ndarray, dims: tuple[int, int], over: int) -> CDensity:
@@ -166,8 +155,8 @@ def measurement_interaction(phi0) -> tuple[np.ndarray, BipartiteState]:
     state in the measured basis.  The returned unitary U completes the
     map |+>|0> -> |+>|u>, |->|0> -> |->|d> by a controlled shift of the
     pointer basis label, with {|u>, |d>} the pointer's computational
-    basis and |0> = |u>.  The returned state U(phi0 (x) |0>) carries its
-    Schmidt data, whose weights are (|c_plus|, |c_minus|).
+    basis and |0> = |u>.  The returned state is U(phi0 (x) |0>); its
+    Schmidt weights, from :func:`schmidt`, are (|c_plus|, |c_minus|).
     """
     phi0 = np.asarray(phi0, dtype=np.complex128).reshape(-1)
     if phi0.size != 2:
@@ -181,8 +170,7 @@ def measurement_interaction(phi0) -> tuple[np.ndarray, BipartiteState]:
     hold = np.eye(2, dtype=np.complex128)
     p_plus = np.diag([1.0, 0.0]).astype(np.complex128)
     p_minus = np.diag([0.0, 1.0]).astype(np.complex128)
-    unitary = kron(p_plus, hold) + kron(p_minus, shift)
+    unitary = np.kron(p_plus, hold) + np.kron(p_minus, shift)
     pointer0 = np.array([1.0, 0.0], dtype=np.complex128)
     vec = unitary @ np.kron(phi0, pointer0)
-    state = schmidt(BipartiteState(dims=(2, 2), vec=vec))
-    return unitary, state
+    return unitary, BipartiteState(dims=(2, 2), vec=vec)

@@ -15,8 +15,9 @@ output.
 
 Exit codes: 0 on success, 1 on validation failure, 2 on usage errors.
 A report that reads ``"passed": false`` is written in full and exits 1.
-The default seed comes from --seed, falling back to the QMIX_SEED
-environment variable, then to 0.
+Only check-props reads a seed: --seed, falling back to the QMIX_SEED
+environment variable, then to 0.  Only the commands that load matrix
+files read --tol.
 """
 
 from __future__ import annotations
@@ -431,7 +432,7 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         "--seed",
         type=_int_at_least(0),
         default=suppress,
-        help="random seed; defaults to QMIX_SEED, then 0",
+        help="random seed, read only by check-props; defaults to QMIX_SEED, then 0",
     )
     parser.add_argument(
         "--tol",
@@ -439,7 +440,8 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         default=suppress,
         metavar="validate=VALUE",
         help=f"density-validation tolerance, finite with 0 < VALUE < 1 "
-        f"(default: {VALIDATION_TOL:g}); the last one wins",
+        f"(default: {VALIDATION_TOL:g}), read only by the commands that load "
+        "matrix files; the last one wins",
     )
     parser.add_argument(
         "--output", default=suppress, help="write the report here instead of stdout"
@@ -507,7 +509,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv, defaults)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.seed is None:
+    if args.seed is None and args.command == "check-props":
         raw = os.environ.get("QMIX_SEED", "0")
         try:
             args.seed = _int_at_least(0)(raw)

@@ -427,12 +427,6 @@ def purify(rho_alpha: CDensity) -> QDensity:
 # random generation
 # ---------------------------------------------------------------------
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
@@ -445,7 +439,7 @@ def random_density(n: int, kind: MixtureKind | str, seed=None) -> QDensity:
     surely).  Improper and Pure-Q require n >= 2: a 1 x 1 hermitian
     quaternion has no skew part.
     """
-    return validate(_random_density_matrix(n, kind, _as_rng(seed)))
+    return validate(_random_density_matrix(n, kind, np.random.default_rng(seed)))
 
 
 def _random_density_matrix(n: int, kind: MixtureKind | str, rng: np.random.Generator) -> QMatrix:

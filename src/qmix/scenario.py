@@ -157,24 +157,23 @@ def run_scenario(
 
     # Proper route: nonselective update of the uncoupled system.
     phi0 = np.array([c_plus, c_minus], dtype=np.complex128)
-    family = ProjectorFamily.from_basis(np.eye(2, dtype=np.complex128))
+    measured = np.eye(2, dtype=np.complex128)
+    family = ProjectorFamily.from_basis(measured)
     rho_lueders = lueders_nonselective(
         CDensity.from_matrix(np.outer(phi0, phi0.conj())), family
     )
     mixture_gap = float(np.abs(rho_traced.mat - rho_lueders.mat).max())
 
     rho_proper = embed_proper(rho_lueders)
-    basis_plus = np.array([1.0, 0.0], dtype=np.complex128)
-    basis_minus = np.array([0.0, 1.0], dtype=np.complex128)
-    rho_improper = validate(block_purify(basis_plus, basis_minus, c_plus, c_minus))
+    rho_improper = validate(block_purify(measured[:, 0], measured[:, 1], c_plus, c_minus))
 
     projection_gap = float(
         np.abs(complex_projection(rho_improper).mat - rho_proper.alpha).max()
     )
 
     # Purity of the improper representative: rank one and idempotent.
-    scaled = rho_improper.mat
-    idem_residual = frobenius_norm(scaled @ scaled - scaled)
+    pure = rho_improper.mat
+    idem_residual = frobenius_norm(pure @ pure - pure)
     rank_one = rho_improper.rank == 1
 
     # Complex observables, transformed into the measured eigenbasis.
@@ -204,29 +203,18 @@ def run_scenario(
     )
     disc_theory = 2.0 * abs(c_plus * c_minus) ** 2
 
+    def check(residual: float, tolerance: float, also: bool = True) -> CheckResult:
+        return CheckResult(also and residual <= tolerance, residual, tolerance)
+
     checks = {
-        "partial_trace_matches_lueders": CheckResult(
-            mixture_gap <= MIXTURE_MATCH_TOL, mixture_gap, MIXTURE_MATCH_TOL
+        "partial_trace_matches_lueders": check(mixture_gap, MIXTURE_MATCH_TOL),
+        "projection_matches_proper": check(projection_gap, MIXTURE_MATCH_TOL),
+        "improper_state_is_pure": check(idem_residual, PURITY_TOL, also=rank_one),
+        "complex_observables_agree": check(worst_gap, COMPLEX_AGREEMENT_TOL),
+        "discriminator_on_improper": check(
+            abs(disc.on_improper - disc_theory), DISCRIMINATOR_TOL
         ),
-        "projection_matches_proper": CheckResult(
-            projection_gap <= MIXTURE_MATCH_TOL, projection_gap, MIXTURE_MATCH_TOL
-        ),
-        "improper_state_is_pure": CheckResult(
-            rank_one and idem_residual <= PURITY_TOL, idem_residual, PURITY_TOL
-        ),
-        "complex_observables_agree": CheckResult(
-            worst_gap <= COMPLEX_AGREEMENT_TOL, worst_gap, COMPLEX_AGREEMENT_TOL
-        ),
-        "discriminator_on_improper": CheckResult(
-            abs(disc.on_improper - disc_theory) <= DISCRIMINATOR_TOL,
-            abs(disc.on_improper - disc_theory),
-            DISCRIMINATOR_TOL,
-        ),
-        "discriminator_on_proper": CheckResult(
-            abs(disc.on_proper) <= DISCRIMINATOR_ZERO_TOL,
-            abs(disc.on_proper),
-            DISCRIMINATOR_ZERO_TOL,
-        ),
+        "discriminator_on_proper": check(abs(disc.on_proper), DISCRIMINATOR_ZERO_TOL),
     }
     return ScenarioReport(
         c_plus=c_plus,

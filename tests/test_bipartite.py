@@ -1,4 +1,4 @@
-"""Bipartite machinery: tensor products, Schmidt data, partial trace."""
+"""Bipartite machinery: Schmidt terms, partial trace, projective update."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from qmix import (
     BipartiteState,
     ProjectorFamily,
-    kron,
     lueders_nonselective,
     measurement_interaction,
     partial_trace,
@@ -20,33 +19,14 @@ from support import random_complex, random_complex_unitary
 HALF = 1 / np.sqrt(2)
 
 
-def weights_of(state):
-    """Schmidt weights of a state whose Schmidt data is filled, descending."""
-    return np.array([w for w, _, _ in state.schmidt])
+def weights_of(terms):
+    """Weights of a state's Schmidt terms, descending."""
+    return np.array([w for w, _, _ in terms])
 
 
 def random_state(rng, n1, n2) -> BipartiteState:
     vec = rng.standard_normal(n1 * n2) + 1j * rng.standard_normal(n1 * n2)
     return BipartiteState(dims=(n1, n2), vec=vec / np.linalg.norm(vec))
-
-
-def test_kron_identity():
-    assert np.array_equal(kron(np.eye(2), np.eye(3)), np.eye(6))
-
-
-def test_kron_spectrum_of_tensor_factor():
-    sigma_z = np.diag([1.0, -1.0])
-    eigs = np.linalg.eigvalsh(kron(sigma_z, np.eye(2)))
-    assert np.allclose(sorted(eigs), [-1, -1, 1, 1])
-
-
-def test_kron_defining_property():
-    rng = np.random.default_rng(40)
-    for _ in range(30):
-        a, b = random_complex(rng, 3), random_complex(rng, 2)
-        u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        assert np.abs(kron(a, b) @ np.kron(u, v) - np.kron(a @ u, b @ v)).max() <= 1e-13
 
 
 def test_state_norm_enforced():
@@ -59,31 +39,32 @@ def test_state_norm_enforced():
 def test_schmidt_product_state():
     u = np.array([1.0, 0.0])
     v = np.array([HALF, HALF])
-    state = schmidt(BipartiteState(dims=(2, 2), vec=np.kron(u, v)))
-    assert len(state.schmidt) == 1
-    assert weights_of(state)[0] == pytest.approx(1.0)
+    terms = schmidt(BipartiteState(dims=(2, 2), vec=np.kron(u, v)))
+    assert len(terms) == 1
+    assert weights_of(terms)[0] == pytest.approx(1.0)
 
 
 def test_schmidt_balanced_entangled_state():
     vec = np.zeros(4)
     vec[0] = HALF  # |+>|u>
     vec[3] = HALF  # |->|d>
-    state = schmidt(BipartiteState(dims=(2, 2), vec=vec))
-    assert np.allclose(weights_of(state), [HALF, HALF])
+    terms = schmidt(BipartiteState(dims=(2, 2), vec=vec))
+    assert np.allclose(weights_of(terms), [HALF, HALF])
 
 
 def test_schmidt_reconstruction_and_normalization():
     rng = np.random.default_rng(41)
     for n1, n2 in [(2, 2), (3, 4), (4, 2)]:
-        state = schmidt(random_state(rng, n1, n2))
-        weights = weights_of(state)
+        state = random_state(rng, n1, n2)
+        terms = schmidt(state)
+        weights = weights_of(terms)
         assert np.all(np.diff(weights) <= 0)
         assert np.sum(weights**2) == pytest.approx(1.0, abs=1e-12)
         rebuilt = sum(
-            w * np.kron(left, right) for w, left, right in state.schmidt
+            w * np.kron(left, right) for w, left, right in terms
         )
         assert np.abs(rebuilt - state.vec).max() <= 1e-10
-        for _, left, right in state.schmidt:
+        for _, left, right in terms:
             assert np.linalg.norm(left) == pytest.approx(1.0, abs=1e-10)
             assert np.linalg.norm(right) == pytest.approx(1.0, abs=1e-10)
 
@@ -107,11 +88,12 @@ def test_partial_trace_of_maximally_mixed():
 
 def test_partial_trace_eigenvalues_are_schmidt_weights_squared():
     rng = np.random.default_rng(43)
-    state = schmidt(random_state(rng, 3, 3))
+    state = random_state(rng, 3, 3)
+    terms = schmidt(state)
     reduced = partial_trace(state.density(), dims=(3, 3), over=2)
     eigs = np.sort(np.linalg.eigvalsh(reduced.mat))[::-1]
     weights = np.zeros(3)
-    weights[: len(state.schmidt)] = weights_of(state)**2
+    weights[: len(terms)] = weights_of(terms)**2
     assert np.abs(eigs - weights).max() <= 1e-10
 
 
@@ -122,7 +104,7 @@ def test_partial_trace_defining_property():
     reduced = partial_trace(rho, dims=(3, 2), over=2)
     herm = random_complex(rng, 3)
     a = (herm + herm.conj().T) / 2
-    lhs = np.trace(kron(a, np.eye(2)) @ rho)
+    lhs = np.trace(np.kron(a, np.eye(2)) @ rho)
     rhs = np.trace(a @ reduced.mat)
     assert abs(lhs - rhs) <= 1e-12
     assert abs(np.trace(reduced.mat) - np.trace(rho)) <= 1e-12
@@ -192,7 +174,7 @@ def test_projector_family_rejects_incomplete():
 def test_measurement_interaction_pointer_follows_system():
     unitary, state = measurement_interaction((1.0, 0.0))
     assert np.abs(unitary.conj().T @ unitary - np.eye(4)).max() == 0.0
-    assert len(state.schmidt) == 1
+    assert len(schmidt(state)) == 1
     want = np.zeros(4)
     want[0] = 1.0  # |+>|u>
     assert np.abs(state.vec - want).max() == 0.0
@@ -200,7 +182,7 @@ def test_measurement_interaction_pointer_follows_system():
 
 def test_measurement_interaction_balanced():
     _, state = measurement_interaction((HALF, HALF))
-    assert np.allclose(sorted(weights_of(state)), [HALF, HALF])
+    assert np.allclose(sorted(weights_of(schmidt(state))), [HALF, HALF])
     reduced = partial_trace(state.density(), dims=(2, 2), over=2)
     assert np.abs(reduced.mat - np.eye(2) / 2).max() <= 1e-15
 
@@ -212,6 +194,7 @@ def test_measurement_interaction_general_amplitudes():
     want = c_plus * np.array([1, 0, 0, 0]) + c_minus * np.array([0, 0, 0, 1])
     assert np.abs(state.vec - want).max() <= 1e-15
     assert np.abs(unitary.conj().T @ unitary - np.eye(4)).max() == 0.0
+    assert np.allclose(weights_of(schmidt(state)), [0.8, 0.6])
 
 
 def test_measurement_interaction_rejects_unnormalized():

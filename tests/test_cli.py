@@ -538,6 +538,15 @@ def test_bad_seed_environment_is_usage_error(capsys, monkeypatch):
     assert captured.out == ""
 
 
+def test_bad_seed_environment_is_ignored_without_a_seed(tmp_path, capsys, monkeypatch):
+    # only check-props reads a seed, so QMIX_SEED cannot break validate
+    monkeypatch.setenv("QMIX_SEED", "abc")
+    assert main(["validate", write_json(tmp_path / "state.json", half_mixed())]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["valid"] is True
+
+
 @pytest.mark.parametrize("method", ["propagator", "rk4"])
 @pytest.mark.parametrize("steps", ["0", "-3", "2.5"])
 def test_non_positive_steps_is_usage_error(tmp_path, capsys, method, steps):
@@ -710,6 +719,112 @@ def test_huge_operand_of_wrong_symmetry_exits_one_without_warning(tmp_path, caps
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "inf" in captured.err
     assert len(captured.err.splitlines()) == 1
+
+
+# -- fuzzing main ----------------------------------------------------------------
+
+#: Magnitudes from 1e-320 to 1.7e308.
+MAGNITUDES = st.one_of(
+    st.sampled_from([1e-320, 1.7e308]),
+    st.floats(-320.0, math.log10(1.7e308)).map(lambda exponent: 10.0**exponent),
+)
+EXTREME = st.builds(
+    lambda sign, magnitude: sign * magnitude, st.sampled_from([1.0, -1.0]), MAGNITUDES
+)
+UNIT = st.floats(-1.0, 1.0)
+ENTRIES = st.one_of(st.just(0.0), UNIT, EXTREME)
+
+
+@st.composite
+def matrix_files(draw, n: int, sign: int) -> dict:
+    """An n x n matrix file; nine in ten are hermitian (sign 1) or anti-hermitian (-1).
+
+    Half of the hermitian ones become a unit-trace mix of a pure state
+    and a diagonal, with beta zero or small, so many are densities.  One
+    file in four is then scaled by a magnitude from MAGNITUDES.
+    """
+    entries = draw(st.sampled_from([UNIT, ENTRIES]))
+    alpha, beta = [
+        [[complex(draw(entries), draw(entries)) for _ in range(n)] for _ in range(n)]
+        for _ in range(2)
+    ]
+    if draw(st.integers(0, 9)):
+        # alpha^dag = sign alpha; beta^T = -sign beta (chi(M)^dag = sign chi(M))
+        for i in range(n):
+            z = alpha[i][i]
+            alpha[i][i] = complex(z.real, 0.0) if sign > 0 else complex(0.0, z.imag)
+            if sign > 0:
+                beta[i][i] = 0j
+            for j in range(i):
+                alpha[j][i] = sign * alpha[i][j].conjugate()
+                beta[j][i] = -sign * beta[i][j]
+        if sign > 0 and draw(st.booleans()):
+            v = [complex(draw(st.floats(0.1, 1.0)), draw(UNIT)) for _ in range(n)]
+            weights = [draw(st.floats(0.1, 1.0)) for _ in range(n)]
+            mix, small = draw(st.floats(0.0, 1.0)), draw(st.sampled_from([0.0, 1e-3]))
+            norm, total = sum(abs(x) ** 2 for x in v), sum(weights)
+            for i in range(n):
+                for j in range(n):
+                    alpha[i][j] = mix * (v[i] * v[j].conjugate()) / norm
+                    beta[i][j] *= small
+                alpha[i][i] += (1 - mix) * weights[i] / total
+    scale = draw(MAGNITUDES) if draw(st.integers(0, 3)) == 0 else 1.0
+    obj = {"rows": n, "cols": n}
+    for name, block in (("alpha", alpha), ("beta", beta)):
+        obj[name] = [[[z.real * scale, z.imag * scale] for z in row] for row in block]
+    if draw(st.booleans()):
+        del obj["beta"]
+    return obj
+
+
+@st.composite
+def invocations(draw) -> tuple[dict, list]:
+    """Matrix files by name and an argv that parses, over every file-reading command."""
+    n = draw(st.integers(1, 4))
+    command = draw(st.sampled_from(
+        ["validate", "classify", "project", "lift", "purify", "expect", "propagator", "rk4"]
+    ))
+    files = {"state": draw(matrix_files(n, 1))}
+    if command == "lift":
+        argv = ["lift", "{state}", "--rank", str(draw(st.integers(-1, n + 1)))]
+    elif command == "expect":
+        files["observable"] = draw(matrix_files(n, 1))
+        argv = ["expect", "{observable}", "{state}"]
+    elif command in ("propagator", "rk4"):
+        files["gen"] = draw(matrix_files(n, -1))
+        t = draw(st.one_of(st.floats(-10.0, 10.0), EXTREME))
+        argv = ["evolve", "{state}", "--gen", "{gen}", "--method", command, f"--t={t!r}"]
+        argv += ["--steps", str(draw(st.integers(1, 8)))]
+    else:
+        argv = [command, "{state}"]
+    if draw(st.booleans()):
+        argv += ["--tol", "validate=" + draw(st.sampled_from(["1e-10", "1e-6", "0.5"]))]
+    return files, argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in a report")
+
+
+@given(invocations())
+@settings(max_examples=250, deadline=None)
+def test_main_on_generated_files_exits_cleanly(tmp_path_factory, case):
+    # 0, 1 or 2; a failure is one stderr line and no report; a success is a
+    # report of finite numbers.  A numpy RuntimeWarning is an error here.
+    files, argv = case
+    folder = tmp_path_factory.mktemp("fuzz")
+    paths = {name: write_json(folder / f"{name}.json", obj) for name, obj in files.items()}
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([arg.format(**paths) for arg in argv])
+    assert code in (0, 1, 2)
+    if code:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert len(err.getvalue().splitlines()) == 1
+    else:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 NO_SCIPY_PROBE = """
