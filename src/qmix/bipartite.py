@@ -25,6 +25,11 @@ STATE_NORM_TOL = 1e-12
 #: Orthonormality / completeness tolerance for bases and projector families.
 FAMILY_TOL = 1e-10
 
+#: P+ (x) I + P- (x) X: the pointer is held on |+> and shifted on |->.
+_COUPLING = np.array(
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.complex128
+)
+
 
 @dataclass(frozen=True, eq=False)
 class BipartiteState:
@@ -166,11 +171,6 @@ def measurement_interaction(phi0) -> tuple[np.ndarray, BipartiteState]:
         raise NotNormalized(
             f"|c+|^2 + |c-|^2 = {norm2!r} off unity by {abs(norm2 - 1.0):.3e}"
         )
-    shift = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-    hold = np.eye(2, dtype=np.complex128)
-    p_plus = np.diag([1.0, 0.0]).astype(np.complex128)
-    p_minus = np.diag([0.0, 1.0]).astype(np.complex128)
-    unitary = np.kron(p_plus, hold) + np.kron(p_minus, shift)
-    pointer0 = np.array([1.0, 0.0], dtype=np.complex128)
-    vec = unitary @ np.kron(phi0, pointer0)
+    unitary = _COUPLING.copy()
+    vec = unitary @ np.array([phi0[0], 0.0, phi0[1], 0.0])  # phi0 (x) |0>
     return unitary, BipartiteState(dims=(2, 2), vec=vec)

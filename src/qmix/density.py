@@ -101,7 +101,12 @@ class QDensity:
 
 @dataclass(frozen=True, eq=False)
 class CDensity:
-    """Complex density matrix (hermitian, positive, unit trace) with spectrum."""
+    """Complex density matrix (hermitian, positive, unit trace) with spectrum.
+
+    The lift builders also read a stack of them: ``mat`` of shape
+    (s, n, n) and ``eigenvalues`` of shape (s, n), whose ``rank`` is then
+    one count per slice.
+    """
 
     mat: np.ndarray
     eigenvalues: np.ndarray
@@ -116,7 +121,7 @@ class CDensity:
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self.mat.shape[-1]
 
     @cached_property
     def rank(self) -> int:
@@ -127,12 +132,15 @@ class CDensity:
         """Every eigenpair of one ``eigh`` call, computed once.
 
         Eigenvalues descend, ties keep ``eigh``'s order, and each
-        eigenvector is phase-normalized (:func:`_phase_normalize`).
-        Every lift of this density reads them, whatever its target rank.
+        eigenvector is phase-normalized (:func:`_phase_normalize`).  A
+        stack is decomposed in one call, each slice as ``eigh`` decomposes
+        it alone.  Every lift of this density reads them, whatever its
+        target rank.
         """
         eigs, vecs = np.linalg.eigh(self.mat)
-        order = np.argsort(-eigs, kind="stable")
-        return eigs[order], _phase_normalize(vecs[:, order])
+        order = np.argsort(-eigs, axis=-1, kind="stable")
+        vecs = np.take_along_axis(vecs, order[..., None, :], -1)
+        return np.take_along_axis(eigs, order, -1), _phase_normalize(vecs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +159,10 @@ class Observable:
 
     @classmethod
     def from_complex(cls, mat: np.ndarray) -> "Observable":
-        return cls.from_qmatrix(QMatrix.from_complex(mat))
+        """Embed a complex matrix (beta = 0), its hermiticity measured as given."""
+        mat = QMatrix.from_complex(mat)
+        require_hermitian(hermiticity_deviation(mat.alpha), VALIDATION_TOL)
+        return cls(mat=mat, is_complex=True)
 
 
 # ---------------------------------------------------------------------
@@ -333,43 +344,71 @@ def block_purify(u: np.ndarray, v: np.ndarray, cu: complex, cv: complex) -> QMat
 def _phase_normalize(vecs: np.ndarray) -> np.ndarray:
     """Rotate each column's global phase so its largest component is real positive.
 
-    The columns are eigenvectors, of unit norm, so no pivot is zero.
+    The columns are eigenvectors, of unit norm, so no pivot is zero.  A
+    stack is normalized slice by slice.
     """
-    pivots = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    rows = np.argmax(np.abs(vecs), axis=-2)
+    pivots = np.take_along_axis(vecs, rows[..., None, :], -2)
     return vecs * (np.conj(pivots) / np.abs(pivots))
 
 
-def _lift_blocks(rho_alpha: CDensity, target_rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (alpha, beta) blocks of :func:`lift`, not yet validated.
+def _lift_blocks(sources: CDensity, owner, targets) -> tuple[np.ndarray, np.ndarray]:
+    """The (alpha, beta) blocks of lifts of ``sources``, not yet validated.
 
-    Checks the admissible range and runs the Gram-matrix orthogonality
-    test of the paired eigenvectors; the density gate is left to the
-    caller, which may gate many lifts as one stack.
+    ``sources`` is one density or a stack of them.  Lift j is of source
+    ``owner[j]`` to rank ``targets[j]``; the two broadcast together, and
+    scalars give one lift, with (n, n) blocks and errors that name no
+    slice.  Every lift is checked for its admissible range
+    (:class:`RankOne`, :class:`RankOutOfRange`) and the orthonormality of
+    its paired eigenvectors (:class:`NotOrthogonal`, one Gram-matrix
+    test), each through :func:`~qmix.qmatrix.check_slices`.
+
+    The eigenpairs of all the sources come from one stacked ``eigh``
+    (:attr:`CDensity.eigenpairs`), alpha is built once per source, and
+    the Gram test and beta once per pair count k = 2 (m - target), as
+    stacked products that give each lift the bits a stack of one gives
+    it.  The density gate is left to the caller, which may gate many
+    lifts as one stack.
     """
-    m = rho_alpha.rank
-    if m <= 1:
-        raise RankOne("rank-one complex densities admit no lift to lower rank")
+    owner, targets = np.broadcast_arrays(owner, targets)
+    m = np.reshape(sources.rank, -1)[owner]
     lo = (m + 1) // 2
-    if not lo <= target_rank <= m:
-        raise RankOutOfRange(
-            f"target rank {target_rank} outside admissible range "
-            f"[{lo}, {m}] for projection rank {m}"
-        )
-    eigs, vecs = rho_alpha.eigenpairs
-    k = 2 * (m - target_rank)  # the leading k eigenpairs form the pairs
-    gram = vecs[:, :k].conj().T @ vecs[:, :k]
-    gram.flat[:: k + 1] -= 1.0  # subtract the identity
-    deviation = float(np.abs(gram).max(initial=0.0))
-    if not deviation <= VALIDATION_TOL:
-        raise NotOrthogonal(
-            f"paired eigenvectors deviate from orthonormal by {deviation:.3e}, "
-            f"beyond {VALIDATION_TOL:.3e}"
-        )
-    u, v = vecs[:, 0:k:2], vecs[:, 1:k:2]
-    weights = np.sqrt(eigs[0:k:2]) * np.sqrt(eigs[1:k:2])
-    alpha = (vecs * eigs) @ vecs.conj().T
-    cross = (v.conj() * weights) @ u.conj().T
-    return alpha, cross - cross.T
+    check_slices(
+        m > 1, RankOne, lambda i: "rank-one complex densities admit no lift to lower rank"
+    )
+    check_slices(
+        (lo <= targets) & (targets <= m),
+        RankOutOfRange,
+        lambda i: f"target rank {targets[i]} outside admissible range "
+        f"[{lo[i]}, {m[i]}] for projection rank {m[i]}",
+    )
+    n = sources.dim
+    eigs, vecs = sources.eigenpairs
+    eigs, vecs = eigs.reshape(-1, n), vecs.reshape(-1, n, n)
+    owner, pairs = owner.reshape(-1), np.reshape(2 * (m - targets), -1)
+    used = sorted(set(owner.tolist()))  # the sources lifted, each built once
+    alpha = (vecs[used] * eigs[used, None, :]) @ vecs[used].conj().swapaxes(-1, -2)
+    alpha = alpha[np.searchsorted(used, owner)]
+    beta = np.zeros_like(alpha)
+    deviation = np.zeros(len(owner))
+    for k in sorted(set(pairs.tolist()) - {0}):  # the leading k eigenpairs form the pairs
+        lifts = np.flatnonzero(pairs == k)
+        e, q = eigs[owner[lifts]], vecs[owner[lifts]]
+        gram = q[..., :k].conj().swapaxes(-1, -2) @ q[..., :k]
+        gram[:, range(k), range(k)] -= 1.0  # subtract the identity
+        deviation[lifts] = np.abs(gram).max((-2, -1))
+        u, v = q[..., 0:k:2], q[..., 1:k:2]
+        weights = np.sqrt(e[:, 0:k:2]) * np.sqrt(e[:, 1:k:2])
+        cross = (v.conj() * weights[:, None, :]) @ u.conj().swapaxes(-1, -2)
+        beta[lifts] = cross - cross.swapaxes(-1, -2)
+    deviation = deviation.reshape(m.shape)
+    check_slices(
+        deviation <= VALIDATION_TOL,
+        NotOrthogonal,
+        lambda i: f"paired eigenvectors deviate from orthonormal by {deviation[i]:.3e}, "
+        f"beyond {VALIDATION_TOL:.3e}",
+    )
+    return alpha.reshape(*m.shape, n, n), beta.reshape(*m.shape, n, n)
 
 
 def lift(rho_alpha: CDensity, target_rank: int) -> QDensity:
@@ -391,24 +430,40 @@ def lift(rho_alpha: CDensity, target_rank: int) -> QDensity:
     ``target_rank``.  The paired eigenvectors must be orthonormal within
     ``VALIDATION_TOL`` (one Gram-matrix test).
 
-    Two steps: the builder :func:`_lift_blocks` checks the target and the
-    pairing and returns the blocks, and :func:`validate` gates and
-    classifies the result.  The audit calls the builder alone and gates
-    the lifts of many sources as one stack.
+    Two steps: the stacked builder :func:`_lift_blocks`, called here with
+    one source and one target, checks the target and the pairing and
+    returns the blocks, and :func:`validate` gates and classifies the
+    result.  The audit calls the same builder on every lift of a
+    dimension at once and gates them as one stack.
     """
-    return validate(QMatrix(*_lift_blocks(rho_alpha, target_rank)))
+    return validate(QMatrix(*_lift_blocks(rho_alpha, 0, target_rank)))
 
 
-def _purify_blocks(rho_alpha: CDensity) -> tuple[np.ndarray, np.ndarray]:
-    """The (alpha, beta) blocks of :func:`purify`, not yet validated."""
-    if rho_alpha.rank == 1:
-        return rho_alpha.mat, np.zeros_like(rho_alpha.mat)
-    if rho_alpha.rank == 2:
-        return _lift_blocks(rho_alpha, 1)
-    raise NotPurifiable(
-        f"projection rank {rho_alpha.rank} exceeds 2, the largest rank "
-        "a quaternionic pure state can project onto"
+def _purify_blocks(sources: CDensity, owner) -> tuple[np.ndarray, np.ndarray]:
+    """The (alpha, beta) blocks of :func:`purify` of each source ``owner``, not yet validated.
+
+    Indexes ``sources`` as :func:`_lift_blocks` does, a scalar ``owner``
+    giving one purification.  A rank-one source is embedded (alpha is
+    its matrix, beta = 0), rank-two sources are lifted to rank one by
+    one :func:`_lift_blocks` call, and any other rank raises
+    :class:`NotPurifiable`.
+    """
+    owner = np.asarray(owner)
+    rank = np.reshape(sources.rank, -1)[owner]
+    check_slices(
+        (rank == 1) | (rank == 2),
+        NotPurifiable,
+        lambda i: f"projection rank {rank[i]} exceeds 2, the largest rank "
+        "a quaternionic pure state can project onto",
     )
+    lifted = rank == 2
+    if lifted.all():
+        return _lift_blocks(sources, owner, 1)
+    alpha = sources.mat.reshape(-1, sources.dim, sources.dim)[owner]
+    beta = np.zeros_like(alpha)
+    if lifted.any():
+        alpha[lifted], beta[lifted] = _lift_blocks(sources, owner[lifted], 1)
+    return alpha, beta
 
 
 def purify(rho_alpha: CDensity) -> QDensity:
@@ -417,10 +472,11 @@ def purify(rho_alpha: CDensity) -> QDensity:
     Possible exactly when rank(rho_alpha) <= 2.  Rank-one input is
     already the projection of a pure state and is embedded unchanged
     (beta = 0, as :func:`embed_proper` does); rank-two input is lifted
-    to rank one.  Like :func:`lift`, a builder (:func:`_purify_blocks`)
-    followed by :func:`validate`.
+    to rank one.  Like :func:`lift`, the stacked builder
+    (:func:`_purify_blocks`) called with one source, followed by
+    :func:`validate`.
     """
-    return validate(QMatrix(*_purify_blocks(rho_alpha)))
+    return validate(QMatrix(*_purify_blocks(rho_alpha, 0)))
 
 
 # ---------------------------------------------------------------------

@@ -301,11 +301,6 @@ def _draw_trial(seed: int, trial: int, n: int) -> tuple:
     return state, source, two, three
 
 
-def _stacked(pairs) -> QMatrix:
-    """One stack of (alpha, beta) block pairs, of which there is at least one."""
-    return QMatrix(*map(np.stack, zip(*pairs)))
-
-
 #: The audit's checks, in order, and the detail a failure of each reports.
 _DETAILS = {
     "projection_is_density": "projection invalid: herm={herm:.3e} neg={neg:.3e} trace={trace:.3e}",
@@ -395,58 +390,62 @@ def check_propositions(n_max: int, trials: int, seed: int) -> PropositionSummary
 def _audit_dimension(n: int, trials: range, seed: int, worst: dict) -> None:
     """The batched pass of :func:`check_propositions` for the trials of dimension n.
 
-    Gates states, projections, lifts and purifications as stacks,
-    raises at the first failure it meets, and keeps each check's worst
-    residual in ``worst``.
+    Two density gates: one on the complex stack (lift sources, rank-two
+    and rank-three densities, projections) and one on the quaternionic
+    stack (states, lifts, purifications); every tally is sliced out of
+    their spectra.  The lifts and purifications come from the stacked
+    builders, which share one ``eigh`` of the lift sources and rank-two
+    densities.  Raises at the first failure it meets and keeps each
+    check's worst residual in ``worst``.
     """
 
     def tally(name: str, trial_ids, **measured) -> None:
         residual = _judge(name, trial_ids, **measured)
         worst[name] = max(worst[name], float(np.max(residual, initial=0.0)))
 
+    t = len(trials)
     draws = [_draw_trial(seed, trial, n) for trial in trials]
-    states = _stacked((d[0].alpha, d[0].beta) for d in draws)
-    state_eigs = _density_gate(states, VALIDATION_TOL)
-    projected = states.alpha
-    projected_eigs = _density_gate(projected, VALIDATION_TOL)
+    states = QMatrix(np.stack([d[0].alpha for d in draws]), np.stack([d[0].beta for d in draws]))
+    drawn = _complex_densities([d[k] for k in (1, 2, 3) for d in draws if d[k] is not None])
+    densities = np.concatenate([drawn, states.alpha])
+    spectra = _density_gate(densities, VALIDATION_TOL)
+    projected, projected_eigs = densities[-t:], spectra[-t:]
     tally("projection_is_density", trials, **_projection_measures(projected, projected_eigs))
+
+    # Lift every source to every admissible target, purify every rank-two
+    # density: the sources are the first t slices, the rank-two ones the next t.
+    sources = CDensity(mat=densities[: 2 * t], eigenvalues=spectra[: 2 * t])
+    owner, targets = np.array([
+        (i, target)
+        for i, m in enumerate(sources.rank[:t])
+        for target in range((m + 1) // 2, m + 1)
+    ]).T
+    lifts = QMatrix(*_lift_blocks(sources, owner, targets))
+    pures = QMatrix(*_purify_blocks(sources, np.arange(t, 2 * t)))
+    stack = QMatrix(
+        np.concatenate([states.alpha, lifts.alpha, pures.alpha]),
+        np.concatenate([states.beta, lifts.beta, pures.beta]),
+    )
+    state_eigs, lift_eigs, pure_eigs = np.split(
+        _density_gate(stack, VALIDATION_TOL), [t, t + len(owner)]
+    )
     # Ranks come from the spectra the density gate returned: no SVD.
     m, rank_alpha = numerical_rank(state_eigs), numerical_rank(projected_eigs)
     tally("projection_rank_bounds", trials, m=m, rank_alpha=rank_alpha)
 
-    sources = _complex_densities([d[1] for d in draws])
-    source_eigs = _density_gate(sources, VALIDATION_TOL)
-    # Lifts are built per source and target (the range and Gram tests of
-    # lift), then gated as one stack.
-    blocks, owner, targets = [], [], []
-    for i, (mat, eigs) in enumerate(zip(sources, source_eigs)):
-        source = CDensity(mat=mat, eigenvalues=eigs)
-        for target in range((source.rank + 1) // 2, source.rank + 1):
-            blocks.append(_lift_blocks(source, target))
-            owner.append(i)
-            targets.append(target)
-    lifts = _stacked(blocks)
-    lift_eigs = _density_gate(lifts, VALIDATION_TOL)
-    round_trip = np.abs(lifts.alpha - sources[owner]).max((-2, -1))
+    round_trip = np.abs(lifts.alpha - sources.mat[owner]).max((-2, -1))
     rank = numerical_rank(lift_eigs)
     lift_trials = [trials[i] for i in owner]
     tally("lift_round_trip", lift_trials, round_trip=round_trip, rank=rank, target=targets)
 
     # The idempotency norm is taken slice by slice, so it sums in the
     # order of the single-matrix one.
-    twos = _complex_densities([d[2] for d in draws])
-    two_eigs = _density_gate(twos, VALIDATION_TOL)
-    pures = _stacked(_purify_blocks(CDensity(mat, eigs)) for mat, eigs in zip(twos, two_eigs))
-    pure_eigs = _density_gate(pures, VALIDATION_TOL)
     square = pures @ pures - pures
-    idem = np.array([frobenius_norm(square[i]) for i in range(len(trials))])
-    refusal_ok = np.ones(len(trials), dtype=bool)
-    if n >= 3:
-        threes = _complex_densities([d[3] for d in draws])
-        # purify refuses exactly the ranks above two, and the gate's trace
-        # test makes every rank at least one: a rank of two or less fails,
-        # and the replay names the failure through purify itself.
-        refusal_ok = numerical_rank(_density_gate(threes, VALIDATION_TOL)) > 2
+    idem = np.array([frobenius_norm(square[i]) for i in range(t)])
+    # purify refuses exactly the ranks above two, and the gate's trace
+    # test makes every rank at least one: a rank of two or less fails,
+    # and the replay names the failure through purify itself.
+    refusal_ok = numerical_rank(spectra[2 * t : 3 * t]) > 2 if n >= 3 else np.ones(t, dtype=bool)
     rank_ok = numerical_rank(pure_eigs) == 1
     tally("purify_rank_two", trials, rank_ok=rank_ok, idem=idem, refusal_ok=refusal_ok)
 

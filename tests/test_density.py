@@ -1,5 +1,7 @@
 """Density layer: validation, projection, classification, lift, purify."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from qmix import (
     rank_q,
     validate,
 )
-from qmix.density import _density_gate
+from qmix.density import _density_gate, _lift_blocks, _purify_blocks
 from qmix.errors import (
     DimensionMismatch,
     NotHermitian,
@@ -448,19 +450,96 @@ def test_lift_decomposes_its_source_once(monkeypatch):
     assert len(calls) == 1
 
 
+def stacked_cdensity(sources) -> CDensity:
+    """The sources as one CDensity stack, gated as the audit gates it."""
+    mats = np.stack([source.mat for source in sources])
+    return CDensity(mat=mats, eigenvalues=_density_gate(mats, 1e-10))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_stacked_builders_give_each_slice_the_single_source_blocks(n):
+    rng = np.random.default_rng(100 + n)
+    sources = [random_cdensity(rng, n, rank) for rank in range(1, n + 1) for _ in range(2)]
+    stack = stacked_cdensity(sources)
+    lifts = [
+        (i, target)
+        for i, source in enumerate(sources)
+        for target in range((source.rank + 1) // 2, source.rank + 1)
+        if source.rank > 1
+    ]
+    lifts = [lifts[j] for j in rng.permutation(len(lifts))]  # targets interleaved
+    owner, targets = zip(*lifts)
+    alpha, beta = _lift_blocks(stack, owner, targets)
+    assert alpha.shape == beta.shape == (len(lifts), n, n)
+    for j, (i, target) in enumerate(lifts):
+        single = lift(sources[i], target)
+        assert np.array_equal(alpha[j], single.alpha) and np.array_equal(beta[j], single.beta)
+    # purification of rank-one and rank-two sources in one call
+    owner = [i for i, source in enumerate(sources) if source.rank <= 2][::-1]
+    alpha, beta = _purify_blocks(stack, owner)
+    assert {sources[i].rank for i in owner} == {1, 2}
+    for j, i in enumerate(owner):
+        single = purify(sources[i])
+        assert np.array_equal(alpha[j], single.alpha) and np.array_equal(beta[j], single.beta)
+
+
+def test_stacked_builders_decompose_their_sources_once(monkeypatch):
+    rng = np.random.default_rng(45)
+    sources = [random_cdensity(rng, 5, rank) for rank in (1, 2, 2, 3, 5)]
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda mat: calls.append(mat) or eigh(mat))
+    _lift_blocks(stacked_cdensity(sources), [1, 3, 3, 4, 4, 4], [1, 2, 3, 3, 4, 5])
+    assert len(calls) == 1
+    _purify_blocks(stacked_cdensity(sources), [0, 1, 2])
+    assert len(calls) == 2
+    # the audit lifts and purifies the sources of one stack: one eigh for both
+    stack = stacked_cdensity(sources)
+    _lift_blocks(stack, [3, 4], [2, 3])
+    _purify_blocks(stack, [0, 1, 2])
+    assert len(calls) == 3
+
+
+def test_gram_test_names_the_slice_of_a_stack_only(monkeypatch):
+    # eigenvectors skewed off orthonormal: the first and last of each
+    # source mix, so only a lift pairing both fails the Gram test
+    eigh = np.linalg.eigh
+
+    def skewed_eigh(mat):
+        eigs, vecs = eigh(mat)
+        return eigs, vecs + 1e-6 * vecs[..., ::-1]
+
+    monkeypatch.setattr(np.linalg, "eigh", skewed_eigh)
+    source = random_cdensity(np.random.default_rng(46), 4)
+    with pytest.raises(NotOrthogonal) as excinfo:
+        lift(source, 2)
+    assert re.fullmatch(
+        r"paired eigenvectors deviate from orthonormal by \d\.\d{3}e-0\d, beyond 1\.000e-10",
+        str(excinfo.value),
+    )
+    lift(source, 3)
+    with pytest.raises(NotOrthogonal, match=r"1\.000e-10 at slice 1$") as excinfo:
+        _lift_blocks(stacked_cdensity([source, source]), [0, 1], [3, 2])
+    assert excinfo.value.index == (1,)
+
+
 def test_lift_rejects_out_of_range_rank():
     rng = np.random.default_rng(39)
     source = random_cdensity(rng, 4, rank=4)
-    with pytest.raises(RankOutOfRange, match=r"\[2, 4\]"):
+    with pytest.raises(RankOutOfRange) as excinfo:
         lift(source, 1)
+    assert str(excinfo.value) == (
+        "target rank 1 outside admissible range [2, 4] for projection rank 4"
+    )
     with pytest.raises(RankOutOfRange):
         lift(source, 5)
 
 
 def test_lift_rejects_rank_one():
     source = CDensity.from_matrix(np.diag([1.0, 0.0]))
-    with pytest.raises(RankOne):
+    with pytest.raises(RankOne) as excinfo:
         lift(source, 1)
+    assert str(excinfo.value) == "rank-one complex densities admit no lift to lower rank"
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
@@ -491,8 +570,11 @@ def test_purify_two_level():
 
 
 def test_purify_rank_three_refused():
-    with pytest.raises(NotPurifiable):
+    with pytest.raises(NotPurifiable) as excinfo:
         purify(CDensity.from_matrix(np.eye(3) / 3))
+    assert str(excinfo.value) == (
+        "projection rank 3 exceeds 2, the largest rank a quaternionic pure state can project onto"
+    )
 
 
 # -- hard spectra ------------------------------------------------------------

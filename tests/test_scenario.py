@@ -182,9 +182,13 @@ def test_check_propositions_negative_control(monkeypatch, seed):
     assert "seed" in str(excinfo.value)
 
 
-@pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize("n_max,trials", [(2, 9), (3, 13), (6, 23)])
-def test_check_propositions_matches_the_sequential_reference(seed, n_max, trials):
+# (6, 30) is the benchmark's audit shape; 1000003 its held-out seed.
+@pytest.mark.parametrize(
+    "n_max,trials,seed",
+    [(n, t, seed) for n, t in [(2, 9), (3, 13), (6, 23), (6, 30)] for seed in range(5)]
+    + [(6, 30, 1000003)],
+)
+def test_check_propositions_matches_the_sequential_reference(n_max, trials, seed):
     batched = check_propositions(n_max, trials, seed)
     reference = reference_check_propositions(n_max, trials, seed)
     assert batched.passed == reference.passed
@@ -199,10 +203,12 @@ def _inject_faults(monkeypatch):
     trials of several dimensions fail; the batched audit must still
     report the lowest failing trial, as the trial-by-trial reference
     does.  Both reach the same private builders, patched in each module
-    that looks them up.  Over seeds 0-7 the winners include a builder
-    error, a trace failure below a positivity failure of the same stack
-    (a stacked gate tests positivity first), and a positivity failure at
-    a trial's first target with a builder error at its last."""
+    that looks them up; a hook tests each lift it is asked for, so a
+    fault fires in a stack of one as in the batched stacks.  Over seeds
+    0-7 the winners include a builder error, a trace failure below a
+    positivity failure of the same stack (a stacked gate tests
+    positivity first), and a positivity failure at a trial's first
+    target with a builder error at its last."""
     draw = density._random_density_matrix
     lift_blocks, purify_blocks = density._lift_blocks, density._purify_blocks
 
@@ -210,22 +216,35 @@ def _inject_faults(monkeypatch):
         mat = draw(n, kind, rng)
         return mat * 1.5 if n == 5 and mat.alpha[0, 0].real > 0.26 else mat
 
-    def faulty_lift_blocks(source, target):
-        if source.dim in (3, 6) and target == source.rank and source.mat[0, 0].real > 0.45:
-            raise RankOutOfRange(f"injected lift fault at {float(source.mat[0, 0].real)!r}")
-        alpha, beta = lift_blocks(source, target)
-        if source.dim != 6:
-            return alpha, beta
-        if target == source.rank - 1 and source.mat[2, 2].real > 0.25:
-            return alpha * 1.5, beta * 1.5  # TraceNotOne, for purify too
-        if target == (source.rank + 1) // 2 < source.rank - 1 and source.mat[3, 3].real > 0.15:
-            return alpha + np.diag([1.0, -1.0, 0, 0, 0, 0]), beta  # NotPositive, trace kept
-        return alpha, beta
+    def lifts_of(sources, owner, targets):
+        # (matrix, rank, target) of each lift the builder is asked for
+        n = sources.dim
+        mats, ranks = sources.mat.reshape(-1, n, n), np.reshape(sources.rank, -1)
+        owner, targets = np.broadcast_arrays(owner, targets)
+        return [(mats[i], ranks[i], target) for i, target in zip(owner.flat, targets.flat)]
 
-    def faulty_purify_blocks(source):
-        if source.dim == 4 and source.rank == 2 and source.mat[1, 1].real > 0.5:
-            raise NotNormalized(f"injected purify fault at {float(source.mat[1, 1].real)!r}")
-        return purify_blocks(source)
+    def faulty_lift_blocks(sources, owner, targets):
+        n = sources.dim
+        lifts = lifts_of(sources, owner, targets)
+        for mat, rank, target in lifts:
+            if n in (3, 6) and target == rank and mat[0, 0].real > 0.45:
+                raise RankOutOfRange(f"injected lift fault at {float(mat[0, 0].real)!r}")
+        alpha, beta = lift_blocks(sources, owner, targets)
+        if n != 6:
+            return alpha, beta
+        alpha, beta = alpha.reshape(-1, n, n).copy(), beta.reshape(-1, n, n).copy()
+        for j, (mat, rank, target) in enumerate(lifts):
+            if target == rank - 1 and mat[2, 2].real > 0.25:
+                alpha[j], beta[j] = alpha[j] * 1.5, beta[j] * 1.5  # TraceNotOne, for purify too
+            elif target == (rank + 1) // 2 < rank - 1 and mat[3, 3].real > 0.15:
+                alpha[j] += np.diag([1.0, -1.0, 0, 0, 0, 0])  # NotPositive, trace kept
+        return alpha.reshape(*np.shape(owner), n, n), beta.reshape(*np.shape(owner), n, n)
+
+    def faulty_purify_blocks(sources, owner):
+        for mat, rank, _ in lifts_of(sources, owner, 1):
+            if sources.dim == 4 and rank == 2 and mat[1, 1].real > 0.5:
+                raise NotNormalized(f"injected purify fault at {float(mat[1, 1].real)!r}")
+        return purify_blocks(sources, owner)
 
     for module in (density, scenario):
         monkeypatch.setattr(module, "_random_density_matrix", faulty_draw)
@@ -250,6 +269,7 @@ def test_check_propositions_raises_what_the_lowest_failing_trial_raises(
         reference_check_propositions(n_max, trials, seed)
     with pytest.raises(Exception) as batched:
         check_propositions(n_max, trials, seed)
+    assert isinstance(reference.value, QmixError)  # an injected fault, not a stale hook
     assert type(batched.value) is type(reference.value)
     assert str(batched.value) == str(reference.value)
 
@@ -261,8 +281,8 @@ def test_check_propositions_raises_when_only_the_stacked_lift_gate_fails(monkeyp
 
     def lift_stack_fails(mat, tol):
         # At n = 2 every source has rank 2 and two lift targets, so the
-        # lifts are the one QMatrix stack of two slices per trial.
-        if isinstance(mat, QMatrix) and mat.alpha.ndim == 3 and len(mat.alpha) == 2 * 5:
+        # one QMatrix stack holds five states, ten lifts and five purifications.
+        if isinstance(mat, QMatrix) and mat.alpha.ndim == 3 and len(mat.alpha) == 5 + 2 * 5 + 5:
             raise TraceNotOne("injected failure of the stacked lift gate")
         return gate(mat, tol)
 
