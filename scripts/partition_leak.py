@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from qmix import Propagator, QMatrix, evolve, expm_q, random_generator, validate
+from qmix import Generator, QMatrix, evolve, random_generator, time_ordered, validate
 from qmix.cli import _finite_float, _int_at_least
 from qmix.errors import QmixError
 
@@ -26,14 +26,14 @@ def main():
 
     alpha = np.array([[0.5, -0.5j], [0.5j, 0.5]])
     rho = validate(QMatrix.from_complex(alpha))
-    j_gen = QMatrix(np.zeros((2, 2)), np.eye(2))
+    j_gen = Generator(QMatrix(np.zeros((2, 2)), np.eye(2)))
     complex_gen = random_generator(2, np.random.default_rng(args.seed), quaternionic=False)
 
     print(f"{'t':>6} {'leak (jI)':>12} {'closed form':>12} {'leak (complex gen)':>19}")
     for t in np.linspace(0.0, args.tmax, args.points):
         try:
-            quater = evolve(rho, Propagator(u=expm_q(j_gen * -t)))
-            comp = evolve(rho, Propagator(u=expm_q(complex_gen.h * -t)))
+            quater = evolve(rho, time_ordered(j_gen, t))
+            comp = evolve(rho, time_ordered(complex_gen, t))
         except QmixError as exc:  # one line and exit 1, as `qmix evolve` does
             print(f"error: {exc}", file=sys.stderr)
             return 1

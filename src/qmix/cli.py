@@ -68,23 +68,17 @@ def _parse_block(node, rows: int, cols: int, pointer: str) -> np.ndarray:
     for i, row in enumerate(node):
         if not isinstance(row, list) or len(row) != cols:
             raise SchemaError(f"{pointer}/{i}", f"expected {cols} entries")
-    entries = list(chain.from_iterable(node))
-    # Fast path on exact types; anything else (bool, str, list or float
-    # subclasses) falls back to the per-entry check, which names the first
-    # bad entry.
-    if not (
-        set(map(type, entries)) == {list}
-        and set(map(len, entries)) == {2}
-        and set(map(type, chain.from_iterable(entries))) <= {int, float}
-    ):
-        for k, entry in enumerate(entries):
+    flat = _block_leaves(node)
+    if flat is None:  # names the first bad entry; float subclasses pass
+        for k, entry in enumerate(chain.from_iterable(node)):
             if not _is_entry(entry):
                 raise SchemaError(f"{pointer}/{k // cols}/{k % cols}", "expected [re, im]")
+        flat = [x for row in node for entry in row for x in entry]
     try:
-        values = np.array(entries, dtype=np.float64)
+        values = np.array(flat, dtype=np.float64)
     except OverflowError:
         # the finiteness check below names the entry that overflowed
-        values = np.array([list(map(_as_float, entry)) for entry in entries])
+        values = np.array(list(map(_as_float, flat)))
     values = values.reshape(rows, cols, 2)
     finite = np.isfinite(values).all(axis=-1)
     if not finite.all():
@@ -146,7 +140,7 @@ def _block_layout(rows: int, cols: int, pad: str) -> str:
 
 
 def _block_leaves(node: list) -> list | None:
-    """Numbers of a rectangular list of lists of number pairs, row-major; else None."""
+    """Numbers of a matrix block (exact list, int and float types), row-major; else None."""
     if type(node[0]) is not list or not node[0] or type(node[0][0]) is not list:
         return None
     if set(map(type, node)) != {list} or len(set(map(len, node))) != 1:

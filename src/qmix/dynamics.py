@@ -33,6 +33,7 @@ import numpy as np
 from .density import CDensity, MixtureKind, QDensity, random_density, validate
 from .errors import DimensionMismatch, DriftExceeded, NotUnitary, QmixError, WitnessNotFound
 from .qmatrix import (
+    UNITARY_TOL,
     QMatrix,
     chi,
     chi_inverse,
@@ -42,8 +43,6 @@ from .qmatrix import (
     require_anti_hermitian,
 )
 
-#: Unitarity tolerance for propagators.
-UNITARITY_TOL = 1e-9
 #: Cap on the per-step hermiticity/trace correction in ``integrate``.
 DRIFT_TOL = 1e-6
 #: Evolution time of each candidate in ``partition_witness``.
@@ -86,9 +85,9 @@ class Propagator:
             raise DimensionMismatch(f"propagator must be square, got {self.u.shape}")
         with np.errstate(invalid="ignore"):  # a non-finite entry gives NaN, which fails
             dev = max_abs(self.u.h @ self.u - QMatrix.identity(self.u.rows))
-        if not dev <= UNITARITY_TOL:
+        if not dev <= UNITARY_TOL:
             raise NotUnitary(
-                f"U^dag U deviates from identity by {dev:.3e}, beyond {UNITARITY_TOL:.3e}"
+                f"U^dag U deviates from identity by {dev:.3e}, beyond {UNITARY_TOL:.3e}"
             )
 
     @property
@@ -209,10 +208,8 @@ def projected_rate_check(rho: QDensity, gen: Generator, h: float = 1e-4) -> floa
     return float(np.linalg.norm(fd - rhs))
 
 
-def random_generator(
-    n: int, rng: np.random.Generator, quaternionic: bool = True, norm: float = 1.0
-) -> Generator:
-    """Random constant anti-hermitian generator of Frobenius norm ``norm``."""
+def random_generator(n: int, rng: np.random.Generator, quaternionic: bool = True) -> Generator:
+    """Random constant anti-hermitian generator of unit Frobenius norm."""
     ga = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     alpha = (ga - ga.conj().T) / 2
     if quaternionic:
@@ -223,7 +220,7 @@ def random_generator(
     ham = QMatrix(alpha, beta)
     scale = frobenius_norm(ham)
     if scale > 0:
-        ham = ham * (norm / scale)
+        ham = ham * (1.0 / scale)
     return Generator(ham)
 
 

@@ -42,13 +42,11 @@ from .errors import (
     QmixError,
 )
 
-#: Max entry deviation allowed when reading a matrix back out of a chi image.
-CHI_MEMBERSHIP_TOL = 1e-10
-#: Allowed membership deviation after a matrix exponential in the chi image.
-EXPM_MEMBERSHIP_TOL = 1e-9
+#: Error allowed in one computed unitary: its chi read-back, its phases, U^dag U - I.
+UNITARY_TOL = 1e-9
 #: Relative gap allowed between the two copies of each chi eigenvalue.
 EIG_PAIRING_TOL = 1e-8
-#: Max entry deviation allowed by hermiticity, positivity and trace checks.
+#: Max entry deviation allowed by hermiticity, positivity, trace and chi-membership checks.
 VALIDATION_TOL = 1e-10
 #: Relative floor of the numerical-rank rule (see :func:`numerical_rank`).
 RANK_REL_TOL = 1e-12
@@ -62,9 +60,9 @@ class QMatrix:
 
     Blocks of shape (..., rows, cols) hold a stack of matrices indexed by
     the leading axes; products, sums, the adjoint and the stack-aware
-    helpers :func:`chi`, :func:`hermiticity_deviation` and
-    :func:`eigvals_hermitian` act slice by slice, and indexing selects
-    slices.
+    helpers :func:`chi`, :func:`frobenius_norm`,
+    :func:`hermiticity_deviation` and :func:`eigvals_hermitian` act slice
+    by slice, and indexing selects slices.
     """
 
     alpha: np.ndarray
@@ -201,12 +199,13 @@ def chi_membership_deviation(c: np.ndarray) -> float:
     return float(np.maximum(dev_diag, dev_off))  # NaN-propagating, unlike max()
 
 
-def chi_inverse(c: np.ndarray, tol: float = CHI_MEMBERSHIP_TOL) -> QMatrix:
+def chi_inverse(c: np.ndarray, tol: float = VALIDATION_TOL) -> QMatrix:
     """Read a quaternionic matrix back out of its chi image.
 
     The redundant blocks are averaged, which projects small numerical
     noise back onto the chi image.  Raises :class:`NotInChiImage` when
-    the block symmetry deviates by more than ``tol``.
+    the block symmetry deviates by more than ``tol`` (a max entry
+    deviation, so ``VALIDATION_TOL`` by default).
     """
     c = np.asarray(c, dtype=np.complex128)
     deviation = chi_membership_deviation(c)
@@ -252,9 +251,22 @@ def real_trace(m: QMatrix) -> float:
     return float(np.trace(m.alpha).real)
 
 
-def frobenius_norm(m: QMatrix) -> float:
-    """Entrywise quaternion-norm Frobenius norm; equals ||chi(M)||_F / sqrt(2)."""
-    return float(np.sqrt(np.linalg.norm(m.alpha) ** 2 + np.linalg.norm(m.beta) ** 2))
+def frobenius_norm(m: QMatrix):
+    """Entrywise quaternion-norm Frobenius norm; one per slice for a stack.
+
+    Equals ||chi(M)||_F / sqrt(2).  A slice of a C-ordered stack has the
+    bits of the matrix alone: block norms are roots of BLAS dots, as in
+    ``np.linalg.norm``, squared as numpy scalars (by libm ``pow``, which an
+    array square misses about once in a thousand).
+    """
+
+    def block_norms(x: np.ndarray) -> np.ndarray:
+        row = x.reshape(x.shape[:-2] + (1, x.shape[-2] * x.shape[-1]))
+        col = row.swapaxes(-1, -2)
+        return np.sqrt(row.real @ col.real + row.imag @ col.imag).ravel()
+
+    norms = [np.sqrt(a**2 + b**2) for a, b in zip(block_norms(m.alpha), block_norms(m.beta))]
+    return float(norms[0]) if m.alpha.ndim == 2 else np.reshape(norms, m.shape[:-2])
 
 
 def max_abs(m: QMatrix) -> float:
@@ -353,33 +365,31 @@ def _paired_eigvals(eigs: np.ndarray) -> np.ndarray:
     return (first + second) / 2
 
 
-def numerical_rank(values: np.ndarray, tol: float | None = None):
-    """Count ``values`` above ``tol`` times the sum of their magnitudes.
+def numerical_rank(values: np.ndarray):
+    """Count the n ``values`` above ``max(n * eps, RANK_REL_TOL)`` times their magnitude sum.
 
-    The package's one numerical-rank rule, applied to the cached spectrum
-    of a density and to the singular-value pairs in :func:`rank_q`.  For a
-    density that sum is its trace, which a lift keeps, so lifting cannot
-    move the threshold.  The default ``tol`` is ``max(n * eps, RANK_REL_TOL)``.
-    Counts along the last axis: an int for one spectrum, an integer
-    array for a stack of them.
+    The package's one numerical-rank rule, which no caller overrides,
+    applied to the cached spectrum of a density and to the singular-value
+    pairs in :func:`rank_q`.  For a density that sum is its trace, which a
+    lift keeps, so lifting cannot move the threshold.  Counts along the
+    last axis: an int for one spectrum, an integer array for a stack.
     """
-    if tol is None:
-        tol = max(values.shape[-1] * _EPS, RANK_REL_TOL)
+    tol = max(values.shape[-1] * _EPS, RANK_REL_TOL)
     above = values > tol * np.abs(values).sum(-1, keepdims=True)
     if above.ndim == 1:
         return int(np.count_nonzero(above))
     return np.count_nonzero(above, axis=-1)
 
 
-def rank_q(m: QMatrix, tol: float | None = None) -> int:
+def rank_q(m: QMatrix) -> int:
     """Quaternionic rank: half the numerical rank of chi(M).
 
     Singular values of a chi image come in pairs; adjacent sorted values
     are averaged and the pairs counted by :func:`numerical_rank`, so the
-    threshold is ``tol`` times their sum (the trace, for a density).
+    threshold is relative to their sum (the trace, for a density).
     """
     sigma = np.linalg.svd(chi(m), compute_uv=False)
-    return numerical_rank((sigma[0::2] + sigma[1::2]) / 2, tol)
+    return numerical_rank((sigma[0::2] + sigma[1::2]) / 2)
 
 
 def expm_q(m: QMatrix) -> QMatrix:
@@ -391,7 +401,7 @@ def expm_q(m: QMatrix) -> QMatrix:
     SIAM Rev. 45, 2003).  Any other argument raises
     :class:`NotAntiHermitian`.  A phase w carries an error of about
     |w| * eps, so a spectral radius that puts it beyond
-    ``EXPM_MEMBERSHIP_TOL`` raises :class:`NotUnitary` rather than return
+    ``UNITARY_TOL`` raises :class:`NotUnitary` rather than return
     a unitary of meaningless phases.  The result is read back with a
     membership assertion rather than a silent projection.
     """
@@ -401,9 +411,9 @@ def expm_q(m: QMatrix) -> QMatrix:
     require_anti_hermitian(image, "exponent")
     w, v = np.linalg.eigh(-1j * image)
     radius = float(np.abs(w).max(initial=0.0))
-    if not radius * _EPS <= EXPM_MEMBERSHIP_TOL:
+    if not radius * _EPS <= UNITARY_TOL:
         raise NotUnitary(
-            f"exponent spectral radius {radius:.3e} exceeds {EXPM_MEMBERSHIP_TOL / _EPS:.3e}, "
-            f"the bound for phases accurate to {EXPM_MEMBERSHIP_TOL:.0e}"
+            f"exponent spectral radius {radius:.3e} exceeds {UNITARY_TOL / _EPS:.3e}, "
+            f"the bound for phases accurate to {UNITARY_TOL:.0e}"
         )
-    return chi_inverse((v * np.exp(1j * w)) @ v.conj().T, tol=EXPM_MEMBERSHIP_TOL)
+    return chi_inverse((v * np.exp(1j * w)) @ v.conj().T, tol=UNITARY_TOL)

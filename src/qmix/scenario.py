@@ -438,10 +438,7 @@ def _audit_dimension(n: int, trials: range, seed: int, worst: dict) -> None:
     lift_trials = [trials[i] for i in owner]
     tally("lift_round_trip", lift_trials, round_trip=round_trip, rank=rank, target=targets)
 
-    # The idempotency norm is taken slice by slice, so it sums in the
-    # order of the single-matrix one.
-    square = pures @ pures - pures
-    idem = np.array([frobenius_norm(square[i]) for i in range(t)])
+    idem = frobenius_norm(pures @ pures - pures)
     # purify refuses exactly the ranks above two, and the gate's trace
     # test makes every rank at least one: a rank of two or less fails,
     # and the replay names the failure through purify itself.

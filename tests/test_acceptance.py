@@ -91,7 +91,7 @@ def test_criterion_02_projection_rank_bounds():
     holds = 0
     trials = thousand_trials()
     for rho in trials:
-        m = rank_q(rho.mat, tol=1e-10)
+        m = rank_q(rho.mat)
         rank_alpha = complex_projection(rho).rank
         holds += m <= rank_alpha <= 2 * m
     report(2, holds == len(trials), f"{holds}/{len(trials)} trials satisfy m <= rank <= 2m")
@@ -110,7 +110,7 @@ def test_criterion_03_lift_sweep():
                 lifted = lift(source, target)
                 round_trip = np.abs(lifted.alpha - source.mat).max()
                 worst_round_trip = max(worst_round_trip, round_trip)
-                got = rank_q(lifted.mat, tol=1e-10)
+                got = rank_q(lifted.mat)
                 failures += round_trip > 1e-12 or got != target
                 cases += 1
     report(
@@ -129,7 +129,7 @@ def test_criterion_04_purify_rank_two_only():
         pure = purify(source)
         idem = frobenius_norm(pure.mat @ pure.mat - pure.mat)
         worst_idem = max(worst_idem, idem)
-        pure_ok += rank_q(pure.mat, tol=1e-10) == 1 and idem <= 1e-10
+        pure_ok += rank_q(pure.mat) == 1 and idem <= 1e-10
     refused = 0
     for trial in range(200):
         source = random_cdensity(rng, 3 + trial % 4, 3)
@@ -172,7 +172,7 @@ def test_criterion_06_balanced_purification_bit_level():
 
 def test_criterion_07_integrator_matches_propagator():
     rng = np.random.default_rng(7)
-    gen = random_generator(4, rng, quaternionic=True, norm=1.0)
+    gen = random_generator(4, rng, quaternionic=True)
     rho = random_density(4, MixtureKind.IMPROPER, rng)
     prop = Propagator(u=expm_q(gen.h * -1.0))
     exact = evolve(rho, prop)

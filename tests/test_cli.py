@@ -500,6 +500,20 @@ def test_non_finite_entries_report_first_pointer(value):
     assert "finite" in str(excinfo.value)
 
 
+def test_parse_admits_float_subclass_leaves_bitwise():
+    # np.float64 leaves miss the exact-type block scanner and take the
+    # per-entry check, which admits float subclasses, to the same bits
+    obj = serialize_matrix(random_qmatrix(np.random.default_rng(81), 3, 4))
+    subclassed = {
+        **obj,
+        **{name: [[[np.float64(x) for x in entry] for entry in row] for row in obj[name]]
+           for name in ("alpha", "beta")},
+    }
+    plain, got = parse_matrix(obj), parse_matrix(subclassed)
+    assert np.array_equal(got.alpha.view(np.uint64), plain.alpha.view(np.uint64))
+    assert np.array_equal(got.beta.view(np.uint64), plain.beta.view(np.uint64))
+
+
 def test_parse_keeps_negative_zero():
     obj = half_mixed()
     obj["alpha"][0][1] = [-0.0, -0.0]

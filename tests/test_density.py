@@ -376,7 +376,7 @@ def test_block_purify_random_idempotent_after_normalization():
         weight = abs(cu) ** 2 + abs(cv) ** 2
         normalized = block / weight
         assert qclose(normalized @ normalized, normalized, tol=1e-10)
-        assert rank_q(block, tol=1e-10) == 1
+        assert rank_q(block) == 1
         projection = abs(cu) ** 2 * np.outer(u, u.conj()) + abs(cv) ** 2 * np.outer(v, v.conj())
         assert np.abs(block.alpha - projection).max() <= 1e-13
 
@@ -417,7 +417,7 @@ def test_lift_rank_four_all_targets():
     for target in (2, 3, 4):
         lifted = lift(source, target)
         assert np.abs(lifted.alpha - source.mat).max() <= 1e-10
-        assert rank_q(lifted.mat, tol=1e-10) == target
+        assert rank_q(lifted.mat) == target
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -550,7 +550,7 @@ def test_lift_round_trips_every_admissible_rank(seed, m):
     for target in range((m + 1) // 2, m + 1):
         lifted = lift(source, target)
         assert np.abs(lifted.alpha - source.mat).max() <= 1e-12
-        assert rank_q(lifted.mat, tol=1e-10) == target
+        assert rank_q(lifted.mat) == target
 
 
 # -- purify -------------------------------------------------------------------
@@ -559,13 +559,13 @@ def test_purify_rank_one_returns_embedding():
     source = CDensity.from_matrix(np.outer(E0, E0))
     pure = purify(source)
     assert pure.classification is MixtureKind.PROPER
-    assert rank_q(pure.mat, tol=1e-10) == 1
+    assert rank_q(pure.mat) == 1
     assert np.array_equal(pure.alpha, source.mat)
 
 
 def test_purify_two_level():
     pure = purify(CDensity.from_matrix(np.diag([0.5, 0.5])))
-    assert rank_q(pure.mat, tol=1e-10) == 1
+    assert rank_q(pure.mat) == 1
     assert pure.classification is MixtureKind.IMPROPER
 
 
@@ -657,7 +657,7 @@ def test_random_proper_has_zero_beta():
 
 def test_random_pure_q_has_rank_one_with_rank_two_projection():
     rho = random_density(2, "Pure-Q", 99)
-    assert rank_q(rho.mat, tol=1e-10) == 1
+    assert rank_q(rho.mat) == 1
     assert complex_projection(rho).rank == 2
 
 

@@ -198,7 +198,7 @@ def test_integrate_complex_generator_keeps_proper_states_proper():
 
 
 def test_integrate_flags_excessive_drift():
-    gen = random_generator(2, np.random.default_rng(60), norm=1e8)
+    gen = Generator(random_generator(2, np.random.default_rng(60)).h * 1e8)
     rho = random_density(2, MixtureKind.PROPER, 61)
     with pytest.raises(DriftExceeded):
         integrate(rho, gen, t=1.0, steps=1)
@@ -239,7 +239,7 @@ def test_time_ordered_accepts_generator_at_its_deviation_bound():
 
 
 def test_time_ordered_rejects_overflowing_exponent():
-    gen = random_generator(2, np.random.default_rng(74), norm=30.0)
+    gen = Generator(random_generator(2, np.random.default_rng(74)).h * 30.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(QmixError, match=r"overflows at evolution time t = 1e\+308"):
@@ -256,7 +256,7 @@ def test_projected_rate_zero_generator():
 
 def test_projected_rate_complex_generator_on_proper_state():
     rng = np.random.default_rng(65)
-    gen = random_generator(3, rng, quaternionic=False, norm=0.5)
+    gen = Generator(random_generator(3, rng, quaternionic=False).h * 0.5)
     rho = random_density(3, MixtureKind.PROPER, rng)
     assert projected_rate_check(rho, gen, h=1e-4) <= 1e-8
 
@@ -322,7 +322,7 @@ def test_integrate_drift_names_the_failing_step():
     # |H| h = 125 is far outside RK4's stability region, so the iterate
     # grows every step; the corrections of steps 0 and 1 are 6e-10 and 0,
     # far below the 1e-6 cap, and that of step 2 is 1.0
-    gen = random_generator(2, np.random.default_rng(71), norm=1e3)
+    gen = Generator(random_generator(2, np.random.default_rng(71)).h * 1e3)
     rho = random_density(2, MixtureKind.IMPROPER, 72)
     with pytest.raises(DriftExceeded, match="at step 2 "):
         integrate(rho, gen, t=1.0, steps=8)

@@ -195,6 +195,26 @@ def test_frobenius_norm_vs_chi():
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, rhs)
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_frobenius_norm_of_a_stack_is_bitwise_per_slice(n):
+    # one value per slice, each with the bits of np.linalg.norm's formula on
+    # the slice alone; magnitudes from 1e-16 to 1 within one stack
+    rng = np.random.default_rng(90 + n)
+    scales = 10.0 ** rng.uniform(-16, 0, size=(100, 1, 1))
+    alpha = random_complex(rng, 100 * n, n).reshape(100, n, n) * scales
+    beta = random_complex(rng, 100 * n, n).reshape(100, n, n) * scales[::-1]
+    if n == 1:
+        # block norms that square to other bits as an array than as scalars
+        alpha[0], beta[0] = 0.8040472240795793, 0.8366381276049658
+    stack = QMatrix(alpha, beta)
+    for m in (stack, stack[:1]):
+        norms = frobenius_norm(m)
+        assert norms.shape == (len(m.alpha),)
+        for i, value in enumerate(norms):
+            alone = np.sqrt(np.linalg.norm(m.alpha[i]) ** 2 + np.linalg.norm(m.beta[i]) ** 2)
+            assert value == frobenius_norm(m[i]) == alone
+
+
 def test_max_abs():
     mat = QMatrix(np.array([[3.0, 0], [0, 0]]), np.array([[4.0, 0], [0, 0]]))
     assert max_abs(mat) == pytest.approx(5.0)
@@ -374,7 +394,7 @@ def test_rank_from_constructed_spectrum():
         weights = rng.uniform(0.5, 1.0, size=m)
         mat = (basis[:, :m] * weights) @ basis[:, :m].conj().T
         qmat = QMatrix.from_complex(mat / np.trace(mat).real)
-        assert rank_q(qmat, tol=1e-10) == m
+        assert rank_q(qmat) == m
 
 
 # -- exponential -------------------------------------------------------
@@ -429,7 +449,7 @@ def test_expm_phase_guard():
     # membership tolerance the exponential refuses instead of guessing
     ham = random_anti_hermitian_qmatrix(np.random.default_rng(25), 4)
     ham = ham / qmatrix.frobenius_norm(ham)
-    bound = qmatrix.EXPM_MEMBERSHIP_TOL / np.finfo(np.float64).eps
+    bound = qmatrix.UNITARY_TOL / np.finfo(np.float64).eps
     u = expm_q(ham * (bound / 4))
     assert max_abs(u.h @ u - QMatrix.identity(4)) <= 1e-13
     with pytest.raises(NotUnitary) as excinfo:
