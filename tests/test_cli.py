@@ -841,6 +841,55 @@ def test_main_on_generated_files_exits_cleanly(tmp_path_factory, case):
         json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
+#: Signed numbers from 5e-324 to 1.7e308, and zero.
+SCENARIO_NUMBERS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1.7e308]),
+    st.builds(
+        lambda sign, exponent: sign * 10.0**exponent,
+        st.sampled_from([1.0, -1.0]),
+        st.floats(math.log10(5e-324), math.log10(1.7e308)),
+    ),
+)
+
+
+@st.composite
+def scenario_argvs(draw) -> list:
+    """A scenario argv; half of the amplitude sets are scaled to unit norm."""
+    amplitudes = [draw(SCENARIO_NUMBERS) for _ in range(4)]
+    largest = max(abs(x) for x in amplitudes)
+    if largest and draw(st.booleans()):
+        amplitudes = [x / largest for x in amplitudes]
+        norm = math.hypot(*amplitudes)
+        amplitudes = [x / norm for x in amplitudes]
+    re_plus, im_plus, re_minus, im_minus = amplitudes
+    theta, phi = draw(SCENARIO_NUMBERS), draw(SCENARIO_NUMBERS)
+    return [
+        "scenario",
+        f"--cplus={re_plus!r},{im_plus!r}",
+        f"--cminus={re_minus!r},{im_minus!r}",
+        f"--nhat={theta!r},{phi!r}",
+    ]
+
+
+@given(scenario_argvs())
+@settings(max_examples=300, deadline=None)
+def test_scenario_on_generated_numbers_exits_cleanly(argv):
+    # 0 with a report of finite numbers, or 1 with one stderr line and no
+    # report; a numpy RuntimeWarning is an error here
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    assert code in (0, 1)
+    if code:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert len(err.getvalue().splitlines()) == 1
+    else:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
 NO_SCIPY_PROBE = """
 import json
 import sys

@@ -25,7 +25,9 @@ from qmix import (
     time_ordered,
 )
 from qmix.density import Observable, embed_proper, validate
+from qmix.dynamics import DRIFT_TOL
 from qmix.errors import DriftExceeded, NotAntiHermitian, NotUnitary, QmixError
+from qmix.qmatrix import chi, chi_inverse, max_abs
 
 from support import (
     NON_FINITE_CASES,
@@ -197,6 +199,62 @@ def test_integrate_complex_generator_keeps_proper_states_proper():
         assert float(np.linalg.norm(out.beta)) <= 1e-10
 
 
+def four_stage_integrate(rho0, gen, t, steps):
+    """Classic RK4 written stage by stage, with the same drift gate."""
+    h = t / steps
+    ham = chi(gen.h)
+
+    def rate(mat):
+        return mat @ ham - ham @ mat
+
+    current = chi(rho0.mat)
+    for k in range(steps):
+        k1 = rate(current)
+        k2 = rate(current + k1 * (h / 2))
+        k3 = rate(current + k2 * (h / 2))
+        k4 = rate(current + k3 * h)
+        raw = current + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (h / 6.0)
+        hermitized = (raw + raw.conj().T) * 0.5
+        herm_correction = float(np.linalg.norm(raw - hermitized)) / np.sqrt(2.0)
+        trace = float(np.trace(hermitized).real) / 2.0
+        correction = max(herm_correction, abs(trace - 1.0))
+        if not correction <= DRIFT_TOL:
+            raise DriftExceeded(f"correction {correction:.3e} at step {k}")
+        current = hermitized / trace
+    return validate(chi_inverse(current))
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+@pytest.mark.parametrize("kind", ["complex", "quaternionic", "at-bound"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_integrate_matches_four_stage_rk4(n, kind, steps):
+    # the step polynomial is the four-stage step regrouped, so the two
+    # agree to rounding; "at-bound" adds 4e-11 to one alpha diagonal
+    # entry, the largest real part the generator's 1e-10 gate admits;
+    # a 1x1 density cannot be improper
+    rng = np.random.default_rng(1000 + n)
+    base = random_generator(n, rng, quaternionic=kind != "complex").h
+    alpha = base.alpha.copy()
+    if kind == "at-bound":
+        alpha[0, 0] += 4e-11
+    gen = Generator(QMatrix(alpha, base.beta))
+    rho = random_density(n, MixtureKind.IMPROPER if n > 1 else MixtureKind.PROPER, rng)
+    want = four_stage_integrate(rho, gen, 1.0, steps)
+    got = integrate(rho, gen, t=1.0, steps=steps)
+    assert max_abs(got.mat - want.mat) <= 1e-14 * max_abs(want.mat)
+
+
+@pytest.mark.parametrize("t", [float("inf"), float("-inf"), float("nan")])
+def test_integrate_rejects_non_finite_time(t):
+    gen = random_generator(2, np.random.default_rng(63))
+    rho = random_density(2, MixtureKind.IMPROPER, 63)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QmixError) as excinfo:
+            integrate(rho, gen, t, steps=10)
+    assert str(excinfo.value) == f"evolution time t = {t!r} is not finite"
+
+
 def test_integrate_flags_excessive_drift():
     gen = Generator(random_generator(2, np.random.default_rng(60)).h * 1e8)
     rho = random_density(2, MixtureKind.PROPER, 61)
@@ -320,9 +378,9 @@ def test_time_ordered_constant_generator_is_one_exponential():
 
 def test_integrate_drift_names_the_failing_step():
     # |H| h = 125 is far outside RK4's stability region, so the iterate
-    # grows every step; the corrections of steps 0 and 1 are 6e-10 and 0,
-    # far below the 1e-6 cap, and that of step 2 is 1.0
+    # grows every step; the correction of step 0 is 1.1e-8, below the
+    # 1e-6 cap, and that of step 1 is 2.4e-2
     gen = Generator(random_generator(2, np.random.default_rng(71)).h * 1e3)
     rho = random_density(2, MixtureKind.IMPROPER, 72)
-    with pytest.raises(DriftExceeded, match="at step 2 "):
+    with pytest.raises(DriftExceeded, match="at step 1 "):
         integrate(rho, gen, t=1.0, steps=8)
