@@ -103,9 +103,9 @@ class QDensity:
 class CDensity:
     """Complex density matrix (hermitian, positive, unit trace) with spectrum.
 
-    The lift builders also read a stack of them: ``mat`` of shape
-    (s, n, n) and ``eigenvalues`` of shape (s, n), whose ``rank`` is then
-    one count per slice.
+    The lift builder :func:`_lift_blocks` also reads a stack of them:
+    ``mat`` of shape (s, n, n) and ``eigenvalues`` of shape (s, n), whose
+    ``rank`` is then one count per slice.
     """
 
     mat: np.ndarray
@@ -364,11 +364,12 @@ def _lift_blocks(sources: CDensity, owner, targets) -> tuple[np.ndarray, np.ndar
     test), each through :func:`~qmix.qmatrix.check_slices`.
 
     The eigenpairs of all the sources come from one stacked ``eigh``
-    (:attr:`CDensity.eigenpairs`), alpha is built once per source, and
-    the Gram test and beta once per pair count k = 2 (m - target), as
-    stacked products that give each lift the bits a stack of one gives
-    it.  The density gate is left to the caller, which may gate many
-    lifts as one stack.
+    (:attr:`CDensity.eigenpairs`), alpha is built once for every source
+    in the stack (each caller lifts all of its sources), and the Gram
+    test and beta once per pair count k = 2 (m - target), as stacked
+    products that give each lift the bits a stack of one gives it.  The
+    density gate is left to the caller, which may gate many lifts as one
+    stack.
     """
     owner, targets = np.broadcast_arrays(owner, targets)
     m = np.reshape(sources.rank, -1)[owner]
@@ -386,9 +387,7 @@ def _lift_blocks(sources: CDensity, owner, targets) -> tuple[np.ndarray, np.ndar
     eigs, vecs = sources.eigenpairs
     eigs, vecs = eigs.reshape(-1, n), vecs.reshape(-1, n, n)
     owner, pairs = owner.reshape(-1), np.reshape(2 * (m - targets), -1)
-    used = sorted(set(owner.tolist()))  # the sources lifted, each built once
-    alpha = (vecs[used] * eigs[used, None, :]) @ vecs[used].conj().swapaxes(-1, -2)
-    alpha = alpha[np.searchsorted(used, owner)]
+    alpha = ((vecs * eigs[:, None, :]) @ vecs.conj().swapaxes(-1, -2))[owner]
     beta = np.zeros_like(alpha)
     deviation = np.zeros(len(owner))
     for k in sorted(set(pairs.tolist()) - {0}):  # the leading k eigenpairs form the pairs
@@ -433,37 +432,11 @@ def lift(rho_alpha: CDensity, target_rank: int) -> QDensity:
     Two steps: the stacked builder :func:`_lift_blocks`, called here with
     one source and one target, checks the target and the pairing and
     returns the blocks, and :func:`validate` gates and classifies the
-    result.  The audit calls the same builder on every lift of a
-    dimension at once and gates them as one stack.
+    result.  The audit calls the same builder once per dimension, on
+    every lift and every purification (a lift to rank one) of it, and
+    gates them as one stack.
     """
     return validate(QMatrix(*_lift_blocks(rho_alpha, 0, target_rank)))
-
-
-def _purify_blocks(sources: CDensity, owner) -> tuple[np.ndarray, np.ndarray]:
-    """The (alpha, beta) blocks of :func:`purify` of each source ``owner``, not yet validated.
-
-    Indexes ``sources`` as :func:`_lift_blocks` does, a scalar ``owner``
-    giving one purification.  A rank-one source is embedded (alpha is
-    its matrix, beta = 0), rank-two sources are lifted to rank one by
-    one :func:`_lift_blocks` call, and any other rank raises
-    :class:`NotPurifiable`.
-    """
-    owner = np.asarray(owner)
-    rank = np.reshape(sources.rank, -1)[owner]
-    check_slices(
-        (rank == 1) | (rank == 2),
-        NotPurifiable,
-        lambda i: f"projection rank {rank[i]} exceeds 2, the largest rank "
-        "a quaternionic pure state can project onto",
-    )
-    lifted = rank == 2
-    if lifted.all():
-        return _lift_blocks(sources, owner, 1)
-    alpha = sources.mat.reshape(-1, sources.dim, sources.dim)[owner]
-    beta = np.zeros_like(alpha)
-    if lifted.any():
-        alpha[lifted], beta[lifted] = _lift_blocks(sources, owner[lifted], 1)
-    return alpha, beta
 
 
 def purify(rho_alpha: CDensity) -> QDensity:
@@ -471,12 +444,17 @@ def purify(rho_alpha: CDensity) -> QDensity:
 
     Possible exactly when rank(rho_alpha) <= 2.  Rank-one input is
     already the projection of a pure state and is embedded unchanged
-    (beta = 0, as :func:`embed_proper` does); rank-two input is lifted
-    to rank one.  Like :func:`lift`, the stacked builder
-    (:func:`_purify_blocks`) called with one source, followed by
-    :func:`validate`.
+    (:func:`embed_proper`); rank-two input is lifted to rank one
+    (``lift(rho_alpha, 1)``); any other rank raises :class:`NotPurifiable`.
     """
-    return validate(QMatrix(*_purify_blocks(rho_alpha, 0)))
+    if rho_alpha.rank == 1:
+        return embed_proper(rho_alpha)
+    if rho_alpha.rank != 2:
+        raise NotPurifiable(
+            f"projection rank {rho_alpha.rank} exceeds 2, the largest rank "
+            "a quaternionic pure state can project onto"
+        )
+    return lift(rho_alpha, 1)
 
 
 # ---------------------------------------------------------------------

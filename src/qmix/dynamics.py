@@ -166,7 +166,8 @@ def integrate(rho0: QDensity, gen: Generator, t: float, steps: int) -> QDensity:
     Frobenius norm, which is ||chi||_F / sqrt(2), and trace offset,
     Re Tr chi / 2 - 1) is measured and :class:`DriftExceeded` raised if
     it ever passes ``DRIFT_TOL``.  Silent drift is never allowed to
-    accumulate.  A non-finite ``t`` raises :class:`QmixError`.
+    accumulate.  A non-finite ``t``, or one whose step polynomial
+    overflows, raises :class:`QmixError`.
     """
     if gen.dim != rho0.dim:
         raise DimensionMismatch(
@@ -177,9 +178,9 @@ def integrate(rho0: QDensity, gen: Generator, t: float, steps: int) -> QDensity:
     _require_finite_time(t)
     current = chi(rho0.mat)
     m = len(current)
-    # An overflowing K or iterate turns to inf/NaN, which the drift gate
-    # below rejects, so numpy's overflow and invalid-value warnings add
-    # nothing.
+    # A step polynomial that overflows raises below, and an iterate that
+    # does fails the drift gate, so numpy's overflow and invalid-value
+    # warnings add nothing.
     with np.errstate(over="ignore", invalid="ignore"):
         k = chi(gen.h) * (t / steps)
         terms = [np.eye(m), k]  # K^j / j!
@@ -188,6 +189,11 @@ def integrate(rho0: QDensity, gen: Generator, t: float, steps: int) -> QDensity:
         terms = np.stack(terms)
         left = (terms[1:] * [[[-1.0]], [[1.0]], [[-1.0]], [[1.0]]]).reshape(4 * m, m)  # A_1..A_4
         right = np.cumsum(terms, axis=0)[:0:-1].reshape(4 * m, m)  # B_0..B_3
+        if not (np.isfinite(left).all() and np.isfinite(right).all()):
+            raise QmixError(
+                f"step polynomial of (t / steps) * H overflows at evolution time "
+                f"t = {t!r} with {steps} steps"
+            )
         for step in range(steps):
             y = left @ current
             stages = np.concatenate((current, y[:m], y[m : 2 * m], y[2 * m : 3 * m]), axis=1)

@@ -362,7 +362,7 @@ def _paired_eigvals(eigs: np.ndarray) -> np.ndarray:
         lambda i: f"adjacent eigenvalue gap {worst[i]:.3e} exceeds "
         f"{EIG_PAIRING_TOL:.0e} * {scale[i]:.3e}",
     )
-    return (first + second) / 2
+    return first / 2 + second / 2  # (first + second) / 2, bit for bit, that cannot overflow
 
 
 def numerical_rank(values: np.ndarray):
@@ -386,10 +386,18 @@ def rank_q(m: QMatrix) -> int:
 
     Singular values of a chi image come in pairs; adjacent sorted values
     are averaged and the pairs counted by :func:`numerical_rank`, so the
-    threshold is relative to their sum (the trace, for a density).
+    threshold is relative to their sum (the trace, for a density).  The
+    image is first scaled by the power of two that brings its largest
+    entry into [0.5, 1): exact, and invisible to that relative rule, but
+    no singular value or sum then overflows.  A non-finite entry raises
+    :class:`QmixError`.
     """
-    sigma = np.linalg.svd(chi(m), compute_uv=False)
-    return numerical_rank((sigma[0::2] + sigma[1::2]) / 2)
+    parts = chi(m).view(np.float64)  # real and imaginary parts, interleaved
+    if not np.isfinite(parts).all():
+        raise QmixError("rank is undefined for a matrix with a non-finite entry")
+    exponent = np.frexp(np.abs(parts).max(initial=0.0))[1]
+    sigma = np.linalg.svd(np.ldexp(parts, -exponent).view(np.complex128), compute_uv=False)
+    return numerical_rank(sigma[0::2] / 2 + sigma[1::2] / 2)
 
 
 def expm_q(m: QMatrix) -> QMatrix:

@@ -45,7 +45,6 @@ from .density import (
     lift,
     _density_gate,
     _lift_blocks,
-    _purify_blocks,
     _random_density_matrix,
     purify,
     validate,
@@ -393,10 +392,11 @@ def _audit_dimension(n: int, trials: range, seed: int, worst: dict) -> None:
     Two density gates: one on the complex stack (lift sources, rank-two
     and rank-three densities, projections) and one on the quaternionic
     stack (states, lifts, purifications); every tally is sliced out of
-    their spectra.  The lifts and purifications come from the stacked
-    builders, which share one ``eigh`` of the lift sources and rank-two
-    densities.  Raises at the first failure it meets and keeps each
-    check's worst residual in ``worst``.
+    their spectra.  The lifts and purifications (lifts of the rank-two
+    densities to rank one) come from one call of the stacked lift
+    builder, on one ``eigh`` of the lift sources and rank-two densities.
+    Raises at the first failure it meets and keeps each check's worst
+    residual in ``worst``.
     """
 
     def tally(name: str, trial_ids, **measured) -> None:
@@ -412,23 +412,22 @@ def _audit_dimension(n: int, trials: range, seed: int, worst: dict) -> None:
     projected, projected_eigs = densities[-t:], spectra[-t:]
     tally("projection_is_density", trials, **_projection_measures(projected, projected_eigs))
 
-    # Lift every source to every admissible target, purify every rank-two
-    # density: the sources are the first t slices, the rank-two ones the next t.
+    # Lift every source to every admissible target and purify (lift to
+    # rank one) every rank-two density: the sources are the first t
+    # slices, the rank-two ones the next t.
     sources = CDensity(mat=densities[: 2 * t], eigenvalues=spectra[: 2 * t])
-    owner, targets = np.array([
+    lift_pairs = [
         (i, target)
         for i, m in enumerate(sources.rank[:t])
         for target in range((m + 1) // 2, m + 1)
-    ]).T
-    lifts = QMatrix(*_lift_blocks(sources, owner, targets))
-    pures = QMatrix(*_purify_blocks(sources, np.arange(t, 2 * t)))
-    stack = QMatrix(
-        np.concatenate([states.alpha, lifts.alpha, pures.alpha]),
-        np.concatenate([states.beta, lifts.beta, pures.beta]),
-    )
-    state_eigs, lift_eigs, pure_eigs = np.split(
-        _density_gate(stack, VALIDATION_TOL), [t, t + len(owner)]
-    )
+    ]
+    owner, targets = np.array(lift_pairs + [(t + i, 1) for i in range(t)]).T
+    alpha, beta = _lift_blocks(sources, owner, targets)
+    stack = QMatrix(np.concatenate([states.alpha, alpha]), np.concatenate([states.beta, beta]))
+    end = t + len(lift_pairs)  # states, then lifts, then purifications
+    state_eigs, lift_eigs, pure_eigs = np.split(_density_gate(stack, VALIDATION_TOL), [t, end])
+    lifts, pures = stack[t:end], stack[end:]
+    owner, targets = owner[: len(lift_pairs)], targets[: len(lift_pairs)]
     # Ranks come from the spectra the density gate returned: no SVD.
     m, rank_alpha = numerical_rank(state_eigs), numerical_rank(projected_eigs)
     tally("projection_rank_bounds", trials, m=m, rank_alpha=rank_alpha)

@@ -202,3 +202,31 @@ def test_measurement_interaction_rejects_unnormalized():
         measurement_interaction((1.0, 1.0))
     with pytest.raises(NotNormalized):
         measurement_interaction((np.nan, 0.8))
+
+
+# -- input errors ----------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "call,error,fragment",
+    [
+        (lambda: partial_trace(np.eye(4) / 4, dims=(2, 2), over=3), ValueError,
+         "over must be 1 or 2, got 3"),
+        (lambda: ProjectorFamily.from_projectors([]), ValueError,
+         "projector family cannot be empty"),
+        (lambda: ProjectorFamily.from_projectors([np.eye(2), np.eye(3)]), DimensionMismatch,
+         "projector 1 has shape (3, 3), expected (2, 2)"),
+        (lambda: lueders_nonselective(
+            CDensity.from_matrix(np.eye(3) / 3), ProjectorFamily.from_basis(np.eye(2))
+        ), DimensionMismatch, "family on dimension 2 applied to state of dimension 3"),
+        (lambda: measurement_interaction((0.6, 0.8, 0.0)), DimensionMismatch,
+         "system state must have two components, got 3"),
+        (lambda: BipartiteState(dims=(2, 2), vec=np.ones(3) / np.sqrt(3)), DimensionMismatch,
+         "vector length 3 != 2 * 2"),
+    ],
+    ids=["partial-trace-over", "family-empty", "family-mixed-shapes", "lueders-dimensions",
+         "interaction-three-components", "state-length"],
+)
+def test_input_errors(call, error, fragment):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert fragment in str(excinfo.value)

@@ -322,9 +322,12 @@ def test_malformed_file_exits_one(tmp_path, capsys):
          "/alpha/0/0: entries must be finite"),
         (b'{"rows": 1' + b"0" * 5000 + b"}", "invalid JSON: Exceeds the limit"),
         (b"[1, 2]", "matrix file must be a JSON object"),
+        (b'{"rows": 1, "cols": 1}', "/alpha: missing"),
+        (b'{"rows": 2, "cols": 2, "alpha": [[[0.5, 0], [0, 0]], [[0.5, 0]]]}',
+         "/alpha/1: expected 2 entries"),
     ],
     ids=["not-utf8", "nested-too-deep", "integer-past-float-range", "integer-past-digit-limit",
-         "array-root"],
+         "array-root", "no-alpha", "short-row"],
 )
 def test_malformed_file_is_one_error_line(tmp_path, capsys, content, detail):
     path = tmp_path / "bad.json"
@@ -399,6 +402,12 @@ def test_unknown_tolerance_name_is_usage_error(capsys):
     assert main(["--tol", "bogus=1e-3", "classify", "x.json"]) == 2
     err = capsys.readouterr().err
     assert "bogus" in err and "validate" in err
+
+
+def test_tolerance_that_is_not_a_number_is_usage_error(capsys):
+    assert main(["--tol", "validate=abc", "classify", "x.json"]) == 2
+    err = capsys.readouterr().err
+    assert "could not convert string to float: 'abc'" in err
 
 
 def test_output_file(tmp_path):
@@ -641,6 +650,29 @@ def test_overflowing_propagator_exits_one_with_one_error_line(tmp_path, capsys, 
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("t,steps", [("1e200", "3"), ("1e308", "1000")])
+def test_overflowing_rk4_time_exits_one_naming_the_time(tmp_path, capsys, t, steps):
+    # a unit-scale generator and a finite time whose RK4 step polynomial
+    # overflows: one error line that names the time, not a drift of nan
+    state = write_json(tmp_path / "state.json", purified_file())
+    gen = write_json(tmp_path / "gen.json", {
+        "rows": 2,
+        "cols": 2,
+        "alpha": [[[0.0, 0.3], [0.1, 0.2]], [[-0.1, 0.2], [0.0, -0.4]]],
+        "beta": [[[0.2, 0.1], [0.05, -0.3]], [[0.05, -0.3], [0.4, 0.0]]],
+    })
+    argv = ["evolve", state, "--gen", gen, "--method", "rk4", f"--t={t}", "--steps", steps]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: step polynomial of (t / steps) * H overflows at evolution time "
+        f"t = {float(t)!r} with {steps} steps\n"
+    )
 
 
 HUGE_DENSITIES = {

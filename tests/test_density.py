@@ -25,7 +25,7 @@ from qmix import (
     rank_q,
     validate,
 )
-from qmix.density import _density_gate, _lift_blocks, _purify_blocks
+from qmix.density import _density_gate, _lift_blocks
 from qmix.errors import (
     DimensionMismatch,
     NotHermitian,
@@ -474,13 +474,18 @@ def test_stacked_builders_give_each_slice_the_single_source_blocks(n):
     for j, (i, target) in enumerate(lifts):
         single = lift(sources[i], target)
         assert np.array_equal(alpha[j], single.alpha) and np.array_equal(beta[j], single.beta)
-    # purification of rank-one and rank-two sources in one call
-    owner = [i for i, source in enumerate(sources) if source.rank <= 2][::-1]
-    alpha, beta = _purify_blocks(stack, owner)
-    assert {sources[i].rank for i in owner} == {1, 2}
+    # purification of a rank-two source is its lift to rank one
+    owner = [i for i, source in enumerate(sources) if source.rank == 2][::-1]
+    alpha, beta = _lift_blocks(stack, owner, 1)
     for j, i in enumerate(owner):
         single = purify(sources[i])
         assert np.array_equal(alpha[j], single.alpha) and np.array_equal(beta[j], single.beta)
+    # and a rank-one source is embedded
+    for source in sources[:2]:
+        assert source.rank == 1
+        pure, embedded = purify(source), embed_proper(source)
+        assert np.array_equal(pure.alpha, embedded.alpha) and np.array_equal(pure.beta, embedded.beta)
+        assert pure.classification is embedded.classification is MixtureKind.PROPER
 
 
 def test_stacked_builders_decompose_their_sources_once(monkeypatch):
@@ -491,13 +496,10 @@ def test_stacked_builders_decompose_their_sources_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda mat: calls.append(mat) or eigh(mat))
     _lift_blocks(stacked_cdensity(sources), [1, 3, 3, 4, 4, 4], [1, 2, 3, 3, 4, 5])
     assert len(calls) == 1
-    _purify_blocks(stacked_cdensity(sources), [0, 1, 2])
+    # the audit lifts and purifies (lifts to rank one) the sources of one
+    # stack in one call: one eigh for both
+    _lift_blocks(stacked_cdensity(sources), [3, 4, 1, 2], [2, 3, 1, 1])
     assert len(calls) == 2
-    # the audit lifts and purifies the sources of one stack: one eigh for both
-    stack = stacked_cdensity(sources)
-    _lift_blocks(stack, [3, 4], [2, 3])
-    _purify_blocks(stack, [0, 1, 2])
-    assert len(calls) == 3
 
 
 def test_gram_test_names_the_slice_of_a_stack_only(monkeypatch):
@@ -673,3 +675,25 @@ def test_random_density_rejects_dimension_one_quaternionic():
         random_density(1, MixtureKind.IMPROPER, 0)
     # a 1x1 proper density is fine
     assert random_density(1, MixtureKind.PROPER, 0).alpha[0, 0] == pytest.approx(1.0)
+
+
+# -- input errors ----------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "call,error,fragment",
+    [
+        (lambda: validate(QMatrix(np.eye(2, 3), np.zeros((2, 3)))), DimensionMismatch,
+         "density matrix must be square, got (2, 3)"),
+        (lambda: CDensity.from_matrix(np.eye(2, 3)), DimensionMismatch,
+         "density matrix must be square, got (2, 3)"),
+        (lambda: block_purify(E0, np.r_[E1, 0.0], 1.0, 1.0), DimensionMismatch,
+         "vector shapes differ: (2,) vs (3,)"),
+        (lambda: random_density(2, "mixed", 0), ValueError, "unknown density kind: 'mixed'"),
+    ],
+    ids=["validate-non-square", "from-matrix-non-square", "block-purify-shapes",
+         "random-density-kind"],
+)
+def test_input_errors(call, error, fragment):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert fragment in str(excinfo.value)

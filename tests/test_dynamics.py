@@ -26,7 +26,13 @@ from qmix import (
 )
 from qmix.density import Observable, embed_proper, validate
 from qmix.dynamics import DRIFT_TOL
-from qmix.errors import DriftExceeded, NotAntiHermitian, NotUnitary, QmixError
+from qmix.errors import (
+    DimensionMismatch,
+    DriftExceeded,
+    NotAntiHermitian,
+    NotUnitary,
+    QmixError,
+)
 from qmix.qmatrix import chi, chi_inverse, max_abs
 
 from support import (
@@ -384,3 +390,58 @@ def test_integrate_drift_names_the_failing_step():
     rho = random_density(2, MixtureKind.IMPROPER, 72)
     with pytest.raises(DriftExceeded, match="at step 1 "):
         integrate(rho, gen, t=1.0, steps=8)
+
+
+def test_integrate_names_the_time_when_its_step_polynomial_overflows():
+    # K = (t / steps) chi(H) is finite, its square is not: the error names
+    # the time and the steps rather than a drift of nan
+    gen = random_generator(2, np.random.default_rng(73))
+    rho = random_density(2, MixtureKind.IMPROPER, 74)
+    for t, steps in ((1e200, 3), (1e308, 1000)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QmixError) as excinfo:
+                integrate(rho, gen, t=t, steps=steps)
+        assert type(excinfo.value) is QmixError
+        assert str(excinfo.value) == (
+            f"step polynomial of (t / steps) * H overflows at evolution time "
+            f"t = {t!r} with {steps} steps"
+        )
+
+
+# -- input errors ----------------------------------------------------------------
+
+def _non_square():
+    return QMatrix(np.zeros((2, 3)), np.zeros((2, 3)))
+
+
+def _state_of_three():
+    return random_density(3, MixtureKind.PROPER, 75)
+
+
+@pytest.mark.parametrize(
+    "call,error,fragment",
+    [
+        (lambda: Generator(_non_square()), DimensionMismatch,
+         "generator must be square, got (2, 3)"),
+        (lambda: Propagator(_non_square()), DimensionMismatch,
+         "propagator must be square, got (2, 3)"),
+        (lambda: evolve(_state_of_three(), Propagator(QMatrix.identity(2))), DimensionMismatch,
+         "propagator dimension 2 != state dimension 3"),
+        (lambda: projected_evolution(_state_of_three(), Propagator(QMatrix.identity(2))),
+         DimensionMismatch, "propagator dimension 2 != state dimension 3"),
+        (lambda: integrate(_state_of_three(), Generator(QMatrix.identity(2) * 0.0), 1.0, 10),
+         DimensionMismatch, "generator dimension 2 != state dimension 3"),
+        (lambda: integrate(_state_of_three(), Generator(QMatrix.identity(3) * 0.0), 1.0, 0),
+         ValueError, "steps must be >= 1, got 0"),
+        (lambda: partition_witness(1, 0), DimensionMismatch,
+         "partition witnesses need dimension >= 2"),
+    ],
+    ids=["generator-non-square", "propagator-non-square", "evolve-dimensions",
+         "projected-evolution-dimensions", "integrate-dimensions", "integrate-zero-steps",
+         "partition-witness-dimension-one"],
+)
+def test_input_errors(call, error, fragment):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert fragment in str(excinfo.value)

@@ -27,6 +27,7 @@ from qmix.errors import (
     NotHermitian,
     NotInChiImage,
     NotUnitary,
+    QmixError,
 )
 from qmix.qmatrix import chi_membership_deviation, hermiticity_deviation, numerical_rank
 from qmix.quaternion import Quaternion
@@ -504,3 +505,59 @@ def test_real_scalar_arithmetic():
     assert qclose(2.0 * mat, mat * 2.0, tol=0.0)
     assert qclose(mat / 2, QMatrix(np.eye(2) / 2, np.eye(2) / 2), tol=0.0)
     assert qclose(mat - mat, QMatrix.from_complex(np.zeros((2, 2))), tol=0.0)
+
+
+# -- spectral helpers on extreme input -------------------------------------------
+
+@pytest.mark.parametrize(
+    "block,value", [(b, v) for b in ("alpha", "beta") for v in (np.nan, np.inf, -np.inf, complex(0.0, np.inf))]
+)
+def test_rank_rejects_a_non_finite_entry_before_the_svd(capfd, block, value):
+    blocks = {"alpha": np.eye(2, dtype=np.complex128), "beta": np.zeros((2, 2), dtype=np.complex128)}
+    blocks[block][0, 1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QmixError, match="non-finite entry"):
+            rank_q(QMatrix(blocks["alpha"], blocks["beta"]))
+    assert capfd.readouterr() == ("", "")  # nothing from LAPACK either
+
+
+def test_spectral_helpers_on_entries_near_the_float_limit():
+    big = QMatrix.from_complex(np.array([[0.0, 1e308], [1e308, 0.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rank_q(big) == 2
+        assert eigvals_hermitian(big).tolist() == [-1e308, 1e308]
+        assert rank_q(QMatrix.from_complex(np.diag([1.7e308 + 1.7e308j, 1.0]))) == 1
+
+
+def test_rank_is_blind_to_power_of_two_scale():
+    rng = np.random.default_rng(90)
+    for m in range(1, 5):
+        w = random_qmatrix(rng, 4, m)
+        psd = w @ w.h
+        for k in (-1000, -300, -1, 1, 300, 1000):
+            assert rank_q(psd * 2.0**k) == rank_q(psd) == m
+
+
+# -- input errors ----------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "call,fragment",
+    [
+        (lambda: hermiticity_deviation(np.zeros((2, 3))), "hermiticity needs a square matrix, got (2, 3)"),
+        (lambda: hermiticity_deviation(QMatrix(np.zeros((2, 3)), np.zeros((2, 3)))),
+         "hermiticity needs a square matrix, got (2, 3)"),
+        (lambda: expm_q(QMatrix(np.zeros((2, 3)), np.zeros((2, 3)))),
+         "exponential needs a square matrix, got (2, 3)"),
+        (lambda: chi_membership_deviation(np.zeros((3, 4))), "chi image must have even shape, got (3, 4)"),
+        (lambda: chi_membership_deviation(np.zeros((4, 3))), "chi image must have even shape, got (4, 3)"),
+        (lambda: chi_membership_deviation(np.zeros(4)), "chi image must have even shape, got (4,)"),
+    ],
+    ids=["hermiticity-array", "hermiticity-qmatrix", "expm", "chi-odd-rows", "chi-odd-cols",
+         "chi-one-dimensional"],
+)
+def test_input_errors(call, fragment):
+    with pytest.raises(DimensionMismatch) as excinfo:
+        call()
+    assert fragment in str(excinfo.value)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from qmix import (
+    CDensity,
     MixtureKind,
     Propagator,
     QMatrix,
+    block_purify,
     check_propositions,
     evolve,
     run_scenario,
@@ -23,6 +25,7 @@ from qmix.errors import (
 )
 from qmix.scenario import direction_basis, spin_along
 
+import support
 from support import random_complex_unitary, reference_check_propositions
 
 HALF = 1 / np.sqrt(2)
@@ -198,19 +201,20 @@ def test_check_propositions_matches_the_sequential_reference(n_max, trials, seed
 
 
 def _inject_faults(monkeypatch):
-    """Data-dependent faults in the state draws, the lift and purify
-    builders and the density gate of their results, so that several
-    trials of several dimensions fail; the batched audit must still
-    report the lowest failing trial, as the trial-by-trial reference
-    does.  Both reach the same private builders, patched in each module
-    that looks them up; a hook tests each lift it is asked for, so a
-    fault fires in a stack of one as in the batched stacks.  Over seeds
+    """Data-dependent faults in the state draws, the lift builder (which
+    also builds the purifications, as lifts to rank one) and the density
+    gate of its results, so that several trials of several dimensions
+    fail; the batched audit must still report the lowest failing trial,
+    as the trial-by-trial reference does.  Both reach the same private
+    builder, patched in each module that looks it up; the hook tests each
+    lift it is asked for, so a fault fires in a stack of one as in the
+    batched stacks.  Over seeds
     0-7 the winners include a builder error, a trace failure below a
     positivity failure of the same stack (a stacked gate tests
     positivity first), and a positivity failure at a trial's first
     target with a builder error at its last."""
     draw = density._random_density_matrix
-    lift_blocks, purify_blocks = density._lift_blocks, density._purify_blocks
+    lift_blocks = density._lift_blocks
 
     def faulty_draw(n, kind, rng):
         mat = draw(n, kind, rng)
@@ -229,6 +233,8 @@ def _inject_faults(monkeypatch):
         for mat, rank, target in lifts:
             if n in (3, 6) and target == rank and mat[0, 0].real > 0.45:
                 raise RankOutOfRange(f"injected lift fault at {float(mat[0, 0].real)!r}")
+            if n == 4 and rank == 2 and target == 1 and mat[1, 1].real > 0.5:
+                raise NotNormalized(f"injected rank-one lift fault at {float(mat[1, 1].real)!r}")
         alpha, beta = lift_blocks(sources, owner, targets)
         if n != 6:
             return alpha, beta
@@ -240,21 +246,16 @@ def _inject_faults(monkeypatch):
                 alpha[j] += np.diag([1.0, -1.0, 0, 0, 0, 0])  # NotPositive, trace kept
         return alpha.reshape(*np.shape(owner), n, n), beta.reshape(*np.shape(owner), n, n)
 
-    def faulty_purify_blocks(sources, owner):
-        for mat, rank, _ in lifts_of(sources, owner, 1):
-            if sources.dim == 4 and rank == 2 and mat[1, 1].real > 0.5:
-                raise NotNormalized(f"injected purify fault at {float(mat[1, 1].real)!r}")
-        return purify_blocks(sources, owner)
-
     for module in (density, scenario):
         monkeypatch.setattr(module, "_random_density_matrix", faulty_draw)
         monkeypatch.setattr(module, "_lift_blocks", faulty_lift_blocks)
-        monkeypatch.setattr(module, "_purify_blocks", faulty_purify_blocks)
 
 
 # In the smaller shapes only the dimension-3 lift fault and the
-# dimension-4 purify fault can fire, so their seeds are the first eight
-# at which the reference fails.
+# dimension-4 rank-one lift fault can fire.  The reference fails at every
+# seed listed: for (3, 11) they are the first eight at which it fails,
+# for (4, 25) eight of the first eleven (the rank-one fault also fires in
+# lifts of rank-two sources to rank one, at seeds 0, 8 and 11).
 @pytest.mark.parametrize(
     "n_max,trials,seed",
     [pytest.param(6, 40, seed, id=str(seed)) for seed in range(8)]
@@ -289,3 +290,117 @@ def test_check_propositions_raises_when_only_the_stacked_lift_gate_fails(monkeyp
     monkeypatch.setattr(scenario, "_density_gate", lift_stack_fails)
     with pytest.raises(TraceNotOne, match="stacked lift gate"):
         check_propositions(n_max=2, trials=5, seed=0)
+
+
+# -- judged failures: data every gate admits and a check rejects --------------
+
+def _state_trace_off(monkeypatch):
+    # the dimension-4 states' trace is off by 5e-11: inside the gates'
+    # 1e-10, outside projection_is_density's 1e-12
+    draw = density._random_density_matrix
+
+    def draw_off(n, kind, rng):
+        mat = draw(n, kind, rng)
+        return mat * (1 + 5e-11) if n == 4 else mat
+
+    for module in (density, scenario):
+        monkeypatch.setattr(module, "_random_density_matrix", draw_off)
+
+
+def _state_rank_off_bounds(monkeypatch):
+    # weight 1.5e-12 on a quaternionic pure state: quaternionic rank two,
+    # but the projection splits the weight over two eigenvalues of 7.5e-13,
+    # under the 1e-12 rank threshold, so rank_alpha = 1 < m
+    draw = density._random_density_matrix
+    weight, e = 1.5e-12, np.eye(3)
+    tail = np.sqrt(weight / 2)
+    state = QMatrix.from_complex(np.diag([1 - weight, 0, 0])) + block_purify(e[1], e[2], tail, tail)
+
+    def draw_state(n, kind, rng):
+        mat = draw(n, kind, rng)
+        return state if n == 3 else mat
+
+    for module in (density, scenario):
+        monkeypatch.setattr(module, "_random_density_matrix", draw_state)
+
+
+def _full_rank_lift_shifted(monkeypatch):
+    # at n = 3, a lift that pairs nothing gets alpha shifted by +-1e-11 on
+    # two diagonal entries: trace kept, no eigenvalue below -1e-11
+    lift_blocks = density._lift_blocks
+
+    def shifted(sources, owner, targets):
+        alpha, beta = lift_blocks(sources, owner, targets)
+        if sources.dim != 3:
+            return alpha, beta
+        unpaired = np.reshape(sources.rank, -1)[owner] == targets
+        shift = np.diag([1e-11, -1e-11, 0.0])
+        return alpha + np.where(unpaired[..., None, None], shift, 0.0), beta
+
+    for module in (density, scenario):
+        monkeypatch.setattr(module, "_lift_blocks", shifted)
+
+
+def _rank_one_lift_not_idempotent(monkeypatch):
+    # at n = 5, beta of a lift of a rank-two source to rank one is scaled
+    # so its second eigenvalue moves to -9e-11: inside the gate, and alpha
+    # (the round trip) untouched, but ||P^2 - P|| is about 1.3e-10
+    lift_blocks = density._lift_blocks
+
+    def scaled(sources, owner, targets):
+        alpha, beta = lift_blocks(sources, owner, targets)
+        if sources.dim != 5:
+            return alpha, beta
+        n = sources.dim
+        eigs = sources.eigenvalues.reshape(-1, n)[owner]
+        product = eigs[..., -1] * eigs[..., -2]
+        purified = (np.reshape(sources.rank, -1)[owner] == 2) & (targets == 1)
+        scale = np.where(purified, np.sqrt(1 + 9e-11 / product), 1.0)
+        return alpha, beta * scale[..., None, None]
+
+    for module in (density, scenario):
+        monkeypatch.setattr(module, "_lift_blocks", scaled)
+
+
+def _rank_three_draw_of_rank_two(monkeypatch):
+    # every rank-three draw loses its third weight, so purify accepts the
+    # density it should refuse; the reference draws through the same hook
+    draw = scenario._draw_spectral_data
+
+    def draw_two(rng, n, rank):
+        frame, weights = draw(rng, n, rank)
+        if rank == 3:
+            weights = np.r_[weights[:2], 0.0] / weights[:2].sum()
+        return frame, weights
+
+    def reference_draw(rng, n, rank):
+        return CDensity.from_matrix(scenario._complex_densities([draw_two(rng, n, rank)])[0])
+
+    monkeypatch.setattr(scenario, "_draw_spectral_data", draw_two)
+    monkeypatch.setattr(support, "_random_complex_density_of_rank", reference_draw)
+
+
+JUDGED_HOOKS = {
+    "projection_is_density": _state_trace_off,
+    "projection_rank_bounds": _state_rank_off_bounds,
+    "lift_round_trip": _full_rank_lift_shifted,
+    "purify_rank_two": _rank_one_lift_not_idempotent,
+    "purify_rank_two-refusal": _rank_three_draw_of_rank_two,
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("hook", sorted(JUDGED_HOOKS))
+def test_check_propositions_judges_what_every_gate_admits(monkeypatch, hook, seed):
+    JUDGED_HOOKS[hook](monkeypatch)
+    with pytest.raises(PropositionViolated) as reference:
+        reference_check_propositions(6, 40, seed)
+    with pytest.raises(PropositionViolated) as batched:
+        check_propositions(6, 40, seed)
+    name = hook.split("-")[0]
+    assert reference.value.name == name
+    assert type(batched.value) is type(reference.value)
+    assert str(batched.value) == str(reference.value)
+    # the batched pass failed the same judgement, past every gate
+    assert isinstance(batched.value.__context__, PropositionViolated)
+    assert batched.value.__context__.name == name
