@@ -461,17 +461,18 @@ def purify(rho_alpha: CDensity) -> QDensity:
 # random generation
 # ---------------------------------------------------------------------
 
-def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def _ginibre(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def random_density(n: int, kind: MixtureKind | str, seed=None) -> QDensity:
     """Random valid density of the requested kind, deterministic per seed.
 
-    Kinds: ``Proper`` (beta = 0), ``Improper`` (beta != 0), ``Pure-Q``
-    (quaternionic rank one, whose projection has rank two almost
-    surely).  Improper and Pure-Q require n >= 2: a 1 x 1 hermitian
-    quaternion has no skew part.
+    One rule, g g^dag / Re Tr(g g^dag) over a Ginibre draw g: complex
+    n x n for ``Proper`` (beta = 0), quaternionic n x n for ``Improper``
+    (beta != 0) and quaternionic n x 1 for ``Pure-Q`` (rank one, whose
+    projection has rank two almost surely).  Improper and Pure-Q need
+    n >= 2: a 1 x 1 hermitian quaternion has no skew part.
     """
     return validate(_random_density_matrix(n, kind, np.random.default_rng(seed)))
 
@@ -479,31 +480,25 @@ def random_density(n: int, kind: MixtureKind | str, seed=None) -> QDensity:
 def _random_density_matrix(n: int, kind: MixtureKind | str, rng: np.random.Generator) -> QMatrix:
     """The unvalidated draw behind :func:`random_density`, at unit real trace.
 
-    Improper and Pure-Q draws are repeated, up to 16 times, while the
-    classification rule of :func:`validate` calls them proper.
+    Drawn once: an Improper or Pure-Q draw that the classification rule
+    of :func:`validate` calls proper raises :class:`QmixError`.
     """
     label = kind.value.lower() if isinstance(kind, MixtureKind) else str(kind).lower()
     if label == "proper":
-        g = _ginibre(rng, n)
+        g = _ginibre(rng, (n, n))
         mat = g @ g.conj().T
         mat /= np.trace(mat).real
         return QMatrix.from_complex(mat)
     if label not in ("improper", "pure-q"):
         raise ValueError(f"unknown density kind: {kind!r}")
     if n < 2:
-        raise DimensionMismatch(
-            "improper and pure quaternionic densities need dimension >= 2"
-        )
-    for _ in range(16):
-        if label == "improper":
-            g = QMatrix(_ginibre(rng, n), _ginibre(rng, n))
-            mat = g @ g.h
-        else:
-            wa = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            wb = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            w = QMatrix(wa.reshape(-1, 1), wb.reshape(-1, 1))
-            mat = w @ w.h
-        mat = mat / real_trace(mat)
-        if _mixture_kind(mat)[0] is MixtureKind.IMPROPER:
-            return mat
-    raise RuntimeError(f"random {label} generation kept landing on beta ~ 0")
+        raise DimensionMismatch("improper and pure quaternionic densities need dimension >= 2")
+    shape = (n, n) if label == "improper" else (n, 1)
+    g = QMatrix(_ginibre(rng, shape), _ginibre(rng, shape))
+    mat = g @ g.h
+    mat = mat / real_trace(mat)
+    classified, beta_norm = _mixture_kind(mat)
+    if classified is MixtureKind.PROPER:
+        tol = proper_tolerance(n, float(np.linalg.norm(mat.alpha)))
+        raise QmixError(f"random {label} draw is proper: ||beta||_F = {beta_norm:.3e} <= {tol:.3e}")
+    return mat

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import CDensity, MixtureKind, QDensity, random_density, validate
+from .density import CDensity, MixtureKind, QDensity, _ginibre, random_density, validate
 from .errors import DimensionMismatch, DriftExceeded, NotUnitary, QmixError, WitnessNotFound
 from .qmatrix import (
     UNITARY_TOL,
@@ -229,15 +229,14 @@ def projected_rate_check(rho: QDensity, gen: Generator, h: float = 1e-4) -> floa
 
 
 def random_generator(n: int, rng: np.random.Generator, quaternionic: bool = True) -> Generator:
-    """Random constant anti-hermitian generator of unit Frobenius norm."""
-    ga = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    alpha = (ga - ga.conj().T) / 2
-    if quaternionic:
-        gb = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        beta = (gb + gb.T) / 2
-    else:
-        beta = np.zeros_like(alpha)
-    ham = QMatrix(alpha, beta)
+    """Random constant generator (G - G^dag) / 2 of unit Frobenius norm.
+
+    G is a quaternionic Ginibre draw, alpha block first; its beta block is
+    zero, not drawn, when ``quaternionic`` is False.
+    """
+    alpha = _ginibre(rng, (n, n))
+    g = QMatrix(alpha, _ginibre(rng, (n, n)) if quaternionic else np.zeros_like(alpha))
+    ham = (g - g.h) * 0.5
     scale = frobenius_norm(ham)
     if scale > 0:
         ham = ham * (1.0 / scale)

@@ -91,11 +91,11 @@ class WitnessNotFound(QmixError):
 class PropositionViolated(QmixError):
     """A randomized structural check found a counterexample."""
 
-    def __init__(self, name: str, seed: int, detail: str):
+    def __init__(self, name: str, trial: int, detail: str):
         self.name = name
-        self.seed = seed
+        self.trial = trial
         self.detail = detail
-        super().__init__(f"{name} violated (seed {seed}): {detail}")
+        super().__init__(f"{name} violated (trial {trial}): {detail}")
 
 
 class SchemaError(QmixError):

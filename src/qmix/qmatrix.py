@@ -318,7 +318,7 @@ def require_anti_hermitian(m: QMatrix | np.ndarray, what: str) -> None:
 
 
 def is_positive_semidefinite(m: QMatrix) -> bool:
-    """Hermitian with all eigenvalues >= -VALIDATION_TOL."""
+    """Hermitian with all eigenvalues >= -VALIDATION_TOL; a spectrum past the float range raises."""
     if not m.is_square:
         return False
     try:
@@ -349,12 +349,16 @@ def eigvals_hermitian(m: QMatrix) -> np.ndarray:
 def _paired_eigvals(eigs: np.ndarray) -> np.ndarray:
     """Adjacent values of ascending chi spectra, paired: one pair mean each.
 
-    A pair gap beyond ``EIG_PAIRING_TOL`` relative to the spectral scale
-    raises :class:`PairingFailure`, which indicates a bug rather than a
-    data condition.
+    A spectrum past the float range raises :class:`QmixError`; a pair gap
+    beyond ``EIG_PAIRING_TOL`` relative to the spectral scale raises
+    :class:`PairingFailure`, which indicates a bug, not a data condition.
     """
     first, second = eigs[..., 0::2], eigs[..., 1::2]
-    scale = np.maximum(np.abs(eigs).max(-1, initial=0.0), 1.0)
+    top = np.abs(eigs).max(-1, initial=0.0)
+    check_slices(
+        np.isfinite(top), QmixError, lambda i: f"eigenvalue magnitude {top[i]} is not finite"
+    )
+    scale = np.maximum(top, 1.0)
     worst = np.abs(first - second).max(-1, initial=0.0)
     check_slices(
         ~(worst > EIG_PAIRING_TOL * scale),

@@ -44,6 +44,7 @@ from .density import (
     expectation,
     lift,
     _density_gate,
+    _ginibre,
     _lift_blocks,
     _random_density_matrix,
     purify,
@@ -262,7 +263,7 @@ def _draw_spectral_data(
     rng: np.random.Generator, n: int, rank: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frame draw and weights of a random complex density of the given rank."""
-    frame = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    frame = _ginibre(rng, (n, rank))
     weights = rng.uniform(0.2, 1.0, size=rank)
     weights /= weights.sum()
     return frame, weights
@@ -362,7 +363,7 @@ def check_propositions(n_max: int, trials: int, seed: int) -> PropositionSummary
       rank one (idempotent), rank-three ones are refused.
 
     Any failure raises :class:`PropositionViolated` naming the check and
-    the offending trial seed.
+    the failing trial's index ``t``.
 
     Trial ``t`` has dimension ``2 + t % (n_max - 1)`` and draws from
     ``SeedSequence(entropy=seed, spawn_key=(t,))``.  The batched pass,
@@ -378,7 +379,7 @@ def check_propositions(n_max: int, trials: int, seed: int) -> PropositionSummary
     try:
         for n in range(2, min(n_max, trials + 1) + 1):  # the dimensions with trials
             _audit_dimension(n, range(n - 2, trials, n_max - 1), seed, worst)
-    except (QmixError, RuntimeError):
+    except QmixError:
         for trial in range(trials):
             _check_trial(seed, trial, n_max)
         raise
@@ -450,12 +451,12 @@ def _check_trial(seed: int, trial: int, n_max: int) -> None:
     """Trial ``trial`` of :func:`check_propositions` alone, check by check.
 
     Raises what the trial raises at its first failing check, in the
-    order of a trial-by-trial audit; returns None if it passes.  A
-    ``RuntimeError`` from the state draw passes through unwrapped.
+    order of a trial-by-trial audit; returns None if it passes.  A state
+    the draw or :func:`validate` refuses is "state generation failed".
     """
     n = 2 + trial % (n_max - 1)
-    state, source, two, three = _draw_trial(seed, trial, n)
     try:
+        state, source, two, three = _draw_trial(seed, trial, n)
         rho = validate(state)
     except QmixError as exc:
         raise PropositionViolated(

@@ -135,7 +135,7 @@ def reference_check_propositions(
       rank one (idempotent), rank-three ones are refused.
 
     Any failure raises :class:`PropositionViolated` naming the check and
-    the offending trial seed.  ``corrupt=True`` deliberately breaks the
+    the failing trial's index.  ``corrupt=True`` deliberately breaks the
     skew symmetry of generated states (a negative control: the audit
     must catch it).
     """
@@ -151,13 +151,13 @@ def reference_check_propositions(
         )
     }
 
-    def record(name: str, ok: bool, residual: float, trial_seed: int, detail: str):
+    def record(name: str, ok: bool, residual: float, trial: int, detail: str):
         entry = tallies[name]
         entry[0] += 1
         entry[2] = max(entry[2], residual)
         if not ok:
             entry[1] += 1
-            raise PropositionViolated(name, trial_seed, detail)
+            raise PropositionViolated(name, trial, detail)
 
     for trial in range(trials):
         rng = np.random.default_rng(

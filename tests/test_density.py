@@ -23,9 +23,11 @@ from qmix import (
     random_density,
     rank_bounds_check,
     rank_q,
+    real_trace,
     validate,
 )
-from qmix.density import _density_gate, _lift_blocks
+from qmix import density
+from qmix.density import _density_gate, _lift_blocks, _random_density_matrix
 from qmix.errors import (
     DimensionMismatch,
     NotHermitian,
@@ -33,6 +35,7 @@ from qmix.errors import (
     NotOrthogonal,
     NotPositive,
     NotPurifiable,
+    QmixError,
     RankOne,
     RankOutOfRange,
     TraceNotOne,
@@ -675,6 +678,51 @@ def test_random_density_rejects_dimension_one_quaternionic():
         random_density(1, MixtureKind.IMPROPER, 0)
     # a 1x1 proper density is fine
     assert random_density(1, MixtureKind.PROPER, 0).alpha[0, 0] == pytest.approx(1.0)
+
+
+def _reference_draw(n, label, rng):
+    """The draws as first written: a branch per kind, a vector draw for Pure-Q."""
+    if label == "proper":
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        mat = g @ g.conj().T
+        mat /= np.trace(mat).real
+        return QMatrix.from_complex(mat)
+    if label == "improper":
+        ga = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        gb = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        g = QMatrix(ga, gb)
+        mat = g @ g.h
+    else:
+        wa = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        wb = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        w = QMatrix(wa.reshape(-1, 1), wb.reshape(-1, 1))
+        mat = w @ w.h
+    return mat / real_trace(mat)
+
+
+@pytest.mark.parametrize(
+    "kind,n", [(kind, n) for kind in ("proper", "improper", "pure-q") for n in range(1, 9)
+               if n >= 2 or kind == "proper"]
+)
+def test_draw_streams_are_pinned(kind, n):
+    # every seeded output rests on these bits and on the stream left after them
+    for seed in range(50):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _random_density_matrix(n, kind, got_rng)
+        want = _reference_draw(n, kind, want_rng)
+        assert got.alpha.tobytes() == want.alpha.tobytes()
+        assert got.beta.tobytes() == want.beta.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("kind", ["Improper", "Pure-Q"])
+def test_a_quaternionic_draw_called_proper_is_an_error(monkeypatch, kind):
+    classify = density._mixture_kind
+    monkeypatch.setattr(density, "_mixture_kind", lambda m: (MixtureKind.PROPER, classify(m)[1]))
+    number = r"\d\.\d{3}e[+-]\d+"
+    pattern = rf"random {kind.lower()} draw is proper: \|\|beta\|\|_F = {number} <= {number}$"
+    with pytest.raises(QmixError, match=pattern):
+        random_density(4, kind, 0)
 
 
 # -- input errors ----------------------------------------------------------------

@@ -531,6 +531,20 @@ def test_spectral_helpers_on_entries_near_the_float_limit():
         assert rank_q(QMatrix.from_complex(np.diag([1.7e308 + 1.7e308j, 1.0]))) == 1
 
 
+@pytest.mark.parametrize("spectral", [eigvals_hermitian, is_positive_semidefinite])
+def test_a_spectrum_past_the_float_range_is_an_error(spectral):
+    # finite entries whose eigenvalue 3.4e308 overflows: one QmixError
+    # naming it, before the pairing gap can read inf - inf
+    over = QMatrix.from_complex(np.full((2, 2), 1.7e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QmixError, match="eigenvalue magnitude inf is not finite"):
+            spectral(over)
+        near = QMatrix.from_complex(np.full((2, 2), 8e307))
+        assert np.isfinite(eigvals_hermitian(near)).all()
+        assert is_positive_semidefinite(near)
+
+
 def test_rank_is_blind_to_power_of_two_scale():
     rng = np.random.default_rng(90)
     for m in range(1, 5):

@@ -16,6 +16,7 @@ from qmix import (
     run_scenario,
 )
 from qmix import density, scenario
+from qmix.cli import main
 from qmix.errors import (
     NotNormalized,
     PropositionViolated,
@@ -180,9 +181,9 @@ def test_check_propositions_negative_control(monkeypatch, seed):
     with pytest.raises(PropositionViolated) as reference:
         reference_check_propositions(n_max=4, trials=10, seed=seed, corrupt=True)
     assert excinfo.value.name == reference.value.name == "projection_is_density"
-    assert excinfo.value.seed == reference.value.seed
+    assert excinfo.value.trial == reference.value.trial
     assert str(excinfo.value) == str(reference.value)
-    assert "seed" in str(excinfo.value)
+    assert "trial" in str(excinfo.value)
 
 
 # (6, 30) is the benchmark's audit shape; 1000003 its held-out seed.
@@ -404,3 +405,22 @@ def test_check_propositions_judges_what_every_gate_admits(monkeypatch, hook, see
     # the batched pass failed the same judgement, past every gate
     assert isinstance(batched.value.__context__, PropositionViolated)
     assert batched.value.__context__.name == name
+
+
+def test_a_draw_called_proper_is_one_error_line(monkeypatch, capsys):
+    # an improper draw that the zero test calls proper is refused, not
+    # redrawn: the CLI prints one line, and the audit and its reference
+    # name the failure alike
+    classify = density._mixture_kind
+    monkeypatch.setattr(density, "_mixture_kind", lambda m: (MixtureKind.PROPER, classify(m)[1]))
+    monkeypatch.delenv("QMIX_SEED", raising=False)
+    assert main(["check-props", "--nmax", "2", "--trials", "1"]) == 1
+    captured = capsys.readouterr()
+    with pytest.raises(PropositionViolated) as batched:
+        check_propositions(2, 1, 0)
+    with pytest.raises(PropositionViolated) as reference:
+        reference_check_propositions(2, 1, 0)
+    message = str(batched.value)
+    assert message == str(reference.value)
+    assert "(trial 0): state generation failed: random improper draw is proper" in message
+    assert captured == ("", f"error: {message}\n")
