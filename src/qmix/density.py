@@ -48,8 +48,8 @@ from .qmatrix import (
     chi,
     hermiticity_deviation,
     numerical_rank,
-    real_trace,
     require_hermitian,
+    slice_norms,
 )
 
 
@@ -221,8 +221,16 @@ def _density_gate(mat: QMatrix | np.ndarray, tol: float) -> np.ndarray:
     return eigs
 
 
-def _mixture_kind(m: QMatrix) -> tuple[MixtureKind, float]:
-    """Classification by the zero test :func:`proper_tolerance`, and ||beta||_F."""
+def _mixture_kind(m: QMatrix) -> tuple:
+    """Classification by the zero test :func:`proper_tolerance`, and ||beta||_F.
+
+    A stack gives an array of each, one entry per slice; a slice of a
+    C-ordered stack gets the norms of the matrix alone (:func:`slice_norms`).
+    """
+    if m.alpha.ndim > 2:
+        beta_norm = slice_norms(m.beta)
+        proper = beta_norm <= proper_tolerance(m.rows, slice_norms(m.alpha))
+        return np.where(proper, MixtureKind.PROPER, MixtureKind.IMPROPER), beta_norm
     beta_norm = float(np.linalg.norm(m.beta))
     alpha_norm = float(np.linalg.norm(m.alpha))
     proper = beta_norm <= proper_tolerance(m.rows, alpha_norm)
@@ -461,8 +469,15 @@ def purify(rho_alpha: CDensity) -> QDensity:
 # random generation
 # ---------------------------------------------------------------------
 
-def _ginibre(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+def _ginibre(parts: np.ndarray) -> np.ndarray:
+    """Complex Ginibre matrices from standard normals of shape (..., 2k, r, c).
+
+    Parts 2i and 2i + 1 are the real and imaginary parts of matrix i; the
+    result has shape (..., k, r, c).  One ``standard_normal`` call of 2k
+    parts gives the bits, and leaves the stream where, k pairs of calls of
+    one part each would.
+    """
+    return parts[..., 0::2, :, :] + 1j * parts[..., 1::2, :, :]
 
 
 def random_density(n: int, kind: MixtureKind | str, seed=None) -> QDensity:
@@ -472,33 +487,48 @@ def random_density(n: int, kind: MixtureKind | str, seed=None) -> QDensity:
     n x n for ``Proper`` (beta = 0), quaternionic n x n for ``Improper``
     (beta != 0) and quaternionic n x 1 for ``Pure-Q`` (rank one, whose
     projection has rank two almost surely).  Improper and Pure-Q need
-    n >= 2: a 1 x 1 hermitian quaternion has no skew part.
+    n >= 2: a 1 x 1 hermitian quaternion has no skew part.  A smaller n
+    is a :class:`DimensionMismatch`.
     """
     return validate(_random_density_matrix(n, kind, np.random.default_rng(seed)))
 
 
-def _random_density_matrix(n: int, kind: MixtureKind | str, rng: np.random.Generator) -> QMatrix:
+def _random_density_matrix(n: int, kind: MixtureKind | str, rng) -> QMatrix:
     """The unvalidated draw behind :func:`random_density`, at unit real trace.
 
-    Drawn once: an Improper or Pure-Q draw that the classification rule
-    of :func:`validate` calls proper raises :class:`QmixError`.
+    ``rng`` is one generator, or a sequence of them for a stack of draws.
+    Each generator makes one ``standard_normal`` call, and the arithmetic
+    runs once on the stack, giving each slice the bits its generator alone
+    gives.  Drawn once: an Improper or Pure-Q draw that the classification
+    rule of :func:`validate` calls proper raises :class:`QmixError`.
     """
     label = kind.value.lower() if isinstance(kind, MixtureKind) else str(kind).lower()
-    if label == "proper":
-        g = _ginibre(rng, (n, n))
-        mat = g @ g.conj().T
-        mat /= np.trace(mat).real
-        return QMatrix.from_complex(mat)
-    if label not in ("improper", "pure-q"):
+    if label not in ("proper", "improper", "pure-q"):
         raise ValueError(f"unknown density kind: {kind!r}")
-    if n < 2:
-        raise DimensionMismatch("improper and pure quaternionic densities need dimension >= 2")
-    shape = (n, n) if label == "improper" else (n, 1)
-    g = QMatrix(_ginibre(rng, shape), _ginibre(rng, shape))
-    mat = g @ g.h
-    mat = mat / real_trace(mat)
-    classified, beta_norm = _mixture_kind(mat)
-    if classified is MixtureKind.PROPER:
-        tol = proper_tolerance(n, float(np.linalg.norm(mat.alpha)))
-        raise QmixError(f"random {label} draw is proper: ||beta||_F = {beta_norm:.3e} <= {tol:.3e}")
-    return mat
+    least = 1 if label == "proper" else 2
+    if n < least:
+        raise DimensionMismatch(f"{label} densities need dimension >= {least}, got {n}")
+    shape = (2, n, n) if label == "proper" else (4, n, n if label == "improper" else 1)
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else rng
+    parts = np.empty((len(rngs), *shape))
+    for part, r in zip(parts, rngs):
+        r.standard_normal(shape, out=part)
+    g = _ginibre(parts)
+    if label == "proper":
+        mat = QMatrix.from_complex(g[:, 0] @ g[:, 0].conj().swapaxes(-1, -2))
+    else:
+        g = QMatrix(g[:, 0], g[:, 1])
+        mat = g @ g.h
+    trace = np.trace(mat.alpha, axis1=-2, axis2=-1).real[:, None, None]
+    mat = QMatrix(mat.alpha / trace, mat.beta / trace)
+    if label != "proper":
+        kinds, beta_norm = _mixture_kind(mat)
+        called_proper = np.flatnonzero(kinds == MixtureKind.PROPER)
+        if called_proper.size:
+            i = called_proper[0]
+            tol = proper_tolerance(n, float(np.linalg.norm(mat.alpha[i])))
+            raise QmixError(
+                f"random {label} draw is proper: ||beta||_F = {beta_norm[i]:.3e} <= {tol:.3e}"
+            )
+    return mat[0] if single else mat

@@ -232,10 +232,13 @@ def random_generator(n: int, rng: np.random.Generator, quaternionic: bool = True
     """Random constant generator (G - G^dag) / 2 of unit Frobenius norm.
 
     G is a quaternionic Ginibre draw, alpha block first; its beta block is
-    zero, not drawn, when ``quaternionic`` is False.
+    zero, not drawn, when ``quaternionic`` is False.  An n below 1 is a
+    :class:`DimensionMismatch`.
     """
-    alpha = _ginibre(rng, (n, n))
-    g = QMatrix(alpha, _ginibre(rng, (n, n)) if quaternionic else np.zeros_like(alpha))
+    if n < 1:
+        raise DimensionMismatch(f"generator dimension must be >= 1, got {n}")
+    g = _ginibre(rng.standard_normal((4 if quaternionic else 2, n, n)))
+    g = QMatrix(g[0], g[1] if quaternionic else np.zeros_like(g[0]))
     ham = (g - g.h) * 0.5
     scale = frobenius_norm(ham)
     if scale > 0:

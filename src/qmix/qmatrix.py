@@ -251,21 +251,27 @@ def real_trace(m: QMatrix) -> float:
     return float(np.trace(m.alpha).real)
 
 
+def slice_norms(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each slice of a complex stack, of shape ``x.shape[:-2]``.
+
+    A slice of a C-ordered stack has the bits ``np.linalg.norm`` gives
+    the matrix alone: roots of BLAS dots of the real and imaginary parts.
+    """
+    row = x.reshape(x.shape[:-2] + (1, x.shape[-2] * x.shape[-1]))
+    col = row.swapaxes(-1, -2)
+    return np.sqrt(row.real @ col.real + row.imag @ col.imag)[..., 0, 0]
+
+
 def frobenius_norm(m: QMatrix):
     """Entrywise quaternion-norm Frobenius norm; one per slice for a stack.
 
     Equals ||chi(M)||_F / sqrt(2).  A slice of a C-ordered stack has the
-    bits of the matrix alone: block norms are roots of BLAS dots, as in
-    ``np.linalg.norm``, squared as numpy scalars (by libm ``pow``, which an
-    array square misses about once in a thousand).
+    bits of the matrix alone: block norms are :func:`slice_norms`, squared
+    as numpy scalars (by libm ``pow``, which an array square misses about
+    once in a thousand).
     """
-
-    def block_norms(x: np.ndarray) -> np.ndarray:
-        row = x.reshape(x.shape[:-2] + (1, x.shape[-2] * x.shape[-1]))
-        col = row.swapaxes(-1, -2)
-        return np.sqrt(row.real @ col.real + row.imag @ col.imag).ravel()
-
-    norms = [np.sqrt(a**2 + b**2) for a, b in zip(block_norms(m.alpha), block_norms(m.beta))]
+    pairs = zip(slice_norms(m.alpha).ravel(), slice_norms(m.beta).ravel())
+    norms = [np.sqrt(a**2 + b**2) for a, b in pairs]
     return float(norms[0]) if m.alpha.ndim == 2 else np.reshape(norms, m.shape[:-2])
 
 

@@ -257,48 +257,61 @@ class PropositionSummary:
 
 
 _AUDIT_KINDS = (MixtureKind.IMPROPER, "Pure-Q", MixtureKind.PROPER)
+#: Most trials of one dimension that the audit's batched pass holds at once.
+AUDIT_BLOCK_TRIALS = 64
 
 
-def _draw_spectral_data(
-    rng: np.random.Generator, n: int, rank: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Frame draw and weights of a random complex density of the given rank."""
-    frame = _ginibre(rng, (n, rank))
-    weights = rng.uniform(0.2, 1.0, size=rank)
-    weights /= weights.sum()
-    return frame, weights
+def _complex_densities(parts: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Stack of (Q w) Q^dag for frame draws of one rank r.
 
-
-def _complex_densities(draws: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Stack of (Q w) Q^dag, Q the orthonormal QR factor of each frame draw.
-
-    Draws of one rank share one stacked QR, which gives each slice the
-    factor a QR of that frame alone gives.
+    ``parts`` has shape (s, 2, n, r): the standard normals of each frame's
+    Ginibre draw, whose orthonormal QR factor is Q.  ``weights`` has shape
+    (s, r), each row normalized here to unit sum.  One stacked QR gives
+    each slice the factor a QR of that frame alone gives.
     """
-    n = draws[0][0].shape[0]
-    out = np.empty((len(draws), n, n), dtype=np.complex128)
-    ranks = [frame.shape[1] for frame, _ in draws]
-    for rank in set(ranks):
-        index = [i for i, r in enumerate(ranks) if r == rank]
-        frames = np.linalg.qr(np.stack([draws[i][0] for i in index]))[0]
-        weights = np.stack([draws[i][1] for i in index])[:, None, :]
-        out[index] = (frames * weights) @ frames.conj().swapaxes(-1, -2)
-    return out
+    frames = np.linalg.qr(_ginibre(parts)[:, 0])[0]
+    weights = weights / weights.sum(-1, keepdims=True)
+    return (frames * weights[:, None, :]) @ frames.conj().swapaxes(-1, -2)
 
 
-def _draw_trial(seed: int, trial: int, n: int) -> tuple:
-    """Every random draw of one audit trial, from its own stream, in order.
+def _draw_trials(seed: int, trials: range, n: int) -> tuple[QMatrix, np.ndarray]:
+    """Every random draw of the audit trials ``trials``, all of dimension n.
 
-    Returns the state (a QMatrix) and the spectral data of the source,
-    rank-two and (for n >= 3) rank-three complex densities, none of
-    them gated yet.
+    Each trial draws from its own stream, ``SeedSequence(entropy=seed,
+    spawn_key=(trial,))``, and makes only its RNG calls, in this order: the
+    state's Ginibre parts, ``integers`` for the source rank, then the
+    normals and ``uniform`` weights of each frame (the source's, rank two's
+    and, for n >= 3, rank three's).  The arithmetic runs once on stacks,
+    the states grouped by kind (:func:`_random_density_matrix`) and the
+    complex densities by rank (:func:`_complex_densities`), so each slice
+    has the bits of its trial drawn alone.
+
+    Returns the states and the complex densities, none of them gated yet:
+    the lift sources, then the rank-two densities, then (n >= 3) the
+    rank-three ones, one per trial each.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
-    state = _random_density_matrix(n, _AUDIT_KINDS[trial % len(_AUDIT_KINDS)], rng)
-    source = _draw_spectral_data(rng, n, rng.integers(2, n + 1))
-    two = _draw_spectral_data(rng, n, 2)
-    three = _draw_spectral_data(rng, n, 3) if n >= 3 else None
-    return state, source, two, three
+    t = len(trials)
+    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+            for trial in trials]
+    alpha, beta = np.empty((2, t, n, n), dtype=np.complex128)
+    for k, kind in enumerate(_AUDIT_KINDS):
+        index = [i for i, trial in enumerate(trials) if trial % len(_AUDIT_KINDS) == k]
+        if index:
+            states = _random_density_matrix(n, kind, [rngs[i] for i in index])
+            alpha[index], beta[index] = states.alpha, states.beta
+
+    draws = 3 if n >= 3 else 2
+    by_rank = {}  # rank -> slots, normals, weights; slot j t + i: draw j of the i-th trial
+    for i, rng in enumerate(rngs):
+        for j, rank in enumerate((rng.integers(2, n + 1), 2, 3)[:draws]):
+            slots, normals, weights = by_rank.setdefault(int(rank), ([], [], []))
+            slots.append(j * t + i)
+            normals.append(rng.standard_normal((2, n, rank)))
+            weights.append(rng.uniform(0.2, 1.0, rank))
+    densities = np.empty((draws * t, n, n), dtype=np.complex128)
+    for slots, normals, weights in by_rank.values():
+        densities[slots] = _complex_densities(np.array(normals), np.array(weights))
+    return QMatrix(alpha, beta), densities
 
 
 #: The audit's checks, in order, and the detail a failure of each reports.
@@ -366,19 +379,26 @@ def check_propositions(n_max: int, trials: int, seed: int) -> PropositionSummary
     the failing trial's index ``t``.
 
     Trial ``t`` has dimension ``2 + t % (n_max - 1)`` and draws from
-    ``SeedSequence(entropy=seed, spawn_key=(t,))``.  The batched pass,
-    :func:`_audit_dimension`, proves success and tallies; at a failure
-    it just raises, and the replay runs trials 0, 1, 2, ... alone
+    ``SeedSequence(entropy=seed, spawn_key=(t,))`` (:func:`_draw_trials`).
+    The batched pass, :func:`_audit_dimension`, runs on consecutive blocks
+    of at most ``AUDIT_BLOCK_TRIALS`` trials of each dimension, so memory
+    does not grow with ``trials``; the worst residuals are maxima, which
+    no blocking changes.  It proves success and tallies; at a failure it
+    just raises, and the replay runs trials 0, 1, 2, ... alone
     (:func:`_check_trial`) until one raises what a trial-by-trial audit
     raises.  If none does (rounding broke a stack, not a matrix), the
-    batched pass's error is raised.
+    batched pass's error is raised.  A negative ``trials`` or ``seed``,
+    like an ``n_max`` below 2, is a ValueError raised before any draw.
     """
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
+    for name, value, least in (("n_max", n_max, 2), ("trials", trials, 0), ("seed", seed, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     worst = dict.fromkeys(_DETAILS, 0.0)
     try:
         for n in range(2, min(n_max, trials + 1) + 1):  # the dimensions with trials
-            _audit_dimension(n, range(n - 2, trials, n_max - 1), seed, worst)
+            of_n = range(n - 2, trials, n_max - 1)
+            for start in range(0, len(of_n), AUDIT_BLOCK_TRIALS):
+                _audit_dimension(n, of_n[start : start + AUDIT_BLOCK_TRIALS], seed, worst)
     except QmixError:
         for trial in range(trials):
             _check_trial(seed, trial, n_max)
@@ -388,16 +408,16 @@ def check_propositions(n_max: int, trials: int, seed: int) -> PropositionSummary
 
 
 def _audit_dimension(n: int, trials: range, seed: int, worst: dict) -> None:
-    """The batched pass of :func:`check_propositions` for the trials of dimension n.
+    """The batched pass of :func:`check_propositions` for a block of trials of dimension n.
 
-    Two density gates: one on the complex stack (lift sources, rank-two
-    and rank-three densities, projections) and one on the quaternionic
-    stack (states, lifts, purifications); every tally is sliced out of
-    their spectra.  The lifts and purifications (lifts of the rank-two
-    densities to rank one) come from one call of the stacked lift
-    builder, on one ``eigh`` of the lift sources and rank-two densities.
-    Raises at the first failure it meets and keeps each check's worst
-    residual in ``worst``.
+    One call of :func:`_draw_trials` draws them.  Two density gates: one
+    on the complex stack (lift sources, rank-two and rank-three
+    densities, projections) and one on the quaternionic stack (states,
+    lifts, purifications); every tally is sliced out of their spectra.
+    The lifts and purifications (lifts of the rank-two densities to rank
+    one) come from one call of the stacked lift builder, on one ``eigh``
+    of the lift sources and rank-two densities.  Raises at the first
+    failure it meets and keeps each check's worst residual in ``worst``.
     """
 
     def tally(name: str, trial_ids, **measured) -> None:
@@ -405,9 +425,7 @@ def _audit_dimension(n: int, trials: range, seed: int, worst: dict) -> None:
         worst[name] = max(worst[name], float(np.max(residual, initial=0.0)))
 
     t = len(trials)
-    draws = [_draw_trial(seed, trial, n) for trial in trials]
-    states = QMatrix(np.stack([d[0].alpha for d in draws]), np.stack([d[0].beta for d in draws]))
-    drawn = _complex_densities([d[k] for k in (1, 2, 3) for d in draws if d[k] is not None])
+    states, drawn = _draw_trials(seed, trials, n)
     densities = np.concatenate([drawn, states.alpha])
     spectra = _density_gate(densities, VALIDATION_TOL)
     projected, projected_eigs = densities[-t:], spectra[-t:]
@@ -456,8 +474,8 @@ def _check_trial(seed: int, trial: int, n_max: int) -> None:
     """
     n = 2 + trial % (n_max - 1)
     try:
-        state, source, two, three = _draw_trial(seed, trial, n)
-        rho = validate(state)
+        state, drawn = _draw_trials(seed, range(trial, trial + 1), n)
+        rho = validate(state[0])
     except QmixError as exc:
         raise PropositionViolated(
             "projection_is_density", trial, f"state generation failed: {exc}"
@@ -467,19 +485,18 @@ def _check_trial(seed: int, trial: int, n_max: int) -> None:
     _judge("projection_is_density", [trial], **measures)
     _judge("projection_rank_bounds", [trial], m=rho.rank, rank_alpha=projected.rank)
 
-    source = CDensity.from_matrix(_complex_densities([source])[0])
+    source = CDensity.from_matrix(drawn[0])
     for target in range((source.rank + 1) // 2, source.rank + 1):
         lifted = lift(source, target)
         round_trip = np.abs(lifted.alpha - source.mat).max()
         _judge("lift_round_trip", [trial], round_trip=round_trip, rank=lifted.rank, target=target)
 
-    pure = purify(CDensity.from_matrix(_complex_densities([two])[0]))
+    pure = purify(CDensity.from_matrix(drawn[1]))
     idem = frobenius_norm(pure.mat @ pure.mat - pure.mat)
     refusal_ok = True
-    if three is not None:
-        three = CDensity.from_matrix(_complex_densities([three])[0])
+    if n >= 3:
         try:
-            purify(three)
+            purify(CDensity.from_matrix(drawn[2]))
             refusal_ok = False
         except NotPurifiable:
             pass

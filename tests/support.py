@@ -8,10 +8,10 @@ complex-adjoint images and reads the blocks back out by slicing.
 
 import numpy as np
 
-from qmix import QMatrix
+from qmix import MixtureKind, QMatrix
 from qmix.density import CDensity, complex_projection, lift, purify, random_density, validate
 from qmix.errors import NotPurifiable, PropositionViolated, QmixError
-from qmix.qmatrix import frobenius_norm
+from qmix.qmatrix import frobenius_norm, real_trace
 from qmix.scenario import _AUDIT_KINDS, PURITY_TOL, PropositionRow, PropositionSummary
 
 
@@ -117,6 +117,28 @@ def _random_complex_density_of_rank(
     weights /= weights.sum()
     mat = (frame * weights) @ frame.conj().T
     return CDensity.from_matrix(mat)
+
+
+def reference_trial_draw(seed: int, trial: int, n: int) -> tuple[QMatrix, list]:
+    """One audit trial's draws as first written, one trial and one part at a time.
+
+    Returns the state (g g^dag / Re Tr over a complex n x n g, or a
+    quaternionic n x n or n x 1 one, by the trial's kind) and the matrices
+    of the lift source, the rank-two density and, for n >= 3, the
+    rank-three density.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+    kind = _AUDIT_KINDS[trial % len(_AUDIT_KINDS)]
+    if kind is MixtureKind.PROPER:
+        g = random_complex(rng, n)
+        mat = g @ g.conj().T
+        state = QMatrix.from_complex(mat / np.trace(mat).real)
+    else:
+        g = random_qmatrix(rng, n, n if kind is MixtureKind.IMPROPER else 1)
+        mat = g @ g.h
+        state = mat / real_trace(mat)
+    ranks = [rng.integers(2, n + 1), 2, 3][: 3 if n >= 3 else 2]
+    return state, [_random_complex_density_of_rank(rng, n, rank).mat for rank in ranks]
 
 
 def reference_check_propositions(

@@ -737,9 +737,18 @@ def test_a_quaternionic_draw_called_proper_is_an_error(monkeypatch, kind):
         (lambda: block_purify(E0, np.r_[E1, 0.0], 1.0, 1.0), DimensionMismatch,
          "vector shapes differ: (2,) vs (3,)"),
         (lambda: random_density(2, "mixed", 0), ValueError, "unknown density kind: 'mixed'"),
+        (lambda: random_density(0, "Proper", 1), DimensionMismatch,
+         "proper densities need dimension >= 1, got 0"),
+        (lambda: random_density(-1, "Proper", 1), DimensionMismatch,
+         "proper densities need dimension >= 1, got -1"),
+        (lambda: random_density(0, "Improper", 1), DimensionMismatch,
+         "improper densities need dimension >= 2, got 0"),
+        (lambda: random_density(1, "Pure-Q", 1), DimensionMismatch,
+         "pure-q densities need dimension >= 2, got 1"),
     ],
     ids=["validate-non-square", "from-matrix-non-square", "block-purify-shapes",
-         "random-density-kind"],
+         "random-density-kind", "random-density-zero", "random-density-negative",
+         "random-improper-zero", "random-pure-q-one"],
 )
 def test_input_errors(call, error, fragment):
     with pytest.raises(error) as excinfo:

@@ -1,5 +1,6 @@
 """Measurement scenario end to end, plus the randomized audit."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,10 +25,10 @@ from qmix.errors import (
     RankOutOfRange,
     TraceNotOne,
 )
-from qmix.scenario import direction_basis, spin_along
+from qmix.scenario import AUDIT_BLOCK_TRIALS, _draw_trials, direction_basis, spin_along
 
 import support
-from support import random_complex_unitary, reference_check_propositions
+from support import random_complex_unitary, reference_check_propositions, reference_trial_draw
 
 HALF = 1 / np.sqrt(2)
 
@@ -164,18 +165,62 @@ def test_check_propositions_deterministic():
     assert one == two
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_stacked_draws_are_the_trial_by_trial_draws(n):
+    # a dimension's trials of an n_max = 12 audit, and one-trial ranges
+    # (the replay's path) of each kind
+    ranges = [range(n - 2, 200, 11)] + [range(t, t + 1) for t in (n, n + 1, n + 2)]
+    for seed in (0, 1, 31, 1000003):
+        for trials in ranges:
+            states, densities = _draw_trials(seed, trials, n)
+            assert len(densities) == (3 if n >= 3 else 2) * len(trials)
+            for i, trial in enumerate(trials):
+                state, drawn = reference_trial_draw(seed, trial, n)
+                assert states.alpha[i].tobytes() == state.alpha.tobytes()
+                assert states.beta[i].tobytes() == state.beta.tobytes()
+                for j, mat in enumerate(drawn):
+                    assert densities[j * len(trials) + i].tobytes() == mat.tobytes()
+
+
+def test_audit_memory_does_not_grow_with_trials():
+    # the batched pass holds one block of a dimension's trials at a time:
+    # at n_max = 12, 704 trials give each dimension 64 trials, 2816 give 256
+    assert AUDIT_BLOCK_TRIALS <= 64
+    peaks = []
+    for trials in (704, 4 * 704):
+        tracemalloc.start()
+        try:
+            assert check_propositions(12, trials, 0).passed
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+@pytest.mark.parametrize(
+    "args,fragment",
+    [((1, 5, 0), "n_max must be >= 2, got 1"), ((6, -3, 0), "trials must be >= 0, got -3"),
+     ((6, 5, -1), "seed must be >= 0, got -1")],
+    ids=["n_max", "trials", "seed"],
+)
+def test_check_propositions_rejects_bad_counts_before_drawing(monkeypatch, args, fragment):
+    monkeypatch.setattr(scenario, "_draw_trials", None)  # any draw would fail otherwise
+    with pytest.raises(ValueError, match=fragment):
+        check_propositions(*args)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_check_propositions_negative_control(monkeypatch, seed):
     # every drawn state gets the reference's corruption: a beta made
     # symmetric and shifted, so never skew; the audit must catch it
-    draw = scenario._draw_trial
+    draw = scenario._draw_trials
 
-    def corrupted_draw(seed, trial, n):
-        state, *rest = draw(seed, trial, n)
-        beta = (state.beta + state.beta.T) / 2 + 0.1 * np.eye(n)
-        return (QMatrix(state.alpha, beta), *rest)
+    def corrupted_draw(seed, trials, n):
+        states, densities = draw(seed, trials, n)
+        beta = (states.beta + states.beta.swapaxes(-1, -2)) / 2 + 0.1 * np.eye(n)
+        return QMatrix(states.alpha, beta), densities
 
-    monkeypatch.setattr(scenario, "_draw_trial", corrupted_draw)
+    monkeypatch.setattr(scenario, "_draw_trials", corrupted_draw)
     with pytest.raises(PropositionViolated) as excinfo:
         check_propositions(n_max=4, trials=10, seed=seed)
     with pytest.raises(PropositionViolated) as reference:
@@ -218,8 +263,9 @@ def _inject_faults(monkeypatch):
     lift_blocks = density._lift_blocks
 
     def faulty_draw(n, kind, rng):
-        mat = draw(n, kind, rng)
-        return mat * 1.5 if n == 5 and mat.alpha[0, 0].real > 0.26 else mat
+        mat = draw(n, kind, rng)  # one draw, or a stack of them
+        scale = np.where((n == 5) & (mat.alpha[..., 0, 0].real > 0.26), 1.5, 1.0)
+        return QMatrix(mat.alpha * scale[..., None, None], mat.beta * scale[..., None, None])
 
     def lifts_of(sources, owner, targets):
         # (matrix, rank, target) of each lift the builder is asked for
@@ -318,8 +364,11 @@ def _state_rank_off_bounds(monkeypatch):
     state = QMatrix.from_complex(np.diag([1 - weight, 0, 0])) + block_purify(e[1], e[2], tail, tail)
 
     def draw_state(n, kind, rng):
-        mat = draw(n, kind, rng)
-        return state if n == 3 else mat
+        mat = draw(n, kind, rng)  # one draw, or a stack of them
+        if n != 3:
+            return mat
+        blocks = (state.alpha, state.beta)
+        return QMatrix(*(np.broadcast_to(block, mat.shape).copy() for block in blocks))
 
     for module in (density, scenario):
         monkeypatch.setattr(module, "_random_density_matrix", draw_state)
@@ -366,18 +415,19 @@ def _rank_one_lift_not_idempotent(monkeypatch):
 def _rank_three_draw_of_rank_two(monkeypatch):
     # every rank-three draw loses its third weight, so purify accepts the
     # density it should refuse; the reference draws through the same hook
-    draw = scenario._draw_spectral_data
+    densities = scenario._complex_densities
 
-    def draw_two(rng, n, rank):
-        frame, weights = draw(rng, n, rank)
-        if rank == 3:
-            weights = np.r_[weights[:2], 0.0] / weights[:2].sum()
-        return frame, weights
+    def drop_third_weight(parts, weights):
+        if weights.shape[-1] == 3:
+            weights = weights.copy()
+            weights[..., 2] = 0.0
+        return densities(parts, weights)
 
     def reference_draw(rng, n, rank):
-        return CDensity.from_matrix(scenario._complex_densities([draw_two(rng, n, rank)])[0])
+        parts, weights = rng.standard_normal((2, n, rank)), rng.uniform(0.2, 1.0, rank)
+        return CDensity.from_matrix(scenario._complex_densities(parts[None], weights[None])[0])
 
-    monkeypatch.setattr(scenario, "_draw_spectral_data", draw_two)
+    monkeypatch.setattr(scenario, "_complex_densities", drop_third_weight)
     monkeypatch.setattr(support, "_random_complex_density_of_rank", reference_draw)
 
 
