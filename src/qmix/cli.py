@@ -167,8 +167,6 @@ def _dumps(node, pad: str = "") -> str:
         return "true" if node else "false"
     if isinstance(node, int):
         return int.__repr__(node)
-    if node is None:
-        return "null"
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(node, (list, tuple)):
@@ -186,7 +184,7 @@ def _dumps(node, pad: str = "") -> str:
         # encode_basestring_ascii raises TypeError on a key that is not a string
         items = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in node.items()]
         return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
-    # non-finite floats; anything else raises TypeError
+    # None and non-finite floats; anything else raises TypeError
     return json.dumps(node)
 
 

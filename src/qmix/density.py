@@ -152,9 +152,10 @@ class Observable:
 
     @classmethod
     def from_qmatrix(cls, mat: QMatrix, tol: float = VALIDATION_TOL) -> "Observable":
+        """Check hermiticity at ``tol``; complex when ``slice_norms(beta) <= tol``."""
         require_hermitian(hermiticity_deviation(mat), tol)
         with np.errstate(over="ignore"):  # an overflowing norm reads inf: not complex
-            beta_norm = float(np.linalg.norm(mat.beta))
+            beta_norm = float(slice_norms(mat.beta))
         return cls(mat=mat, is_complex=beta_norm <= tol)
 
     @classmethod
@@ -221,20 +222,19 @@ def _density_gate(mat: QMatrix | np.ndarray, tol: float) -> np.ndarray:
     return eigs
 
 
+#: ``MixtureKind`` indexed by the zero test's outcome (False, True).
+_KINDS = np.array([MixtureKind.IMPROPER, MixtureKind.PROPER], dtype=object)
+
+
 def _mixture_kind(m: QMatrix) -> tuple:
     """Classification by the zero test :func:`proper_tolerance`, and ||beta||_F.
 
-    A stack gives an array of each, one entry per slice; a slice of a
-    C-ordered stack gets the norms of the matrix alone (:func:`slice_norms`).
+    One rule: the norms are :func:`slice_norms`, 0-d for a matrix and one
+    per slice of a stack, which gets an object array of kinds.
     """
-    if m.alpha.ndim > 2:
-        beta_norm = slice_norms(m.beta)
-        proper = beta_norm <= proper_tolerance(m.rows, slice_norms(m.alpha))
-        return np.where(proper, MixtureKind.PROPER, MixtureKind.IMPROPER), beta_norm
-    beta_norm = float(np.linalg.norm(m.beta))
-    alpha_norm = float(np.linalg.norm(m.alpha))
-    proper = beta_norm <= proper_tolerance(m.rows, alpha_norm)
-    return (MixtureKind.PROPER if proper else MixtureKind.IMPROPER), beta_norm
+    beta_norm = slice_norms(m.beta)
+    proper = beta_norm <= proper_tolerance(m.rows, slice_norms(m.alpha))
+    return _KINDS[proper.astype(np.intp)], beta_norm
 
 
 def validate(m: QMatrix, tol: float = VALIDATION_TOL) -> QDensity:
@@ -248,7 +248,7 @@ def validate(m: QMatrix, tol: float = VALIDATION_TOL) -> QDensity:
         raise DimensionMismatch(f"density matrix must be square, got {m.shape}")
     eigs = _density_gate(m, tol)
     kind, beta_norm = _mixture_kind(m)
-    return QDensity(mat=m, classification=kind, beta_norm=beta_norm, eigenvalues=eigs)
+    return QDensity(mat=m, classification=kind, beta_norm=float(beta_norm), eigenvalues=eigs)
 
 
 def complex_projection(rho: QDensity) -> CDensity:
@@ -366,8 +366,8 @@ def _lift_blocks(sources: CDensity, owner, targets) -> tuple[np.ndarray, np.ndar
     ``sources`` is one density or a stack of them.  Lift j is of source
     ``owner[j]`` to rank ``targets[j]``; the two broadcast together, and
     scalars give one lift, with (n, n) blocks and errors that name no
-    slice.  Every lift is checked for its admissible range
-    (:class:`RankOne`, :class:`RankOutOfRange`) and the orthonormality of
+    slice.  Every lift is checked for an integer target in its admissible
+    range (:class:`RankOne`, :class:`RankOutOfRange`) and the orthonormality of
     its paired eigenvectors (:class:`NotOrthogonal`, one Gram-matrix
     test), each through :func:`~qmix.qmatrix.check_slices`.
 
@@ -380,6 +380,8 @@ def _lift_blocks(sources: CDensity, owner, targets) -> tuple[np.ndarray, np.ndar
     stack.
     """
     owner, targets = np.broadcast_arrays(owner, targets)
+    if targets.dtype.kind not in "iu":  # a float pair count cannot slice eigenpairs
+        raise RankOutOfRange(f"target rank {targets.flat[0].item()!r} is not an integer")
     m = np.reshape(sources.rank, -1)[owner]
     lo = (m + 1) // 2
     check_slices(
@@ -488,8 +490,11 @@ def random_density(n: int, kind: MixtureKind | str, seed=None) -> QDensity:
     (beta != 0) and quaternionic n x 1 for ``Pure-Q`` (rank one, whose
     projection has rank two almost surely).  Improper and Pure-Q need
     n >= 2: a 1 x 1 hermitian quaternion has no skew part.  A smaller n
-    is a :class:`DimensionMismatch`.
+    is a :class:`DimensionMismatch`.  ``seed`` is anything
+    ``np.random.default_rng`` takes; a negative integer is a ValueError.
     """
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return validate(_random_density_matrix(n, kind, np.random.default_rng(seed)))
 
 
@@ -527,7 +532,7 @@ def _random_density_matrix(n: int, kind: MixtureKind | str, rng) -> QMatrix:
         called_proper = np.flatnonzero(kinds == MixtureKind.PROPER)
         if called_proper.size:
             i = called_proper[0]
-            tol = proper_tolerance(n, float(np.linalg.norm(mat.alpha[i])))
+            tol = proper_tolerance(n, float(slice_norms(mat.alpha[i])))
             raise QmixError(
                 f"random {label} draw is proper: ||beta||_F = {beta_norm[i]:.3e} <= {tol:.3e}"
             )

@@ -42,6 +42,7 @@ from .qmatrix import (
     frobenius_norm,
     max_abs,
     require_anti_hermitian,
+    slice_norms,
 )
 
 #: Cap on the per-step hermiticity/trace correction in ``integrate``.
@@ -225,7 +226,7 @@ def projected_rate_check(rho: QDensity, gen: Generator, h: float = 1e-4) -> floa
     ha, hb = gen.h.alpha, gen.h.beta
     ra, rb = rho.alpha, rho.beta
     rhs = -(ha @ ra - ra @ ha) + hb.conj() @ rb - rb.conj() @ hb
-    return float(np.linalg.norm(fd - rhs))
+    return float(slice_norms(fd - rhs))
 
 
 def random_generator(n: int, rng: np.random.Generator, quaternionic: bool = True) -> Generator:
@@ -253,15 +254,17 @@ def partition_witness(n: int, seed: int) -> tuple[Generator, QDensity, float]:
     ``seed`` and returns the first whose evolution over ``WITNESS_TIME``
     leaks beta norm above ``WITNESS_LEAK_THRESHOLD``.  Such witnesses are
     generic, so exhausting ``WITNESS_MAX_ATTEMPTS`` draws raises
-    :class:`WitnessNotFound`.
+    :class:`WitnessNotFound`.  A negative ``seed`` is a ValueError.
     """
     if n < 2:
         raise DimensionMismatch("partition witnesses need dimension >= 2")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     for attempt in range(WITNESS_MAX_ATTEMPTS):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
         gen = random_generator(n, rng, quaternionic=True)
         rho = random_density(n, MixtureKind.PROPER, rng)
-        leak = float(np.linalg.norm(evolve(rho, time_ordered(gen, WITNESS_TIME)).beta))
+        leak = evolve(rho, time_ordered(gen, WITNESS_TIME)).beta_norm
         if leak > WITNESS_LEAK_THRESHOLD:
             return gen, rho, leak
     raise WitnessNotFound(

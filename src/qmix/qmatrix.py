@@ -254,10 +254,12 @@ def real_trace(m: QMatrix) -> float:
 def slice_norms(x: np.ndarray) -> np.ndarray:
     """Frobenius norm of each slice of a complex stack, of shape ``x.shape[:-2]``.
 
-    A slice of a C-ordered stack has the bits ``np.linalg.norm`` gives
-    the matrix alone: roots of BLAS dots of the real and imaginary parts.
+    The package's one block-norm measure, 0-d for one matrix.  Slices are
+    read in memory order, so C-ordered, Fortran-ordered and strided input
+    keeps the bits of ``np.linalg.norm``: roots of BLAS dots of the real
+    and imaginary parts.
     """
-    row = x.reshape(x.shape[:-2] + (1, x.shape[-2] * x.shape[-1]))
+    row = x.reshape(x.shape[:-2] + (1, x.shape[-2] * x.shape[-1]), order="A")
     col = row.swapaxes(-1, -2)
     return np.sqrt(row.real @ col.real + row.imag @ col.imag)[..., 0, 0]
 

@@ -50,10 +50,11 @@ from .density import (
     purify,
     validate,
 )
-from .errors import NotPurifiable, PropositionViolated, QmixError
+from .errors import DimensionMismatch, NotPurifiable, PropositionViolated, QmixError
 from .qmatrix import VALIDATION_TOL, QMatrix, frobenius_norm, hermiticity_deviation, numerical_rank
 
-#: Entrywise tolerance for the two mixture routes agreeing.
+#: Entrywise tolerance on a complex block against the density it must equal:
+#: the two mixture routes, a projection and a lift's round trip.
 MIXTURE_MATCH_TOL = 1e-12
 #: Tolerance for complex observables agreeing across the two states.
 COMPLEX_AGREEMENT_TOL = 1e-11
@@ -143,12 +144,15 @@ def run_scenario(
     angles in radians; all matrices in the report are expressed in that
     direction's eigenbasis.  Raises :class:`NotNormalized` unless
     |c_plus|^2 + |c_minus|^2 = 1 (the coupling tests it), then
+    :class:`DimensionMismatch` unless ``n_hat`` holds two angles, then
     :class:`QmixError` for a non-finite angle.
     """
     c_plus = complex(c_plus)
     c_minus = complex(c_minus)
     # Improper route: couple to the pointer, trace the pointer out.
     _, psi_t = measurement_interaction((c_plus, c_minus))
+    if len(n_hat) != 2:
+        raise DimensionMismatch(f"n_hat needs two angles (theta, phi), got {len(n_hat)}")
     theta, phi = float(n_hat[0]), float(n_hat[1])
     for name, angle in (("theta", theta), ("phi", phi)):
         if not np.isfinite(angle):
@@ -349,7 +353,7 @@ def _judge(name: str, trials, **measured) -> np.ndarray:
         ok = (v["m"] <= v["rank_alpha"]) & (v["rank_alpha"] <= 2 * v["m"])
         residual = np.zeros(ok.shape)
     elif name == "lift_round_trip":
-        ok = ~(v["round_trip"] > 1e-12) & (v["rank"] == v["target"])
+        ok = ~(v["round_trip"] > MIXTURE_MATCH_TOL) & (v["rank"] == v["target"])
         residual = v["round_trip"]
     else:
         ok = v["rank_ok"] & (v["idem"] <= PURITY_TOL) & v["refusal_ok"]

@@ -40,6 +40,7 @@ from qmix.errors import (
     RankOutOfRange,
     TraceNotOne,
 )
+from qmix.qmatrix import VALIDATION_TOL
 
 from support import (
     NON_FINITE_CASES,
@@ -272,6 +273,60 @@ def test_classify_lift_below_full_rank_is_improper():
 def test_proper_tolerance_scales():
     assert proper_tolerance(2, 1.0) == pytest.approx(4e-12)
     assert proper_tolerance(4, 0.0) == pytest.approx(4e-12)
+
+
+def _layouts(alpha: np.ndarray, beta: np.ndarray) -> dict:
+    """The same matrix C-ordered, Fortran-ordered and as a [::2, ::2] slice."""
+    n = alpha.shape[0]
+    spread = [np.zeros((2 * n, 2 * n), dtype=complex) for _ in range(2)]
+    spread[0][::2, ::2], spread[1][::2, ::2] = alpha, beta
+    return {
+        "C": QMatrix(alpha, beta),
+        "F": QMatrix(np.asfortranarray(alpha), np.asfortranarray(beta)),
+        "slice": QMatrix(spread[0][::2, ::2], spread[1][::2, ::2]),
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_classification_is_one_rule_across_layouts(n):
+    # a drawn complex density with a skew beta at factors of the zero test's
+    # threshold: the bits of np.linalg.norm and the hand-written test decide,
+    # whatever the layout, and a stack decides slice by slice alike
+    rng = np.random.default_rng(n)
+    alpha = random_density(n, "Proper", rng).alpha
+    skew = random_complex(rng, n)
+    skew = skew - skew.T
+    tol = proper_tolerance(n, float(np.linalg.norm(alpha)))
+    factors = (0.0, 0.5, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 2.0) if n > 1 else (0.0,)
+    draws = [skew * (f * tol / np.linalg.norm(skew)) if f else 0 * skew for f in factors]
+    alpha = [alpha] * len(draws)
+    if n > 1:
+        improper = random_density(n, "Improper", rng)
+        alpha.append(improper.alpha)
+        draws.append(improper.beta)
+    alpha = np.stack(alpha)
+    kinds = set()
+    for a, beta in zip(alpha, draws):
+        for layout, m in _layouts(a, beta).items():
+            # each layout sums in its own memory order, so its bits may differ
+            norm = float(np.linalg.norm(m.beta))
+            threshold = proper_tolerance(n, float(np.linalg.norm(m.alpha)))
+            rho = validate(m)
+            assert rho.beta_norm == norm, layout
+            assert type(rho.beta_norm) is float
+            want = MixtureKind.PROPER if norm <= threshold else MixtureKind.IMPROPER
+            assert rho.classification is want, layout
+            kinds.add(want)
+            for bound in (threshold, VALIDATION_TOL):
+                witness = Observable.from_qmatrix(m, bound)
+                assert type(witness.is_complex) is bool
+                assert witness.is_complex == (norm <= bound), layout
+    assert len(kinds) == (2 if n > 1 else 1)
+    stacked, norms = density._mixture_kind(QMatrix(alpha, np.stack(draws)))
+    for i, (a, beta) in enumerate(zip(alpha, draws)):
+        alone = validate(QMatrix(a, beta))
+        assert stacked[i] is alone.classification
+        assert norms[i] == alone.beta_norm
 
 
 # -- expectation values ---------------------------------------------------
@@ -540,6 +595,12 @@ def test_lift_rejects_out_of_range_rank():
         lift(source, 5)
 
 
+def test_lift_takes_numpy_integer_targets():
+    source = CDensity.from_matrix(np.diag([0.5, 0.3, 0.2]).astype(complex))
+    for target in (np.int64(2), np.uint8(2), np.intp(3)):
+        assert lift(source, target).rank == target
+
+
 def test_lift_rejects_rank_one():
     source = CDensity.from_matrix(np.diag([1.0, 0.0]))
     with pytest.raises(RankOne) as excinfo:
@@ -673,6 +734,11 @@ def test_random_density_deterministic_per_seed():
     assert np.array_equal(a.beta, b.beta)
 
 
+def test_random_density_takes_none_a_generator_and_numpy_integer_seeds():
+    for seed in (None, np.random.default_rng(7), np.int64(7), np.uint8(0)):
+        assert random_density(3, MixtureKind.IMPROPER, seed).dim == 3
+
+
 def test_random_density_rejects_dimension_one_quaternionic():
     with pytest.raises(DimensionMismatch):
         random_density(1, MixtureKind.IMPROPER, 0)
@@ -745,10 +811,16 @@ def test_a_quaternionic_draw_called_proper_is_an_error(monkeypatch, kind):
          "improper densities need dimension >= 2, got 0"),
         (lambda: random_density(1, "Pure-Q", 1), DimensionMismatch,
          "pure-q densities need dimension >= 2, got 1"),
+        (lambda: random_density(2, "Proper", -1), ValueError, "seed must be >= 0, got -1"),
+        (lambda: lift(CDensity.from_matrix(np.diag([0.5, 0.3, 0.2]).astype(complex)), 2.0),
+         RankOutOfRange, "target rank 2.0 is not an integer"),
+        (lambda: lift(CDensity.from_matrix(np.diag([0.5, 0.5]).astype(complex)), 1.5),
+         RankOutOfRange, "target rank 1.5 is not an integer"),
     ],
     ids=["validate-non-square", "from-matrix-non-square", "block-purify-shapes",
          "random-density-kind", "random-density-zero", "random-density-negative",
-         "random-improper-zero", "random-pure-q-one"],
+         "random-improper-zero", "random-pure-q-one", "random-density-negative-seed",
+         "lift-float-target", "lift-fractional-target"],
 )
 def test_input_errors(call, error, fragment):
     with pytest.raises(error) as excinfo:

@@ -468,6 +468,7 @@ def _state_of_three():
          ValueError, "steps must be >= 1, got 0"),
         (lambda: partition_witness(1, 0), DimensionMismatch,
          "partition witnesses need dimension >= 2"),
+        (lambda: partition_witness(2, -1), ValueError, "seed must be >= 0, got -1"),
         (lambda: random_generator(0, np.random.default_rng(0)), DimensionMismatch,
          "generator dimension must be >= 1, got 0"),
         (lambda: random_generator(-1, np.random.default_rng(0)), DimensionMismatch,
@@ -475,7 +476,8 @@ def _state_of_three():
     ],
     ids=["generator-non-square", "propagator-non-square", "evolve-dimensions",
          "projected-evolution-dimensions", "integrate-dimensions", "integrate-zero-steps",
-         "partition-witness-dimension-one", "random-generator-zero", "random-generator-negative"],
+         "partition-witness-dimension-one", "partition-witness-negative-seed",
+         "random-generator-zero", "random-generator-negative"],
 )
 def test_input_errors(call, error, fragment):
     with pytest.raises(error) as excinfo:

@@ -19,6 +19,7 @@ from qmix import (
 from qmix import density, scenario
 from qmix.cli import main
 from qmix.errors import (
+    DimensionMismatch,
     NotNormalized,
     PropositionViolated,
     QmixError,
@@ -116,6 +117,12 @@ def test_scenario_rejects_non_finite_direction(n_hat, name):
         with pytest.raises(QmixError) as excinfo:
             run_scenario(0.6, 0.8, n_hat=n_hat)
     assert f"{name} = " in str(excinfo.value)
+
+
+@pytest.mark.parametrize("n_hat,length", [((0.0,), 1), ((), 0), ((0.1, 0.2, 0.3), 3)])
+def test_scenario_rejects_a_direction_without_two_angles(n_hat, length):
+    with pytest.raises(DimensionMismatch, match=rf"n_hat needs two angles \(theta, phi\), got {length}$"):
+        run_scenario(1, 0, n_hat=n_hat)
 
 
 def test_scenario_checks_all_carry_residuals():
