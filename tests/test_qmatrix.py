@@ -8,28 +8,53 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmix import (
+    BipartiteState,
+    CDensity,
+    Generator,
+    ProjectorFamily,
+    Propagator,
     QMatrix,
+    block_purify,
     chi,
     chi_inverse,
     chi_membership_deviation,
     eigvals_hermitian,
     expm_q,
     frobenius_norm,
+    integrate,
     is_positive_semidefinite,
+    lift,
     max_abs,
+    measurement_interaction,
     rank_q,
     real_trace,
+    validate,
 )
 from qmix import qmatrix
+from qmix.density import _density_gate, _lift_blocks
 from qmix.errors import (
     DimensionMismatch,
+    DriftExceeded,
     NotAntiHermitian,
     NotHermitian,
     NotInChiImage,
+    NotNormalized,
+    NotOrthogonal,
+    NotPositive,
     NotUnitary,
+    PairingFailure,
     QmixError,
+    RankOne,
+    RankOutOfRange,
+    TraceNotOne,
 )
-from qmix.qmatrix import chi_membership_deviation, hermiticity_deviation, numerical_rank
+from qmix.qmatrix import (
+    _paired_eigvals,
+    chi_membership_deviation,
+    hermiticity_deviation,
+    numerical_rank,
+    require_hermitian,
+)
 from qmix.quaternion import Quaternion
 
 from support import (
@@ -575,3 +600,120 @@ def test_input_errors(call, fragment):
     with pytest.raises(DimensionMismatch) as excinfo:
         call()
     assert fragment in str(excinfo.value)
+
+
+# -- every tolerance failure message -----------------------------------------------
+
+_I2 = np.eye(2, dtype=np.complex128)
+
+
+def _gate_stack(second) -> np.ndarray:
+    """A valid 2x2 complex density, then ``second``: a stack whose slice 1 fails."""
+    return np.stack([_I2 / 2, np.asarray(second, dtype=np.complex128)])
+
+
+def _lift_with_skewed_vectors():
+    # two sources of one spectrum (1/2, 1/2): the first with the identity
+    # as eigenvectors, the second with a pair that is off orthonormal by 0.1
+    eigs = np.full((2, 2), 0.5)
+    vecs = np.stack([_I2, [[1.0, 0.1], [0.0, 1.0]]]).astype(np.complex128)
+    sources = CDensity(mat=np.stack([_I2 / 2] * 2), eigenvalues=eigs)
+    sources.__dict__["eigenpairs"] = (eigs, vecs)  # a cached_property, read by _lift_blocks
+    return _lift_blocks(sources, [0, 1], [1, 1])
+
+
+# One row per tolerance test in src/qmix: a failing input, the error type,
+# the whole message and the failing slice (``()`` for one matrix).
+TOLERANCE_FAILURES = {
+    "chi-inverse": (
+        lambda: chi_inverse(np.diag([1.0, 0.0])), NotInChiImage,
+        "block symmetry deviation 1.000e+00 exceeds 1.000e-10", ()),
+    "hermitian": (
+        lambda: require_hermitian(np.array([0.0, 1.0]), 1e-10), NotHermitian,
+        "hermiticity deviation 1.000e+00 exceeds 1.000e-10 at slice 1", (1,)),
+    "anti-hermitian": (
+        lambda: expm_q(QMatrix.identity(2)), NotAntiHermitian,
+        "exponent deviates from anti-hermiticity by 2.000e+00, beyond 1.000e-10", ()),
+    "pairing-gap": (
+        lambda: _paired_eigvals(np.array([[0.0, 0.0], [0.0, 1.0]])), PairingFailure,
+        "adjacent eigenvalue gap 1.000e+00 exceeds 1e-08 * 1.000e+00 at slice 1", (1,)),
+    "spectral-radius": (
+        lambda: expm_q(QMatrix.from_complex(1e7j * np.eye(1))), NotUnitary,
+        "exponent spectral radius 1.000e+07 exceeds 4.504e+06, "
+        "the bound for phases accurate to 1e-09", ()),
+    "propagator-unitarity": (
+        lambda: Propagator(QMatrix.identity(2) * 2.0), NotUnitary,
+        "U^dag U deviates from identity by 3.000e+00, beyond 1.000e-09", ()),
+    # a generator at the edge of anti-hermiticity (real diagonal 4e-11)
+    # turns the pure state's off-diagonal entries by 2e-6 at t = 1e5
+    "integrate-drift": (
+        lambda: integrate(validate(QMatrix.from_complex(np.full((2, 2), 0.5))),
+                          Generator(QMatrix.from_complex(np.diag([4e-11, 0.0]))), 1e5, 1),
+        DriftExceeded, "correction 2.828e-06 at step 0 exceeds 1e-06", ()),
+    "state-norm": (
+        lambda: BipartiteState((2, 2), [2.0, 0.0, 0.0, 0.0]), NotNormalized,
+        "state norm 2.0 off unity by 1.000e+00", ()),
+    "family-orthogonality": (
+        lambda: ProjectorFamily.from_projectors([_I2, _I2]), NotOrthogonal,
+        "projector products deviate from orthogonality by 1.000e+00", ()),
+    "family-completeness": (
+        lambda: ProjectorFamily.from_projectors([np.diag([1.0, 0.0])]), NotNormalized,
+        "projector sum deviates from identity by 1.000e+00", ()),
+    "interaction-norm": (
+        lambda: measurement_interaction((1.0, 1.0)), NotNormalized,
+        "|c+|^2 + |c-|^2 = 2.0 off unity by 1.000e+00", ()),
+    "block-purify-norm": (
+        lambda: block_purify([1.0, 0.0], [0.0, 3.0], 1.0, 1.0), NotNormalized,
+        "v has norm 3.0, off unity by 2.000e+00", ()),
+    "block-purify-orthogonality": (
+        lambda: block_purify([1.0, 0.0], [1.0, 0.0], 1.0, 1.0), NotOrthogonal,
+        "|<u, v>| = 1.000e+00 exceeds 1.000e-10", ()),
+    "gate-trace": (
+        lambda: _density_gate(_gate_stack(_I2), 1e-10), TraceNotOne,
+        "real trace 2.0 deviates from 1 by 1.000e+00, beyond 1.000e-10 at slice 1", (1,)),
+    "gate-magnitude": (
+        lambda: _density_gate(_gate_stack(np.diag([2.0, -1.0])), 1e-10), NotPositive,
+        "entry magnitude 2.000e+00 exceeds 1.0000000005, the bound for a unit-trace "
+        "matrix with no eigenvalue below -1.000e-10 at slice 1", (1,)),
+    "gate-lowest-eigenvalue": (
+        lambda: _density_gate(_gate_stack([[0.5, 0.501], [0.501, 0.5]]), 1e-10), NotPositive,
+        "minimum eigenvalue -1.000e-03 below -1.000e-10 at slice 1", (1,)),
+    "lift-gram": (
+        _lift_with_skewed_vectors, NotOrthogonal,
+        "paired eigenvectors deviate from orthonormal by 1.000e-01, beyond 1.000e-10 "
+        "at slice 1", (1,)),
+}
+
+# The checks that test a bound rather than a tolerance, pinned alike.
+BOUND_FAILURES = {
+    "lift-rank-one": (
+        lambda: lift(CDensity.from_matrix(np.diag([1.0, 0.0]).astype(complex)), 1), RankOne,
+        "rank-one complex densities admit no lift to lower rank", ()),
+    "lift-target-range": (
+        lambda: lift(CDensity.from_matrix(np.diag([0.5, 0.3, 0.2]).astype(complex)), 1),
+        RankOutOfRange, "target rank 1 outside admissible range [2, 3] for projection rank 3",
+        ()),
+    "eigenvalue-finiteness": (
+        lambda: _paired_eigvals(np.array([[0.0, 0.0], [0.0, np.inf]])), QmixError,
+        "eigenvalue magnitude inf is not finite at slice 1", (1,)),
+}
+
+
+def _assert_fails_exactly(call, error, message, index):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QmixError) as excinfo:
+            call()
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
+    assert excinfo.value.index == index
+
+
+@pytest.mark.parametrize("row", sorted(TOLERANCE_FAILURES))
+def test_every_tolerance_failure_message(row):
+    _assert_fails_exactly(*TOLERANCE_FAILURES[row])
+
+
+@pytest.mark.parametrize("row", sorted(BOUND_FAILURES))
+def test_every_bound_failure_message(row):
+    _assert_fails_exactly(*BOUND_FAILURES[row])
