@@ -19,6 +19,7 @@ import numpy as np
 
 from .density import CDensity
 from .errors import DimensionMismatch, NotNormalized, NotOrthogonal
+from .qmatrix import check_slices
 
 #: Unit-norm tolerance for state vectors.
 STATE_NORM_TOL = 1e-12
@@ -46,8 +47,10 @@ class BipartiteState:
                 f"vector length {vec.size} != {n1} * {n2}"
             )
         norm = float(np.linalg.norm(vec))
-        if not abs(norm - 1.0) <= STATE_NORM_TOL:
-            raise NotNormalized(f"state norm {norm!r} off unity by {abs(norm - 1.0):.3e}")
+        check_slices(
+            abs(norm - 1.0), STATE_NORM_TOL, NotNormalized,
+            lambda i: f"state norm {norm!r} off unity by {abs(norm - 1.0):.3e}",
+        )
         object.__setattr__(self, "dims", (int(n1), int(n2)))
         object.__setattr__(self, "vec", vec)
 
@@ -114,15 +117,15 @@ class ProjectorFamily:
             for i, p in enumerate(mats)
             for j, q in enumerate(mats)
         ]))
-        if not worst <= FAMILY_TOL:
-            raise NotOrthogonal(
-                f"projector products deviate from orthogonality by {worst:.3e}"
-            )
+        check_slices(
+            worst, FAMILY_TOL, NotOrthogonal,
+            lambda i: f"projector products deviate from orthogonality by {worst:.3e}",
+        )
         completeness = float(np.abs(sum(mats) - np.eye(n)).max())
-        if not completeness <= FAMILY_TOL:
-            raise NotNormalized(
-                f"projector sum deviates from identity by {completeness:.3e}"
-            )
+        check_slices(
+            completeness, FAMILY_TOL, NotNormalized,
+            lambda i: f"projector sum deviates from identity by {completeness:.3e}",
+        )
         return cls(projectors=mats)
 
     @classmethod
@@ -167,10 +170,10 @@ def measurement_interaction(phi0) -> tuple[np.ndarray, BipartiteState]:
     if phi0.size != 2:
         raise DimensionMismatch(f"system state must have two components, got {phi0.size}")
     norm2 = float(np.vdot(phi0, phi0).real)
-    if not abs(norm2 - 1.0) <= STATE_NORM_TOL:
-        raise NotNormalized(
-            f"|c+|^2 + |c-|^2 = {norm2!r} off unity by {abs(norm2 - 1.0):.3e}"
-        )
+    check_slices(
+        abs(norm2 - 1.0), STATE_NORM_TOL, NotNormalized,
+        lambda i: f"|c+|^2 + |c-|^2 = {norm2!r} off unity by {abs(norm2 - 1.0):.3e}",
+    )
     unitary = _COUPLING.copy()
     vec = unitary @ np.array([phi0[0], 0.0, phi0[1], 0.0])  # phi0 (x) |0>
     return unitary, BipartiteState(dims=(2, 2), vec=vec)

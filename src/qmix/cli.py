@@ -383,9 +383,9 @@ def _parse_tolerance(text: str) -> float:
         value = float(raw)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-    if not 0 < value < 1:
-        raise argparse.ArgumentTypeError(f"must be finite with 0 < VALUE < 1, got {raw!r}")
-    return value
+    if 0 < value < 1:
+        return value
+    raise argparse.ArgumentTypeError(f"must be finite with 0 < VALUE < 1, got {raw!r}")
 
 
 def _int_at_least(minimum: int):

@@ -198,15 +198,13 @@ def _density_gate(mat: QMatrix | np.ndarray, tol: float) -> np.ndarray:
         trace_deviation = abs(trace - 1.0)
     require_hermitian(deviation, tol)
     check_slices(
-        trace_deviation <= tol,
-        TraceNotOne,
+        trace_deviation, tol, TraceNotOne,
         lambda i: f"real trace {float(trace[i])!r} deviates from 1 by "
         f"{trace_deviation[i]:.3e}, beyond {tol:.3e}",
     )
     bound = 1.0 + (2 * mat.shape[-1] + 1) * tol
     check_slices(
-        magnitude <= bound,
-        NotPositive,
+        magnitude, bound, NotPositive,
         lambda i: f"entry magnitude {magnitude[i]:.3e} exceeds {bound!r}, "
         f"the bound for a unit-trace matrix with no eigenvalue below -{tol:.3e}",
     )
@@ -215,9 +213,7 @@ def _density_gate(mat: QMatrix | np.ndarray, tol: float) -> np.ndarray:
         eigs = _paired_eigvals(eigs)
     lowest = eigs.min(-1, initial=0.0)
     check_slices(
-        -lowest <= tol,
-        NotPositive,
-        lambda i: f"minimum eigenvalue {lowest[i]:.3e} below -{tol:.3e}",
+        -lowest, tol, NotPositive, lambda i: f"minimum eigenvalue {lowest[i]:.3e} below -{tol:.3e}"
     )
     return eigs
 
@@ -333,11 +329,15 @@ def block_purify(u: np.ndarray, v: np.ndarray, cu: complex, cv: complex) -> QMat
         raise DimensionMismatch(f"vector shapes differ: {u.shape} vs {v.shape}")
     for name, vec in (("u", u), ("v", v)):
         norm = float(np.linalg.norm(vec))
-        if not abs(norm - 1.0) <= VALIDATION_TOL:
-            raise NotNormalized(f"{name} has norm {norm!r}, off unity by {abs(norm - 1.0):.3e}")
+        check_slices(
+            abs(norm - 1.0), VALIDATION_TOL, NotNormalized,
+            lambda i: f"{name} has norm {norm!r}, off unity by {abs(norm - 1.0):.3e}",
+        )
     overlap = abs(np.vdot(u, v))
-    if not overlap <= VALIDATION_TOL:
-        raise NotOrthogonal(f"|<u, v>| = {overlap:.3e} exceeds {VALIDATION_TOL:.3e}")
+    check_slices(
+        overlap, VALIDATION_TOL, NotOrthogonal,
+        lambda i: f"|<u, v>| = {overlap:.3e} exceeds {VALIDATION_TOL:.3e}",
+    )
     cu = complex(cu)
     cv = complex(cv)
     weight = abs(cu) ** 2 + abs(cv) ** 2
@@ -384,12 +384,11 @@ def _lift_blocks(sources: CDensity, owner, targets) -> tuple[np.ndarray, np.ndar
         raise RankOutOfRange(f"target rank {targets.flat[0].item()!r} is not an integer")
     m = np.reshape(sources.rank, -1)[owner]
     lo = (m + 1) // 2
-    check_slices(
-        m > 1, RankOne, lambda i: "rank-one complex densities admit no lift to lower rank"
+    check_slices(  # 2 - m <= 0: the rank is at least two
+        2 - m, 0, RankOne, lambda i: "rank-one complex densities admit no lift to lower rank"
     )
-    check_slices(
-        (lo <= targets) & (targets <= m),
-        RankOutOfRange,
+    check_slices(  # lo <= target <= m
+        np.maximum(lo - targets, targets - m), 0, RankOutOfRange,
         lambda i: f"target rank {targets[i]} outside admissible range "
         f"[{lo[i]}, {m[i]}] for projection rank {m[i]}",
     )
@@ -412,8 +411,7 @@ def _lift_blocks(sources: CDensity, owner, targets) -> tuple[np.ndarray, np.ndar
         beta[lifts] = cross - cross.swapaxes(-1, -2)
     deviation = deviation.reshape(m.shape)
     check_slices(
-        deviation <= VALIDATION_TOL,
-        NotOrthogonal,
+        deviation, VALIDATION_TOL, NotOrthogonal,
         lambda i: f"paired eigenvectors deviate from orthonormal by {deviation[i]:.3e}, "
         f"beyond {VALIDATION_TOL:.3e}",
     )

@@ -36,6 +36,7 @@ from .errors import DimensionMismatch, DriftExceeded, NotUnitary, QmixError, Wit
 from .qmatrix import (
     UNITARY_TOL,
     QMatrix,
+    check_slices,
     chi,
     chi_inverse,
     expm_q,
@@ -87,10 +88,10 @@ class Propagator:
             raise DimensionMismatch(f"propagator must be square, got {self.u.shape}")
         with np.errstate(invalid="ignore"):  # a non-finite entry gives NaN, which fails
             dev = max_abs(self.u.h @ self.u - QMatrix.identity(self.u.rows))
-        if not dev <= UNITARY_TOL:
-            raise NotUnitary(
-                f"U^dag U deviates from identity by {dev:.3e}, beyond {UNITARY_TOL:.3e}"
-            )
+        check_slices(
+            dev, UNITARY_TOL, NotUnitary,
+            lambda i: f"U^dag U deviates from identity by {dev:.3e}, beyond {UNITARY_TOL:.3e}",
+        )
 
     @property
     def dim(self) -> int:
@@ -203,11 +204,10 @@ def integrate(rho0: QDensity, gen: Generator, t: float, steps: int) -> QDensity:
             herm_correction = float(np.linalg.norm(raw - hermitized)) / np.sqrt(2.0)
             trace = float(np.trace(hermitized).real) / 2.0
             correction = max(herm_correction, abs(trace - 1.0))
-            # written so that a non-finite iterate (NaN correction) fails too
-            if not correction <= DRIFT_TOL:
-                raise DriftExceeded(
-                    f"correction {correction:.3e} at step {step} exceeds {DRIFT_TOL:.0e}"
-                )
+            check_slices(
+                correction, DRIFT_TOL, DriftExceeded,
+                lambda i: f"correction {correction:.3e} at step {step} exceeds {DRIFT_TOL:.0e}",
+            )
             current = hermitized / trace
     return validate(chi_inverse(current))
 

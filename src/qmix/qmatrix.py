@@ -209,10 +209,10 @@ def chi_inverse(c: np.ndarray, tol: float = VALIDATION_TOL) -> QMatrix:
     """
     c = np.asarray(c, dtype=np.complex128)
     deviation = chi_membership_deviation(c)
-    if not deviation <= tol:
-        raise NotInChiImage(
-            f"block symmetry deviation {deviation:.3e} exceeds {tol:.3e}"
-        )
+    check_slices(
+        deviation, tol, NotInChiImage,
+        lambda i: f"block symmetry deviation {deviation:.3e} exceeds {tol:.3e}",
+    )
     n, m = c.shape[0] // 2, c.shape[1] // 2
     alpha = (c[:n, :m] + c[n:, m:].conj()) / 2
     beta = (c[n:, :m] - c[:n, m:].conj()) / 2
@@ -223,19 +223,19 @@ def chi_inverse(c: np.ndarray, tol: float = VALIDATION_TOL) -> QMatrix:
 # traces, norms, structure tests
 # ---------------------------------------------------------------------
 
-def check_slices(ok, error: type[QmixError], describe: Callable[[tuple], str]) -> None:
-    """Raise ``error`` at the first slice where ``ok`` is False.
+def check_slices(measured, tol, error: type[QmixError], describe: Callable[[tuple], str]) -> None:
+    """Raise ``error`` at the first slice where ``measured <= tol`` fails.
 
-    ``ok`` is one truth value, or an array of them over the leading axes
-    of a stack; callers write it as ``measured <= tol`` so that NaN fails.
-    ``describe(index)`` gives the message for the failing index (``()``
-    for a single matrix).  For a stack the message ends by naming the
-    slice, and the error's ``index`` attribute holds it.
+    The package's one tolerance test: a NaN measure compares False, so it
+    fails.  ``measured`` and ``tol`` are numbers, or arrays over the leading
+    axes of a stack.  ``describe(index)`` gives the message for the failing
+    index (``()`` for a single matrix).  For a stack the message ends by
+    naming the slice, and the error's ``index`` attribute holds it.
     """
+    ok = measured <= tol
     if ok.all() if isinstance(ok, np.ndarray) else ok:
         return
-    ok = np.asarray(ok)
-    index = tuple(int(i) for i in np.unravel_index(int(np.argmin(ok)), ok.shape))
+    index = tuple(int(i) for i in np.unravel_index(int(np.argmin(ok)), np.shape(ok)))
     message = describe(index)
     if index:
         message += f" at slice {index[0] if len(index) == 1 else index}"
@@ -305,8 +305,7 @@ def hermiticity_deviation(m: QMatrix | np.ndarray, sign: int = 1):
 def require_hermitian(deviation, tol: float) -> None:
     """Raise :class:`NotHermitian` unless every ``deviation <= tol``; NaN fails."""
     check_slices(
-        deviation <= tol,
-        NotHermitian,
+        deviation, tol, NotHermitian,
         lambda i: f"hermiticity deviation {np.asarray(deviation)[i]:.3e} exceeds {tol:.3e}",
     )
 
@@ -318,11 +317,11 @@ def require_anti_hermitian(m: QMatrix | np.ndarray, what: str) -> None:
     message; a non-finite entry fails.
     """
     deviation = hermiticity_deviation(m, sign=-1)
-    if not deviation <= VALIDATION_TOL:
-        raise NotAntiHermitian(
-            f"{what} deviates from anti-hermiticity by {deviation:.3e}, "
-            f"beyond {VALIDATION_TOL:.3e}"
-        )
+    check_slices(
+        deviation, VALIDATION_TOL, NotAntiHermitian,
+        lambda i: f"{what} deviates from anti-hermiticity by {np.asarray(deviation)[i]:.3e}, "
+        f"beyond {VALIDATION_TOL:.3e}",
+    )
 
 
 def is_positive_semidefinite(m: QMatrix) -> bool:
@@ -364,13 +363,13 @@ def _paired_eigvals(eigs: np.ndarray) -> np.ndarray:
     first, second = eigs[..., 0::2], eigs[..., 1::2]
     top = np.abs(eigs).max(-1, initial=0.0)
     check_slices(
-        np.isfinite(top), QmixError, lambda i: f"eigenvalue magnitude {top[i]} is not finite"
+        top, np.finfo(np.float64).max, QmixError,
+        lambda i: f"eigenvalue magnitude {top[i]} is not finite",
     )
     scale = np.maximum(top, 1.0)
     worst = np.abs(first - second).max(-1, initial=0.0)
     check_slices(
-        ~(worst > EIG_PAIRING_TOL * scale),
-        PairingFailure,
+        worst, EIG_PAIRING_TOL * scale, PairingFailure,
         lambda i: f"adjacent eigenvalue gap {worst[i]:.3e} exceeds "
         f"{EIG_PAIRING_TOL:.0e} * {scale[i]:.3e}",
     )
@@ -431,9 +430,9 @@ def expm_q(m: QMatrix) -> QMatrix:
     require_anti_hermitian(image, "exponent")
     w, v = np.linalg.eigh(-1j * image)
     radius = float(np.abs(w).max(initial=0.0))
-    if not radius * _EPS <= UNITARY_TOL:
-        raise NotUnitary(
-            f"exponent spectral radius {radius:.3e} exceeds {UNITARY_TOL / _EPS:.3e}, "
-            f"the bound for phases accurate to {UNITARY_TOL:.0e}"
-        )
+    check_slices(
+        radius * _EPS, UNITARY_TOL, NotUnitary,
+        lambda i: f"exponent spectral radius {radius:.3e} exceeds {UNITARY_TOL / _EPS:.3e}, "
+        f"the bound for phases accurate to {UNITARY_TOL:.0e}",
+    )
     return chi_inverse((v * np.exp(1j * w)) @ v.conj().T, tol=UNITARY_TOL)

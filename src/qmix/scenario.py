@@ -353,7 +353,7 @@ def _judge(name: str, trials, **measured) -> np.ndarray:
         ok = (v["m"] <= v["rank_alpha"]) & (v["rank_alpha"] <= 2 * v["m"])
         residual = np.zeros(ok.shape)
     elif name == "lift_round_trip":
-        ok = ~(v["round_trip"] > MIXTURE_MATCH_TOL) & (v["rank"] == v["target"])
+        ok = (v["round_trip"] <= MIXTURE_MATCH_TOL) & (v["rank"] == v["target"])
         residual = v["round_trip"]
     else:
         ok = v["rank_ok"] & (v["idem"] <= PURITY_TOL) & v["refusal_ok"]

@@ -1,5 +1,7 @@
 """Matrix layer against the complex-adjoint oracle."""
 
+import ast
+import pathlib
 import warnings
 
 import numpy as np
@@ -30,6 +32,7 @@ from qmix import (
     real_trace,
     validate,
 )
+import qmix
 from qmix import qmatrix
 from qmix.density import _density_gate, _lift_blocks
 from qmix.errors import (
@@ -717,3 +720,22 @@ def test_every_tolerance_failure_message(row):
 @pytest.mark.parametrize("row", sorted(BOUND_FAILURES))
 def test_every_bound_failure_message(row):
     _assert_fails_exactly(*BOUND_FAILURES[row])
+
+
+def test_tolerance_tests_have_one_path():
+    # an `if not <comparison>: raise` written out by hand would be a second
+    # tolerance test beside check_slices, which owns the rule
+    hand_written = []
+    for path in sorted(pathlib.Path(qmix.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        tree.body = [node for node in tree.body if getattr(node, "name", "") != "check_slices"]
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.If)
+                and isinstance(node.test, ast.UnaryOp)
+                and isinstance(node.test.op, ast.Not)
+                and isinstance(node.test.operand, ast.Compare)
+                and any(isinstance(stmt, ast.Raise) for stmt in node.body)
+            ):
+                hand_written.append(f"{path.name}:{node.lineno}")
+    assert hand_written == []
