@@ -381,7 +381,7 @@ def _lift_blocks(sources: CDensity, owner, targets) -> tuple[np.ndarray, np.ndar
     """
     owner, targets = np.broadcast_arrays(owner, targets)
     if targets.dtype.kind not in "iu":  # a float pair count cannot slice eigenpairs
-        raise RankOutOfRange(f"target rank {targets.flat[0].item()!r} is not an integer")
+        raise RankOutOfRange(f"target rank {targets.ravel()[:1].tolist()[0]!r} is not an integer")
     m = np.reshape(sources.rank, -1)[owner]
     lo = (m + 1) // 2
     check_slices(  # 2 - m <= 0: the rank is at least two
@@ -489,8 +489,11 @@ def random_density(n: int, kind: MixtureKind | str, seed=None) -> QDensity:
     projection has rank two almost surely).  Improper and Pure-Q need
     n >= 2: a 1 x 1 hermitian quaternion has no skew part.  A smaller n
     is a :class:`DimensionMismatch`.  ``seed`` is anything
-    ``np.random.default_rng`` takes; a negative integer is a ValueError.
+    ``np.random.default_rng`` takes; a float or a negative integer is a
+    ValueError.
     """
+    if isinstance(seed, (float, np.floating)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if isinstance(seed, (int, np.integer)) and seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     return validate(_random_density_matrix(n, kind, np.random.default_rng(seed)))

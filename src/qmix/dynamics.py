@@ -86,7 +86,7 @@ class Propagator:
     def __post_init__(self):
         if not self.u.is_square:
             raise DimensionMismatch(f"propagator must be square, got {self.u.shape}")
-        with np.errstate(invalid="ignore"):  # a non-finite entry gives NaN, which fails
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the check
             dev = max_abs(self.u.h @ self.u - QMatrix.identity(self.u.rows))
         check_slices(
             dev, UNITARY_TOL, NotUnitary,
@@ -254,10 +254,12 @@ def partition_witness(n: int, seed: int) -> tuple[Generator, QDensity, float]:
     ``seed`` and returns the first whose evolution over ``WITNESS_TIME``
     leaks beta norm above ``WITNESS_LEAK_THRESHOLD``.  Such witnesses are
     generic, so exhausting ``WITNESS_MAX_ATTEMPTS`` draws raises
-    :class:`WitnessNotFound`.  A negative ``seed`` is a ValueError.
+    :class:`WitnessNotFound`.  A float or negative ``seed`` is a ValueError.
     """
     if n < 2:
         raise DimensionMismatch("partition witnesses need dimension >= 2")
+    if isinstance(seed, (float, np.floating)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     for attempt in range(WITNESS_MAX_ATTEMPTS):

@@ -256,12 +256,11 @@ def slice_norms(x: np.ndarray) -> np.ndarray:
 
     The package's one block-norm measure, 0-d for one matrix.  Slices are
     read in memory order, so C-ordered, Fortran-ordered and strided input
-    keeps the bits of ``np.linalg.norm``: roots of BLAS dots of the real
-    and imaginary parts.
+    keeps the bits of ``np.linalg.norm``: roots of BLAS dots (``np.vecdot``)
+    of the real and imaginary parts.
     """
-    row = x.reshape(x.shape[:-2] + (1, x.shape[-2] * x.shape[-1]), order="A")
-    col = row.swapaxes(-1, -2)
-    return np.sqrt(row.real @ col.real + row.imag @ col.imag)[..., 0, 0]
+    flat = x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],), order="A")
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
 def frobenius_norm(m: QMatrix):

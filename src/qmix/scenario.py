@@ -391,9 +391,12 @@ def check_propositions(n_max: int, trials: int, seed: int) -> PropositionSummary
     just raises, and the replay runs trials 0, 1, 2, ... alone
     (:func:`_check_trial`) until one raises what a trial-by-trial audit
     raises.  If none does (rounding broke a stack, not a matrix), the
-    batched pass's error is raised.  A negative ``trials`` or ``seed``,
-    like an ``n_max`` below 2, is a ValueError raised before any draw.
+    batched pass's error is raised.  A negative ``trials`` or a float or
+    negative ``seed``, like an ``n_max`` below 2, is a ValueError raised
+    before any draw.
     """
+    if isinstance(seed, (float, np.floating)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     for name, value, least in (("n_max", n_max, 2), ("trials", trials, 0), ("seed", seed, 0)):
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")

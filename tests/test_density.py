@@ -812,15 +812,19 @@ def test_a_quaternionic_draw_called_proper_is_an_error(monkeypatch, kind):
         (lambda: random_density(1, "Pure-Q", 1), DimensionMismatch,
          "pure-q densities need dimension >= 2, got 1"),
         (lambda: random_density(2, "Proper", -1), ValueError, "seed must be >= 0, got -1"),
+        (lambda: random_density(2, "Proper", 1.5), ValueError, "seed must be an integer, got 1.5"),
         (lambda: lift(CDensity.from_matrix(np.diag([0.5, 0.3, 0.2]).astype(complex)), 2.0),
          RankOutOfRange, "target rank 2.0 is not an integer"),
         (lambda: lift(CDensity.from_matrix(np.diag([0.5, 0.5]).astype(complex)), 1.5),
          RankOutOfRange, "target rank 1.5 is not an integer"),
+        (lambda: lift(CDensity.from_matrix(np.diag([0.5, 0.3, 0.2]).astype(complex)), None),
+         RankOutOfRange, "target rank None is not an integer"),
     ],
     ids=["validate-non-square", "from-matrix-non-square", "block-purify-shapes",
          "random-density-kind", "random-density-zero", "random-density-negative",
          "random-improper-zero", "random-pure-q-one", "random-density-negative-seed",
-         "lift-float-target", "lift-fractional-target"],
+         "random-density-float-seed", "lift-float-target", "lift-fractional-target",
+         "lift-none-target"],
 )
 def test_input_errors(call, error, fragment):
     with pytest.raises(error) as excinfo:

@@ -469,6 +469,10 @@ def _state_of_three():
         (lambda: partition_witness(1, 0), DimensionMismatch,
          "partition witnesses need dimension >= 2"),
         (lambda: partition_witness(2, -1), ValueError, "seed must be >= 0, got -1"),
+        (lambda: partition_witness(2, 1.5), ValueError, "seed must be an integer, got 1.5"),
+        # U^dag U overflows: the check fails on inf, and numpy does not warn
+        (lambda: Propagator(QMatrix(np.full((2, 2), 1e200), np.zeros((2, 2)))), NotUnitary,
+         "U^dag U deviates from identity by inf, beyond 1.000e-09"),
         (lambda: random_generator(0, np.random.default_rng(0)), DimensionMismatch,
          "generator dimension must be >= 1, got 0"),
         (lambda: random_generator(-1, np.random.default_rng(0)), DimensionMismatch,
@@ -477,6 +481,7 @@ def _state_of_three():
     ids=["generator-non-square", "propagator-non-square", "evolve-dimensions",
          "projected-evolution-dimensions", "integrate-dimensions", "integrate-zero-steps",
          "partition-witness-dimension-one", "partition-witness-negative-seed",
+         "partition-witness-float-seed", "propagator-overflow",
          "random-generator-zero", "random-generator-negative"],
 )
 def test_input_errors(call, error, fragment):

@@ -207,8 +207,8 @@ def test_audit_memory_does_not_grow_with_trials():
 @pytest.mark.parametrize(
     "args,fragment",
     [((1, 5, 0), "n_max must be >= 2, got 1"), ((6, -3, 0), "trials must be >= 0, got -3"),
-     ((6, 5, -1), "seed must be >= 0, got -1")],
-    ids=["n_max", "trials", "seed"],
+     ((6, 5, -1), "seed must be >= 0, got -1"), ((3, 3, 1.5), "seed must be an integer, got 1.5")],
+    ids=["n_max", "trials", "seed", "float-seed"],
 )
 def test_check_propositions_rejects_bad_counts_before_drawing(monkeypatch, args, fragment):
     monkeypatch.setattr(scenario, "_draw_trials", None)  # any draw would fail otherwise
