@@ -201,7 +201,7 @@ def integrate(rho0: QDensity, gen: Generator, t: float, steps: int) -> QDensity:
             stages = np.concatenate((current, y[:m], y[m : 2 * m], y[2 * m : 3 * m]), axis=1)
             raw = stages @ right + y[3 * m :]
             hermitized = (raw + raw.conj().T) * 0.5
-            herm_correction = float(np.linalg.norm(raw - hermitized)) / np.sqrt(2.0)
+            herm_correction = float(np.linalg.norm(raw - hermitized)) / 1.4142135623730951  # sqrt 2
             trace = float(np.trace(hermitized).real) / 2.0
             correction = max(herm_correction, abs(trace - 1.0))
             check_slices(

@@ -1,7 +1,9 @@
 """Exception types raised across the package.
 
 Every validation error carries the measured deviation in its message so
-that failures are auditable without re-running the check.
+that failures are auditable without re-running the check.  Every
+tolerance failure is raised in :func:`qmix.qmatrix.check_slices`, the
+one test of ``measured <= tol``.
 """
 
 

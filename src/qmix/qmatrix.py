@@ -318,7 +318,7 @@ def require_anti_hermitian(m: QMatrix | np.ndarray, what: str) -> None:
     deviation = hermiticity_deviation(m, sign=-1)
     check_slices(
         deviation, VALIDATION_TOL, NotAntiHermitian,
-        lambda i: f"{what} deviates from anti-hermiticity by {np.asarray(deviation)[i]:.3e}, "
+        lambda i: f"{what} deviates from anti-hermiticity by {deviation:.3e}, "
         f"beyond {VALIDATION_TOL:.3e}",
     )
 
