@@ -25,7 +25,6 @@ from qmix import (
     frobenius_norm,
     integrate,
     is_positive_semidefinite,
-    lift,
     max_abs,
     measurement_interaction,
     rank_q,
@@ -47,8 +46,6 @@ from qmix.errors import (
     NotUnitary,
     PairingFailure,
     QmixError,
-    RankOne,
-    RankOutOfRange,
     TraceNotOne,
 )
 from qmix.qmatrix import (
@@ -687,22 +684,10 @@ TOLERANCE_FAILURES = {
         "at slice 1", (1,)),
 }
 
-# The checks that test a bound rather than a tolerance, pinned alike.
-BOUND_FAILURES = {
-    "lift-rank-one": (
-        lambda: lift(CDensity.from_matrix(np.diag([1.0, 0.0]).astype(complex)), 1), RankOne,
-        "rank-one complex densities admit no lift to lower rank", ()),
-    "lift-target-range": (
-        lambda: lift(CDensity.from_matrix(np.diag([0.5, 0.3, 0.2]).astype(complex)), 1),
-        RankOutOfRange, "target rank 1 outside admissible range [2, 3] for projection rank 3",
-        ()),
-    "eigenvalue-finiteness": (
-        lambda: _paired_eigvals(np.array([[0.0, 0.0], [0.0, np.inf]])), QmixError,
-        "eigenvalue magnitude inf is not finite at slice 1", (1,)),
-}
 
-
-def _assert_fails_exactly(call, error, message, index):
+@pytest.mark.parametrize("row", sorted(TOLERANCE_FAILURES))
+def test_every_tolerance_failure_message(row):
+    call, error, message, index = TOLERANCE_FAILURES[row]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(QmixError) as excinfo:
@@ -710,16 +695,6 @@ def _assert_fails_exactly(call, error, message, index):
     assert type(excinfo.value) is error
     assert str(excinfo.value) == message
     assert excinfo.value.index == index
-
-
-@pytest.mark.parametrize("row", sorted(TOLERANCE_FAILURES))
-def test_every_tolerance_failure_message(row):
-    _assert_fails_exactly(*TOLERANCE_FAILURES[row])
-
-
-@pytest.mark.parametrize("row", sorted(BOUND_FAILURES))
-def test_every_bound_failure_message(row):
-    _assert_fails_exactly(*BOUND_FAILURES[row])
 
 
 def test_tolerance_tests_have_one_path():
