@@ -44,6 +44,7 @@ from .qmatrix import (
     VALIDATION_TOL,
     QMatrix,
     _paired_eigvals,
+    check_int,
     check_slices,
     chi,
     hermiticity_deviation,
@@ -488,14 +489,11 @@ def random_density(n: int, kind: MixtureKind | str, seed=None) -> QDensity:
     (beta != 0) and quaternionic n x 1 for ``Pure-Q`` (rank one, whose
     projection has rank two almost surely).  Improper and Pure-Q need
     n >= 2: a 1 x 1 hermitian quaternion has no skew part.  A smaller n
-    is a :class:`DimensionMismatch`.  ``seed`` is anything
-    ``np.random.default_rng`` takes; a float or a negative integer is a
-    ValueError.
+    is a :class:`DimensionMismatch`.  ``seed`` is None, a generator or an
+    integer >= 0 (:func:`~qmix.qmatrix.check_int`); anything else is a ValueError.
     """
-    if isinstance(seed, (float, np.floating)):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    if seed is not None and not isinstance(seed, np.random.Generator):
+        check_int("seed", seed, 0)
     return validate(_random_density_matrix(n, kind, np.random.default_rng(seed)))
 
 
@@ -511,9 +509,7 @@ def _random_density_matrix(n: int, kind: MixtureKind | str, rng) -> QMatrix:
     label = kind.value.lower() if isinstance(kind, MixtureKind) else str(kind).lower()
     if label not in ("proper", "improper", "pure-q"):
         raise ValueError(f"unknown density kind: {kind!r}")
-    least = 1 if label == "proper" else 2
-    if n < least:
-        raise DimensionMismatch(f"{label} densities need dimension >= {least}, got {n}")
+    check_int(f"{label} density dimension", n, 1 if label == "proper" else 2, DimensionMismatch)
     shape = (2, n, n) if label == "proper" else (4, n, n if label == "improper" else 1)
     single = isinstance(rng, np.random.Generator)
     rngs = [rng] if single else rng

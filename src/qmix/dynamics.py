@@ -36,6 +36,7 @@ from .errors import DimensionMismatch, DriftExceeded, NotUnitary, QmixError, Wit
 from .qmatrix import (
     UNITARY_TOL,
     QMatrix,
+    check_int,
     check_slices,
     chi,
     chi_inverse,
@@ -175,8 +176,7 @@ def integrate(rho0: QDensity, gen: Generator, t: float, steps: int) -> QDensity:
         raise DimensionMismatch(
             f"generator dimension {gen.dim} != state dimension {rho0.dim}"
         )
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    check_int("steps", steps, 1)
     _require_finite_time(t)
     current = chi(rho0.mat)
     m = len(current)
@@ -233,11 +233,10 @@ def random_generator(n: int, rng: np.random.Generator, quaternionic: bool = True
     """Random constant generator (G - G^dag) / 2 of unit Frobenius norm.
 
     G is a quaternionic Ginibre draw, alpha block first; its beta block is
-    zero, not drawn, when ``quaternionic`` is False.  An n below 1 is a
-    :class:`DimensionMismatch`.
+    zero, not drawn, when ``quaternionic`` is False.  An n that is not an
+    integer >= 1 is a :class:`DimensionMismatch`.
     """
-    if n < 1:
-        raise DimensionMismatch(f"generator dimension must be >= 1, got {n}")
+    check_int("generator dimension", n, 1, DimensionMismatch)
     g = _ginibre(rng.standard_normal((4 if quaternionic else 2, n, n)))
     g = QMatrix(g[0], g[1] if quaternionic else np.zeros_like(g[0]))
     ham = (g - g.h) * 0.5
@@ -254,14 +253,11 @@ def partition_witness(n: int, seed: int) -> tuple[Generator, QDensity, float]:
     ``seed`` and returns the first whose evolution over ``WITNESS_TIME``
     leaks beta norm above ``WITNESS_LEAK_THRESHOLD``.  Such witnesses are
     generic, so exhausting ``WITNESS_MAX_ATTEMPTS`` draws raises
-    :class:`WitnessNotFound`.  A float or negative ``seed`` is a ValueError.
+    :class:`WitnessNotFound`.  ``n`` is an integer >= 2 (else a
+    :class:`DimensionMismatch`) and ``seed`` an integer >= 0 (else a ValueError).
     """
-    if n < 2:
-        raise DimensionMismatch("partition witnesses need dimension >= 2")
-    if isinstance(seed, (float, np.floating)):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_int("partition witness dimension", n, 2, DimensionMismatch)
+    check_int("seed", seed, 0)
     for attempt in range(WITNESS_MAX_ATTEMPTS):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
         gen = random_generator(n, rng, quaternionic=True)

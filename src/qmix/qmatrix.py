@@ -244,6 +244,14 @@ def check_slices(measured, tol, error: type[QmixError], describe: Callable[[tupl
     raise exc
 
 
+def check_int(name: str, value, least: int, error: type[Exception] = ValueError) -> None:
+    """The one rule for counts, dimensions and seeds: an int or np.integer, no bool, >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise error(f"{name} must be >= {least}, got {value}")
+
+
 def real_trace(m: QMatrix) -> float:
     """Re Tr M = Re Tr M_alpha; equals (1/2) Re Tr chi(M)."""
     if not m.is_square:

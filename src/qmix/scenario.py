@@ -51,7 +51,9 @@ from .density import (
     validate,
 )
 from .errors import DimensionMismatch, NotPurifiable, PropositionViolated, QmixError
-from .qmatrix import VALIDATION_TOL, QMatrix, frobenius_norm, hermiticity_deviation, numerical_rank
+from .qmatrix import (
+    VALIDATION_TOL, QMatrix, check_int, frobenius_norm, hermiticity_deviation, numerical_rank
+)
 
 #: Entrywise tolerance on a complex block against the density it must equal:
 #: the two mixture routes, a projection and a lift's round trip.
@@ -391,15 +393,12 @@ def check_propositions(n_max: int, trials: int, seed: int) -> PropositionSummary
     just raises, and the replay runs trials 0, 1, 2, ... alone
     (:func:`_check_trial`) until one raises what a trial-by-trial audit
     raises.  If none does (rounding broke a stack, not a matrix), the
-    batched pass's error is raised.  A negative ``trials`` or a float or
-    negative ``seed``, like an ``n_max`` below 2, is a ValueError raised
-    before any draw.
+    batched pass's error is raised.  Before any draw, an ``n_max`` that is
+    not an integer >= 2, or a ``trials`` or ``seed`` that is not an integer
+    >= 0, is a ValueError (:func:`~qmix.qmatrix.check_int`).
     """
-    if isinstance(seed, (float, np.floating)):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
     for name, value, least in (("n_max", n_max, 2), ("trials", trials, 0), ("seed", seed, 0)):
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
+        check_int(name, value, least)
     worst = dict.fromkeys(_DETAILS, 0.0)
     try:
         for n in range(2, min(n_max, trials + 1) + 1):  # the dimensions with trials

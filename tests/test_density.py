@@ -804,15 +804,21 @@ def test_a_quaternionic_draw_called_proper_is_an_error(monkeypatch, kind):
          "vector shapes differ: (2,) vs (3,)"),
         (lambda: random_density(2, "mixed", 0), ValueError, "unknown density kind: 'mixed'"),
         (lambda: random_density(0, "Proper", 1), DimensionMismatch,
-         "proper densities need dimension >= 1, got 0"),
+         "proper density dimension must be >= 1, got 0"),
         (lambda: random_density(-1, "Proper", 1), DimensionMismatch,
-         "proper densities need dimension >= 1, got -1"),
+         "proper density dimension must be >= 1, got -1"),
         (lambda: random_density(0, "Improper", 1), DimensionMismatch,
-         "improper densities need dimension >= 2, got 0"),
+         "improper density dimension must be >= 2, got 0"),
         (lambda: random_density(1, "Pure-Q", 1), DimensionMismatch,
-         "pure-q densities need dimension >= 2, got 1"),
+         "pure-q density dimension must be >= 2, got 1"),
+        (lambda: random_density(2.5, "Proper", 0), DimensionMismatch,
+         "proper density dimension must be an integer, got 2.5"),
+        (lambda: random_density(True, "Proper", 0), DimensionMismatch,
+         "proper density dimension must be an integer, got True"),
         (lambda: random_density(2, "Proper", -1), ValueError, "seed must be >= 0, got -1"),
         (lambda: random_density(2, "Proper", 1.5), ValueError, "seed must be an integer, got 1.5"),
+        (lambda: random_density(2, "Proper", "1"), ValueError, "seed must be an integer, got '1'"),
+        (lambda: random_density(2, "Proper", True), ValueError, "seed must be an integer, got True"),
         (lambda: lift(CDensity.from_matrix(np.diag([0.5, 0.3, 0.2]).astype(complex)), 2.0),
          RankOutOfRange, "target rank 2.0 is not an integer"),
         (lambda: lift(CDensity.from_matrix(np.diag([0.5, 0.5]).astype(complex)), 1.5),
@@ -822,8 +828,10 @@ def test_a_quaternionic_draw_called_proper_is_an_error(monkeypatch, kind):
     ],
     ids=["validate-non-square", "from-matrix-non-square", "block-purify-shapes",
          "random-density-kind", "random-density-zero", "random-density-negative",
-         "random-improper-zero", "random-pure-q-one", "random-density-negative-seed",
-         "random-density-float-seed", "lift-float-target", "lift-fractional-target",
+         "random-improper-zero", "random-pure-q-one", "random-density-float-dimension",
+         "random-density-bool-dimension", "random-density-negative-seed",
+         "random-density-float-seed", "random-density-string-seed", "random-density-bool-seed",
+         "lift-float-target", "lift-fractional-target",
          "lift-none-target"],
 )
 def test_input_errors(call, error, fragment):

@@ -466,10 +466,18 @@ def _state_of_three():
          DimensionMismatch, "generator dimension 2 != state dimension 3"),
         (lambda: integrate(_state_of_three(), Generator(QMatrix.identity(3) * 0.0), 1.0, 0),
          ValueError, "steps must be >= 1, got 0"),
+        (lambda: integrate(_state_of_three(), Generator(QMatrix.identity(3) * 0.0), 1.0, 2.5),
+         ValueError, "steps must be an integer, got 2.5"),
+        (lambda: integrate(_state_of_three(), Generator(QMatrix.identity(3) * 0.0), 1.0, True),
+         ValueError, "steps must be an integer, got True"),
         (lambda: partition_witness(1, 0), DimensionMismatch,
-         "partition witnesses need dimension >= 2"),
+         "partition witness dimension must be >= 2, got 1"),
+        (lambda: partition_witness(2.5, 0), DimensionMismatch,
+         "partition witness dimension must be an integer, got 2.5"),
         (lambda: partition_witness(2, -1), ValueError, "seed must be >= 0, got -1"),
         (lambda: partition_witness(2, 1.5), ValueError, "seed must be an integer, got 1.5"),
+        (lambda: partition_witness(2, "1"), ValueError, "seed must be an integer, got '1'"),
+        (lambda: partition_witness(2, None), ValueError, "seed must be an integer, got None"),
         # U^dag U overflows: the check fails on inf, and numpy does not warn
         (lambda: Propagator(QMatrix(np.full((2, 2), 1e200), np.zeros((2, 2)))), NotUnitary,
          "U^dag U deviates from identity by inf, beyond 1.000e-09"),
@@ -477,14 +485,31 @@ def _state_of_three():
          "generator dimension must be >= 1, got 0"),
         (lambda: random_generator(-1, np.random.default_rng(0)), DimensionMismatch,
          "generator dimension must be >= 1, got -1"),
+        (lambda: random_generator(2.5, np.random.default_rng(0)), DimensionMismatch,
+         "generator dimension must be an integer, got 2.5"),
     ],
     ids=["generator-non-square", "propagator-non-square", "evolve-dimensions",
          "projected-evolution-dimensions", "integrate-dimensions", "integrate-zero-steps",
-         "partition-witness-dimension-one", "partition-witness-negative-seed",
-         "partition-witness-float-seed", "propagator-overflow",
-         "random-generator-zero", "random-generator-negative"],
+         "integrate-float-steps", "integrate-bool-steps", "partition-witness-dimension-one",
+         "partition-witness-float-dimension", "partition-witness-negative-seed",
+         "partition-witness-float-seed", "partition-witness-string-seed",
+         "partition-witness-none-seed", "propagator-overflow", "random-generator-zero",
+         "random-generator-negative", "random-generator-float-dimension"],
 )
 def test_input_errors(call, error, fragment):
     with pytest.raises(error) as excinfo:
         call()
     assert fragment in str(excinfo.value)
+
+
+@pytest.mark.parametrize("cast", [int, np.int64, np.uint16, np.intp])
+def test_numpy_integer_counts_stay_valid(cast):
+    rng = np.random.default_rng(57)
+    gen = random_generator(cast(3), rng)
+    rho = random_density(cast(3), MixtureKind.IMPROPER, rng)
+    got, want = integrate(rho, gen, 1.0, cast(20)), integrate(rho, gen, 1.0, 20)
+    assert got.alpha.tobytes() == want.alpha.tobytes()
+    assert got.beta.tobytes() == want.beta.tobytes()
+    witness, plain = partition_witness(cast(2), cast(5)), partition_witness(2, 5)
+    assert witness[1].alpha.tobytes() == plain[1].alpha.tobytes()
+    assert witness[2] == plain[2]

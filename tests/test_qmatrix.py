@@ -714,3 +714,43 @@ def test_tolerance_tests_have_one_path():
             ):
                 hand_written.append(f"{path.name}:{node.lineno}")
     assert hand_written == []
+
+
+def test_integer_arguments_have_one_path():
+    # a count, dimension or seed refused by a hand-written raise would be a
+    # second integer rule beside check_int; the CLI's argument type, which
+    # words argparse usage errors, is the one exception
+    owners = ("check_int", "_int_at_least")
+    phrases = ("must be >=", "must be an integer", "need dimension")
+    hand_written = []
+    for path in sorted(pathlib.Path(qmix.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        tree.body = [node for node in tree.body if getattr(node, "name", "") not in owners]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and any(p in ast.unparse(node) for p in phrases):
+                hand_written.append(f"{path.name}:{node.lineno}")
+    assert hand_written == []
+
+
+@pytest.mark.parametrize("value", [0, 3, np.int64(3), np.uint8(3), np.intp(0)])
+def test_check_int_takes_integers_and_numpy_integers(value):
+    assert qmatrix.check_int("count", value, 0) is None
+
+
+@pytest.mark.parametrize(
+    "value,error,message",
+    [(-1, ValueError, "count must be >= 0, got -1"),
+     (np.int64(-2), ValueError, "count must be >= 0, got -2"),
+     (2.0, ValueError, "count must be an integer, got 2.0"),
+     (np.float64(2.0), ValueError, "count must be an integer, got np.float64(2.0)"),
+     (True, ValueError, "count must be an integer, got True"),
+     (np.bool_(True), ValueError, "count must be an integer, got np.True_"),
+     ("2", ValueError, "count must be an integer, got '2'"),
+     (None, DimensionMismatch, "count must be an integer, got None")],
+    ids=["negative", "numpy-negative", "float", "numpy-float", "bool", "numpy-bool", "string",
+         "none-as-dimension"],
+)
+def test_check_int_names_the_argument(value, error, message):
+    with pytest.raises(error) as excinfo:
+        qmatrix.check_int("count", value, 0, error)
+    assert str(excinfo.value) == message

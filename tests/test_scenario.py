@@ -207,13 +207,25 @@ def test_audit_memory_does_not_grow_with_trials():
 @pytest.mark.parametrize(
     "args,fragment",
     [((1, 5, 0), "n_max must be >= 2, got 1"), ((6, -3, 0), "trials must be >= 0, got -3"),
-     ((6, 5, -1), "seed must be >= 0, got -1"), ((3, 3, 1.5), "seed must be an integer, got 1.5")],
-    ids=["n_max", "trials", "seed", "float-seed"],
+     ((6, 5, -1), "seed must be >= 0, got -1"), ((3, 3, 1.5), "seed must be an integer, got 1.5"),
+     ((3, 2.0, 0), r"trials must be an integer, got 2\.0"),
+     ((3.0, 3, 0), r"n_max must be an integer, got 3\.0"),
+     ((2.5, 3, 0), r"n_max must be an integer, got 2\.5"),
+     ((3, True, 0), "trials must be an integer, got True"),
+     ((3, 3, "1"), "seed must be an integer, got '1'"),
+     ((3, 3, None), "seed must be an integer, got None")],
+    ids=["n_max", "trials", "seed", "float-seed", "float-trials", "float-n_max",
+         "fractional-n_max", "bool-trials", "string-seed", "none-seed"],
 )
 def test_check_propositions_rejects_bad_counts_before_drawing(monkeypatch, args, fragment):
     monkeypatch.setattr(scenario, "_draw_trials", None)  # any draw would fail otherwise
     with pytest.raises(ValueError, match=fragment):
         check_propositions(*args)
+
+
+@pytest.mark.parametrize("cast", [np.int64, np.uint8, np.intp])
+def test_check_propositions_takes_numpy_integer_counts(cast):
+    assert check_propositions(cast(4), cast(12), cast(9)) == check_propositions(4, 12, 9)
 
 
 @pytest.mark.parametrize("seed", range(8))
