@@ -46,6 +46,7 @@ from .qmatrix import (
     _paired_eigvals,
     check_int,
     check_slices,
+    check_tol,
     chi,
     hermiticity_deviation,
     numerical_rank,
@@ -115,6 +116,7 @@ class CDensity:
     @classmethod
     def from_matrix(cls, mat: np.ndarray, tol: float = VALIDATION_TOL) -> "CDensity":
         """Validate a complex matrix as a density matrix; see :func:`_density_gate`."""
+        check_tol(tol)
         mat = np.asarray(mat, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatch(f"density matrix must be square, got {mat.shape}")
@@ -154,6 +156,7 @@ class Observable:
     @classmethod
     def from_qmatrix(cls, mat: QMatrix, tol: float = VALIDATION_TOL) -> "Observable":
         """Check hermiticity at ``tol``; complex when ``slice_norms(beta) <= tol``."""
+        check_tol(tol)
         require_hermitian(hermiticity_deviation(mat), tol)
         with np.errstate(over="ignore"):  # an overflowing norm reads inf: not complex
             beta_norm = float(slice_norms(mat.beta))
@@ -239,8 +242,10 @@ def validate(m: QMatrix, tol: float = VALIDATION_TOL) -> QDensity:
 
     Runs :func:`_density_gate` and keeps its spectrum.  The
     proper/improper classification uses the scale-aware zero test
-    :func:`proper_tolerance` on ||rho_beta||_F.
+    :func:`proper_tolerance` on ||rho_beta||_F.  ``tol`` follows
+    :func:`~qmix.qmatrix.check_tol`, as it does for the other public gates.
     """
+    check_tol(tol)
     if len(m.shape) != 2 or not m.is_square:
         raise DimensionMismatch(f"density matrix must be square, got {m.shape}")
     eigs = _density_gate(m, tol)
@@ -322,7 +327,8 @@ def block_purify(u: np.ndarray, v: np.ndarray, cu: complex, cv: complex) -> QMat
     with real trace |cu|^2 + |cv|^2 and quaternionic rank one.  With
     cv = 0 the block degenerates to a purely complex rank-one term.
     Unit norms and orthogonality are checked at ``VALIDATION_TOL``; a
-    non-finite vector fails them.
+    non-finite vector fails them, and weights whose |cu|^2 + |cv|^2 is
+    zero or not finite raise :class:`NotNormalized`.
     """
     u = np.asarray(u, dtype=np.complex128).reshape(-1)
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
@@ -341,10 +347,14 @@ def block_purify(u: np.ndarray, v: np.ndarray, cu: complex, cv: complex) -> QMat
     )
     cu = complex(cu)
     cv = complex(cv)
-    weight = abs(cu) ** 2 + abs(cv) ** 2
+    with np.errstate(over="ignore"):  # an overflowing weight is refused below
+        wu, wv = np.float64(abs(cu)) ** 2, np.float64(abs(cv)) ** 2  # libm pow, as for floats
+        weight = wu + wv
     if weight == 0.0:
         raise NotNormalized("cu and cv cannot both vanish")
-    alpha = abs(cu) ** 2 * np.outer(u, u.conj()) + abs(cv) ** 2 * np.outer(v, v.conj())
+    if not np.isfinite(weight):
+        raise NotNormalized(f"weights cu = {cu!r} and cv = {cv!r} give |cu|^2 + |cv|^2 = {weight}")
+    alpha = wu * np.outer(u, u.conj()) + wv * np.outer(v, v.conj())
     cross = np.conj(cu) * np.conj(cv)
     beta = cross * (np.outer(v.conj(), u.conj()) - np.outer(u.conj(), v.conj()))
     return QMatrix(alpha, beta)

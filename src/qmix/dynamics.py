@@ -218,8 +218,10 @@ def projected_rate_check(rho: QDensity, gen: Generator, h: float = 1e-4) -> floa
     Evolves by exp(-hH) forward and exp(hH) backward, takes the central
     difference of the projection at t = 0, and compares with
     -[H_a, rho_a] + conj(H_b) rho_b - conj(rho_b) H_b.  The residual
-    shrinks as O(h^2).
+    shrinks as O(h^2).  A zero step ``h`` is a ValueError.
     """
+    if h == 0:
+        raise ValueError(f"finite-difference step h must be nonzero, got {h!r}")
     plus = evolve(rho, time_ordered(gen, h))
     minus = evolve(rho, time_ordered(gen, -h))
     fd = (plus.alpha - minus.alpha) / (2.0 * h)

@@ -89,6 +89,7 @@ class QMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
+        check_int("identity dimension", n, 0, DimensionMismatch)
         return cls.from_complex(np.eye(n, dtype=np.complex128))
 
     # -- shape --------------------------------------------------------
@@ -205,8 +206,9 @@ def chi_inverse(c: np.ndarray, tol: float = VALIDATION_TOL) -> QMatrix:
     The redundant blocks are averaged, which projects small numerical
     noise back onto the chi image.  Raises :class:`NotInChiImage` when
     the block symmetry deviates by more than ``tol`` (a max entry
-    deviation, so ``VALIDATION_TOL`` by default).
+    deviation, so ``VALIDATION_TOL`` by default; see :func:`check_tol`).
     """
+    check_tol(tol)
     c = np.asarray(c, dtype=np.complex128)
     deviation = chi_membership_deviation(c)
     check_slices(
@@ -252,6 +254,13 @@ def check_int(name: str, value, least: int, error: type[Exception] = ValueError)
         raise error(f"{name} must be >= {least}, got {value}")
 
 
+def check_tol(tol) -> None:
+    """The rule for a ``tol`` argument, as on the command line: a real number, 0 < tol < 1."""
+    if isinstance(tol, Real) and 0 < tol < 1:
+        return
+    raise ValueError(f"tol must be a real number with 0 < tol < 1, got {tol!r}")
+
+
 def real_trace(m: QMatrix) -> float:
     """Re Tr M = Re Tr M_alpha; equals (1/2) Re Tr chi(M)."""
     if not m.is_square:
@@ -277,16 +286,18 @@ def frobenius_norm(m: QMatrix):
     Equals ||chi(M)||_F / sqrt(2).  A slice of a C-ordered stack has the
     bits of the matrix alone: block norms are :func:`slice_norms`, squared
     as numpy scalars (by libm ``pow``, which an array square misses about
-    once in a thousand).
+    once in a thousand).  A norm past the float range is inf.
     """
-    pairs = zip(slice_norms(m.alpha).ravel(), slice_norms(m.beta).ravel())
-    norms = [np.sqrt(a**2 + b**2) for a, b in pairs]
+    with np.errstate(over="ignore"):
+        pairs = zip(slice_norms(m.alpha).ravel(), slice_norms(m.beta).ravel())
+        norms = [np.sqrt(a**2 + b**2) for a, b in pairs]
     return float(norms[0]) if m.alpha.ndim == 2 else np.reshape(norms, m.shape[:-2])
 
 
 def max_abs(m: QMatrix) -> float:
-    """Largest entrywise quaternion norm."""
-    mags = np.abs(m.alpha) ** 2 + np.abs(m.beta) ** 2
+    """Largest entrywise quaternion norm; inf past the float range."""
+    with np.errstate(over="ignore"):
+        mags = np.abs(m.alpha) ** 2 + np.abs(m.beta) ** 2
     return float(np.sqrt(mags.max(initial=0.0)))
 
 

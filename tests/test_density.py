@@ -40,7 +40,7 @@ from qmix.errors import (
     RankOutOfRange,
     TraceNotOne,
 )
-from qmix.qmatrix import VALIDATION_TOL
+from qmix.qmatrix import VALIDATION_TOL, chi_inverse
 
 from support import (
     NON_FINITE_CASES,
@@ -818,13 +818,34 @@ def test_a_quaternionic_draw_called_proper_is_an_error(monkeypatch, kind):
         (lambda: random_density(2, "Proper", -1), ValueError, "seed must be >= 0, got -1"),
         (lambda: random_density(2, "Proper", 1.5), ValueError, "seed must be an integer, got 1.5"),
         (lambda: random_density(2, "Proper", "1"), ValueError, "seed must be an integer, got '1'"),
-        (lambda: random_density(2, "Proper", True), ValueError, "seed must be an integer, got True"),
+        (lambda: random_density(2, "Proper", True), ValueError,
+         "seed must be an integer, got True"),
         (lambda: lift(CDensity.from_matrix(np.diag([0.5, 0.3, 0.2]).astype(complex)), 2.0),
          RankOutOfRange, "target rank 2.0 is not an integer"),
         (lambda: lift(CDensity.from_matrix(np.diag([0.5, 0.5]).astype(complex)), 1.5),
          RankOutOfRange, "target rank 1.5 is not an integer"),
         (lambda: lift(CDensity.from_matrix(np.diag([0.5, 0.3, 0.2]).astype(complex)), None),
          RankOutOfRange, "target rank None is not an integer"),
+        (lambda: block_purify(E0, E1, 1e200, 1e200), NotNormalized,
+         "weights cu = (1e+200+0j) and cv = (1e+200+0j) give |cu|^2 + |cv|^2 = inf"),
+        (lambda: block_purify(E0, E1, np.nan, 1.0), NotNormalized,
+         "weights cu = (nan+0j) and cv = (1+0j) give |cu|^2 + |cv|^2 = nan"),
+        (lambda: block_purify(E0, E1, 1.0, np.inf), NotNormalized,
+         "weights cu = (1+0j) and cv = (inf+0j) give |cu|^2 + |cv|^2 = inf"),
+        (lambda: validate(QMatrix.identity(1), tol=np.nan), ValueError,
+         "tol must be a real number with 0 < tol < 1, got nan"),
+        (lambda: validate(QMatrix.identity(1), tol=-1.0), ValueError,
+         "tol must be a real number with 0 < tol < 1, got -1.0"),
+        (lambda: validate(QMatrix.identity(1), tol=1.0), ValueError,
+         "tol must be a real number with 0 < tol < 1, got 1.0"),
+        (lambda: validate(QMatrix.identity(1), tol="1e-3"), ValueError,
+         "tol must be a real number with 0 < tol < 1, got '1e-3'"),
+        (lambda: CDensity.from_matrix(np.eye(1), tol=np.nan), ValueError,
+         "tol must be a real number with 0 < tol < 1, got nan"),
+        (lambda: Observable.from_qmatrix(QMatrix.identity(1), tol=np.nan), ValueError,
+         "tol must be a real number with 0 < tol < 1, got nan"),
+        (lambda: chi_inverse(np.eye(2), tol=np.nan), ValueError,
+         "tol must be a real number with 0 < tol < 1, got nan"),
     ],
     ids=["validate-non-square", "from-matrix-non-square", "block-purify-shapes",
          "random-density-kind", "random-density-zero", "random-density-negative",
@@ -832,7 +853,10 @@ def test_a_quaternionic_draw_called_proper_is_an_error(monkeypatch, kind):
          "random-density-bool-dimension", "random-density-negative-seed",
          "random-density-float-seed", "random-density-string-seed", "random-density-bool-seed",
          "lift-float-target", "lift-fractional-target",
-         "lift-none-target"],
+         "lift-none-target", "block-purify-overflowing-weights", "block-purify-nan-weight",
+         "block-purify-inf-weight", "validate-nan-tol", "validate-negative-tol",
+         "validate-unit-tol", "validate-string-tol", "from-matrix-nan-tol",
+         "from-qmatrix-nan-tol", "chi-inverse-nan-tol"],
 )
 def test_input_errors(call, error, fragment):
     with pytest.raises(error) as excinfo:

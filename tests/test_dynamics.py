@@ -487,6 +487,11 @@ def _state_of_three():
          "generator dimension must be >= 1, got -1"),
         (lambda: random_generator(2.5, np.random.default_rng(0)), DimensionMismatch,
          "generator dimension must be an integer, got 2.5"),
+        (lambda: projected_rate_check(_state_of_three(), Generator(QMatrix.identity(3) * 0.0), 0.0),
+         ValueError, "finite-difference step h must be nonzero, got 0.0"),
+        (lambda: QMatrix.identity(2.5), DimensionMismatch,
+         "identity dimension must be an integer, got 2.5"),
+        (lambda: QMatrix.identity(-1), DimensionMismatch, "identity dimension must be >= 0, got -1"),
     ],
     ids=["generator-non-square", "propagator-non-square", "evolve-dimensions",
          "projected-evolution-dimensions", "integrate-dimensions", "integrate-zero-steps",
@@ -494,7 +499,9 @@ def _state_of_three():
          "partition-witness-float-dimension", "partition-witness-negative-seed",
          "partition-witness-float-seed", "partition-witness-string-seed",
          "partition-witness-none-seed", "propagator-overflow", "random-generator-zero",
-         "random-generator-negative", "random-generator-float-dimension"],
+         "random-generator-negative", "random-generator-float-dimension",
+         "projected-rate-check-zero-step", "identity-float-dimension",
+         "identity-negative-dimension"],
 )
 def test_input_errors(call, error, fragment):
     with pytest.raises(error) as excinfo:

@@ -241,6 +241,20 @@ def test_frobenius_norm_of_a_stack_is_bitwise_per_slice(n):
             assert value == frobenius_norm(m[i]) == alone
 
 
+@pytest.mark.parametrize(
+    "measure,entry,shape",
+    [(frobenius_norm, 1e308, (2, 2)), (frobenius_norm, 1e308, (3, 2, 2)),
+     (frobenius_norm, 1e160, (2, 2)), (max_abs, 1e200, (2, 2))],
+    ids=["frobenius-norm", "frobenius-norm-stack", "frobenius-norm-square", "max-abs"],
+)
+def test_block_measures_read_inf_past_the_float_range(measure, entry, shape):
+    mat = QMatrix(np.full(shape, entry), np.full(shape, entry))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = measure(mat)
+    assert np.all(np.isinf(value)) and np.shape(value) == shape[:-2]
+
+
 def test_max_abs():
     mat = QMatrix(np.array([[3.0, 0], [0, 0]]), np.array([[4.0, 0], [0, 0]]))
     assert max_abs(mat) == pytest.approx(5.0)
