@@ -23,7 +23,6 @@ Constructive content:
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,6 +44,7 @@ from .qmatrix import (
     QMatrix,
     _paired_eigvals,
     check_int,
+    check_real,
     check_slices,
     check_tol,
     chi,
@@ -284,8 +284,7 @@ def expectation(a: Observable, rho: QDensity) -> float:
         value = np.trace(a.mat.alpha @ rho.alpha)
         value -= np.trace(a.mat.beta.conj() @ rho.beta)
     value = float(value.real)
-    if not math.isfinite(value):
-        raise QmixError(f"expectation value Re Tr(A rho) = {value!r} is not finite")
+    check_real("expectation value Re Tr(A rho)", value)
     return value
 
 

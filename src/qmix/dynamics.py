@@ -37,6 +37,7 @@ from .qmatrix import (
     UNITARY_TOL,
     QMatrix,
     check_int,
+    check_real,
     check_slices,
     chi,
     chi_inverse,
@@ -128,11 +129,6 @@ def projected_evolution(rho0: QDensity, prop: Propagator) -> CDensity:
     return CDensity.from_matrix(out)
 
 
-def _require_finite_time(t: float) -> None:
-    if not np.isfinite(t):
-        raise QmixError(f"evolution time t = {t!r} is not finite")
-
-
 def time_ordered(gen: Generator, t: float) -> Propagator:
     """Propagator U(t) = exp(-tH) of the constant generator H.
 
@@ -145,7 +141,7 @@ def time_ordered(gen: Generator, t: float) -> Propagator:
     for bit.  A non-finite ``t``, or one that overflows the exponent,
     raises :class:`QmixError`.
     """
-    _require_finite_time(t)
+    check_real("evolution time t", t)
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         exponent = (gen.h - gen.h.h) * (-t / 2)
     if not (np.isfinite(exponent.alpha).all() and np.isfinite(exponent.beta).all()):
@@ -177,7 +173,7 @@ def integrate(rho0: QDensity, gen: Generator, t: float, steps: int) -> QDensity:
             f"generator dimension {gen.dim} != state dimension {rho0.dim}"
         )
     check_int("steps", steps, 1)
-    _require_finite_time(t)
+    check_real("evolution time t", t)
     current = chi(rho0.mat)
     m = len(current)
     # A step polynomial that overflows raises below, and an iterate that
@@ -220,6 +216,7 @@ def projected_rate_check(rho: QDensity, gen: Generator, h: float = 1e-4) -> floa
     -[H_a, rho_a] + conj(H_b) rho_b - conj(rho_b) H_b.  The residual
     shrinks as O(h^2).  A zero step ``h`` is a ValueError.
     """
+    check_real("finite-difference step h", h)
     if h == 0:
         raise ValueError(f"finite-difference step h must be nonzero, got {h!r}")
     plus = evolve(rho, time_ordered(gen, h))

@@ -52,6 +52,7 @@ VALIDATION_TOL = 1e-10
 RANK_REL_TOL = 1e-12
 
 _EPS = np.finfo(np.float64).eps
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,6 +255,14 @@ def check_int(name: str, value, least: int, error: type[Exception] = ValueError)
         raise error(f"{name} must be >= {least}, got {value}")
 
 
+def check_real(name: str, value) -> None:
+    """The one rule for times, steps and angles: a real number, no bool, and finite."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    mag = abs(value if isinstance(value, int) else float(value))  # no overflow, no numpy cast
+    check_slices(mag, _FLOAT_MAX, QmixError, lambda i: f"{name} = {value!r} is not finite")
+
+
 def check_tol(tol) -> None:
     """The rule for a ``tol`` argument, as on the command line: a real number, 0 < tol < 1."""
     if isinstance(tol, Real) and 0 < tol < 1:
@@ -380,10 +389,8 @@ def _paired_eigvals(eigs: np.ndarray) -> np.ndarray:
     """
     first, second = eigs[..., 0::2], eigs[..., 1::2]
     top = np.abs(eigs).max(-1, initial=0.0)
-    check_slices(
-        top, np.finfo(np.float64).max, QmixError,
-        lambda i: f"eigenvalue magnitude {top[i]} is not finite",
-    )
+    check_slices(top, _FLOAT_MAX, QmixError,
+                 lambda i: f"eigenvalue magnitude {top[i]} is not finite")
     scale = np.maximum(top, 1.0)
     worst = np.abs(first - second).max(-1, initial=0.0)
     check_slices(

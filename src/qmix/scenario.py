@@ -52,7 +52,8 @@ from .density import (
 )
 from .errors import DimensionMismatch, NotPurifiable, PropositionViolated, QmixError
 from .qmatrix import (
-    VALIDATION_TOL, QMatrix, check_int, frobenius_norm, hermiticity_deviation, numerical_rank
+    VALIDATION_TOL, QMatrix, check_int, check_real, frobenius_norm, hermiticity_deviation,
+    numerical_rank,
 )
 
 #: Entrywise tolerance on a complex block against the density it must equal:
@@ -155,10 +156,9 @@ def run_scenario(
     _, psi_t = measurement_interaction((c_plus, c_minus))
     if len(n_hat) != 2:
         raise DimensionMismatch(f"n_hat needs two angles (theta, phi), got {len(n_hat)}")
+    check_real("direction angle theta", n_hat[0])
+    check_real("direction angle phi", n_hat[1])
     theta, phi = float(n_hat[0]), float(n_hat[1])
-    for name, angle in (("theta", theta), ("phi", phi)):
-        if not np.isfinite(angle):
-            raise QmixError(f"direction angle {name} = {angle!r} is not finite")
     rho_traced = partial_trace(psi_t.density(), dims=(2, 2), over=2)
 
     # Proper route: nonselective update of the uncoupled system.
