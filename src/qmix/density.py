@@ -273,9 +273,14 @@ def expectation(a: Observable, rho: QDensity) -> float:
 
     For a complex observable the second term vanishes and the value
     coincides with the complex-theory prediction Tr(A_alpha rho_alpha),
-    whatever rho_beta is.  A value that overflows raises
-    :class:`QmixError`.
+    whatever rho_beta is.  An ``a`` that is not an :class:`Observable`,
+    or a ``rho`` that is not a :class:`QDensity`, is a ValueError; a value
+    that overflows raises :class:`QmixError` (see :func:`check_real`).
     """
+    if not isinstance(a, Observable):
+        raise ValueError(f"a must be an Observable, got {a!r}")
+    if not isinstance(rho, QDensity):
+        raise ValueError(f"rho must be a QDensity, got {rho!r}")
     if a.mat.shape != rho.mat.shape:
         raise DimensionMismatch(
             f"observable {a.mat.shape} does not match state {rho.mat.shape}"

@@ -138,8 +138,9 @@ def time_ordered(gen: Generator, t: float) -> Propagator:
     every finite t, whereas -tH would scale the up to ``VALIDATION_TOL``
     deviation that :class:`Generator` admits past the gate of
     :func:`expm_q`; for an exactly anti-hermitian H the two agree bit
-    for bit.  A non-finite ``t``, or one that overflows the exponent,
-    raises :class:`QmixError`.
+    for bit.  ``t`` goes through :func:`check_real` (ValueError unless a
+    real number, :class:`QmixError` unless finite); a ``t`` that
+    overflows the exponent raises :class:`QmixError`.
     """
     check_real("evolution time t", t)
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
@@ -165,8 +166,9 @@ def integrate(rho0: QDensity, gen: Generator, t: float, steps: int) -> QDensity:
     Frobenius norm, which is ||chi||_F / sqrt(2), and trace offset,
     Re Tr chi / 2 - 1) is measured and :class:`DriftExceeded` raised if
     it ever passes ``DRIFT_TOL``.  Silent drift is never allowed to
-    accumulate.  A non-finite ``t``, or one whose step polynomial
-    overflows, raises :class:`QmixError`.
+    accumulate.  ``t`` goes through :func:`check_real` (ValueError unless
+    a real number, :class:`QmixError` unless finite); a ``t`` whose step
+    polynomial overflows raises :class:`QmixError`.
     """
     if gen.dim != rho0.dim:
         raise DimensionMismatch(
@@ -214,7 +216,9 @@ def projected_rate_check(rho: QDensity, gen: Generator, h: float = 1e-4) -> floa
     Evolves by exp(-hH) forward and exp(hH) backward, takes the central
     difference of the projection at t = 0, and compares with
     -[H_a, rho_a] + conj(H_b) rho_b - conj(rho_b) H_b.  The residual
-    shrinks as O(h^2).  A zero step ``h`` is a ValueError.
+    shrinks as O(h^2).  ``h`` goes through :func:`check_real` (ValueError
+    unless a real number, :class:`QmixError` unless finite), and a zero
+    step is a ValueError.
     """
     check_real("finite-difference step h", h)
     if h == 0:
@@ -233,9 +237,12 @@ def random_generator(n: int, rng: np.random.Generator, quaternionic: bool = True
 
     G is a quaternionic Ginibre draw, alpha block first; its beta block is
     zero, not drawn, when ``quaternionic`` is False.  An n that is not an
-    integer >= 1 is a :class:`DimensionMismatch`.
+    integer >= 1 is a :class:`DimensionMismatch`, and an ``rng`` that is not
+    an ``np.random.Generator`` a ValueError.
     """
     check_int("generator dimension", n, 1, DimensionMismatch)
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng must be an np.random.Generator, got {rng!r}")
     g = _ginibre(rng.standard_normal((4 if quaternionic else 2, n, n)))
     g = QMatrix(g[0], g[1] if quaternionic else np.zeros_like(g[0]))
     ham = (g - g.h) * 0.5

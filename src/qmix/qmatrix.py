@@ -256,7 +256,11 @@ def check_int(name: str, value, least: int, error: type[Exception] = ValueError)
 
 
 def check_real(name: str, value) -> None:
-    """The one rule for times, steps and angles: a real number, no bool, and finite."""
+    """The one rule for times, steps and angles: a real number, no bool, and finite.
+
+    Anything else is a ValueError naming the argument; NaN, +-inf and an int
+    past the float range are a :class:`QmixError`, and no value makes numpy warn.
+    """
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     mag = abs(value if isinstance(value, int) else float(value))  # no overflow, no numpy cast

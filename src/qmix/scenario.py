@@ -147,8 +147,9 @@ def run_scenario(
     angles in radians; all matrices in the report are expressed in that
     direction's eigenbasis.  Raises :class:`NotNormalized` unless
     |c_plus|^2 + |c_minus|^2 = 1 (the coupling tests it), then
-    :class:`DimensionMismatch` unless ``n_hat`` holds two angles, then
-    :class:`QmixError` for a non-finite angle.
+    :class:`DimensionMismatch` unless ``n_hat`` holds two angles; each
+    angle then goes through :func:`check_real` (ValueError unless a real
+    number, :class:`QmixError` unless finite).
     """
     c_plus = complex(c_plus)
     c_minus = complex(c_minus)

@@ -410,6 +410,25 @@ def test_tolerance_that_is_not_a_number_is_usage_error(capsys):
     assert "could not convert string to float: 'abc'" in err
 
 
+@pytest.mark.parametrize("text", ["validate=", "=1e-9"], ids=["no-value", "no-name"])
+def test_tolerance_without_name_or_value_is_usage_error(capsys, text):
+    assert main(["--tol", text, "classify", "x.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [f"qmix: error: argument --tol: expected validate=VALUE, got '{text}'"]
+
+
+def test_evolution_time_that_is_not_a_number_is_usage_error(tmp_path, capsys):
+    state = write_json(tmp_path / "state.json", half_mixed())
+    gen = write_json(tmp_path / "gen.json", {"rows": 2, "cols": 2, "alpha": [[[0, 0]] * 2] * 2})
+    assert main(["evolve", state, "--gen", gen, "--t", "abc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == ["qmix evolve: error: argument --t: could not convert string to float: 'abc'"]
+
+
 def test_output_file(tmp_path):
     state = write_json(tmp_path / "state.json", half_mixed())
     target = tmp_path / "out.json"

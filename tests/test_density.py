@@ -846,6 +846,11 @@ def test_a_quaternionic_draw_called_proper_is_an_error(monkeypatch, kind):
          "tol must be a real number with 0 < tol < 1, got nan"),
         (lambda: chi_inverse(np.eye(2), tol=np.nan), ValueError,
          "tol must be a real number with 0 < tol < 1, got nan"),
+        (lambda: expectation(None, None), ValueError, "a must be an Observable, got None"),
+        (lambda: expectation(Observable.from_complex(np.eye(2)), None), ValueError,
+         "rho must be a QDensity, got None"),
+        (lambda: expectation(Observable.from_complex(np.eye(2)), QMatrix.identity(2)), ValueError,
+         "rho must be a QDensity, got QMatrix("),
     ],
     ids=["validate-non-square", "from-matrix-non-square", "block-purify-shapes",
          "random-density-kind", "random-density-zero", "random-density-negative",
@@ -856,7 +861,8 @@ def test_a_quaternionic_draw_called_proper_is_an_error(monkeypatch, kind):
          "lift-none-target", "block-purify-overflowing-weights", "block-purify-nan-weight",
          "block-purify-inf-weight", "validate-nan-tol", "validate-negative-tol",
          "validate-unit-tol", "validate-string-tol", "from-matrix-nan-tol",
-         "from-qmatrix-nan-tol", "chi-inverse-nan-tol"],
+         "from-qmatrix-nan-tol", "chi-inverse-nan-tol", "expectation-none-observable",
+         "expectation-none-state", "expectation-matrix-state"],
 )
 def test_input_errors(call, error, fragment):
     with pytest.raises(error) as excinfo:

@@ -24,6 +24,7 @@ from qmix import (
     random_generator,
     time_ordered,
 )
+from qmix import dynamics
 from qmix.density import Observable, embed_proper, validate
 from qmix.dynamics import DRIFT_TOL
 from qmix.errors import (
@@ -32,6 +33,7 @@ from qmix.errors import (
     NotAntiHermitian,
     NotUnitary,
     QmixError,
+    WitnessNotFound,
 )
 from qmix.qmatrix import chi, chi_inverse, max_abs
 
@@ -492,6 +494,20 @@ def _state_of_three():
         (lambda: QMatrix.identity(2.5), DimensionMismatch,
          "identity dimension must be an integer, got 2.5"),
         (lambda: QMatrix.identity(-1), DimensionMismatch, "identity dimension must be >= 0, got -1"),
+        (lambda: time_ordered(Generator(QMatrix.identity(3) * 0.0), "1"), ValueError,
+         "evolution time t must be a real number, got '1'"),
+        (lambda: integrate(_state_of_three(), Generator(QMatrix.identity(3) * 0.0), "1", 3),
+         ValueError, "evolution time t must be a real number, got '1'"),
+        (lambda: projected_rate_check(_state_of_three(), Generator(QMatrix.identity(3) * 0.0), "x"),
+         ValueError, "finite-difference step h must be a real number, got 'x'"),
+        (lambda: time_ordered(Generator(QMatrix.identity(3) * 0.0), 10**400), QmixError,
+         f"evolution time t = {10**400} is not finite"),
+        (lambda: projected_rate_check(_state_of_three(), Generator(QMatrix.identity(3) * 0.0),
+                                      float("nan")),
+         QmixError, "finite-difference step h = nan is not finite"),
+        (lambda: time_ordered(Generator(QMatrix.identity(3) * 0.0), True), ValueError,
+         "evolution time t must be a real number, got True"),
+        (lambda: random_generator(2, 0), ValueError, "rng must be an np.random.Generator, got 0"),
     ],
     ids=["generator-non-square", "propagator-non-square", "evolve-dimensions",
          "projected-evolution-dimensions", "integrate-dimensions", "integrate-zero-steps",
@@ -501,12 +517,21 @@ def _state_of_three():
          "partition-witness-none-seed", "propagator-overflow", "random-generator-zero",
          "random-generator-negative", "random-generator-float-dimension",
          "projected-rate-check-zero-step", "identity-float-dimension",
-         "identity-negative-dimension"],
+         "identity-negative-dimension", "time-ordered-string-time", "integrate-string-time",
+         "projected-rate-check-string-step", "time-ordered-huge-int-time",
+         "projected-rate-check-nan-step", "time-ordered-bool-time", "random-generator-int-rng"],
 )
 def test_input_errors(call, error, fragment):
     with pytest.raises(error) as excinfo:
         call()
     assert fragment in str(excinfo.value)
+
+
+def test_partition_witness_gives_up_after_its_attempt_budget(monkeypatch):
+    monkeypatch.setattr(dynamics, "WITNESS_MAX_ATTEMPTS", 0)
+    with pytest.raises(WitnessNotFound) as excinfo:
+        partition_witness(2, 0)
+    assert str(excinfo.value) == "no leak above 1e-06 in 0 attempts (n=2, seed=0)"
 
 
 @pytest.mark.parametrize("cast", [int, np.int64, np.uint16, np.intp])

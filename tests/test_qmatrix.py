@@ -420,6 +420,10 @@ def test_positivity():
     assert not is_positive_semidefinite(QMatrix(np.array([[0, 1], [0, 0]]), np.zeros((2, 2))))
 
 
+def test_a_non_square_matrix_is_not_positive_semidefinite():
+    assert is_positive_semidefinite(QMatrix(np.eye(2, 3), np.zeros((2, 3)))) is False
+
+
 def test_rank_examples():
     assert rank_q(QMatrix.from_complex(np.zeros((3, 3)))) == 0
     purified = QMatrix(np.diag([0.5, 0.5]), np.array([[0, -0.5], [0.5, 0]]))
@@ -746,6 +750,21 @@ def test_integer_arguments_have_one_path():
     assert hand_written == []
 
 
+def test_real_arguments_have_one_path():
+    # a time, step or angle refused by a hand-written raise would be a second
+    # real-number rule beside check_real; check_tol words its own bounds
+    owners = ("check_real", "check_tol")
+    phrases = ("is not finite", "must be a real number")
+    hand_written = []
+    for path in sorted(pathlib.Path(qmix.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        tree.body = [node for node in tree.body if getattr(node, "name", "") not in owners]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and any(p in ast.unparse(node) for p in phrases):
+                hand_written.append(f"{path.name}:{node.lineno}")
+    assert hand_written == []
+
+
 @pytest.mark.parametrize("value", [0, 3, np.int64(3), np.uint8(3), np.intp(0)])
 def test_check_int_takes_integers_and_numpy_integers(value):
     assert qmatrix.check_int("count", value, 0) is None
@@ -767,4 +786,37 @@ def test_check_int_takes_integers_and_numpy_integers(value):
 def test_check_int_names_the_argument(value, error, message):
     with pytest.raises(error) as excinfo:
         qmatrix.check_int("count", value, 0, error)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "value", [0, -2.5, 1e308, 10**300, np.float32(0.5), np.float64(-1.0), np.int64(3), np.uint8(3)],
+    ids=["zero", "float", "largest-float", "large-int", "numpy-float32", "numpy-float64",
+         "numpy-int64", "numpy-uint8"],
+)
+def test_check_real_takes_finite_real_numbers(value):
+    assert qmatrix.check_real("t", value) is None
+
+
+@pytest.mark.parametrize(
+    "value,error,message",
+    [(True, ValueError, "t must be a real number, got True"),
+     (np.bool_(True), ValueError, "t must be a real number, got np.True_"),
+     ("1", ValueError, "t must be a real number, got '1'"),
+     (None, ValueError, "t must be a real number, got None"),
+     (1j, ValueError, "t must be a real number, got 1j"),
+     (float("nan"), QmixError, "t = nan is not finite"),
+     (float("-inf"), QmixError, "t = -inf is not finite"),
+     (np.float32("inf"), QmixError, "t = np.float32(inf) is not finite"),
+     (10**400, QmixError, f"t = {10**400} is not finite"),
+     (-(10**400), QmixError, f"t = {-(10**400)} is not finite")],
+    ids=["bool", "numpy-bool", "string", "none", "complex", "nan", "negative-inf",
+         "numpy-float32-inf", "int-past-float-range", "negative-int-past-float-range"],
+)
+def test_check_real_names_the_argument(value, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as excinfo:
+            qmatrix.check_real("t", value)
+    assert type(excinfo.value) is error
     assert str(excinfo.value) == message

@@ -109,6 +109,8 @@ def test_scenario_rejects_unnormalized():
         ((float("nan"), 0.0), "theta"),
         ((0.3, float("inf")), "phi"),
         ((0.3, float("nan")), "phi"),
+        ((10**400, 0.0), "theta"),
+        ((0.3, np.float32("inf")), "phi"),
     ],
 )
 def test_scenario_rejects_non_finite_direction(n_hat, name):
@@ -117,6 +119,22 @@ def test_scenario_rejects_non_finite_direction(n_hat, name):
         with pytest.raises(QmixError) as excinfo:
             run_scenario(0.6, 0.8, n_hat=n_hat)
     assert f"{name} = " in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "n_hat,message",
+    [
+        (("1", 0), "direction angle theta must be a real number, got '1'"),
+        ((0.3, 0.5j), "direction angle phi must be a real number, got 0.5j"),
+        ((None, 0), "direction angle theta must be a real number, got None"),
+        ((0.3, True), "direction angle phi must be a real number, got True"),
+    ],
+    ids=["string", "complex", "none", "bool"],
+)
+def test_scenario_rejects_a_direction_that_is_not_real(n_hat, message):
+    with pytest.raises(ValueError) as excinfo:
+        run_scenario(0.6, 0.8, n_hat=n_hat)
+    assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize("n_hat,length", [((0.0,), 1), ((), 0), ((0.1, 0.2, 0.3), 3)])
