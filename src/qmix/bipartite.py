@@ -82,18 +82,21 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int], over: int) -> CDensity
     ``over`` selects the discarded factor (1 or 2).  The result is
     validated as a complex density on the kept factor.
     """
+    return CDensity.from_matrix(_partial_trace(rho, dims, over))
+
+
+def _partial_trace(rho: np.ndarray, dims: tuple[int, int], over: int) -> np.ndarray:
+    """The kept factor's matrix behind :func:`partial_trace`, not yet gated."""
     n1, n2 = dims
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (n1 * n2, n1 * n2):
         raise DimensionMismatch(f"density shape {rho.shape} != ({n1 * n2}, {n1 * n2})")
     four = rho.reshape(n1, n2, n1, n2)
     if over == 2:
-        kept = np.einsum("abcb->ac", four)
-    elif over == 1:
-        kept = np.einsum("abad->bd", four)
-    else:
-        raise ValueError(f"over must be 1 or 2, got {over!r}")
-    return CDensity.from_matrix(kept)
+        return np.einsum("abcb->ac", four)
+    if over == 1:
+        return np.einsum("abad->bd", four)
+    raise ValueError(f"over must be 1 or 2, got {over!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,10 +153,15 @@ def lueders_nonselective(rho: CDensity, family: ProjectorFamily) -> CDensity:
             f"family on dimension {family.projectors[0].shape[0]} "
             f"applied to state of dimension {n}"
         )
-    out = np.zeros_like(rho.mat)
+    return CDensity.from_matrix(_lueders(rho.mat, family))
+
+
+def _lueders(mat: np.ndarray, family: ProjectorFamily) -> np.ndarray:
+    """sum_i P_i mat P_i behind :func:`lueders_nonselective`, not yet gated."""
+    out = np.zeros_like(mat)
     for p in family.projectors:
-        out += p @ rho.mat @ p
-    return CDensity.from_matrix(out)
+        out += p @ mat @ p
+    return out
 
 
 def measurement_interaction(phi0) -> tuple[np.ndarray, BipartiteState]:

@@ -285,12 +285,21 @@ def expectation(a: Observable, rho: QDensity) -> float:
         raise DimensionMismatch(
             f"observable {a.mat.shape} does not match state {rho.mat.shape}"
         )
+    return _expectations(a.mat, rho.mat)
+
+
+def _expectations(a: QMatrix, rho: QMatrix):
+    """Re Tr(A rho) behind :func:`expectation`, on stacks that broadcast together.
+
+    Each value goes through :func:`check_real`, row-major: a float for one pair, else lists.
+    """
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        value = np.trace(a.mat.alpha @ rho.alpha)
-        value -= np.trace(a.mat.beta.conj() @ rho.beta)
-    value = float(value.real)
-    check_real("expectation value Re Tr(A rho)", value)
-    return value
+        value = np.trace(a.alpha @ rho.alpha, axis1=-2, axis2=-1)
+        value -= np.trace(a.beta.conj() @ rho.beta, axis1=-2, axis2=-1)
+    values = value.real
+    for v in values.ravel().tolist():
+        check_real("expectation value Re Tr(A rho)", v)
+    return values.tolist()
 
 
 def discriminating_observable(rho: QDensity) -> Observable:

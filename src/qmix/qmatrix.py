@@ -252,7 +252,7 @@ def check_int(name: str, value, least: int, error: type[Exception] = ValueError)
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise error(f"{name} must be an integer, got {value!r}")
     if value < least:
-        raise error(f"{name} must be >= {least}, got {value}")
+        raise error(f"{name} must be >= {least}, got {_shown(value, str)}")
 
 
 def check_real(name: str, value) -> None:
@@ -264,14 +264,21 @@ def check_real(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     mag = abs(value if isinstance(value, int) else float(value))  # no overflow, no numpy cast
-    check_slices(mag, _FLOAT_MAX, QmixError, lambda i: f"{name} = {value!r} is not finite")
+    check_slices(mag, _FLOAT_MAX, QmixError, lambda i: f"{name} = {_shown(value)} is not finite")
+
+
+def _shown(value, text=repr) -> str:
+    """``text(value)``, but an int past the float range by its bit length, not its digits."""
+    if isinstance(value, int) and abs(value) > _FLOAT_MAX:
+        return f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
+    return text(value)
 
 
 def check_tol(tol) -> None:
     """The rule for a ``tol`` argument, as on the command line: a real number, 0 < tol < 1."""
     if isinstance(tol, Real) and 0 < tol < 1:
         return
-    raise ValueError(f"tol must be a real number with 0 < tol < 1, got {tol!r}")
+    raise ValueError(f"tol must be a real number with 0 < tol < 1, got {_shown(tol)}")
 
 
 def real_trace(m: QMatrix) -> float:

@@ -9,7 +9,9 @@ mixture keeps beta = 0, while the improper mixture is purified into a
 quaternionic rank-one state whose projection is the shared complex
 matrix.  Every complex observable then agrees on the two states and the
 witness j*rho_beta separates them, which the report records check by
-check with measured residuals.
+check with measured residuals.  Every matrix is built first; then one
+complex and one quaternionic density gate, and one expectation pass,
+each run on a stack.
 
 ``check_propositions`` is a seeded audit of the structural facts the
 rest of the package leans on: the projection of a density is a density,
@@ -26,12 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bipartite import (
-    ProjectorFamily,
-    lueders_nonselective,
-    measurement_interaction,
-    partial_trace,
-)
+from .bipartite import ProjectorFamily, _lueders, _partial_trace, measurement_interaction
 from .density import (
     CDensity,
     MixtureKind,
@@ -40,12 +37,12 @@ from .density import (
     block_purify,
     complex_projection,
     discriminating_observable,
-    embed_proper,
-    expectation,
     lift,
     _density_gate,
+    _expectations,
     _ginibre,
     _lift_blocks,
+    _mixture_kind,
     _random_density_matrix,
     purify,
     validate,
@@ -53,7 +50,7 @@ from .density import (
 from .errors import DimensionMismatch, NotPurifiable, PropositionViolated, QmixError
 from .qmatrix import (
     VALIDATION_TOL, QMatrix, check_int, check_real, frobenius_norm, hermiticity_deviation,
-    numerical_rank,
+    numerical_rank, require_hermitian,
 )
 
 #: Entrywise tolerance on a complex block against the density it must equal:
@@ -71,6 +68,11 @@ PURITY_TOL = 1e-10
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+#: Row labels of the complex expectation table, in the order of its observables.
+_LABELS = ("identity", "spin_along_n", "sigma_x", "sigma_y", "sigma_z")
+#: The measured basis, the computational one, and its projector family, built once.
+_MEASURED = np.eye(2, dtype=np.complex128)
+_MEASURED_FAMILY = ProjectorFamily.from_basis(_MEASURED)
 
 
 @dataclass(frozen=True)
@@ -149,65 +151,51 @@ def run_scenario(
     |c_plus|^2 + |c_minus|^2 = 1 (the coupling tests it), then
     :class:`DimensionMismatch` unless ``n_hat`` holds two angles; each
     angle then goes through :func:`check_real` (ValueError unless a real
-    number, :class:`QmixError` unless finite).
+    number, :class:`QmixError` unless finite).  Only then is a matrix built,
+    by the kernels of the public functions, and each check runs once on a
+    stack: one complex gate (traced density, Lueders input and output,
+    purified alpha), one quaternionic gate and classification (proper and
+    purified states), one hermiticity test of the five complex observables
+    and one expectation pass, each value through :func:`check_real`.
     """
     c_plus = complex(c_plus)
     c_minus = complex(c_minus)
-    # Improper route: couple to the pointer, trace the pointer out.
     _, psi_t = measurement_interaction((c_plus, c_minus))
     if len(n_hat) != 2:
         raise DimensionMismatch(f"n_hat needs two angles (theta, phi), got {len(n_hat)}")
     check_real("direction angle theta", n_hat[0])
     check_real("direction angle phi", n_hat[1])
     theta, phi = float(n_hat[0]), float(n_hat[1])
-    rho_traced = partial_trace(psi_t.density(), dims=(2, 2), over=2)
 
-    # Proper route: nonselective update of the uncoupled system.
+    # Improper route: trace the pointer out.  Proper route: the Lueders
+    # update of the uncoupled system, embedded with beta = 0.
+    traced = _partial_trace(psi_t.density(), dims=(2, 2), over=2)
     phi0 = np.array([c_plus, c_minus], dtype=np.complex128)
-    measured = np.eye(2, dtype=np.complex128)
-    family = ProjectorFamily.from_basis(measured)
-    rho_lueders = lueders_nonselective(
-        CDensity.from_matrix(np.outer(phi0, phi0.conj())), family
-    )
-    mixture_gap = float(np.abs(rho_traced.mat - rho_lueders.mat).max())
+    uncoupled = np.outer(phi0, phi0.conj())
+    updated = _lueders(uncoupled, _MEASURED_FAMILY)
+    pure = block_purify(_MEASURED[:, 0], _MEASURED[:, 1], c_plus, c_minus)
+    _density_gate(np.stack([traced, uncoupled, updated, pure.alpha]), VALIDATION_TOL)
+    states = QMatrix(np.stack([updated, pure.alpha]), np.stack([np.zeros_like(updated), pure.beta]))
+    eigs, (kinds, norms) = _density_gate(states, VALIDATION_TOL), _mixture_kind(states)
+    rho_proper, rho_improper = map(QDensity, (states[0], states[1]), kinds, norms.tolist(), eigs)
+    mixture_gap = float(np.abs(traced - updated).max())
+    projection_gap = float(np.abs(pure.alpha - updated).max())
+    idem_residual = frobenius_norm(pure @ pure - pure)  # rank one and idempotent
 
-    rho_proper = embed_proper(rho_lueders)
-    rho_improper = validate(block_purify(measured[:, 0], measured[:, 1], c_plus, c_minus))
-
-    projection_gap = float(
-        np.abs(complex_projection(rho_improper).mat - rho_proper.alpha).max()
-    )
-
-    # Purity of the improper representative: rank one and idempotent.
-    pure = rho_improper.mat
-    idem_residual = frobenius_norm(pure @ pure - pure)
-    rank_one = rho_improper.rank == 1
-
-    # Complex observables, transformed into the measured eigenbasis.
+    # The five complex observables in the measured eigenbasis (beta = 0), then the witness.
     basis = direction_basis(theta, phi)
-    named = (
-        ("identity", np.eye(2, dtype=np.complex128)),
-        ("spin_along_n", spin_along(theta, phi)),
-        ("sigma_x", PAULI_X),
-        ("sigma_y", PAULI_Y),
-        ("sigma_z", PAULI_Z),
-    )
-    table = []
-    for label, mat in named:
-        obs = Observable.from_complex(basis.conj().T @ mat @ basis)
-        on_proper = expectation(obs, rho_proper)
-        on_improper = expectation(obs, rho_improper)
-        table.append(
-            ExpectationRow(label, on_proper, on_improper, abs(on_proper - on_improper))
-        )
-    worst_gap = max(row.difference for row in table)
-
+    named = np.stack([np.eye(2), spin_along(theta, phi), PAULI_X, PAULI_Y, PAULI_Z])
+    observed = basis.conj().T @ named @ basis
+    require_hermitian(hermiticity_deviation(observed), VALIDATION_TOL)
     witness = discriminating_observable(rho_improper)
-    disc = DiscriminatorResult(
-        observable=witness,
-        on_proper=expectation(witness, rho_proper),
-        on_improper=expectation(witness, rho_improper),
+    alpha, beta = np.zeros((2, 6, 2, 2), dtype=np.complex128)
+    alpha[:5], alpha[5], beta[5] = observed, witness.mat.alpha, witness.mat.beta
+    values = _expectations(QMatrix(alpha, beta)[:, None], states[None])  # rows [proper, improper]
+    table = tuple(
+        ExpectationRow(label, p, i, abs(p - i)) for label, (p, i) in zip(_LABELS, values)
     )
+    worst_gap = max(row.difference for row in table)
+    disc = DiscriminatorResult(witness, *values[-1])
     disc_theory = 2.0 * abs(c_plus * c_minus) ** 2
 
     def check(residual: float, tolerance: float, also: bool = True) -> CheckResult:
@@ -216,11 +204,9 @@ def run_scenario(
     checks = {
         "partial_trace_matches_lueders": check(mixture_gap, MIXTURE_MATCH_TOL),
         "projection_matches_proper": check(projection_gap, MIXTURE_MATCH_TOL),
-        "improper_state_is_pure": check(idem_residual, PURITY_TOL, also=rank_one),
+        "improper_state_is_pure": check(idem_residual, PURITY_TOL, also=rho_improper.rank == 1),
         "complex_observables_agree": check(worst_gap, COMPLEX_AGREEMENT_TOL),
-        "discriminator_on_improper": check(
-            abs(disc.on_improper - disc_theory), DISCRIMINATOR_TOL
-        ),
+        "discriminator_on_improper": check(abs(disc.on_improper - disc_theory), DISCRIMINATOR_TOL),
         "discriminator_on_proper": check(abs(disc.on_proper), DISCRIMINATOR_ZERO_TOL),
     }
     return ScenarioReport(
@@ -229,7 +215,7 @@ def run_scenario(
         n_hat=(theta, phi),
         rho_improper=rho_improper,
         rho_proper=rho_proper,
-        complex_expectation_table=tuple(table),
+        complex_expectation_table=table,
         quaternionic_discriminator=disc,
         checks=checks,
     )

@@ -9,10 +9,46 @@ complex-adjoint images and reads the blocks back out by slicing.
 import numpy as np
 
 from qmix import MixtureKind, QMatrix
-from qmix.density import CDensity, complex_projection, lift, purify, random_density, validate
-from qmix.errors import NotPurifiable, PropositionViolated, QmixError
-from qmix.qmatrix import frobenius_norm, real_trace
-from qmix.scenario import _AUDIT_KINDS, PURITY_TOL, PropositionRow, PropositionSummary
+from qmix.bipartite import (
+    ProjectorFamily,
+    lueders_nonselective,
+    measurement_interaction,
+    partial_trace,
+)
+from qmix.density import (
+    CDensity,
+    Observable,
+    block_purify,
+    complex_projection,
+    discriminating_observable,
+    embed_proper,
+    expectation,
+    lift,
+    purify,
+    random_density,
+    validate,
+)
+from qmix.errors import DimensionMismatch, NotPurifiable, PropositionViolated, QmixError
+from qmix.qmatrix import check_real, frobenius_norm, real_trace
+from qmix.scenario import (
+    _AUDIT_KINDS,
+    COMPLEX_AGREEMENT_TOL,
+    DISCRIMINATOR_TOL,
+    DISCRIMINATOR_ZERO_TOL,
+    MIXTURE_MATCH_TOL,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    PURITY_TOL,
+    CheckResult,
+    DiscriminatorResult,
+    ExpectationRow,
+    PropositionRow,
+    PropositionSummary,
+    ScenarioReport,
+    direction_basis,
+    spin_along,
+)
 
 
 def hamilton_mul(q, p):
@@ -259,3 +295,100 @@ def reference_check_propositions(
         for name, entry in tallies.items()
     )
     return PropositionSummary(rows=rows, trials=trials, n_max=n_max, seed=seed)
+
+
+# -- the straight-line scenario, the reference for the stacked one ----------
+
+def reference_run_scenario(
+    c_plus: complex, c_minus: complex, n_hat: tuple[float, float] = (0.0, 0.0)
+) -> ScenarioReport:
+    """The measurement scenario as first written, the reference for ``run_scenario``.
+
+    Every matrix goes through the public functions one at a time: each
+    density through its own gate (``partial_trace``, ``CDensity.from_matrix``,
+    ``lueders_nonselective``, ``embed_proper``, ``validate``,
+    ``complex_projection``), each observable through
+    ``Observable.from_complex`` and each value through ``expectation``.
+    """
+    c_plus = complex(c_plus)
+    c_minus = complex(c_minus)
+    # Improper route: couple to the pointer, trace the pointer out.
+    _, psi_t = measurement_interaction((c_plus, c_minus))
+    if len(n_hat) != 2:
+        raise DimensionMismatch(f"n_hat needs two angles (theta, phi), got {len(n_hat)}")
+    check_real("direction angle theta", n_hat[0])
+    check_real("direction angle phi", n_hat[1])
+    theta, phi = float(n_hat[0]), float(n_hat[1])
+    rho_traced = partial_trace(psi_t.density(), dims=(2, 2), over=2)
+
+    # Proper route: nonselective update of the uncoupled system.
+    phi0 = np.array([c_plus, c_minus], dtype=np.complex128)
+    measured = np.eye(2, dtype=np.complex128)
+    family = ProjectorFamily.from_basis(measured)
+    rho_lueders = lueders_nonselective(
+        CDensity.from_matrix(np.outer(phi0, phi0.conj())), family
+    )
+    mixture_gap = float(np.abs(rho_traced.mat - rho_lueders.mat).max())
+
+    rho_proper = embed_proper(rho_lueders)
+    rho_improper = validate(block_purify(measured[:, 0], measured[:, 1], c_plus, c_minus))
+
+    projection_gap = float(
+        np.abs(complex_projection(rho_improper).mat - rho_proper.alpha).max()
+    )
+
+    # Purity of the improper representative: rank one and idempotent.
+    pure = rho_improper.mat
+    idem_residual = frobenius_norm(pure @ pure - pure)
+    rank_one = rho_improper.rank == 1
+
+    # Complex observables, transformed into the measured eigenbasis.
+    basis = direction_basis(theta, phi)
+    named = (
+        ("identity", np.eye(2, dtype=np.complex128)),
+        ("spin_along_n", spin_along(theta, phi)),
+        ("sigma_x", PAULI_X),
+        ("sigma_y", PAULI_Y),
+        ("sigma_z", PAULI_Z),
+    )
+    table = []
+    for label, mat in named:
+        obs = Observable.from_complex(basis.conj().T @ mat @ basis)
+        on_proper = expectation(obs, rho_proper)
+        on_improper = expectation(obs, rho_improper)
+        table.append(
+            ExpectationRow(label, on_proper, on_improper, abs(on_proper - on_improper))
+        )
+    worst_gap = max(row.difference for row in table)
+
+    witness = discriminating_observable(rho_improper)
+    disc = DiscriminatorResult(
+        observable=witness,
+        on_proper=expectation(witness, rho_proper),
+        on_improper=expectation(witness, rho_improper),
+    )
+    disc_theory = 2.0 * abs(c_plus * c_minus) ** 2
+
+    def check(residual: float, tolerance: float, also: bool = True) -> CheckResult:
+        return CheckResult(also and residual <= tolerance, residual, tolerance)
+
+    checks = {
+        "partial_trace_matches_lueders": check(mixture_gap, MIXTURE_MATCH_TOL),
+        "projection_matches_proper": check(projection_gap, MIXTURE_MATCH_TOL),
+        "improper_state_is_pure": check(idem_residual, PURITY_TOL, also=rank_one),
+        "complex_observables_agree": check(worst_gap, COMPLEX_AGREEMENT_TOL),
+        "discriminator_on_improper": check(
+            abs(disc.on_improper - disc_theory), DISCRIMINATOR_TOL
+        ),
+        "discriminator_on_proper": check(abs(disc.on_proper), DISCRIMINATOR_ZERO_TOL),
+    }
+    return ScenarioReport(
+        c_plus=c_plus,
+        c_minus=c_minus,
+        n_hat=(theta, phi),
+        rho_improper=rho_improper,
+        rho_proper=rho_proper,
+        complex_expectation_table=tuple(table),
+        quaternionic_discriminator=disc,
+        checks=checks,
+    )

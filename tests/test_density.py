@@ -840,6 +840,8 @@ def test_a_quaternionic_draw_called_proper_is_an_error(monkeypatch, kind):
          "tol must be a real number with 0 < tol < 1, got 1.0"),
         (lambda: validate(QMatrix.identity(1), tol="1e-3"), ValueError,
          "tol must be a real number with 0 < tol < 1, got '1e-3'"),
+        (lambda: validate(QMatrix.identity(1), tol=10**5000), ValueError,
+         "tol must be a real number with 0 < tol < 1, got <int of 16610 bits>"),
         (lambda: CDensity.from_matrix(np.eye(1), tol=np.nan), ValueError,
          "tol must be a real number with 0 < tol < 1, got nan"),
         (lambda: Observable.from_qmatrix(QMatrix.identity(1), tol=np.nan), ValueError,
@@ -860,7 +862,7 @@ def test_a_quaternionic_draw_called_proper_is_an_error(monkeypatch, kind):
          "lift-float-target", "lift-fractional-target",
          "lift-none-target", "block-purify-overflowing-weights", "block-purify-nan-weight",
          "block-purify-inf-weight", "validate-nan-tol", "validate-negative-tol",
-         "validate-unit-tol", "validate-string-tol", "from-matrix-nan-tol",
+         "validate-unit-tol", "validate-string-tol", "validate-huge-int-tol", "from-matrix-nan-tol",
          "from-qmatrix-nan-tol", "chi-inverse-nan-tol", "expectation-none-observable",
          "expectation-none-state", "expectation-matrix-state"],
 )

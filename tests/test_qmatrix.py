@@ -779,9 +779,11 @@ def test_check_int_takes_integers_and_numpy_integers(value):
      (True, ValueError, "count must be an integer, got True"),
      (np.bool_(True), ValueError, "count must be an integer, got np.True_"),
      ("2", ValueError, "count must be an integer, got '2'"),
-     (None, DimensionMismatch, "count must be an integer, got None")],
+     (None, DimensionMismatch, "count must be an integer, got None"),
+     (-(10**300), ValueError, f"count must be >= 0, got {-(10**300)}"),
+     (-(10**5000), ValueError, "count must be >= 0, got <negative int of 16610 bits>")],
     ids=["negative", "numpy-negative", "float", "numpy-float", "bool", "numpy-bool", "string",
-         "none-as-dimension"],
+         "none-as-dimension", "negative-int-in-float-range", "negative-int-past-the-digit-limit"],
 )
 def test_check_int_names_the_argument(value, error, message):
     with pytest.raises(error) as excinfo:
@@ -808,10 +810,12 @@ def test_check_real_takes_finite_real_numbers(value):
      (float("nan"), QmixError, "t = nan is not finite"),
      (float("-inf"), QmixError, "t = -inf is not finite"),
      (np.float32("inf"), QmixError, "t = np.float32(inf) is not finite"),
-     (10**400, QmixError, f"t = {10**400} is not finite"),
-     (-(10**400), QmixError, f"t = {-(10**400)} is not finite")],
+     (10**400, QmixError, "t = <int of 1329 bits> is not finite"),
+     (-(10**400), QmixError, "t = <negative int of 1329 bits> is not finite"),
+     (10**5000, QmixError, "t = <int of 16610 bits> is not finite")],
     ids=["bool", "numpy-bool", "string", "none", "complex", "nan", "negative-inf",
-         "numpy-float32-inf", "int-past-float-range", "negative-int-past-float-range"],
+         "numpy-float32-inf", "int-past-float-range", "negative-int-past-float-range",
+         "int-past-the-digit-limit"],
 )
 def test_check_real_names_the_argument(value, error, message):
     with warnings.catch_warnings():

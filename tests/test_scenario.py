@@ -16,7 +16,7 @@ from qmix import (
     evolve,
     run_scenario,
 )
-from qmix import density, scenario
+from qmix import cli, density, scenario
 from qmix.cli import main
 from qmix.errors import (
     DimensionMismatch,
@@ -29,7 +29,12 @@ from qmix.errors import (
 from qmix.scenario import AUDIT_BLOCK_TRIALS, _draw_trials, direction_basis, spin_along
 
 import support
-from support import random_complex_unitary, reference_check_propositions, reference_trial_draw
+from support import (
+    random_complex_unitary,
+    reference_check_propositions,
+    reference_run_scenario,
+    reference_trial_draw,
+)
 
 HALF = 1 / np.sqrt(2)
 
@@ -111,6 +116,7 @@ def test_scenario_rejects_unnormalized():
         ((0.3, float("nan")), "phi"),
         ((10**400, 0.0), "theta"),
         ((0.3, np.float32("inf")), "phi"),
+        ((10**5000, 0), "theta"),
     ],
 )
 def test_scenario_rejects_non_finite_direction(n_hat, name):
@@ -166,6 +172,96 @@ def test_classifications_stable_under_complex_postprocessing():
         prop = Propagator(QMatrix.from_complex(random_complex_unitary(rng, 2)))
         assert evolve(report.rho_improper, prop).classification is MixtureKind.IMPROPER
         assert evolve(report.rho_proper, prop).classification is MixtureKind.PROPER
+
+
+def _harness_scenario_inputs(seed: int, count: int) -> list:
+    """(c_plus, c_minus, n_hat) drawn as the benchmark's scenario pool draws them."""
+    rng = np.random.default_rng(seed)
+    inputs = []
+    for _ in range(count):
+        mix = rng.uniform(0.0, np.pi / 2)
+        p1, p2 = rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi)
+        c_plus = complex(np.cos(mix) * np.exp(1j * p1))
+        c_minus = complex(np.sin(mix) * np.exp(1j * p2))
+        inputs.append((c_plus, c_minus, (rng.uniform(0.0, np.pi), rng.uniform(0.0, 2 * np.pi))))
+    return inputs
+
+
+SCENARIO_EDGES = [
+    (1.0, 0.0, (0.4, 1.1)),  # c- = 0: the purified state is proper
+    (0.0, 1.0, (0.4, 1.1)),  # c+ = 0
+    (0.0, -1j, (0.0, 0.0)),
+    (0.6, 0.8j, (0.0, 1.1)),  # theta = 0
+    (0.6, -0.8, (np.pi, 0.0)),  # theta = pi
+    (0.6, 0.8j, (0.4, 2 * np.pi)),  # phi = 2 pi
+    (HALF, HALF, (np.pi, 2 * np.pi)),
+    (-0.6, -0.8j, (-0.0, -0.0)),
+]
+
+
+def test_scenario_reports_match_the_straight_line_reference():
+    # the stacked scenario writes, byte for byte, the report the one-gate-per-matrix
+    # path writes, on the benchmark's input distribution and on its edges
+    for c_plus, c_minus, n_hat in _harness_scenario_inputs(24, 200) + SCENARIO_EDGES:
+        got = cli._dumps(cli.serialize_report(run_scenario(c_plus, c_minus, n_hat)))
+        want = cli._dumps(cli.serialize_report(reference_run_scenario(c_plus, c_minus, n_hat)))
+        assert got == want, (c_plus, c_minus, n_hat)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a matrix was built or gated before the input was checked")
+
+
+@pytest.mark.parametrize(
+    "args,error,message",
+    [
+        ((0.6, 0.6), NotNormalized, "|c+|^2 + |c-|^2 = 0.72 off unity by 2.800e-01"),
+        ((0.6, 0.8, (0.1,)), DimensionMismatch, "n_hat needs two angles (theta, phi), got 1"),
+        ((0.6, 0.8, (0.1, 0.2, 0.3)), DimensionMismatch,
+         "n_hat needs two angles (theta, phi), got 3"),
+        ((0.6, 0.8, (float("nan"), 0.0)), QmixError,
+         "direction angle theta = nan is not finite"),
+        ((0.6, 0.8, (0.3, float("-inf"))), QmixError,
+         "direction angle phi = -inf is not finite"),
+        ((0.6, 0.8, (0.3, 0.5j)), ValueError,
+         "direction angle phi must be a real number, got 0.5j"),
+        ((0.6, 0.8, ("1", 0)), ValueError,
+         "direction angle theta must be a real number, got '1'"),
+    ],
+    ids=["unnormalized", "one-angle", "three-angles", "nan-theta", "inf-phi", "complex-phi",
+         "string-theta"],
+)
+def test_scenario_input_fails_before_any_matrix_is_gated(monkeypatch, args, error, message):
+    for name in ("_density_gate", "_partial_trace", "_lueders", "block_purify", "_mixture_kind",
+                 "_expectations", "hermiticity_deviation", "discriminating_observable"):
+        monkeypatch.setattr(scenario, name, _refuse)
+    with pytest.raises(error) as excinfo:
+        run_scenario(*args)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
+    with pytest.raises(AssertionError):  # the patches are the ones a valid input reaches
+        run_scenario(0.6, 0.8)
+
+
+@pytest.mark.parametrize(
+    "argv,code,last_line",
+    [
+        (["--cplus=0.6,0", "--cminus=0.6,0"], 1,
+         "error: |c+|^2 + |c-|^2 = 0.72 off unity by 2.800e-01"),
+        (["--cplus=0.6,0", "--cminus=0.8,0", "--nhat=nan,0"], 2,
+         "qmix scenario: error: argument --nhat: must be finite, got 'nan'"),
+    ],
+    ids=["unnormalized", "nan-direction"],
+)
+def test_scenario_cli_errors_are_pinned(capsys, argv, code, last_line):
+    assert main(["scenario", *argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if code == 1:  # a library error: one line
+        assert captured.err == last_line + "\n"
+    else:  # a usage error: argparse's usage, then one error line
+        assert captured.err.startswith("usage: qmix scenario ")
+        assert captured.err.endswith("\n" + last_line + "\n")
 
 
 def test_check_propositions_zero_trials():
@@ -231,9 +327,10 @@ def test_audit_memory_does_not_grow_with_trials():
      ((2.5, 3, 0), r"n_max must be an integer, got 2\.5"),
      ((3, True, 0), "trials must be an integer, got True"),
      ((3, 3, "1"), "seed must be an integer, got '1'"),
-     ((3, 3, None), "seed must be an integer, got None")],
+     ((3, 3, None), "seed must be an integer, got None"),
+     ((3, 3, -(10**5000)), "seed must be >= 0, got <negative int of 16610 bits>")],
     ids=["n_max", "trials", "seed", "float-seed", "float-trials", "float-n_max",
-         "fractional-n_max", "bool-trials", "string-seed", "none-seed"],
+         "fractional-n_max", "bool-trials", "string-seed", "none-seed", "huge-negative-seed"],
 )
 def test_check_propositions_rejects_bad_counts_before_drawing(monkeypatch, args, fragment):
     monkeypatch.setattr(scenario, "_draw_trials", None)  # any draw would fail otherwise
