@@ -19,7 +19,7 @@ import numpy as np
 
 from .density import CDensity
 from .errors import DimensionMismatch, NotNormalized, NotOrthogonal
-from .qmatrix import check_slices
+from .qmatrix import check_slices, check_square
 
 #: Unit-norm tolerance for state vectors.
 STATE_NORM_TOL = 1e-12
@@ -147,12 +147,7 @@ def lueders_nonselective(rho: CDensity, family: ProjectorFamily) -> CDensity:
     idempotent, which the tests exercise; here only shape compatibility
     is enforced and the output revalidated.
     """
-    n = rho.dim
-    if family.projectors[0].shape != (n, n):
-        raise DimensionMismatch(
-            f"family on dimension {family.projectors[0].shape[0]} "
-            f"applied to state of dimension {n}"
-        )
+    check_square("family", family.projectors[0].shape, rho.dim)
     return CDensity.from_matrix(_lueders(rho.mat, family))
 
 

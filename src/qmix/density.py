@@ -46,6 +46,7 @@ from .qmatrix import (
     check_int,
     check_real,
     check_slices,
+    check_square,
     check_tol,
     chi,
     hermiticity_deviation,
@@ -118,8 +119,7 @@ class CDensity:
         """Validate a complex matrix as a density matrix; see :func:`_density_gate`."""
         check_tol(tol)
         mat = np.asarray(mat, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DimensionMismatch(f"density matrix must be square, got {mat.shape}")
+        check_square("density matrix", mat.shape)
         return cls(mat=mat, eigenvalues=_density_gate(mat, tol))
 
     @property
@@ -155,8 +155,9 @@ class Observable:
 
     @classmethod
     def from_qmatrix(cls, mat: QMatrix, tol: float = VALIDATION_TOL) -> "Observable":
-        """Check hermiticity at ``tol``; complex when ``slice_norms(beta) <= tol``."""
+        """One square matrix, hermitian at ``tol``; complex when ``slice_norms(beta) <= tol``."""
         check_tol(tol)
+        check_square("observable", mat.shape)
         require_hermitian(hermiticity_deviation(mat), tol)
         with np.errstate(over="ignore"):  # an overflowing norm reads inf: not complex
             beta_norm = float(slice_norms(mat.beta))
@@ -164,7 +165,8 @@ class Observable:
 
     @classmethod
     def from_complex(cls, mat: np.ndarray) -> "Observable":
-        """Embed a complex matrix (beta = 0), its hermiticity measured as given."""
+        """Embed one square complex matrix (beta = 0), its hermiticity measured as given."""
+        check_square("observable", np.shape(mat))
         mat = QMatrix.from_complex(mat)
         require_hermitian(hermiticity_deviation(mat.alpha), VALIDATION_TOL)
         return cls(mat=mat, is_complex=True)
@@ -246,8 +248,7 @@ def validate(m: QMatrix, tol: float = VALIDATION_TOL) -> QDensity:
     :func:`~qmix.qmatrix.check_tol`, as it does for the other public gates.
     """
     check_tol(tol)
-    if len(m.shape) != 2 or not m.is_square:
-        raise DimensionMismatch(f"density matrix must be square, got {m.shape}")
+    check_square("density matrix", m.shape)
     eigs = _density_gate(m, tol)
     kind, beta_norm = _mixture_kind(m)
     return QDensity(mat=m, classification=kind, beta_norm=float(beta_norm), eigenvalues=eigs)
@@ -281,10 +282,7 @@ def expectation(a: Observable, rho: QDensity) -> float:
         raise ValueError(f"a must be an Observable, got {a!r}")
     if not isinstance(rho, QDensity):
         raise ValueError(f"rho must be a QDensity, got {rho!r}")
-    if a.mat.shape != rho.mat.shape:
-        raise DimensionMismatch(
-            f"observable {a.mat.shape} does not match state {rho.mat.shape}"
-        )
+    check_square("observable", a.mat.shape, rho.dim)
     return _expectations(a.mat, rho.mat)
 
 

@@ -39,6 +39,7 @@ from .qmatrix import (
     check_int,
     check_real,
     check_slices,
+    check_square,
     chi,
     chi_inverse,
     expm_q,
@@ -70,13 +71,8 @@ class Generator:
     h: QMatrix
 
     def __post_init__(self):
-        if not self.h.is_square:
-            raise DimensionMismatch(f"generator must be square, got {self.h.shape}")
+        check_square("generator", self.h.shape)
         require_anti_hermitian(self.h, "generator")
-
-    @property
-    def dim(self) -> int:
-        return self.h.rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +82,7 @@ class Propagator:
     u: QMatrix
 
     def __post_init__(self):
-        if not self.u.is_square:
-            raise DimensionMismatch(f"propagator must be square, got {self.u.shape}")
+        check_square("propagator", self.u.shape)
         with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the check
             dev = max_abs(self.u.h @ self.u - QMatrix.identity(self.u.rows))
         check_slices(
@@ -95,17 +90,10 @@ class Propagator:
             lambda i: f"U^dag U deviates from identity by {dev:.3e}, beyond {UNITARY_TOL:.3e}",
         )
 
-    @property
-    def dim(self) -> int:
-        return self.u.rows
-
 
 def evolve(rho: QDensity, prop: Propagator) -> QDensity:
     """Conjugate a density by a unitary: rho -> U rho U^dag."""
-    if prop.dim != rho.dim:
-        raise DimensionMismatch(
-            f"propagator dimension {prop.dim} != state dimension {rho.dim}"
-        )
+    check_square("propagator", prop.u.shape, rho.dim)
     return validate(prop.u @ rho.mat @ prop.u.h)
 
 
@@ -116,10 +104,7 @@ def projected_evolution(rho0: QDensity, prop: Propagator) -> CDensity:
     blocks of U and rho(0); it must agree with projecting after evolving,
     which the tests enforce as a path-equivalence check.
     """
-    if prop.dim != rho0.dim:
-        raise DimensionMismatch(
-            f"propagator dimension {prop.dim} != state dimension {rho0.dim}"
-        )
+    check_square("propagator", prop.u.shape, rho0.dim)
     ua, ub = prop.u.alpha, prop.u.beta
     ra, rb = rho0.alpha, rho0.beta
     out = ua @ ra @ ua.conj().T
@@ -170,10 +155,7 @@ def integrate(rho0: QDensity, gen: Generator, t: float, steps: int) -> QDensity:
     a real number, :class:`QmixError` unless finite); a ``t`` whose step
     polynomial overflows raises :class:`QmixError`.
     """
-    if gen.dim != rho0.dim:
-        raise DimensionMismatch(
-            f"generator dimension {gen.dim} != state dimension {rho0.dim}"
-        )
+    check_square("generator", gen.h.shape, rho0.dim)
     check_int("steps", steps, 1)
     check_real("evolution time t", t)
     current = chi(rho0.mat)

@@ -62,8 +62,8 @@ class QMatrix:
     Blocks of shape (..., rows, cols) hold a stack of matrices indexed by
     the leading axes; products, sums, the adjoint and the stack-aware
     helpers :func:`chi`, :func:`frobenius_norm`,
-    :func:`hermiticity_deviation` and :func:`eigvals_hermitian` act slice
-    by slice, and indexing selects slices.
+    :func:`hermiticity_deviation`, :func:`eigvals_hermitian` and
+    :func:`rank_q` act slice by slice, and indexing selects slices.
     """
 
     alpha: np.ndarray
@@ -105,10 +105,6 @@ class QMatrix:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.alpha.shape
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
 
     def __getitem__(self, index) -> "QMatrix":
         """Slices of a stack, by an index over its leading axes."""
@@ -153,6 +149,7 @@ class QMatrix:
         # Real scalars only: they commute with j, so left/right agree.
         if not isinstance(scalar, Real):
             return NotImplemented
+        check_real("scalar", scalar)
         return QMatrix(self.alpha * float(scalar), self.beta * float(scalar))
 
     __rmul__ = __mul__
@@ -160,6 +157,7 @@ class QMatrix:
     def __truediv__(self, scalar):
         if not isinstance(scalar, Real):
             return NotImplemented
+        check_real("divisor", scalar)
         return QMatrix(self.alpha / float(scalar), self.beta / float(scalar))
 
 
@@ -274,6 +272,18 @@ def _shown(value, text=repr) -> str:
     return text(value)
 
 
+def check_square(name: str, shape: tuple, dim: int | None = None, stack: bool = False) -> None:
+    """The one rule for matrix shapes: one square matrix, of dimension ``dim`` when given.
+
+    ``stack=True`` also admits leading axes.  Anything else is a
+    :class:`DimensionMismatch` naming the argument.
+    """
+    if len(shape) < 2 or (len(shape) > 2 and not stack) or shape[-2] != shape[-1]:
+        raise DimensionMismatch(f"{name} must be square, got {shape}")
+    if dim is not None and shape[-1] != dim:
+        raise DimensionMismatch(f"{name} dimension {shape[-1]} != state dimension {dim}")
+
+
 def check_tol(tol) -> None:
     """The rule for a ``tol`` argument, as on the command line: a real number, 0 < tol < 1."""
     if isinstance(tol, Real) and 0 < tol < 1:
@@ -283,8 +293,7 @@ def check_tol(tol) -> None:
 
 def real_trace(m: QMatrix) -> float:
     """Re Tr M = Re Tr M_alpha; equals (1/2) Re Tr chi(M)."""
-    if not m.is_square:
-        raise DimensionMismatch(f"trace needs a square matrix, got {m.shape}")
+    check_square("trace argument", m.shape)
     return float(np.trace(m.alpha).real)
 
 
@@ -330,8 +339,7 @@ def hermiticity_deviation(m: QMatrix | np.ndarray, sign: int = 1):
     anti-hermitian and beta symmetric).  A non-finite entry always gives
     a non-finite deviation, and no entry size makes numpy warn.
     """
-    if m.shape[-2] != m.shape[-1]:
-        raise DimensionMismatch(f"hermiticity needs a square matrix, got {m.shape}")
+    check_square("hermiticity argument", m.shape, stack=True)
     image = chi(m) if isinstance(m, QMatrix) else m
     adjoint = image.conj().swapaxes(-2, -1)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail every test
@@ -364,7 +372,7 @@ def require_anti_hermitian(m: QMatrix | np.ndarray, what: str) -> None:
 
 def is_positive_semidefinite(m: QMatrix) -> bool:
     """Hermitian with all eigenvalues >= -VALIDATION_TOL; a spectrum past the float range raises."""
-    if not m.is_square:
+    if m.rows != m.cols:
         return False
     try:
         eigs = eigvals_hermitian(m)
@@ -428,12 +436,12 @@ def numerical_rank(values: np.ndarray):
     return np.count_nonzero(above, axis=-1)
 
 
-def rank_q(m: QMatrix) -> int:
-    """Quaternionic rank: half the numerical rank of chi(M).
+def rank_q(m: QMatrix):
+    """Quaternionic rank: half the numerical rank of chi(M); one per slice for a stack.
 
     Singular values of a chi image come in pairs; adjacent sorted values
     are averaged and the pairs counted by :func:`numerical_rank`, so the
-    threshold is relative to their sum (the trace, for a density).  The
+    threshold is relative to their sum (the trace, for a density).  Each
     image is first scaled by the power of two that brings its largest
     entry into [0.5, 1): exact, and invisible to that relative rule, but
     no singular value or sum then overflows.  A non-finite entry raises
@@ -442,9 +450,9 @@ def rank_q(m: QMatrix) -> int:
     parts = chi(m).view(np.float64)  # real and imaginary parts, interleaved
     if not np.isfinite(parts).all():
         raise QmixError("rank is undefined for a matrix with a non-finite entry")
-    exponent = np.frexp(np.abs(parts).max(initial=0.0))[1]
+    exponent = np.frexp(np.abs(parts).max((-2, -1), keepdims=True, initial=0.0))[1]
     sigma = np.linalg.svd(np.ldexp(parts, -exponent).view(np.complex128), compute_uv=False)
-    return numerical_rank(sigma[0::2] / 2 + sigma[1::2] / 2)
+    return numerical_rank(sigma[..., 0::2] / 2 + sigma[..., 1::2] / 2)
 
 
 def expm_q(m: QMatrix) -> QMatrix:
@@ -460,8 +468,7 @@ def expm_q(m: QMatrix) -> QMatrix:
     a unitary of meaningless phases.  The result is read back with a
     membership assertion rather than a silent projection.
     """
-    if not m.is_square:
-        raise DimensionMismatch(f"exponential needs a square matrix, got {m.shape}")
+    check_square("exponent", m.shape)
     image = chi(m)
     require_anti_hermitian(image, "exponent")
     w, v = np.linalg.eigh(-1j * image)

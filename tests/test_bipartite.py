@@ -217,7 +217,7 @@ def test_measurement_interaction_rejects_unnormalized():
          "projector 1 has shape (3, 3), expected (2, 2)"),
         (lambda: lueders_nonselective(
             CDensity.from_matrix(np.eye(3) / 3), ProjectorFamily.from_basis(np.eye(2))
-        ), DimensionMismatch, "family on dimension 2 applied to state of dimension 3"),
+        ), DimensionMismatch, "family dimension 2 != state dimension 3"),
         (lambda: measurement_interaction((0.6, 0.8, 0.0)), DimensionMismatch,
          "system state must have two components, got 3"),
         (lambda: BipartiteState(dims=(2, 2), vec=np.ones(3) / np.sqrt(3)), DimensionMismatch,

@@ -694,6 +694,40 @@ def test_overflowing_rk4_time_exits_one_naming_the_time(tmp_path, capsys, t, ste
     )
 
 
+def real_matrix_file(path, rows):
+    """A matrix file with beta = 0 and the given real alpha rows."""
+    alpha = [[[float(x), 0.0] for x in row] for row in rows]
+    return write_json(path, {"rows": len(rows), "cols": len(rows[0]), "alpha": alpha})
+
+
+@pytest.mark.parametrize(
+    "argv,line",
+    [(["validate", "{wide}"], "density matrix must be square, got (2, 3)"),
+     (["evolve", "{state}", "--gen", "{wide}"], "generator must be square, got (2, 3)"),
+     (["evolve", "{state}", "--gen", "{zero3}", "--method", "propagator"],
+      "propagator dimension 3 != state dimension 2"),
+     (["evolve", "{state}", "--gen", "{zero3}", "--method", "rk4"],
+      "generator dimension 3 != state dimension 2"),
+     (["expect", "{wide}", "{state}"], "observable must be square, got (2, 3)"),
+     (["expect", "{eye3}", "{state}"], "observable dimension 3 != state dimension 2")],
+    ids=["validate-non-square", "generator-non-square", "propagator-dimension",
+         "rk4-dimension", "observable-non-square", "observable-dimension"],
+)
+def test_shape_errors_exit_one_with_one_pinned_line(tmp_path, capsys, argv, line):
+    files = {
+        "state": write_json(tmp_path / "state.json", purified_file()),
+        "wide": real_matrix_file(tmp_path / "wide.json", [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]]),
+        "zero3": real_matrix_file(tmp_path / "zero3.json", np.zeros((3, 3))),
+        "eye3": real_matrix_file(tmp_path / "eye3.json", np.eye(3)),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([arg.format(**files) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {line}\n"
+
+
 HUGE_DENSITIES = {
     "diagonal": {"alpha": [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1e308, 0.0]]]},
     "off-diagonal": {"alpha": [[[0.5, 0.0], [1e308, 0.0]], [[1e308, 0.0], [0.5, 0.0]]]},

@@ -853,6 +853,8 @@ def test_a_quaternionic_draw_called_proper_is_an_error(monkeypatch, kind):
          "rho must be a QDensity, got None"),
         (lambda: expectation(Observable.from_complex(np.eye(2)), QMatrix.identity(2)), ValueError,
          "rho must be a QDensity, got QMatrix("),
+        (lambda: expectation(Observable.from_complex(np.eye(3)), validate(QMatrix.identity(2) / 2)),
+         DimensionMismatch, "observable dimension 3 != state dimension 2"),
     ],
     ids=["validate-non-square", "from-matrix-non-square", "block-purify-shapes",
          "random-density-kind", "random-density-zero", "random-density-negative",
@@ -864,7 +866,7 @@ def test_a_quaternionic_draw_called_proper_is_an_error(monkeypatch, kind):
          "block-purify-inf-weight", "validate-nan-tol", "validate-negative-tol",
          "validate-unit-tol", "validate-string-tol", "validate-huge-int-tol", "from-matrix-nan-tol",
          "from-qmatrix-nan-tol", "chi-inverse-nan-tol", "expectation-none-observable",
-         "expectation-none-state", "expectation-matrix-state"],
+         "expectation-none-state", "expectation-matrix-state", "expectation-dimension"],
 )
 def test_input_errors(call, error, fragment):
     with pytest.raises(error) as excinfo:

@@ -13,6 +13,7 @@ from qmix import (
     BipartiteState,
     CDensity,
     Generator,
+    Observable,
     ProjectorFamily,
     Propagator,
     QMatrix,
@@ -550,6 +551,29 @@ def test_real_scalar_arithmetic():
     assert qclose(mat - mat, QMatrix.from_complex(np.zeros((2, 2))), tol=0.0)
 
 
+@pytest.mark.parametrize(
+    "call,error,message",
+    [(lambda m: m * 10**400, QmixError, "scalar = <int of 1329 bits> is not finite"),
+     (lambda m: 10**400 * m, QmixError, "scalar = <int of 1329 bits> is not finite"),
+     (lambda m: m * -(10**400), QmixError, "scalar = <negative int of 1329 bits> is not finite"),
+     (lambda m: m / 10**400, QmixError, "divisor = <int of 1329 bits> is not finite"),
+     (lambda m: m * float("nan"), QmixError, "scalar = nan is not finite"),
+     (lambda m: m / float("inf"), QmixError, "divisor = inf is not finite"),
+     (lambda m: m * True, ValueError, "scalar must be a real number, got True"),
+     (lambda m: m / True, ValueError, "divisor must be a real number, got True")],
+    ids=["int-past-float-range", "int-past-float-range-on-the-left",
+         "negative-int-past-float-range", "divisor-past-float-range", "nan", "infinite-divisor",
+         "bool", "bool-divisor"],
+)
+def test_scalar_arithmetic_names_a_bad_scalar(call, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as excinfo:
+            call(QMatrix.identity(2))
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
+
+
 # -- spectral helpers on extreme input -------------------------------------------
 
 @pytest.mark.parametrize(
@@ -597,27 +621,134 @@ def test_rank_is_blind_to_power_of_two_scale():
             assert rank_q(psd * 2.0**k) == rank_q(psd) == m
 
 
+def test_rank_of_a_stack_is_one_rank_per_slice():
+    # each slice is scaled by its own power of two, so a tiny slice beside a
+    # huge one keeps its rank
+    rng = np.random.default_rng(91)
+    slices = []
+    for m, k in ((1, 0), (3, 0), (2, -1000), (3, 1000), (0, 0)):
+        w = random_qmatrix(rng, 3, m)
+        slices.append((w @ w.h) * 2.0**k)
+    stack = QMatrix(np.stack([s.alpha for s in slices]), np.stack([s.beta for s in slices]))
+    ranks = rank_q(stack)
+    assert ranks.tolist() == [rank_q(s) for s in slices] == [1, 3, 2, 3, 0]
+    assert rank_q(stack[:2]).tolist() == [1, 3]
+    grid = QMatrix(stack.alpha[:4].reshape(2, 2, 3, 3), stack.beta[:4].reshape(2, 2, 3, 3))
+    assert rank_q(grid).tolist() == [[1, 3], [2, 3]]
+
+
 # -- input errors ----------------------------------------------------------------
 
 @pytest.mark.parametrize(
     "call,fragment",
     [
-        (lambda: hermiticity_deviation(np.zeros((2, 3))), "hermiticity needs a square matrix, got (2, 3)"),
+        (lambda: hermiticity_deviation(np.zeros((2, 3))),
+         "hermiticity argument must be square, got (2, 3)"),
         (lambda: hermiticity_deviation(QMatrix(np.zeros((2, 3)), np.zeros((2, 3)))),
-         "hermiticity needs a square matrix, got (2, 3)"),
+         "hermiticity argument must be square, got (2, 3)"),
+        (lambda: hermiticity_deviation(np.zeros(4)),
+         "hermiticity argument must be square, got (4,)"),
         (lambda: expm_q(QMatrix(np.zeros((2, 3)), np.zeros((2, 3)))),
-         "exponential needs a square matrix, got (2, 3)"),
+         "exponent must be square, got (2, 3)"),
         (lambda: chi_membership_deviation(np.zeros((3, 4))), "chi image must have even shape, got (3, 4)"),
         (lambda: chi_membership_deviation(np.zeros((4, 3))), "chi image must have even shape, got (4, 3)"),
         (lambda: chi_membership_deviation(np.zeros(4)), "chi image must have even shape, got (4,)"),
     ],
-    ids=["hermiticity-array", "hermiticity-qmatrix", "expm", "chi-odd-rows", "chi-odd-cols",
-         "chi-one-dimensional"],
+    ids=["hermiticity-array", "hermiticity-qmatrix", "hermiticity-one-axis", "expm", "chi-odd-rows",
+         "chi-odd-cols", "chi-one-dimensional"],
 )
 def test_input_errors(call, fragment):
     with pytest.raises(DimensionMismatch) as excinfo:
         call()
     assert fragment in str(excinfo.value)
+
+
+# -- the shape rule ----------------------------------------------------------------
+
+#: One input of each refused shape: not square, a stack, one axis.  Each is
+#: otherwise what its callable asks for (a density, hermitian, anti-hermitian
+#: or unitary), so the shape is all that is wrong.
+DENSITIES = np.stack([np.eye(2) / 2, np.diag([1.0, 0.0])]).astype(np.complex128)
+SHAPE_INPUTS = {
+    "non-square": np.eye(2, 3) / 2,
+    "stack": DENSITIES,
+    "one-axis": np.full(4, 0.25),
+}
+UNITARIES = np.stack([np.eye(2), np.diag([1.0, -1.0])]).astype(np.complex128)
+
+
+#: Every public callable that takes one matrix, by the name its message
+#: gives the argument.  A QMatrix is at least 2-D by construction, so the
+#: one-axis input reaches only the callables that take an array.
+SINGLE_MATRIX_CALLS = {
+    "validate": ("density matrix", lambda x: validate(QMatrix.from_complex(x))),
+    "CDensity.from_matrix": ("density matrix", CDensity.from_matrix),
+    "Observable.from_qmatrix": (
+        "observable", lambda x: Observable.from_qmatrix(QMatrix.from_complex(x))
+    ),
+    "Observable.from_complex": ("observable", Observable.from_complex),
+    "real_trace": ("trace argument", lambda x: real_trace(QMatrix.from_complex(x))),
+    "expm_q": ("exponent", lambda x: expm_q(QMatrix.from_complex(1j * x))),
+    "Generator": ("generator", lambda x: Generator(QMatrix.from_complex(1j * x))),
+    "Propagator": (
+        "propagator", lambda x: Propagator(QMatrix.from_complex(UNITARIES if x.ndim == 3 else x))
+    ),
+}
+ARRAY_CALLS = {"CDensity.from_matrix", "Observable.from_complex"}
+
+
+@pytest.mark.parametrize(
+    "callable_name,shape",
+    [(c, s) for c in sorted(SINGLE_MATRIX_CALLS) for s in sorted(SHAPE_INPUTS)
+     if s != "one-axis" or c in ARRAY_CALLS],
+)
+def test_single_matrix_callables_refuse_every_other_shape(callable_name, shape):
+    name, call = SINGLE_MATRIX_CALLS[callable_name]
+    x = SHAPE_INPUTS[shape]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatch) as excinfo:
+            call(x)
+    assert str(excinfo.value) == f"{name} must be square, got {x.shape}"
+
+
+@pytest.mark.parametrize(
+    "helper", [chi, hermiticity_deviation, eigvals_hermitian, frobenius_norm, rank_q],
+    ids=lambda f: f.__name__,
+)
+def test_stack_helpers_give_one_result_per_slice(helper):
+    stack = QMatrix(DENSITIES, np.stack([np.zeros((2, 2)), [[0.0, 0.25], [-0.25, 0.0]]]))
+    got = np.asarray(helper(stack))
+    want = np.stack([np.asarray(helper(stack[i])) for i in range(len(DENSITIES))])
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "shape,dim,stack,message",
+    [((2, 3), None, False, "m must be square, got (2, 3)"),
+     ((4,), None, True, "m must be square, got (4,)"),
+     ((), None, True, "m must be square, got ()"),
+     ((2, 2, 2), None, False, "m must be square, got (2, 2, 2)"),
+     ((2, 2, 3), None, True, "m must be square, got (2, 2, 3)"),
+     ((3, 3), 2, False, "m dimension 3 != state dimension 2"),
+     ((5, 3, 3), 2, True, "m dimension 3 != state dimension 2")],
+    ids=["non-square", "one-axis", "scalar", "stack", "non-square-stack", "dimension",
+         "stack-dimension"],
+)
+def test_check_square_names_the_argument(shape, dim, stack, message):
+    with pytest.raises(DimensionMismatch) as excinfo:
+        qmatrix.check_square("m", shape, dim, stack)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "shape,dim,stack",
+    [((2, 2), None, False), ((0, 0), 0, False), ((3, 3), 3, False), ((4, 2, 2), 2, True),
+     ((2, 2), None, True), ((1, 2, 5, 5), None, True)],
+)
+def test_check_square_takes_square_matrices(shape, dim, stack):
+    assert qmatrix.check_square("m", shape, dim, stack) is None
 
 
 # -- every tolerance failure message -----------------------------------------------
@@ -734,27 +865,19 @@ def test_tolerance_tests_have_one_path():
     assert hand_written == []
 
 
-def test_integer_arguments_have_one_path():
-    # a count, dimension or seed refused by a hand-written raise would be a
-    # second integer rule beside check_int; the CLI's argument type, which
-    # words argparse usage errors, is the one exception
-    owners = ("check_int", "_int_at_least")
-    phrases = ("must be >=", "must be an integer", "need dimension")
-    hand_written = []
-    for path in sorted(pathlib.Path(qmix.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        tree.body = [node for node in tree.body if getattr(node, "name", "") not in owners]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Raise) and any(p in ast.unparse(node) for p in phrases):
-                hand_written.append(f"{path.name}:{node.lineno}")
-    assert hand_written == []
-
-
-def test_real_arguments_have_one_path():
-    # a time, step or angle refused by a hand-written raise would be a second
-    # real-number rule beside check_real; check_tol words its own bounds
-    owners = ("check_real", "check_tol")
-    phrases = ("is not finite", "must be a real number")
+@pytest.mark.parametrize(
+    "owners,phrases",
+    [(("check_int", "_int_at_least"), ("must be >=", "must be an integer", "need dimension")),
+     (("check_real", "check_tol"), ("is not finite", "must be a real number")),
+     (("check_square",), ("must be square", "needs a square", "!= state dimension"))],
+    ids=["integer", "real", "square"],
+)
+def test_arguments_have_one_path(owners, phrases):
+    # a count, dimension or seed (check_int), a time, step or angle
+    # (check_real) or a matrix shape (check_square) refused by a hand-written
+    # raise would be a second rule beside its owner; the CLI's integer type,
+    # which words argparse usage errors, and check_tol, which words its own
+    # bounds, are the exceptions
     hand_written = []
     for path in sorted(pathlib.Path(qmix.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
