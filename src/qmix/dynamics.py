@@ -22,11 +22,13 @@ Both solvers run on complex-adjoint images: chi is a linear algebra
 homomorphism (F. Zhang, LAA 251, 1997), so the propagator is one
 exponential of chi(H) (``expm_q``), and the RK4 solver applies one
 step polynomial, built once from powers of h chi(H), to raw 2n x 2n
-arrays, read back once with a chi-membership check.
+arrays, read back once with a chi-membership check.  Its steps write
+into buffers made once per call, so the step loop allocates nothing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,6 +147,9 @@ def integrate(rho0: QDensity, gen: Generator, t: float, steps: int) -> QDensity:
     B_l = sum_{j<=4-l} K^j / j!, built once from the powers of K.  As
     A_0 = B_4 = I, each step on X = chi(rho) is two matrix products:
     Y = [A_1; ..; A_4] X, then [X, Y_1, Y_2, Y_3] [B_0; ..; B_3] + Y_4.
+    A step reuses buffers made once per call and allocates nothing: X is
+    the first block column of the stage matrix [X, Y_1, Y_2, Y_3], and
+    every product and correction is written in place.
 
     After every step the iterate is re-hermitized ((rho + rho^dag)/2)
     and trace-renormalized; the applied correction (quaternionic
@@ -158,8 +163,7 @@ def integrate(rho0: QDensity, gen: Generator, t: float, steps: int) -> QDensity:
     check_square("generator", gen.h.shape, rho0.dim)
     check_int("steps", steps, 1)
     check_real("evolution time t", t)
-    current = chi(rho0.mat)
-    m = len(current)
+    m = 2 * rho0.dim
     # A step polynomial that overflows raises below, and an iterate that
     # does fails the drift gate, so numpy's overflow and invalid-value
     # warnings add nothing.
@@ -176,19 +180,35 @@ def integrate(rho0: QDensity, gen: Generator, t: float, steps: int) -> QDensity:
                 f"step polynomial of (t / steps) * H overflows at evolution time "
                 f"t = {t!r} with {steps} steps"
             )
+        # Per-call buffers and their views: ``stages`` is [X, Y_1, Y_2, Y_3]
+        stages = np.empty((m, 4 * m), dtype=np.complex128)
+        current = stages[:, :m]
+        current[...] = chi(rho0.mat)
+        stage_blocks = stages[:, m:].reshape(m, 3, m).transpose(1, 0, 2)
+        y = np.empty((4 * m, m), dtype=np.complex128)
+        y_head, y_last = y[: 3 * m].reshape(3, m, m), y[3 * m :]
+        raw, hermitized, skew = np.empty((3, m, m), dtype=np.complex128)
+        raw_t = raw.T
+        flat = skew.reshape(-1)  # the real and imaginary views np.linalg.norm sums
+        skew_re, skew_im = flat.real, flat.imag
         for step in range(steps):
-            y = left @ current
-            stages = np.concatenate((current, y[:m], y[m : 2 * m], y[2 * m : 3 * m]), axis=1)
-            raw = stages @ right + y[3 * m :]
-            hermitized = (raw + raw.conj().T) * 0.5
-            herm_correction = float(np.linalg.norm(raw - hermitized)) / 1.4142135623730951  # sqrt 2
-            trace = float(np.trace(hermitized).real) / 2.0
+            np.matmul(left, current, out=y)
+            stage_blocks[...] = y_head
+            np.matmul(stages, right, out=raw)
+            raw += y_last
+            np.conjugate(raw_t, out=hermitized)
+            hermitized += raw
+            hermitized *= 0.5
+            np.subtract(raw, hermitized, out=skew)
+            herm_norm = math.sqrt(skew_re.dot(skew_re) + skew_im.dot(skew_im))
+            herm_correction = herm_norm / 1.4142135623730951  # sqrt 2
+            trace = float(hermitized.trace().real) / 2.0
             correction = max(herm_correction, abs(trace - 1.0))
             check_slices(
                 correction, DRIFT_TOL, DriftExceeded,
                 lambda i: f"correction {correction:.3e} at step {step} exceeds {DRIFT_TOL:.0e}",
             )
-            current = hermitized / trace
+            np.divide(hermitized, trace, out=current)
     return validate(chi_inverse(current))
 
 

@@ -190,7 +190,9 @@ def chi_membership_deviation(c: np.ndarray) -> float:
     blocks satisfy C22 = conj(C11) and C12 = -conj(C21).
     """
     c = np.asarray(c, dtype=np.complex128)
-    if c.ndim != 2 or c.shape[0] % 2 or c.shape[1] % 2:
+    if c.ndim != 2:
+        raise DimensionMismatch(f"chi image must be one 2-D matrix, got shape {c.shape}")
+    if c.shape[0] % 2 or c.shape[1] % 2:
         raise DimensionMismatch(f"chi image must have even shape, got {c.shape}")
     n, m = c.shape[0] // 2, c.shape[1] // 2
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, and NaN fails

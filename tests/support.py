@@ -17,6 +17,7 @@ from qmix.bipartite import (
 )
 from qmix.density import (
     CDensity,
+    QDensity,
     Observable,
     block_purify,
     complex_projection,
@@ -28,8 +29,24 @@ from qmix.density import (
     random_density,
     validate,
 )
-from qmix.errors import DimensionMismatch, NotPurifiable, PropositionViolated, QmixError
-from qmix.qmatrix import check_real, frobenius_norm, real_trace
+from qmix.dynamics import DRIFT_TOL, Generator
+from qmix.errors import (
+    DimensionMismatch,
+    DriftExceeded,
+    NotPurifiable,
+    PropositionViolated,
+    QmixError,
+)
+from qmix.qmatrix import (
+    check_int,
+    check_real,
+    check_slices,
+    check_square,
+    chi,
+    chi_inverse,
+    frobenius_norm,
+    real_trace,
+)
 from qmix.scenario import (
     _AUDIT_KINDS,
     COMPLEX_AGREEMENT_TOL,
@@ -392,3 +409,47 @@ def reference_run_scenario(
         quaternionic_discriminator=disc,
         checks=checks,
     )
+
+
+# -- the allocating RK4 loop, the reference for the in-place one -------------
+
+def reference_integrate(rho0: QDensity, gen: Generator, t: float, steps: int) -> QDensity:
+    """``integrate`` as first written, one fresh array per operation.
+
+    The reference for the in-place step loop of ``dynamics.integrate``:
+    the same step polynomial, concatenation of the stages, drift gate
+    (``np.linalg.norm`` of the hermitian correction) and message, so the
+    two must agree bit for bit, errors included.
+    """
+    check_square("generator", gen.h.shape, rho0.dim)
+    check_int("steps", steps, 1)
+    check_real("evolution time t", t)
+    current = chi(rho0.mat)
+    m = len(current)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = chi(gen.h) * (t / steps)
+        terms = [np.eye(m), k]  # K^j / j!
+        for j in (2, 3, 4):
+            terms.append(terms[-1] @ k / j)
+        terms = np.stack(terms)
+        left = (terms[1:] * [[[-1.0]], [[1.0]], [[-1.0]], [[1.0]]]).reshape(4 * m, m)  # A_1..A_4
+        right = np.cumsum(terms, axis=0)[:0:-1].reshape(4 * m, m)  # B_0..B_3
+        if not (np.isfinite(left).all() and np.isfinite(right).all()):
+            raise QmixError(
+                f"step polynomial of (t / steps) * H overflows at evolution time "
+                f"t = {t!r} with {steps} steps"
+            )
+        for step in range(steps):
+            y = left @ current
+            stages = np.concatenate((current, y[:m], y[m : 2 * m], y[2 * m : 3 * m]), axis=1)
+            raw = stages @ right + y[3 * m :]
+            hermitized = (raw + raw.conj().T) * 0.5
+            herm_correction = float(np.linalg.norm(raw - hermitized)) / 1.4142135623730951  # sqrt 2
+            trace = float(np.trace(hermitized).real) / 2.0
+            correction = max(herm_correction, abs(trace - 1.0))
+            check_slices(
+                correction, DRIFT_TOL, DriftExceeded,
+                lambda i: f"correction {correction:.3e} at step {step} exceeds {DRIFT_TOL:.0e}",
+            )
+            current = hermitized / trace
+    return validate(chi_inverse(current))

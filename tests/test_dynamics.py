@@ -42,6 +42,7 @@ from support import (
     assert_names_value_and_tolerance,
     random_complex,
     random_complex_unitary,
+    reference_integrate,
     with_non_finite,
 )
 
@@ -250,6 +251,80 @@ def test_integrate_matches_four_stage_rk4(n, kind, steps):
     want = four_stage_integrate(rho, gen, 1.0, steps)
     got = integrate(rho, gen, t=1.0, steps=steps)
     assert max_abs(got.mat - want.mat) <= 1e-14 * max_abs(want.mat)
+
+
+def _outcome(solver, rho, gen, t, steps):
+    """The (alpha, beta) a solver returns, or the type and text of its error."""
+    try:
+        out = solver(rho, gen, t, steps)
+    except QmixError as exc:
+        return type(exc), str(exc)
+    return out.alpha, out.beta
+
+
+@pytest.mark.parametrize("t", [1.0, -3.5])
+@pytest.mark.parametrize("steps", [1, 3, 200])
+@pytest.mark.parametrize("kind", ["complex", "quaternionic", "at-bound"])
+@pytest.mark.parametrize("n", [*range(1, 9), 32])
+def test_integrate_is_bit_identical_to_the_allocating_loop(n, kind, steps, t):
+    # the in-place step loop does the allocating one's operations in the
+    # same order, so results, drift errors and their texts agree exactly;
+    # inputs are drawn as in the four-stage test above
+    rng = np.random.default_rng(1000 + n)
+    base = random_generator(n, rng, quaternionic=kind != "complex").h
+    alpha = base.alpha.copy()
+    if kind == "at-bound":
+        alpha[0, 0] += 4e-11
+    gen = Generator(QMatrix(alpha, base.beta))
+    rho = random_density(n, MixtureKind.IMPROPER if n > 1 else MixtureKind.PROPER, rng)
+    want = _outcome(reference_integrate, rho, gen, t, steps)
+    got = _outcome(integrate, rho, gen, t, steps)
+    if isinstance(want[0], type):
+        assert got == want
+    else:
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize(
+    "gen_seed,scale,rho_seed,kind,steps",
+    [(60, 1e8, 61, MixtureKind.PROPER, 1), (71, 1e3, 72, MixtureKind.IMPROPER, 8)],
+    ids=["flags-excessive-drift", "names-the-failing-step"],
+)
+def test_integrate_drift_message_matches_the_allocating_loop(gen_seed, scale, rho_seed, kind, steps):
+    # the inputs of the two drift tests: the norm over views of the skew
+    # part measures the correction np.linalg.norm does, to the last digit
+    gen = Generator(random_generator(2, np.random.default_rng(gen_seed)).h * scale)
+    rho = random_density(2, kind, rho_seed)
+    with pytest.raises(DriftExceeded) as want:
+        reference_integrate(rho, gen, 1.0, steps)
+    with pytest.raises(DriftExceeded) as got:
+        integrate(rho, gen, t=1.0, steps=steps)
+    assert str(got.value) == str(want.value)
+
+
+def test_integrate_buffers_belong_to_one_call(monkeypatch):
+    # a second call runs inside the first one's drift gate at step 0:
+    # buffers shared between calls would change the first call's result
+    rng = np.random.default_rng(64)
+    gen = random_generator(3, rng)
+    first_rho, second_rho = (random_density(3, MixtureKind.IMPROPER, rng) for _ in range(2))
+    want = [integrate(rho, gen, t=1.0, steps=5) for rho in (first_rho, second_rho)]
+    gate, gates, inner = dynamics.check_slices, [], []
+
+    def interleaving_gate(*args):
+        gates.append(args)
+        if len(gates) == 1:
+            inner.append(integrate(second_rho, gen, t=1.0, steps=5))
+        gate(*args)
+
+    monkeypatch.setattr(dynamics, "check_slices", interleaving_gate)
+    got = [integrate(first_rho, gen, t=1.0, steps=5), *inner]
+    assert len(gates) == 10
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g.alpha, w.alpha) and np.array_equal(g.beta, w.beta)
+    for a in (got[0].alpha, got[0].beta):
+        for b in (got[1].alpha, got[1].beta):
+            assert not np.shares_memory(a, b)
 
 
 @pytest.mark.parametrize("t", [float("inf"), float("-inf"), float("nan")])

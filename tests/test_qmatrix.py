@@ -652,10 +652,14 @@ def test_rank_of_a_stack_is_one_rank_per_slice():
          "exponent must be square, got (2, 3)"),
         (lambda: chi_membership_deviation(np.zeros((3, 4))), "chi image must have even shape, got (3, 4)"),
         (lambda: chi_membership_deviation(np.zeros((4, 3))), "chi image must have even shape, got (4, 3)"),
-        (lambda: chi_membership_deviation(np.zeros(4)), "chi image must have even shape, got (4,)"),
+        (lambda: chi_membership_deviation(np.zeros(4)),
+         "chi image must be one 2-D matrix, got shape (4,)"),
+        (lambda: chi_inverse(np.zeros((2, 4, 4))),
+         "chi image must be one 2-D matrix, got shape (2, 4, 4)"),
+        (lambda: chi_inverse(np.zeros((3, 4))), "chi image must have even shape, got (3, 4)"),
     ],
     ids=["hermiticity-array", "hermiticity-qmatrix", "hermiticity-one-axis", "expm", "chi-odd-rows",
-         "chi-odd-cols", "chi-one-dimensional"],
+         "chi-odd-cols", "chi-one-dimensional", "chi-inverse-stack", "chi-inverse-odd-rows"],
 )
 def test_input_errors(call, fragment):
     with pytest.raises(DimensionMismatch) as excinfo:
