@@ -23,12 +23,13 @@ homomorphism (F. Zhang, LAA 251, 1997), so the propagator is one
 exponential of chi(H) (``expm_q``), and the RK4 solver applies one
 step polynomial, built once from powers of h chi(H), to raw 2n x 2n
 arrays, read back once with a chi-membership check.  Its steps write
-into buffers made once per call, so the step loop allocates nothing.
+into buffers made once per call, so the step loop allocates nothing,
+and its drift gate measures the corrections of a block of up to 64
+steps at once, fewer where their buffers would pass 8 MiB.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,9 @@ from .qmatrix import (
 
 #: Cap on the per-step hermiticity/trace correction in ``integrate``.
 DRIFT_TOL = 1e-6
+# ``integrate`` gates the corrections of up to this many steps at once,
+# fewer where their buffers would pass this many entries (8 MiB).
+_DRIFT_BLOCK_STEPS, _DRIFT_BLOCK_ENTRIES = 64, 2**18
 #: Evolution time of each candidate in ``partition_witness``.
 WITNESS_TIME = 1.0
 #: ||beta||_F a ``partition_witness`` leak must exceed.
@@ -149,25 +153,31 @@ def integrate(rho0: QDensity, gen: Generator, t: float, steps: int) -> QDensity:
     Y = [A_1; ..; A_4] X, then [X, Y_1, Y_2, Y_3] [B_0; ..; B_3] + Y_4.
     A step reuses buffers made once per call and allocates nothing: X is
     the first block column of the stage matrix [X, Y_1, Y_2, Y_3], and
-    every product and correction is written in place.
+    every product is written in place.
 
-    After every step the iterate is re-hermitized ((rho + rho^dag)/2)
-    and trace-renormalized; the applied correction (quaternionic
-    Frobenius norm, which is ||chi||_F / sqrt(2), and trace offset,
-    Re Tr chi / 2 - 1) is measured and :class:`DriftExceeded` raised if
-    it ever passes ``DRIFT_TOL``.  Silent drift is never allowed to
-    accumulate.  ``t`` goes through :func:`check_real` (ValueError unless
-    a real number, :class:`QmixError` unless finite); a ``t`` whose step
-    polynomial overflows raises :class:`QmixError`.
+    Each step does only what the next one reads: the two products, then
+    the iterate re-hermitized ((rho + rho^dag)/2) and trace-renormalized.
+    The applied correction (quaternionic Frobenius norm, which is
+    ||chi||_F / sqrt(2), and trace offset, Re Tr chi / 2 - 1) is measured
+    once per block of up to 64 steps, fewer where the block's raw and
+    hermitized iterates would pass 2**18 entries each (8 MiB in all),
+    and :class:`DriftExceeded` names the first step of the block whose
+    correction passes ``DRIFT_TOL``.  Silent drift is never allowed to
+    accumulate: steps after a failing one in its block run, but their
+    result is dropped.  ``t`` goes through :func:`check_real` (ValueError
+    unless a real number, :class:`QmixError` unless finite); a ``t``
+    whose step polynomial overflows raises :class:`QmixError`.  An error
+    of the final density gate keeps its class, its text prefixed with
+    the number of steps and the step size h = t / steps.
     """
     check_square("generator", gen.h.shape, rho0.dim)
     check_int("steps", steps, 1)
     check_real("evolution time t", t)
     m = 2 * rho0.dim
     # A step polynomial that overflows raises below, and an iterate that
-    # does fails the drift gate, so numpy's overflow and invalid-value
-    # warnings add nothing.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # does, or a zero trace, fails the drift gate, so numpy's overflow,
+    # invalid-value and division warnings add nothing.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         k = chi(gen.h) * (t / steps)
         terms = [np.eye(m), k]  # K^j / j!
         for j in (2, 3, 4):
@@ -187,29 +197,38 @@ def integrate(rho0: QDensity, gen: Generator, t: float, steps: int) -> QDensity:
         stage_blocks = stages[:, m:].reshape(m, 3, m).transpose(1, 0, 2)
         y = np.empty((4 * m, m), dtype=np.complex128)
         y_head, y_last = y[: 3 * m].reshape(3, m, m), y[3 * m :]
-        raw, hermitized, skew = np.empty((3, m, m), dtype=np.complex128)
-        raw_t = raw.T
-        flat = skew.reshape(-1)  # the real and imaginary views np.linalg.norm sums
-        skew_re, skew_im = flat.real, flat.imag
-        for step in range(steps):
-            np.matmul(left, current, out=y)
-            stage_blocks[...] = y_head
-            np.matmul(stages, right, out=raw)
-            raw += y_last
-            np.conjugate(raw_t, out=hermitized)
-            hermitized += raw
-            hermitized *= 0.5
-            np.subtract(raw, hermitized, out=skew)
-            herm_norm = math.sqrt(skew_re.dot(skew_re) + skew_im.dot(skew_im))
-            herm_correction = herm_norm / 1.4142135623730951  # sqrt 2
-            trace = float(hermitized.trace().real) / 2.0
-            correction = max(herm_correction, abs(trace - 1.0))
+        # one slot per step of a block: raw iterate, its transpose, the
+        # hermitized iterate and its diagonal (the one ``trace`` sums)
+        block = max(1, min(steps, _DRIFT_BLOCK_STEPS, _DRIFT_BLOCK_ENTRIES // m**2))
+        raws, hermitized = np.empty((2, block, m, m), dtype=np.complex128)
+        diagonals = hermitized.reshape(block, m * m)[:, :: m + 1]
+        slots = list(zip(raws, raws.transpose(0, 2, 1), hermitized, diagonals))
+        traces = np.empty(block)
+        for start in range(0, steps, block):
+            count = min(block, steps - start)
+            for slot, (raw, raw_t, herm, diagonal) in enumerate(slots[:count]):
+                np.matmul(left, current, out=y)
+                stage_blocks[...] = y_head
+                np.matmul(stages, right, out=raw)
+                raw += y_last
+                np.conjugate(raw_t, out=herm)
+                herm += raw
+                herm *= 0.5
+                trace = traces[slot] = float(diagonal.sum().real) / 2.0
+                np.divide(herm, trace, out=current)
+            skews = np.subtract(raws[:count], hermitized[:count], out=raws[:count])
+            herm_corrections = slice_norms(skews) / 1.4142135623730951  # sqrt 2
+            corrections = np.maximum(herm_corrections, np.abs(traces[:count] - 1.0))
+            first = int(np.argmin(corrections <= DRIFT_TOL))  # the first failing step, else 0
+            correction = float(corrections[first])
             check_slices(
                 correction, DRIFT_TOL, DriftExceeded,
-                lambda i: f"correction {correction:.3e} at step {step} exceeds {DRIFT_TOL:.0e}",
+                lambda i: f"correction {correction:.3e} at step {start + first} exceeds {DRIFT_TOL:.0e}",
             )
-            np.divide(hermitized, trace, out=current)
-    return validate(chi_inverse(current))
+    try:
+        return validate(chi_inverse(current))
+    except QmixError as exc:
+        raise type(exc)(f"rk4 result after {steps} steps of h = {t / steps!r}: {exc}") from exc
 
 
 def projected_rate_check(rho: QDensity, gen: Generator, h: float = 1e-4) -> float:

@@ -1,5 +1,6 @@
 """Unitary dynamics, its complex projection, and the partition dichotomy."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,6 +32,7 @@ from qmix.errors import (
     DimensionMismatch,
     DriftExceeded,
     NotAntiHermitian,
+    NotInChiImage,
     NotUnitary,
     QmixError,
     WitnessNotFound,
@@ -233,21 +235,29 @@ def four_stage_integrate(rho0, gen, t, steps):
     return validate(chi_inverse(current))
 
 
-@pytest.mark.parametrize("steps", [1, 3])
-@pytest.mark.parametrize("kind", ["complex", "quaternionic", "at-bound"])
-@pytest.mark.parametrize("n", range(1, 9))
-def test_integrate_matches_four_stage_rk4(n, kind, steps):
-    # the step polynomial is the four-stage step regrouped, so the two
-    # agree to rounding; "at-bound" adds 4e-11 to one alpha diagonal
-    # entry, the largest real part the generator's 1e-10 gate admits;
-    # a 1x1 density cannot be improper
+def rk4_inputs(n, kind):
+    """A generator of the kind and an n x n state, drawn from seed 1000 + n.
+
+    "at-bound" adds 4e-11 to one alpha diagonal entry, the largest real
+    part the generator's 1e-10 gate admits; a 1x1 density cannot be
+    improper.
+    """
     rng = np.random.default_rng(1000 + n)
     base = random_generator(n, rng, quaternionic=kind != "complex").h
     alpha = base.alpha.copy()
     if kind == "at-bound":
         alpha[0, 0] += 4e-11
     gen = Generator(QMatrix(alpha, base.beta))
-    rho = random_density(n, MixtureKind.IMPROPER if n > 1 else MixtureKind.PROPER, rng)
+    return gen, random_density(n, MixtureKind.IMPROPER if n > 1 else MixtureKind.PROPER, rng)
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+@pytest.mark.parametrize("kind", ["complex", "quaternionic", "at-bound"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_integrate_matches_four_stage_rk4(n, kind, steps):
+    # the step polynomial is the four-stage step regrouped, so the two
+    # agree to rounding
+    gen, rho = rk4_inputs(n, kind)
     want = four_stage_integrate(rho, gen, 1.0, steps)
     got = integrate(rho, gen, t=1.0, steps=steps)
     assert max_abs(got.mat - want.mat) <= 1e-14 * max_abs(want.mat)
@@ -262,27 +272,37 @@ def _outcome(solver, rho, gen, t, steps):
     return out.alpha, out.beta
 
 
+def assert_same_outcome_as_the_allocating_loop(rho, gen, t, steps):
+    """Bit-identical results and drift errors; read-back errors name the run."""
+    want = _outcome(reference_integrate, rho, gen, t, steps)
+    got = _outcome(integrate, rho, gen, t, steps)
+    if isinstance(want[0], type):
+        if want[0] is not DriftExceeded:
+            want = (want[0], f"rk4 result after {steps} steps of h = {t / steps!r}: {want[1]}")
+        assert got == want
+    else:
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 @pytest.mark.parametrize("t", [1.0, -3.5])
 @pytest.mark.parametrize("steps", [1, 3, 200])
 @pytest.mark.parametrize("kind", ["complex", "quaternionic", "at-bound"])
 @pytest.mark.parametrize("n", [*range(1, 9), 32])
 def test_integrate_is_bit_identical_to_the_allocating_loop(n, kind, steps, t):
     # the in-place step loop does the allocating one's operations in the
-    # same order, so results, drift errors and their texts agree exactly;
-    # inputs are drawn as in the four-stage test above
-    rng = np.random.default_rng(1000 + n)
-    base = random_generator(n, rng, quaternionic=kind != "complex").h
-    alpha = base.alpha.copy()
-    if kind == "at-bound":
-        alpha[0, 0] += 4e-11
-    gen = Generator(QMatrix(alpha, base.beta))
-    rho = random_density(n, MixtureKind.IMPROPER if n > 1 else MixtureKind.PROPER, rng)
-    want = _outcome(reference_integrate, rho, gen, t, steps)
-    got = _outcome(integrate, rho, gen, t, steps)
-    if isinstance(want[0], type):
-        assert got == want
-    else:
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    # same order, so results, drift errors and their texts agree exactly
+    gen, rho = rk4_inputs(n, kind)
+    assert_same_outcome_as_the_allocating_loop(rho, gen, t, steps)
+
+
+@pytest.mark.parametrize("steps", [1, 63, 64, 65, 129, 1000])
+@pytest.mark.parametrize("n", [2, 4, 32, 48])
+def test_integrate_is_bit_identical_across_drift_blocks(n, steps):
+    # the drift gate runs once per block of 64 steps, 28 at n = 48 where
+    # a block would pass 2**18 entries: one block, a full one, a full one
+    # and a step, and several blocks with a partial last one
+    gen, rho = rk4_inputs(n, "quaternionic")
+    assert_same_outcome_as_the_allocating_loop(rho, gen, 1.0, steps)
 
 
 @pytest.mark.parametrize(
@@ -302,29 +322,50 @@ def test_integrate_drift_message_matches_the_allocating_loop(gen_seed, scale, rh
     assert str(got.value) == str(want.value)
 
 
+def test_integrate_drift_block_buffers_stay_within_8_mib():
+    # at n = 48 a block of 64 steps would hold 18 MiB of iterates: the
+    # block shrinks to 28 steps, 7.9 MiB, over the one step of a 1-step call
+    gen, rho = rk4_inputs(48, "quaternionic")
+    peaks = []
+    for steps in (1, 64):
+        tracemalloc.start()
+        try:
+            integrate(rho, gen, t=1.0, steps=steps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 8 * 2**20
+
+
 def test_integrate_buffers_belong_to_one_call(monkeypatch):
-    # a second call runs inside the first one's drift gate at step 0:
-    # buffers shared between calls would change the first call's result
+    # a second call runs inside the first one's first drift gate, after
+    # the first call's first block of steps (all 5, or 64 of 150): buffers
+    # shared between calls would change the first call's result; each
+    # call gates once per block, 1 or 3 times
     rng = np.random.default_rng(64)
     gen = random_generator(3, rng)
     first_rho, second_rho = (random_density(3, MixtureKind.IMPROPER, rng) for _ in range(2))
-    want = [integrate(rho, gen, t=1.0, steps=5) for rho in (first_rho, second_rho)]
-    gate, gates, inner = dynamics.check_slices, [], []
+    gate, calls, inner = dynamics.check_slices, [], []
 
     def interleaving_gate(*args):
-        gates.append(args)
-        if len(gates) == 1:
-            inner.append(integrate(second_rho, gen, t=1.0, steps=5))
+        calls.append(args)
+        if len(calls) == 1:
+            inner.append(integrate(second_rho, gen, t=1.0, steps=steps))
         gate(*args)
 
-    monkeypatch.setattr(dynamics, "check_slices", interleaving_gate)
-    got = [integrate(first_rho, gen, t=1.0, steps=5), *inner]
-    assert len(gates) == 10
-    for g, w in zip(got, want, strict=True):
-        assert np.array_equal(g.alpha, w.alpha) and np.array_equal(g.beta, w.beta)
-    for a in (got[0].alpha, got[0].beta):
-        for b in (got[1].alpha, got[1].beta):
-            assert not np.shares_memory(a, b)
+    for steps, gates in ((5, 2), (150, 6)):
+        monkeypatch.undo()
+        want = [integrate(rho, gen, t=1.0, steps=steps) for rho in (first_rho, second_rho)]
+        calls.clear()
+        inner.clear()
+        monkeypatch.setattr(dynamics, "check_slices", interleaving_gate)
+        got = [integrate(first_rho, gen, t=1.0, steps=steps), *inner]
+        assert len(calls) == gates
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(g.alpha, w.alpha) and np.array_equal(g.beta, w.beta)
+        for a in (got[0].alpha, got[0].beta):
+            for b in (got[1].alpha, got[1].beta):
+                assert not np.shares_memory(a, b)
 
 
 @pytest.mark.parametrize("t", [float("inf"), float("-inf"), float("nan")])
@@ -467,6 +508,61 @@ def test_integrate_drift_names_the_failing_step():
     rho = random_density(2, MixtureKind.IMPROPER, 72)
     with pytest.raises(DriftExceeded, match="at step 1 "):
         integrate(rho, gen, t=1.0, steps=8)
+
+
+def _ci_smoke_state_and_generator(scale):
+    """The CI smoke state and its generator scaled by ``scale``."""
+    state = QMatrix(np.array([[0.5, 0], [0, 0.5]]), np.array([[0, -0.5], [0.5, 0]]))
+    alpha = np.array([[0.3j, 0.1 + 0.2j], [-0.1 + 0.2j, -0.4j]])
+    beta = np.array([[0.2 + 0.1j, 0.05 - 0.3j], [0.05 - 0.3j, 0.4]])
+    return validate(state), Generator(QMatrix(alpha * scale, beta * scale))
+
+
+def test_integrate_drift_names_a_failing_step_in_a_later_block():
+    # scaled by 400 and stepped 200 times, the smoke generator first
+    # fails the drift gate past the first block of 64 steps (at step 111
+    # with OpenBLAS on x86-64; rounding seeds the mode that grows, so
+    # another BLAS can move it by a few steps)
+    rho, gen = _ci_smoke_state_and_generator(400)
+    with pytest.raises(DriftExceeded) as want:
+        reference_integrate(rho, gen, 1.0, 200)
+    assert int(str(want.value).split(" at step ")[1].split()[0]) >= 64
+    assert_same_outcome_as_the_allocating_loop(rho, gen, 1.0, 200)
+
+
+def test_integrate_drift_failure_then_a_zero_trace_in_its_block_does_not_warn():
+    # the drift test's generator over 64 steps of h = 0.125: step 1 fails
+    # (correction 2.4e-02), the steps after it in the block run on, and
+    # the trace of step 10 is 0.0 and of step 11 on nan; dividing by them
+    # must not warn
+    gen = Generator(random_generator(2, np.random.default_rng(71)).h * 1e3)
+    rho = random_density(2, MixtureKind.IMPROPER, 72)
+    with pytest.raises(DriftExceeded) as want:
+        reference_integrate(rho, gen, 8.0, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DriftExceeded) as got:
+            integrate(rho, gen, t=8.0, steps=64)
+    assert str(got.value) == str(want.value) == "correction 2.396e-02 at step 1 exceeds 1e-06"
+
+
+def test_integrate_halves_the_hermitized_iterate_before_dividing_by_its_trace():
+    # an entry of raw + raw^dag that halves into the subnormal range
+    # rounds there: dividing the sum by twice the trace would round once
+    # and, with the trace off 1, keep 5e-324 where the loop keeps 1e-323
+    alpha = np.array([[(1 + 1e-13) / 2, 3 * 5e-324], [0, 0.5]], dtype=np.complex128)
+    rho = validate(QMatrix(alpha, np.zeros((2, 2), dtype=np.complex128)))
+    assert_same_outcome_as_the_allocating_loop(rho, Generator(QMatrix.identity(2) * 0.0), 1.0, 1)
+
+
+def test_integrate_read_back_error_names_the_steps_and_step_size():
+    # scaled by 30 and stepped 8 times, the smoke generator passes every
+    # drift gate, but the iterate has left the chi image: the read-back
+    # error keeps its class and names the run
+    rho, gen = _ci_smoke_state_and_generator(30)
+    with pytest.raises(NotInChiImage) as excinfo:
+        integrate(rho, gen, t=1.0, steps=8)
+    assert str(excinfo.value).startswith("rk4 result after 8 steps of h = 0.125: block symmetry deviation ")
 
 
 def test_integrate_names_the_time_when_its_step_polynomial_overflows():
