@@ -18,12 +18,20 @@ A report that reads ``"passed": false`` is written in full and exits 1.
 Only check-props reads a seed: --seed, falling back to the QMIX_SEED
 environment variable, then to 0.  Only the commands that load matrix
 files read --tol.
+
+A request (the handler and the writing of its report, after argument
+parsing) runs with the cyclic garbage collector paused.  Its lists are
+acyclic and reference counting frees them, so the collector's passes
+over them, and over every object numpy and qmix keep alive, would be
+wasted work.  main restores the collector's prior state on every exit;
+a caller that had it off finds it off.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import os
@@ -508,12 +516,17 @@ def main(argv=None) -> int:
         except argparse.ArgumentTypeError as exc:
             print(f"error: QMIX_SEED: {exc}", file=sys.stderr)
             return 2
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         report = args.handler(args)
         _emit(report, args.output)
     except (QmixError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, QmixError) else 2
+    finally:
+        if collecting:
+            gc.enable()
     return 0 if report.get("passed", True) else 1
 
 

@@ -1,7 +1,9 @@
 """CLI: matrix file schema, subcommands, exit codes, determinism."""
 
+import ast
 import contextlib
 import dataclasses
+import gc
 import io
 import itertools
 import json
@@ -17,8 +19,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qmix
 from qmix import scenario
 from qmix.cli import _emit, build_parser, main, parse_matrix, serialize_matrix
+from qmix.density import random_density
+from qmix.dynamics import random_generator
 from qmix.errors import SchemaError
 
 from support import random_qmatrix
@@ -450,11 +455,8 @@ REPORT_ARGV = {
 }
 
 
-@pytest.mark.parametrize(
-    "to_file", [False, "after", "before"], ids=["stdout", "output", "output-first"]
-)
-@pytest.mark.parametrize("command", sorted(REPORT_ARGV))
-def test_reports_are_json_dumps_indent_two(tmp_path, capsys, command, to_file):
+def report_argv(tmp_path, command):
+    """REPORT_ARGV[command] on a purified state and a 2 x 2 generator in tmp_path."""
     files = {
         "state": write_json(tmp_path / "state.json", purified_file()),
         "gen": write_json(tmp_path / "gen.json", {
@@ -464,7 +466,15 @@ def test_reports_are_json_dumps_indent_two(tmp_path, capsys, command, to_file):
             "beta": [[[0.2, 0.1], [0.05, -0.3]], [[0.05, -0.3], [0.4, 0.0]]],
         }),
     }
-    argv = [arg.format(**files) for arg in REPORT_ARGV[command]]
+    return [arg.format(**files) for arg in REPORT_ARGV[command]]
+
+
+@pytest.mark.parametrize(
+    "to_file", [False, "after", "before"], ids=["stdout", "output", "output-first"]
+)
+@pytest.mark.parametrize("command", sorted(REPORT_ARGV))
+def test_reports_are_json_dumps_indent_two(tmp_path, capsys, command, to_file):
+    argv = report_argv(tmp_path, command)
     target = tmp_path / "out.json"
     if to_file == "after":
         argv += ["--output", str(target)]
@@ -475,7 +485,8 @@ def test_reports_are_json_dumps_indent_two(tmp_path, capsys, command, to_file):
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
-def test_failing_scenario_check_exits_one_with_full_report(monkeypatch, capsys):
+def fail_one_scenario_check(monkeypatch):
+    """Make run_scenario report its first check as failed."""
     real = scenario.run_scenario
 
     def one_check_fails(*args, **kwargs):
@@ -485,6 +496,10 @@ def test_failing_scenario_check_exits_one_with_full_report(monkeypatch, capsys):
         return dataclasses.replace(report, checks={**report.checks, name: failed})
 
     monkeypatch.setattr(scenario, "run_scenario", one_check_fails)
+
+
+def test_failing_scenario_check_exits_one_with_full_report(monkeypatch, capsys):
+    fail_one_scenario_check(monkeypatch)
     assert main(REPORT_ARGV["scenario"]) == 1
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -501,6 +516,100 @@ def test_output_into_missing_directory_exits_two(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert len(captured.err.splitlines()) == 1
+
+
+# -- the collector pause ---------------------------------------------------
+
+def _evolve_argv(tmp_path, method):
+    state = serialize_matrix(random_density(8, "improper", 8).mat)
+    gen = serialize_matrix(random_generator(8, np.random.default_rng(8)).h)
+    state, gen = write_json(tmp_path / "s.json", state), write_json(tmp_path / "g.json", gen)
+    return ["evolve", state, "--gen", gen, "--method", method]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [*sorted(REPORT_ARGV), "check-props-blocks", "evolve-8-propagator", "evolve-8-rk4"],
+)
+def test_request_paths_make_no_reference_cycles(tmp_path, capsys, command):
+    # main runs a request with the collector paused, which is safe only
+    # while reference counting frees all it allocates: no cycle is left.
+    # Building the parser, outside the pause, leaves cycles once.
+    build_parser()
+    if command == "check-props-blocks":  # several audit blocks per dimension
+        argv = ["check-props", "--nmax", "3", "--trials", "200"]
+    elif command.startswith("evolve-8-"):
+        argv = _evolve_argv(tmp_path, command.rsplit("-", 1)[1])
+    else:
+        argv = report_argv(tmp_path, command)
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.fixture(params=[True, False], ids=["caller-collecting", "caller-paused"])
+def caller_collecting(request):
+    """The collector state a caller of main has set; restored afterwards."""
+    before = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if before else gc.disable)()
+
+
+def _raise_inside_the_pause(*args, **kwargs):
+    assert gc.isenabled() is False
+    raise RuntimeError("handler failed")
+
+
+@pytest.mark.parametrize(
+    "row", ["exit-0", "qmix-error", "failed-check", "os-error", "usage-error", "raises"]
+)
+def test_main_leaves_the_collector_as_it_found_it(
+    tmp_path, monkeypatch, capsys, caller_collecting, row
+):
+    state = write_json(tmp_path / "state.json", half_mixed())
+    argv, code = {
+        "exit-0": (["classify", state], 0),
+        "qmix-error": (["classify", write_json(tmp_path / "bad.json", {"rows": 2})], 1),
+        "failed-check": (REPORT_ARGV["scenario"], 1),
+        "os-error": (["classify", state, "--output", str(tmp_path / "nope" / "out.json")], 2),
+        "usage-error": (["check-props", "--nmax", "1"], 2),
+        "raises": (REPORT_ARGV["scenario"], None),
+    }[row]
+    if row == "failed-check":
+        fail_one_scenario_check(monkeypatch)
+    if row == "raises":
+        monkeypatch.setattr(scenario, "run_scenario", _raise_inside_the_pause)
+        with pytest.raises(RuntimeError, match="handler failed"):
+            main(argv)
+    else:
+        assert main(argv) == code
+    assert gc.isenabled() is caller_collecting
+
+
+def test_collector_is_paused_in_one_place():
+    # the pause, and nothing else the gc module offers, belongs to cli.main:
+    # a gc call in a library module would change every caller's collector
+    calls = []
+    for path in sorted(Path(qmix.__file__).parent.glob("*.py")):
+        for scope in ast.parse(path.read_text()).body:
+            in_main = path.name == "cli.py" and getattr(scope, "name", "") == "main"
+            for node in ast.walk(scope):
+                if isinstance(node, ast.ImportFrom) and node.module == "gc":
+                    calls.append(f"{path.name}:{node.lineno}: from gc import")
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "gc"
+                ):
+                    where = "main" if in_main else f"{path.name}:{node.lineno}"
+                    calls.append(f"{where}: gc.{node.func.attr}")
+    assert sorted(calls) == ["main: gc.disable", "main: gc.enable", "main: gc.isenabled"]
 
 
 @pytest.mark.parametrize(
