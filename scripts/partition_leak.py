@@ -13,15 +13,16 @@ import sys
 import numpy as np
 
 from qmix import Generator, QMatrix, evolve, random_generator, time_ordered, validate
-from qmix.cli import _finite_float, _int_at_least
+from qmix.cli import _checked
 from qmix.errors import QmixError
+from qmix.qmatrix import check_int, check_real
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--tmax", type=_finite_float, default=3.0)
-    parser.add_argument("--points", type=_int_at_least(1), default=13)
-    parser.add_argument("--seed", type=_int_at_least(0), default=0)
+    parser.add_argument("--tmax", type=_checked(float, check_real, "evolution time t"), default=3.0)
+    parser.add_argument("--points", type=_checked(int, check_int, "points", least=1), default=13)
+    parser.add_argument("--seed", type=_checked(int, check_int, "seed", least=0), default=0)
     args = parser.parse_args()
 
     alpha = np.array([[0.5, -0.5j], [0.5j, 0.5]])

@@ -13,15 +13,25 @@ import sys
 import numpy as np
 
 from qmix import run_scenario
-from qmix.cli import _finite_float, _int_at_least
+from qmix.cli import _checked
 from qmix.errors import QmixError
+from qmix.qmatrix import check_int, check_real
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--points", type=_int_at_least(1), default=11, help="number of weights to sweep")
-    parser.add_argument("--theta", type=_finite_float, default=0.0, help="polar angle of the measured axis")
-    parser.add_argument("--phi", type=_finite_float, default=0.0, help="azimuthal angle of the measured axis")
+    parser.add_argument(
+        "--points", type=_checked(int, check_int, "points", least=1), default=11,
+        help="number of weights to sweep",
+    )
+    parser.add_argument(
+        "--theta", type=_checked(float, check_real, "direction angle theta"), default=0.0,
+        help="polar angle of the measured axis",
+    )
+    parser.add_argument(
+        "--phi", type=_checked(float, check_real, "direction angle phi"), default=0.0,
+        help="azimuthal angle of the measured axis",
+    )
     args = parser.parse_args()
 
     print(f"{'|c+|^2':>8} {'complex gap':>12} {'witness (improper)':>19} {'witness (proper)':>17} {'2|c+c-|^2':>10}")

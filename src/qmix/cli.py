@@ -13,11 +13,12 @@ for byte, so numbers keep full double precision and json's spelling of
 NaN and the infinities; identical invocations produce byte-identical
 output.
 
-Exit codes: 0 on success, 1 on validation failure, 2 on usage errors.
-A report that reads ``"passed": false`` is written in full and exits 1.
-Only check-props reads a seed: --seed, falling back to the QMIX_SEED
-environment variable, then to 0.  Only the commands that load matrix
-files read --tol.
+Exit codes: 0 on success, 1 on validation failure, 2 on usage errors,
+each worded by the library's rule for the option (check_int, check_real,
+check_tol).  A report that reads ``"passed": false`` is written in full
+and exits 1.  Only check-props reads a seed: --seed, falling back to the
+QMIX_SEED environment variable, then to 0.  Only the commands that load
+matrix files read --tol.
 
 A request (the handler and the writing of its report, after argument
 parsing) runs with the cyclic garbage collector paused.  Its lists are
@@ -45,7 +46,7 @@ import numpy as np
 from . import density, dynamics, scenario
 from .density import CDensity, Observable, QDensity
 from .errors import QmixError, SchemaError
-from .qmatrix import VALIDATION_TOL, QMatrix
+from .qmatrix import VALIDATION_TOL, QMatrix, check_int, check_real, check_tol
 
 SCHEMA_VERSION = 1
 
@@ -359,56 +360,42 @@ _COMMANDS = {
 }
 
 
-def _finite_float(text: str) -> float:
-    """Argument type: a finite float; nan and inf are usage errors."""
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
+def _checked(convert, rule, *args, **kwargs):
+    """Argument type: ``convert`` the text, then the library's ``rule(*args, value, **kwargs)``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            rule(*args, value, **kwargs)
+        except (ValueError, QmixError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+        return value
+    return parse
 
 
-def _parse_pair(text: str) -> tuple[float, float]:
-    """Argument type: two finite floats written ``x,y``."""
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected two comma-separated numbers, got {text!r}")
-    return _finite_float(parts[0]), _finite_float(parts[1])
+def _pair(x_name: str, y_name: str):
+    """Argument type: two real numbers written ``x,y``, checked as ``x_name`` and ``y_name``."""
+    read_x, read_y = (_checked(float, check_real, name) for name in (x_name, y_name))
+
+    def parse(text: str) -> tuple[float, float]:
+        parts = text.split(",")
+        if len(parts) != 2:
+            raise argparse.ArgumentTypeError(f"expected two comma-separated numbers, got {text!r}")
+        return read_x(parts[0]), read_y(parts[1])
+    return parse
 
 
 def _parse_tolerance(text: str) -> float:
-    """Argument type: ``validate=VALUE`` with a finite VALUE, 0 < VALUE < 1."""
+    """``validate=VALUE`` read as ``float(VALUE)``; its argument type adds ``check_tol``."""
     name, _, raw = text.partition("=")
     if not name or not raw:
-        raise argparse.ArgumentTypeError(f"expected validate=VALUE, got {text!r}")
+        raise ValueError(f"expected validate=VALUE, got {text!r}")
     if name != "validate":
-        raise argparse.ArgumentTypeError(
-            f"unknown tolerance {name!r}; the only one is 'validate'"
-        )
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    if 0 < value < 1:
-        return value
-    raise argparse.ArgumentTypeError(f"must be finite with 0 < VALUE < 1, got {raw!r}")
+        raise ValueError(f"unknown tolerance {name!r}; the only one is 'validate'")
+    return float(raw)
 
 
-def _int_at_least(minimum: int):
-    """Argument type: an integer no smaller than ``minimum``."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from exc
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {value}")
-        return value
-
-    return parse
+_seed = _checked(int, check_int, "seed", least=0)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -430,13 +417,13 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     suppress = argparse.SUPPRESS
     parser.add_argument(
         "--seed",
-        type=_int_at_least(0),
+        type=_seed,
         default=suppress,
         help="random seed, read only by check-props; defaults to QMIX_SEED, then 0",
     )
     parser.add_argument(
         "--tol",
-        type=_parse_tolerance,
+        type=_checked(_parse_tolerance, check_tol),
         default=suppress,
         metavar="validate=VALUE",
         help=f"density-validation tolerance, finite with 0 < VALUE < 1 "
@@ -472,10 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands["evolve"]
     p.add_argument("--gen", required=True, help="matrix file with the anti-hermitian generator")
-    p.add_argument("--t", type=_finite_float, default=1.0)
+    p.add_argument("--t", type=_checked(float, check_real, "evolution time t"), default=1.0)
     p.add_argument(
         "--steps",
-        type=_int_at_least(1),
+        type=_checked(int, check_int, "steps", least=1),
         default=1000,
         help="rk4 time steps (default: 1000); the propagator method "
         "ignores it, a constant generator taking one exponential",
@@ -483,19 +470,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("propagator", "rk4"), default="propagator")
 
     p = commands["scenario"]
-    p.add_argument("--cplus", type=_parse_pair, required=True, metavar="RE,IM")
-    p.add_argument("--cminus", type=_parse_pair, required=True, metavar="RE,IM")
+    p.add_argument("--cplus", type=_pair("Re c+", "Im c+"), required=True, metavar="RE,IM")
+    p.add_argument("--cminus", type=_pair("Re c-", "Im c-"), required=True, metavar="RE,IM")
     p.add_argument(
         "--nhat",
-        type=_parse_pair,
+        type=_pair("direction angle theta", "direction angle phi"),
         default=(0.0, 0.0),
         metavar="THETA,PHI",
         help="measurement direction in radians (default: the z axis)",
     )
 
     p = commands["check-props"]
-    p.add_argument("--nmax", type=_int_at_least(2), default=6)
-    p.add_argument("--trials", type=_int_at_least(0), default=100)
+    p.add_argument("--nmax", type=_checked(int, check_int, "n_max", least=2), default=6)
+    p.add_argument("--trials", type=_checked(int, check_int, "trials", least=0), default=100)
 
     # last, so each command's help lists its own options first
     for p in (parser, *commands.values()):
@@ -510,9 +497,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.seed is None and args.command == "check-props":
-        raw = os.environ.get("QMIX_SEED", "0")
         try:
-            args.seed = _int_at_least(0)(raw)
+            args.seed = _seed(os.environ.get("QMIX_SEED", "0"))
         except argparse.ArgumentTypeError as exc:
             print(f"error: QMIX_SEED: {exc}", file=sys.stderr)
             return 2

@@ -43,6 +43,7 @@ from .qmatrix import (
     VALIDATION_TOL,
     QMatrix,
     _paired_eigvals,
+    _shown,
     check_int,
     check_real,
     check_slices,
@@ -388,10 +389,10 @@ def _lift_blocks(sources: CDensity, owner, targets) -> tuple[np.ndarray, np.ndar
     ``sources`` is one density or a stack of them.  Lift j is of source
     ``owner[j]`` to rank ``targets[j]``; the two broadcast together, and
     scalars give one lift, with (n, n) blocks and errors that name no
-    slice.  Every lift is checked for an integer target in its admissible
-    range (:class:`RankOne`, :class:`RankOutOfRange`) and the orthonormality of
-    its paired eigenvectors (:class:`NotOrthogonal`, one Gram-matrix
-    test), each through :func:`~qmix.qmatrix.check_slices`.
+    slice.  The targets are integers; every lift is checked for a target
+    in its admissible range (:class:`RankOne`, :class:`RankOutOfRange`) and
+    the orthonormality of its paired eigenvectors (:class:`NotOrthogonal`,
+    one Gram-matrix test), each through :func:`~qmix.qmatrix.check_slices`.
 
     The eigenpairs of all the sources come from one stacked ``eigh``
     (:attr:`CDensity.eigenpairs`), alpha is built once for every source
@@ -402,18 +403,19 @@ def _lift_blocks(sources: CDensity, owner, targets) -> tuple[np.ndarray, np.ndar
     stack.
     """
     owner, targets = np.broadcast_arrays(owner, targets)
-    if targets.dtype.kind not in "iu":  # a float pair count cannot slice eigenpairs
-        raise RankOutOfRange(f"target rank {targets.ravel()[:1].tolist()[0]!r} is not an integer")
     m = np.reshape(sources.rank, -1)[owner]
     lo = (m + 1) // 2
     check_slices(  # 2 - m <= 0: the rank is at least two
         2 - m, 0, RankOne, lambda i: "rank-one complex densities admit no lift to lower rank"
     )
-    check_slices(  # lo <= target <= m
-        np.maximum(lo - targets, targets - m), 0, RankOutOfRange,
-        lambda i: f"target rank {targets[i]} outside admissible range "
-        f"[{lo[i]}, {m[i]}] for projection rank {m[i]}",
-    )
+    # lo <= target <= m, one bound at a time: a target past int64 is a Python
+    # int, which np.maximum of the two differences would overflow converting
+    for excess in (lo - targets, targets - m):
+        check_slices(
+            excess, 0, RankOutOfRange,
+            lambda i: f"target rank {_shown(targets[i], str)} outside admissible range "
+            f"[{lo[i]}, {m[i]}] for projection rank {m[i]}",
+        )
     n = sources.dim
     eigs, vecs = sources.eigenpairs
     eigs, vecs = eigs.reshape(-1, n), vecs.reshape(-1, n, n)
@@ -459,13 +461,15 @@ def lift(rho_alpha: CDensity, target_rank: int) -> QDensity:
     ``target_rank``.  The paired eigenvectors must be orthonormal within
     ``VALIDATION_TOL`` (one Gram-matrix test).
 
-    Two steps: the stacked builder :func:`_lift_blocks`, called here with
-    one source and one target, checks the target and the pairing and
-    returns the blocks, and :func:`validate` gates and classifies the
-    result.  The audit calls the same builder once per dimension, on
-    every lift and every purification (a lift to rank one) of it, and
-    gates them as one stack.
+    A ``target_rank`` that is not an integer >= 1 is a :class:`RankOutOfRange`
+    (:func:`~qmix.qmatrix.check_int`).  Then two steps: the stacked builder
+    :func:`_lift_blocks`, called here with one source and one target,
+    checks the target's range and the pairing and returns the blocks, and
+    :func:`validate` gates and classifies the result.  The audit calls the
+    same builder once per dimension, on every lift and every purification
+    (a lift to rank one) of it, and gates them as one stack.
     """
+    check_int("target rank", target_rank, 1, RankOutOfRange)
     return validate(QMatrix(*_lift_blocks(rho_alpha, 0, target_rank)))
 
 

@@ -22,9 +22,11 @@ from hypothesis import strategies as st
 import qmix
 from qmix import scenario
 from qmix.cli import _emit, build_parser, main, parse_matrix, serialize_matrix
-from qmix.density import random_density
-from qmix.dynamics import random_generator
-from qmix.errors import SchemaError
+from qmix.density import random_density, validate
+from qmix.dynamics import Generator, integrate, random_generator, time_ordered
+from qmix.errors import QmixError, SchemaError
+from qmix.qmatrix import QMatrix, check_real
+from qmix.scenario import check_propositions, run_scenario
 
 from support import random_qmatrix
 
@@ -390,8 +392,13 @@ def test_bad_tolerance_is_usage_error(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("value", ["inf", "1e300", "1", "nan", "0"])
-def test_tolerance_must_be_finite_and_below_one(tmp_path, capsys, value):
+@pytest.mark.parametrize(
+    "value,shown",
+    [pytest.param(value, shown, id=value)
+     for value, shown in [("inf", "inf"), ("1e300", "1e+300"), ("1", "1.0"), ("nan", "nan"),
+                          ("0", "0.0")]],
+)
+def test_tolerance_must_be_finite_and_below_one(tmp_path, capsys, value, shown):
     # an unbounded tolerance would admit [[5]], a matrix of trace 5
     path = write_json(tmp_path / "five.json", {"rows": 1, "cols": 1, "alpha": [[[5.0, 0.0]]]})
     assert main(["--tol", f"validate={value}", "validate", path]) == 2
@@ -399,7 +406,7 @@ def test_tolerance_must_be_finite_and_below_one(tmp_path, capsys, value):
     assert captured.out == ""
     errors = [line for line in captured.err.splitlines() if "error:" in line]
     assert errors == [
-        f"qmix: error: argument --tol: must be finite with 0 < VALUE < 1, got '{value}'"
+        f"qmix: error: argument --tol: tol must be a real number with 0 < tol < 1, got {shown}"
     ]
 
 
@@ -684,8 +691,7 @@ def test_bad_seed_environment_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("QMIX_SEED", "abc")
     assert main(["check-props", "--nmax", "3", "--trials", "2"]) == 2
     captured = capsys.readouterr()
-    assert "QMIX_SEED" in captured.err
-    assert "Traceback" not in captured.err
+    assert captured.err == "error: QMIX_SEED: invalid literal for int() with base 10: 'abc'\n"
     assert captured.out == ""
 
 
@@ -699,28 +705,38 @@ def test_bad_seed_environment_is_ignored_without_a_seed(tmp_path, capsys, monkey
 
 
 @pytest.mark.parametrize("method", ["propagator", "rk4"])
-@pytest.mark.parametrize("steps", ["0", "-3", "2.5"])
-def test_non_positive_steps_is_usage_error(tmp_path, capsys, method, steps):
+@pytest.mark.parametrize(
+    "steps,message",
+    [pytest.param("0", "steps must be >= 1, got 0", id="0"),
+     pytest.param("-3", "steps must be >= 1, got -3", id="-3"),
+     pytest.param("2.5", "invalid literal for int() with base 10: '2.5'", id="2.5")],
+)
+def test_non_positive_steps_is_usage_error(tmp_path, capsys, method, steps, message):
+    # the propagator ignores --steps, but a bad one is still refused
     state = write_json(tmp_path / "state.json", half_mixed())
     gen = write_json(tmp_path / "gen.json", {"rows": 2, "cols": 2, "alpha": [[[0, 0]] * 2] * 2})
     argv = ["evolve", state, "--gen", gen, "--steps", steps, "--method", method]
     assert main(argv) == 2
-    assert "--steps" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"qmix evolve: error: argument --steps: {message}"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
-    "command,option,template",
+    "command,option,template,name",
     [
-        ("evolve-propagator", "--t", "{}"),
-        ("evolve-rk4", "--t", "{}"),
-        ("scenario", "--cplus", "{},0"),
-        ("scenario", "--cminus", "0,{}"),
-        ("scenario", "--nhat", "{},0"),
+        ("evolve-propagator", "--t", "{}", "evolution time t"),
+        ("evolve-rk4", "--t", "{}", "evolution time t"),
+        ("scenario", "--cplus", "{},0", "Re c+"),
+        ("scenario", "--cminus", "0,{}", "Im c-"),
+        ("scenario", "--nhat", "{},0", "direction angle theta"),
     ],
     ids=["propagator-t", "rk4-t", "cplus", "cminus", "nhat"],
 )
-def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, command, option, template, value):
+def test_non_finite_numbers_are_usage_errors(
+    tmp_path, capsys, command, option, template, name, value
+):
     if command == "scenario":
         argv = ["scenario", "--cplus=0.6,0", "--cminus=0.8,0"]
     else:
@@ -732,24 +748,28 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, command, option, 
     assert captured.out == ""
     assert "Traceback" not in captured.err
     error_lines = [line for line in captured.err.splitlines() if "error:" in line]
-    assert len(error_lines) == 1 and f"argument {option}:" in error_lines[0], captured.err
+    prog = command.partition("-")[0]
+    assert error_lines == [f"qmix {prog}: error: argument {option}: {name} = {value} is not finite"]
 
 
 @pytest.mark.parametrize(
-    "argv,option",
+    "argv,option,message",
     [
-        (["--nmax", "1"], "--nmax"),
-        (["--nmax", "2.5"], "--nmax"),
-        (["--trials", "-2"], "--trials"),
-        (["--seed", "-1"], "--seed"),
+        pytest.param(["--nmax", "1"], "--nmax", "n_max must be >= 2, got 1", id="argv0---nmax"),
+        pytest.param(["--nmax", "2.5"], "--nmax", "invalid literal for int() with base 10: '2.5'",
+                     id="argv1---nmax"),
+        pytest.param(["--trials", "-2"], "--trials", "trials must be >= 0, got -2",
+                     id="argv2---trials"),
+        pytest.param(["--seed", "-1"], "--seed", "seed must be >= 0, got -1", id="argv3---seed"),
     ],
 )
-def test_bad_audit_arguments_are_usage_errors(capsys, argv, option):
+def test_bad_audit_arguments_are_usage_errors(capsys, argv, option, message):
     assert main(["check-props", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"argument {option}:" in captured.err
     assert "Traceback" not in captured.err
+    assert captured.err.startswith("usage: qmix check-props ")
+    assert captured.err.endswith(f"\nqmix check-props: error: argument {option}: {message}\n")
 
 
 def test_negative_seed_environment_is_usage_error(capsys, monkeypatch):
@@ -757,8 +777,75 @@ def test_negative_seed_environment_is_usage_error(capsys, monkeypatch):
     assert main(["check-props", "--nmax", "3", "--trials", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: QMIX_SEED")
-    assert len(captured.err.splitlines()) == 1
+    assert captured.err == "error: QMIX_SEED: seed must be >= 0, got -5\n"
+
+
+_NAN, _INF = float("nan"), float("inf")
+_STATE = QMatrix.identity(2) / 2.0
+_ZERO_GENERATOR = Generator(QMatrix.identity(2) * 0.0)
+_EVOLVE = ["evolve", "s.json", "--gen", "g.json"]
+_SCENARIO = ["scenario", "--cplus=0.6,0", "--cminus=0.8,0"]
+
+
+@pytest.mark.parametrize(
+    "option,argv,library",
+    [
+        ("--t", [*_EVOLVE, "--t", "nan"], lambda: time_ordered(_ZERO_GENERATOR, _NAN)),
+        ("--t", [*_EVOLVE, "--t=-1e400"], lambda: time_ordered(_ZERO_GENERATOR, -_INF)),
+        ("--steps", [*_EVOLVE, "--steps", "0", "--method", "propagator"],
+         lambda: integrate(validate(_STATE), _ZERO_GENERATOR, 1.0, 0)),
+        ("--nmax", ["check-props", "--nmax", "1"], lambda: check_propositions(1, 0, 0)),
+        ("--trials", ["check-props", "--trials", "-2"], lambda: check_propositions(2, -2, 0)),
+        ("--seed", ["check-props", "--seed", "-1"], lambda: check_propositions(2, 0, -1)),
+        ("QMIX_SEED=-5", ["check-props"], lambda: check_propositions(2, 0, -5)),
+        ("--nhat", [*_SCENARIO, "--nhat=nan,0"], lambda: run_scenario(0.6, 0.8, (_NAN, 0.0))),
+        ("--nhat", [*_SCENARIO, "--nhat=0,inf"], lambda: run_scenario(0.6, 0.8, (0.0, _INF))),
+        ("--cplus", ["scenario", "--cplus=nan,0", "--cminus=0.8,0"],
+         lambda: check_real("Re c+", _NAN)),
+        ("--cminus", ["scenario", "--cplus=0.6,0", "--cminus=0,-inf"],
+         lambda: check_real("Im c-", -_INF)),
+        ("--tol", ["--tol", "validate=2", "validate", "s.json"], lambda: validate(_STATE, tol=2.0)),
+        ("--tol", ["--tol", "validate=nan", "validate", "s.json"],
+         lambda: validate(_STATE, tol=_NAN)),
+    ],
+    ids=["t-nan", "t-negative-overflow", "steps-zero", "nmax-one", "trials-negative",
+         "seed-negative", "QMIX_SEED-negative", "theta-nan", "phi-inf", "cplus-real-nan",
+         "cminus-imaginary-inf", "tol-two", "tol-nan"],
+)
+def test_usage_errors_are_worded_by_the_library(capsys, monkeypatch, option, argv, library):
+    # one wording per rule: after its prefix, the CLI's error line is str() of
+    # the library rule's exception for the same value
+    monkeypatch.delenv("QMIX_SEED", raising=False)
+    if option.startswith("QMIX_SEED="):
+        monkeypatch.setenv(*option.split("="))
+        prefix = "error: QMIX_SEED: "
+    else:
+        prefix = f"error: argument {option}: "
+    with pytest.raises((ValueError, QmixError)) as excinfo:
+        library()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line = captured.err.splitlines()[-1]
+    assert prefix in line
+    assert line.partition(prefix)[2] == str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "rank,message",
+    [("0", "target rank must be >= 1, got 0"),
+     ("3", "target rank 3 outside admissible range [1, 2] for projection rank 2"),
+     ("99999999999999999999999",
+      "target rank 99999999999999999999999 outside admissible range [1, 2] for projection rank 2")],
+    ids=["zero", "above", "past-int64"],
+)
+def test_lift_rank_out_of_range_is_a_library_error(tmp_path, capsys, rank, message):
+    # --rank's range depends on the file, so it is the library's to refuse: exit 1
+    path = write_json(tmp_path / "state.json", half_mixed())
+    assert main(["lift", path, "--rank", rank]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("method", ["propagator", "rk4"])

@@ -821,11 +821,21 @@ def test_a_quaternionic_draw_called_proper_is_an_error(monkeypatch, kind):
         (lambda: random_density(2, "Proper", True), ValueError,
          "seed must be an integer, got True"),
         (lambda: lift(CDensity.from_matrix(np.diag([0.5, 0.3, 0.2]).astype(complex)), 2.0),
-         RankOutOfRange, "target rank 2.0 is not an integer"),
+         RankOutOfRange, "target rank must be an integer, got 2.0"),
         (lambda: lift(CDensity.from_matrix(np.diag([0.5, 0.5]).astype(complex)), 1.5),
-         RankOutOfRange, "target rank 1.5 is not an integer"),
+         RankOutOfRange, "target rank must be an integer, got 1.5"),
         (lambda: lift(CDensity.from_matrix(np.diag([0.5, 0.3, 0.2]).astype(complex)), None),
-         RankOutOfRange, "target rank None is not an integer"),
+         RankOutOfRange, "target rank must be an integer, got None"),
+        (lambda: lift(CDensity.from_matrix(np.diag([0.5, 0.5]).astype(complex)), 1.0),
+         RankOutOfRange, "target rank must be an integer, got 1.0"),
+        (lambda: lift(CDensity.from_matrix(np.diag([0.5, 0.5]).astype(complex)), True),
+         RankOutOfRange, "target rank must be an integer, got True"),
+        (lambda: lift(CDensity.from_matrix(np.diag([0.5, 0.5]).astype(complex)), 10**23),
+         RankOutOfRange,
+         f"target rank {10**23} outside admissible range [1, 2] for projection rank 2"),
+        (lambda: lift(CDensity.from_matrix(np.diag([0.5, 0.5]).astype(complex)), 10**5000),
+         RankOutOfRange,
+         "target rank <int of 16610 bits> outside admissible range [1, 2] for projection rank 2"),
         (lambda: block_purify(E0, E1, 1e200, 1e200), NotNormalized,
          "weights cu = (1e+200+0j) and cv = (1e+200+0j) give |cu|^2 + |cv|^2 = inf"),
         (lambda: block_purify(E0, E1, np.nan, 1.0), NotNormalized,
@@ -862,7 +872,8 @@ def test_a_quaternionic_draw_called_proper_is_an_error(monkeypatch, kind):
          "random-density-bool-dimension", "random-density-negative-seed",
          "random-density-float-seed", "random-density-string-seed", "random-density-bool-seed",
          "lift-float-target", "lift-fractional-target",
-         "lift-none-target", "block-purify-overflowing-weights", "block-purify-nan-weight",
+         "lift-none-target", "lift-unit-float-target", "lift-bool-target", "lift-huge-target",
+         "lift-digit-limit-target", "block-purify-overflowing-weights", "block-purify-nan-weight",
          "block-purify-inf-weight", "validate-nan-tol", "validate-negative-tol",
          "validate-unit-tol", "validate-string-tol", "validate-huge-int-tol", "from-matrix-nan-tol",
          "from-qmatrix-nan-tol", "chi-inverse-nan-tol", "expectation-none-observable",

@@ -249,7 +249,7 @@ def test_scenario_input_fails_before_any_matrix_is_gated(monkeypatch, args, erro
         (["--cplus=0.6,0", "--cminus=0.6,0"], 1,
          "error: |c+|^2 + |c-|^2 = 0.72 off unity by 2.800e-01"),
         (["--cplus=0.6,0", "--cminus=0.8,0", "--nhat=nan,0"], 2,
-         "qmix scenario: error: argument --nhat: must be finite, got 'nan'"),
+         "qmix scenario: error: argument --nhat: direction angle theta = nan is not finite"),
     ],
     ids=["unnormalized", "nan-direction"],
 )
