@@ -55,14 +55,6 @@ SCHEMA_VERSION = 1
 # matrix file serialization
 # ---------------------------------------------------------------------
 
-def _is_entry(entry) -> bool:
-    return (
-        isinstance(entry, list)
-        and len(entry) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
-    )
-
-
 def _as_float(x) -> float:
     """``float(x)``, or inf for an integer past the float range."""
     try:
@@ -78,11 +70,9 @@ def _parse_block(node, rows: int, cols: int, pointer: str) -> np.ndarray:
         if not isinstance(row, list) or len(row) != cols:
             raise SchemaError(f"{pointer}/{i}", f"expected {cols} entries")
     flat = _block_leaves(node)
-    if flat is None:  # names the first bad entry; float subclasses pass
-        for k, entry in enumerate(chain.from_iterable(node)):
-            if not _is_entry(entry):
-                raise SchemaError(f"{pointer}/{k // cols}/{k % cols}", "expected [re, im]")
-        flat = [x for row in node for entry in row for x in entry]
+    if flat is None:  # name the first entry that is not a block of its own
+        k = next(k for k, e in enumerate(chain.from_iterable(node)) if _block_leaves([[e]]) is None)
+        raise SchemaError(f"{pointer}/{k // cols}/{k % cols}", "expected [re, im]")
     try:
         values = np.array(flat, dtype=np.float64)
     except OverflowError:
@@ -148,17 +138,28 @@ def _block_layout(rows: int, cols: int, pad: str) -> str:
     return f"[\n{pad1}" + f",\n{pad1}".join([row] * rows) + f"\n{pad}]"
 
 
+def _of_types(values, exact: set, kind) -> bool:
+    """Every value's type is in ``exact``, or else a subclass of ``kind`` other than bool."""
+    types = set(map(type, values))
+    return types <= exact or all(issubclass(t, kind) and t is not bool for t in types)
+
+
 def _block_leaves(node: list) -> list | None:
-    """Numbers of a matrix block (exact list, int and float types), row-major; else None."""
-    if type(node[0]) is not list or not node[0] or type(node[0][0]) is not list:
+    """Numbers of a matrix block, row-major, or None: the one test of a block and its entries.
+
+    A block is a non-empty list of equally long non-empty lists of ``[re, im]`` lists of ints
+    and floats, no bool.  Subclasses pass, by ``issubclass`` only where the exact-type set
+    comparisons fail.  The file parser and the report writer both ask it.
+    """
+    if not isinstance(node[0], list) or not node[0] or not isinstance(node[0][0], list):
         return None
-    if set(map(type, node)) != {list} or len(set(map(len, node))) != 1:
+    if not _of_types(node, {list}, list) or len(set(map(len, node))) != 1:
         return None
     entries = list(chain.from_iterable(node))
-    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+    if not _of_types(entries, {list}, list) or set(map(len, entries)) != {2}:
         return None
     flat = list(chain.from_iterable(entries))
-    return flat if set(map(type, flat)) <= {float, int} else None
+    return flat if _of_types(flat, {float, int}, (float, int)) else None
 
 
 def _dumps(node, pad: str = "") -> str:
@@ -223,7 +224,7 @@ def serialize_density(rho: QDensity) -> dict:
 
 
 def serialize_report(report: scenario.ScenarioReport) -> dict:
-    """JSON form of a scenario report; every residual is preserved."""
+    """JSON form of a scenario report; every residual is kept, each row from its dataclass."""
     return {
         "schema_version": SCHEMA_VERSION,
         "inputs": {
@@ -234,28 +235,12 @@ def serialize_report(report: scenario.ScenarioReport) -> dict:
         "improper_representation": "purified",
         "rho_improper": serialize_density(report.rho_improper),
         "rho_proper": serialize_density(report.rho_proper),
-        "complex_expectations": [
-            {
-                "observable": row.label,
-                "on_proper": row.on_proper,
-                "on_improper": row.on_improper,
-                "difference": row.difference,
-            }
-            for row in report.complex_expectation_table
-        ],
+        "complex_expectations": [dict(vars(row)) for row in report.complex_expectation_table],
         "quaternionic_discriminator": {
+            **vars(report.quaternionic_discriminator),
             "observable": serialize_matrix(report.quaternionic_discriminator.observable.mat),
-            "on_proper": report.quaternionic_discriminator.on_proper,
-            "on_improper": report.quaternionic_discriminator.on_improper,
         },
-        "checks": {
-            name: {
-                "passed": check.passed,
-                "residual": check.residual,
-                "tolerance": check.tolerance,
-            }
-            for name, check in report.checks.items()
-        },
+        "checks": {name: dict(vars(check)) for name, check in report.checks.items()},
         "passed": report.passed,
     }
 
@@ -266,15 +251,7 @@ def serialize_summary(summary: scenario.PropositionSummary) -> dict:
         "trials": summary.trials,
         "n_max": summary.n_max,
         "seed": summary.seed,
-        "checks": [
-            {
-                "name": row.name,
-                "attempts": row.attempts,
-                "failures": row.failures,
-                "worst_residual": row.worst_residual,
-            }
-            for row in summary.rows
-        ],
+        "checks": [dict(vars(row)) for row in summary.rows],
         "passed": summary.passed,
     }
 

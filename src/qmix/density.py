@@ -50,7 +50,6 @@ from .qmatrix import (
     check_square,
     check_tol,
     chi,
-    hermiticity_deviation,
     numerical_rank,
     require_hermitian,
     slice_norms,
@@ -159,7 +158,7 @@ class Observable:
         """One square matrix, hermitian at ``tol``; complex when ``slice_norms(beta) <= tol``."""
         check_tol(tol)
         check_square("observable", mat.shape)
-        require_hermitian(hermiticity_deviation(mat), tol)
+        require_hermitian(mat, tol)
         with np.errstate(over="ignore"):  # an overflowing norm reads inf: not complex
             beta_norm = float(slice_norms(mat.beta))
         return cls(mat=mat, is_complex=beta_norm <= tol)
@@ -169,7 +168,7 @@ class Observable:
         """Embed one square complex matrix (beta = 0), its hermiticity measured as given."""
         check_square("observable", np.shape(mat))
         mat = QMatrix.from_complex(mat)
-        require_hermitian(hermiticity_deviation(mat.alpha), VALIDATION_TOL)
+        require_hermitian(mat.alpha, VALIDATION_TOL)
         return cls(mat=mat, is_complex=True)
 
 
@@ -198,12 +197,11 @@ def _density_gate(mat: QMatrix | np.ndarray, tol: float) -> np.ndarray:
     """
     quaternionic = isinstance(mat, QMatrix)
     image, alpha = (chi(mat), mat.alpha) if quaternionic else (mat, mat)
-    deviation = hermiticity_deviation(image)
+    require_hermitian(image, tol)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail every test
         magnitude = np.abs(image).max((-2, -1), initial=0.0)
         trace = np.trace(alpha, axis1=-2, axis2=-1).real
         trace_deviation = abs(trace - 1.0)
-    require_hermitian(deviation, tol)
     check_slices(
         trace_deviation, tol, TraceNotOne,
         lambda i: f"real trace {float(trace[i])!r} deviates from 1 by "

@@ -134,10 +134,11 @@ def time_ordered(gen: Generator, t: float) -> Propagator:
     overflows the exponent raises :class:`QmixError`.
     """
     check_real("evolution time t", t)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        exponent = (gen.h - gen.h.h) * (-t / 2)
-    if not (np.isfinite(exponent.alpha).all() and np.isfinite(exponent.beta).all()):
-        raise QmixError(f"exponent -t * H overflows at evolution time t = {t!r}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by the product
+        try:
+            exponent = (gen.h - gen.h.h) * (-t / 2)
+        except QmixError as exc:
+            raise QmixError(f"exponent -t * H overflows at evolution time t = {t!r}") from exc
     return Propagator(u=expm_q(exponent))
 
 

@@ -146,19 +146,24 @@ class QMatrix:
         return QMatrix(-self.alpha, -self.beta)
 
     def __mul__(self, scalar):
-        # Real scalars only: they commute with j, so left/right agree.
-        if not isinstance(scalar, Real):
-            return NotImplemented
-        check_real("scalar", scalar)
-        return QMatrix(self.alpha * float(scalar), self.beta * float(scalar))
+        return self._scaled(scalar, "scalar", np.multiply)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
+        return self._scaled(scalar, "divisor", np.divide)
+
+    def _scaled(self, scalar, name: str, op) -> "QMatrix":
+        """Both blocks ``op`` a real scalar, which commutes with j; a non-finite result raises."""
         if not isinstance(scalar, Real):
             return NotImplemented
-        check_real("divisor", scalar)
-        return QMatrix(self.alpha / float(scalar), self.beta / float(scalar))
+        check_real(name, scalar)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below
+            out = QMatrix(op(self.alpha, float(scalar)), op(self.beta, float(scalar)))
+        bad = np.count_nonzero(~np.isfinite(out.alpha)) + np.count_nonzero(~np.isfinite(out.beta))
+        check_slices(bad, 0, QmixError,
+                     lambda i: f"{name} = {scalar!r} gives {bad} non-finite entries")
+        return out
 
 
 # ---------------------------------------------------------------------
@@ -350,8 +355,12 @@ def hermiticity_deviation(m: QMatrix | np.ndarray, sign: int = 1):
     return float(deviation) if deviation.ndim == 0 else deviation
 
 
-def require_hermitian(deviation, tol: float) -> None:
-    """Raise :class:`NotHermitian` unless every ``deviation <= tol``; NaN fails."""
+def require_hermitian(m: QMatrix | np.ndarray, tol: float) -> None:
+    """The one hermiticity gate: :class:`NotHermitian` unless every slice's deviation <= tol.
+
+    It measures :func:`hermiticity_deviation` of ``m`` itself; a non-finite entry fails.
+    """
+    deviation = hermiticity_deviation(m)
     check_slices(
         deviation, tol, NotHermitian,
         lambda i: f"hermiticity deviation {np.asarray(deviation)[i]:.3e} exceeds {tol:.3e}",
@@ -397,7 +406,7 @@ def eigvals_hermitian(m: QMatrix) -> np.ndarray:
     every slice is checked before the one eigensolver call.
     """
     image = chi(m)
-    require_hermitian(hermiticity_deviation(image), VALIDATION_TOL)
+    require_hermitian(image, VALIDATION_TOL)
     return _paired_eigvals(np.linalg.eigvalsh(image))
 
 

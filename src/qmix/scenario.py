@@ -88,7 +88,7 @@ class CheckResult:
 class ExpectationRow:
     """One complex observable evaluated on both mixture representations."""
 
-    label: str
+    observable: str
     on_proper: float
     on_improper: float
     difference: float
@@ -186,7 +186,7 @@ def run_scenario(
     basis = direction_basis(theta, phi)
     named = np.stack([np.eye(2), spin_along(theta, phi), PAULI_X, PAULI_Y, PAULI_Z])
     observed = basis.conj().T @ named @ basis
-    require_hermitian(hermiticity_deviation(observed), VALIDATION_TOL)
+    require_hermitian(observed, VALIDATION_TOL)
     witness = discriminating_observable(rho_improper)
     alpha, beta = np.zeros((2, 6, 2, 2), dtype=np.complex128)
     alpha[:5], alpha[5], beta[5] = observed, witness.mat.alpha, witness.mat.beta

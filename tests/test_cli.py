@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import dataclasses
+import enum
 import gc
 import io
 import itertools
@@ -51,6 +52,16 @@ def purified_file():
         "alpha": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
         "beta": [[[0.0, 0.0], [-0.5, 0.0]], [[0.5, 0.0], [0.0, 0.0]]],
     }
+
+
+class _Level(enum.IntEnum):
+    """An int subclass, as numbers in a caller's own payload might be."""
+
+    ONE = 1
+
+
+class _Pair(list):
+    """A list subclass, as a caller's own decoder might build an entry."""
 
 
 # -- serialization ---------------------------------------------------------
@@ -139,6 +150,8 @@ PAYLOADS = st.recursive(
 @given(PAYLOADS)
 @example([[[-0.0, 5e-324], [1e308, -1e-308]], [[math.nan, math.inf], [-math.inf, 1.5]]])
 @example({"ü": [[[1, 2], [3, -4]]], "b": [[[True, False]]], "s": [[["1, 2", 0.5]]], "e": [{}, []]})
+@example([[[np.float64(0.1), np.float64(-0.0)], [np.float64(math.nan), 2]]])
+@example({"level": [[[_Level.ONE, 0.5]], [[-3, _Level.ONE]]]})
 @settings(max_examples=150, deadline=None)
 def test_report_writer_is_json_dumps_indent_two(payload):
     out = io.StringIO()
@@ -492,6 +505,72 @@ def test_reports_are_json_dumps_indent_two(tmp_path, capsys, command, to_file):
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
+def _keys(prefix, *names):
+    return [f"{prefix}/{name}" for name in names]
+
+
+_MATRIX = ("rows", "cols", "alpha", "beta")
+_SCENARIO_CHECKS = (
+    "partial_trace_matches_lueders", "projection_matches_proper", "improper_state_is_pure",
+    "complex_observables_agree", "discriminator_on_improper", "discriminator_on_proper",
+)
+#: Every key path of each REPORT_ARGV report, in document order; "*" stands
+#: for the items of a list.  The checks, expectation rows and audit rows are
+#: written from dataclass fields, so a renamed field would show here.
+REPORT_KEYS = {
+    "validate": _keys("", "schema_version", "valid", "classification", "beta_norm"),
+    "classify": _keys("", "schema_version", "classification", "beta_norm"),
+    "project": _keys("", *_MATRIX[:3]),
+    "lift": _keys("", *_MATRIX),
+    "purify": _keys("", *_MATRIX),
+    "expect": _keys("", "schema_version", "value", "observable_is_complex"),
+    "evolve-propagator": _keys("", *_MATRIX),
+    "evolve-rk4": _keys("", *_MATRIX),
+    "scenario": [
+        *_keys("", "schema_version", "inputs"),
+        *_keys("/inputs", "c_plus", "c_minus", "n_hat"),
+        *_keys("/inputs/n_hat", "theta", "phi"),
+        *_keys("", "improper_representation", "rho_improper"),
+        "/rho_improper/matrix", *_keys("/rho_improper/matrix", *_MATRIX),
+        *_keys("/rho_improper", "classification", "beta_norm"),
+        "/rho_proper", "/rho_proper/matrix", *_keys("/rho_proper/matrix", *_MATRIX[:3]),
+        *_keys("/rho_proper", "classification", "beta_norm"),
+        "/complex_expectations",
+        *_keys("/complex_expectations/*", "observable", "on_proper", "on_improper", "difference"),
+        "/quaternionic_discriminator", "/quaternionic_discriminator/observable",
+        *_keys("/quaternionic_discriminator/observable", *_MATRIX),
+        *_keys("/quaternionic_discriminator", "on_proper", "on_improper"),
+        "/checks",
+        *[path for name in _SCENARIO_CHECKS for path in (
+            f"/checks/{name}", *_keys(f"/checks/{name}", "passed", "residual", "tolerance"))],
+        "/passed",
+    ],
+    "check-props": [
+        *_keys("", "schema_version", "trials", "n_max", "seed", "checks"),
+        *_keys("/checks/*", "name", "attempts", "failures", "worst_residual"),
+        "/passed",
+    ],
+}
+
+
+def key_paths(node, prefix=""):
+    """Key paths of a parsed report in document order, each once."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield f"{prefix}/{key}"
+            yield from key_paths(value, f"{prefix}/{key}")
+    elif isinstance(node, list):
+        for value in node:
+            yield from key_paths(value, f"{prefix}/*")
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_ARGV))
+def test_report_keys_are_pinned(tmp_path, capsys, command):
+    assert main(report_argv(tmp_path, command)) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert list(dict.fromkeys(key_paths(report))) == REPORT_KEYS[command]
+
+
 def fail_one_scenario_check(monkeypatch):
     """Make run_scenario report its first check as failed."""
     real = scenario.run_scenario
@@ -645,8 +724,8 @@ def test_non_finite_entries_report_first_pointer(value):
 
 
 def test_parse_admits_float_subclass_leaves_bitwise():
-    # np.float64 leaves miss the exact-type block scanner and take the
-    # per-entry check, which admits float subclasses, to the same bits
+    # np.float64 leaves fail the block test's exact-type set comparisons
+    # and pass its subclass test, to the same bits
     obj = serialize_matrix(random_qmatrix(np.random.default_rng(81), 3, 4))
     subclassed = {
         **obj,
@@ -656,6 +735,43 @@ def test_parse_admits_float_subclass_leaves_bitwise():
     plain, got = parse_matrix(obj), parse_matrix(subclassed)
     assert np.array_equal(got.alpha.view(np.uint64), plain.alpha.view(np.uint64))
     assert np.array_equal(got.beta.view(np.uint64), plain.beta.view(np.uint64))
+
+
+#: Entry at /alpha/1/0 -> its parsed value, or None where parsing refuses it
+#: with "expected [re, im]".  Numbers are ints and floats, their subclasses
+#: included, and not bools; an entry is a list of two, a list subclass too.
+ENTRY_OUTCOMES = {
+    "bool": ([True, 0.0], None),
+    "numpy-bool": ([np.bool_(True), 0.0], None),
+    "numpy-int64": ([np.int64(1), 0.0], None),
+    "numpy-float64": ([np.float64(0.1), -0.0], complex(0.1, -0.0)),
+    "int-enum": ([_Level.ONE, 2], complex(1.0, 2.0)),
+    "string": (["0.5", 0.0], None),
+    "none": ([None, 0.0], None),
+    "tuple": ((0.5, 0.0), None),
+    "list-subclass": (_Pair([0.5, -0.25]), complex(0.5, -0.25)),
+    "one-element": ([0.5], None),
+    "three-elements": ([0.5, 0.0, 0.0], None),
+    "nested": ([[0.5], 0.0], None),
+    "dict": ({"re": 0.5, "im": 0.0}, None),
+}
+
+
+@pytest.mark.parametrize("row", list(ENTRY_OUTCOMES))
+def test_entry_rule(row):
+    entry, value = ENTRY_OUTCOMES[row]
+    obj = half_mixed()
+    obj["alpha"][1][0] = entry
+    if value is None:
+        with pytest.raises(SchemaError) as excinfo:
+            parse_matrix(obj)
+        assert excinfo.value.pointer == "/alpha/1/0"
+        assert str(excinfo.value) == "/alpha/1/0: expected [re, im]"
+    else:
+        got = parse_matrix(obj).alpha
+        want = parse_matrix(half_mixed()).alpha
+        want[1, 0] = value
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def test_parse_keeps_negative_zero():

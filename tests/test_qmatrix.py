@@ -640,30 +640,41 @@ def test_rank_of_a_stack_is_one_rank_per_slice():
 # -- input errors ----------------------------------------------------------------
 
 @pytest.mark.parametrize(
-    "call,fragment",
+    "call,error,fragment",
     [
-        (lambda: hermiticity_deviation(np.zeros((2, 3))),
+        (lambda: hermiticity_deviation(np.zeros((2, 3))), DimensionMismatch,
          "hermiticity argument must be square, got (2, 3)"),
         (lambda: hermiticity_deviation(QMatrix(np.zeros((2, 3)), np.zeros((2, 3)))),
-         "hermiticity argument must be square, got (2, 3)"),
-        (lambda: hermiticity_deviation(np.zeros(4)),
+         DimensionMismatch, "hermiticity argument must be square, got (2, 3)"),
+        (lambda: hermiticity_deviation(np.zeros(4)), DimensionMismatch,
          "hermiticity argument must be square, got (4,)"),
-        (lambda: expm_q(QMatrix(np.zeros((2, 3)), np.zeros((2, 3)))),
+        (lambda: expm_q(QMatrix(np.zeros((2, 3)), np.zeros((2, 3)))), DimensionMismatch,
          "exponent must be square, got (2, 3)"),
-        (lambda: chi_membership_deviation(np.zeros((3, 4))), "chi image must have even shape, got (3, 4)"),
-        (lambda: chi_membership_deviation(np.zeros((4, 3))), "chi image must have even shape, got (4, 3)"),
-        (lambda: chi_membership_deviation(np.zeros(4)),
+        (lambda: chi_membership_deviation(np.zeros((3, 4))), DimensionMismatch,
+         "chi image must have even shape, got (3, 4)"),
+        (lambda: chi_membership_deviation(np.zeros((4, 3))), DimensionMismatch,
+         "chi image must have even shape, got (4, 3)"),
+        (lambda: chi_membership_deviation(np.zeros(4)), DimensionMismatch,
          "chi image must be one 2-D matrix, got shape (4,)"),
-        (lambda: chi_inverse(np.zeros((2, 4, 4))),
+        (lambda: chi_inverse(np.zeros((2, 4, 4))), DimensionMismatch,
          "chi image must be one 2-D matrix, got shape (2, 4, 4)"),
-        (lambda: chi_inverse(np.zeros((3, 4))), "chi image must have even shape, got (3, 4)"),
+        (lambda: chi_inverse(np.zeros((3, 4))), DimensionMismatch,
+         "chi image must have even shape, got (3, 4)"),
+        # a finite scalar whose product or quotient is not finite: refused, no numpy warning
+        (lambda: QMatrix.identity(2) / 0, QmixError, "divisor = 0 gives 8 non-finite entries"),
+        (lambda: QMatrix.identity(2) * 1e308 * 10, QmixError,
+         "scalar = 10 gives 2 non-finite entries"),
     ],
     ids=["hermiticity-array", "hermiticity-qmatrix", "hermiticity-one-axis", "expm", "chi-odd-rows",
-         "chi-odd-cols", "chi-one-dimensional", "chi-inverse-stack", "chi-inverse-odd-rows"],
+         "chi-odd-cols", "chi-one-dimensional", "chi-inverse-stack", "chi-inverse-odd-rows",
+         "divide-by-zero", "multiply-overflow"],
 )
-def test_input_errors(call, fragment):
-    with pytest.raises(DimensionMismatch) as excinfo:
-        call()
+def test_input_errors(call, error, fragment):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as excinfo:
+            call()
+    assert type(excinfo.value) is error
     assert fragment in str(excinfo.value)
 
 
@@ -782,7 +793,8 @@ TOLERANCE_FAILURES = {
         lambda: chi_inverse(np.diag([1.0, 0.0])), NotInChiImage,
         "block symmetry deviation 1.000e+00 exceeds 1.000e-10", ()),
     "hermitian": (
-        lambda: require_hermitian(np.array([0.0, 1.0]), 1e-10), NotHermitian,
+        lambda: require_hermitian(np.array([np.zeros((2, 2)), [[0.0, 1.0], [0.0, 0.0]]]), 1e-10),
+        NotHermitian,
         "hermiticity deviation 1.000e+00 exceeds 1.000e-10 at slice 1", (1,)),
     "anti-hermitian": (
         lambda: expm_q(QMatrix.identity(2)), NotAntiHermitian,

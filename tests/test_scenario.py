@@ -66,7 +66,7 @@ def test_scenario_balanced_amplitudes():
     disc = report.quaternionic_discriminator
     assert disc.on_improper == pytest.approx(0.5, abs=1e-10)
     assert disc.on_proper == pytest.approx(0.0, abs=1e-12)
-    table = {row.label: row for row in report.complex_expectation_table}
+    table = {row.observable: row for row in report.complex_expectation_table}
     assert table["sigma_z"].on_proper == pytest.approx(0.0, abs=1e-12)
     assert table["identity"].on_proper == pytest.approx(1.0)
 
@@ -74,7 +74,7 @@ def test_scenario_balanced_amplitudes():
 def test_scenario_unbalanced_amplitudes():
     report = run_scenario(np.sqrt(0.7), np.sqrt(0.3))
     assert report.passed
-    table = {row.label: row for row in report.complex_expectation_table}
+    table = {row.observable: row for row in report.complex_expectation_table}
     assert table["sigma_z"].on_proper == pytest.approx(0.4, abs=1e-12)
     assert table["sigma_z"].on_improper == pytest.approx(0.4, abs=1e-12)
     disc = report.quaternionic_discriminator
@@ -87,7 +87,7 @@ def test_scenario_complex_amplitudes_and_tilted_axis():
     c_minus = np.sqrt(0.3) * np.exp(-1.1j)
     report = run_scenario(c_plus, c_minus, n_hat=(0.7, 1.9))
     assert report.passed
-    table = {row.label: row for row in report.complex_expectation_table}
+    table = {row.observable: row for row in report.complex_expectation_table}
     assert table["spin_along_n"].on_proper == pytest.approx(0.4, abs=1e-12)
     assert report.quaternionic_discriminator.on_improper == pytest.approx(
         2 * abs(c_plus * c_minus) ** 2, abs=1e-10
