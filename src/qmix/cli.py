@@ -337,13 +337,14 @@ _COMMANDS = {
 }
 
 
-def _checked(convert, rule, *args, **kwargs):
-    """Argument type: ``convert`` the text, then the library's ``rule(*args, value, **kwargs)``."""
+def _checked(convert, rule=None, *args, **kwargs):
+    """Argument type: ``convert`` the text, then any library ``rule(*args, value, **kwargs)``."""
 
     def parse(text: str):
         try:
             value = convert(text)
-            rule(*args, value, **kwargs)
+            if rule:
+                rule(*args, value, **kwargs)
         except (ValueError, QmixError) as exc:
             raise argparse.ArgumentTypeError(str(exc)) from exc
         return value
@@ -432,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(positional)
         p.set_defaults(handler=handler)
 
-    commands["lift"].add_argument("--rank", type=int, required=True)
+    # the admissible ranks depend on the file: lift refuses the others, exit 1
+    commands["lift"].add_argument("--rank", type=_checked(int), required=True)
 
     p = commands["evolve"]
     p.add_argument("--gen", required=True, help="matrix file with the anti-hermitian generator")

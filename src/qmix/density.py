@@ -288,14 +288,14 @@ def expectation(a: Observable, rho: QDensity) -> float:
 def _expectations(a: QMatrix, rho: QMatrix):
     """Re Tr(A rho) behind :func:`expectation`, on stacks that broadcast together.
 
-    Each value goes through :func:`check_real`, row-major: a float for one pair, else lists.
+    The values go through one :func:`check_real` call, which names the first
+    non-finite one and its slice; a float for one pair, else lists, row-major.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         value = np.trace(a.alpha @ rho.alpha, axis1=-2, axis2=-1)
         value -= np.trace(a.beta.conj() @ rho.beta, axis1=-2, axis2=-1)
-    values = value.real
-    for v in values.ravel().tolist():
-        check_real("expectation value Re Tr(A rho)", v)
+    values = np.asarray(value.real)  # 0-d for one pair
+    check_real("expectation value Re Tr(A rho)", values)
     return values.tolist()
 
 
@@ -329,16 +329,15 @@ def block_purify(u: np.ndarray, v: np.ndarray, cu: complex, cv: complex) -> QMat
 
     For an orthonormal pair (u, v) and weights (cu, cv), returns the
     (unnormalized) projector onto the right-module line spanned by
-    u*cu + v*cv*j:
-
-        alpha = |cu|^2 uu^dag + |cv|^2 vv^dag
-        beta  = conj(cu) conj(cv) (conj(v) u^dag - conj(u) v^dag)
-
-    with real trace |cu|^2 + |cv|^2 and quaternionic rank one.  With
-    cv = 0 the block degenerates to a purely complex rank-one term.
-    Unit norms and orthogonality are checked at ``VALIDATION_TOL``; a
-    non-finite vector fails them, and weights whose |cu|^2 + |cv|^2 is
-    zero or not finite raise :class:`NotNormalized`.
+    u*cu + v*cv*j, with real trace |cu|^2 + |cv|^2 and quaternionic rank
+    one (the formula is :func:`_pair_block`'s).  With cv = 0 the block
+    degenerates to a purely complex rank-one term.  Unit norms and
+    orthogonality are checked at ``VALIDATION_TOL``; a non-finite vector
+    fails them, and weights whose |cu|^2 + |cv|^2 is zero or not finite
+    raise :class:`NotNormalized`.  It gates nothing: the caller gates the
+    block.  The scenario calls the kernel alone and gates its block in its
+    one density gate, since its basis is the constant measured one and the
+    coupling has already held |cu|^2 + |cv|^2 to 1.
     """
     u = np.asarray(u, dtype=np.complex128).reshape(-1)
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
@@ -358,16 +357,27 @@ def block_purify(u: np.ndarray, v: np.ndarray, cu: complex, cv: complex) -> QMat
     cu = complex(cu)
     cv = complex(cv)
     with np.errstate(over="ignore"):  # an overflowing weight is refused below
-        wu, wv = np.float64(abs(cu)) ** 2, np.float64(abs(cv)) ** 2  # libm pow, as for floats
-        weight = wu + wv
+        weight = np.float64(abs(cu)) ** 2 + np.float64(abs(cv)) ** 2
     if weight == 0.0:
         raise NotNormalized("cu and cv cannot both vanish")
     if not np.isfinite(weight):
         raise NotNormalized(f"weights cu = {cu!r} and cv = {cv!r} give |cu|^2 + |cv|^2 = {weight}")
+    return QMatrix(*_pair_block(u, v, cu, cv))
+
+
+def _pair_block(u: np.ndarray, v: np.ndarray, cu: complex, cv: complex) -> tuple:
+    """The (alpha, beta) blocks behind :func:`block_purify`, unchecked:
+
+        alpha = |cu|^2 uu^dag + |cv|^2 vv^dag
+        beta  = conj(cu) conj(cv) (conj(v) u^dag - conj(u) v^dag)
+
+    ``u`` and ``v`` are complex vectors of one length, and the caller has
+    established what :func:`block_purify` checks.
+    """
+    wu, wv = np.float64(abs(cu)) ** 2, np.float64(abs(cv)) ** 2  # libm pow, as for floats
     alpha = wu * np.outer(u, u.conj()) + wv * np.outer(v, v.conj())
     cross = np.conj(cu) * np.conj(cv)
-    beta = cross * (np.outer(v.conj(), u.conj()) - np.outer(u.conj(), v.conj()))
-    return QMatrix(alpha, beta)
+    return alpha, cross * (np.outer(v.conj(), u.conj()) - np.outer(u.conj(), v.conj()))
 
 
 def _phase_normalize(vecs: np.ndarray) -> np.ndarray:

@@ -10,8 +10,9 @@ quaternionic rank-one state whose projection is the shared complex
 matrix.  Every complex observable then agrees on the two states and the
 witness j*rho_beta separates them, which the report records check by
 check with measured residuals.  Every matrix is built first; then one
-complex and one quaternionic density gate, and one expectation pass,
-each run on a stack.
+density gate (its complex densities as beta = 0 slices of the stack of
+states), one hermiticity test and one expectation pass, each run on a
+stack.
 
 ``check_propositions`` is a seeded audit of the structural facts the
 rest of the package leans on: the projection of a density is a density,
@@ -34,7 +35,6 @@ from .density import (
     MixtureKind,
     Observable,
     QDensity,
-    block_purify,
     complex_projection,
     discriminating_observable,
     lift,
@@ -43,6 +43,7 @@ from .density import (
     _ginibre,
     _lift_blocks,
     _mixture_kind,
+    _pair_block,
     _random_density_matrix,
     purify,
     validate,
@@ -153,10 +154,12 @@ def run_scenario(
     angle then goes through :func:`check_real` (ValueError unless a real
     number, :class:`QmixError` unless finite).  Only then is a matrix built,
     by the kernels of the public functions, and each check runs once on a
-    stack: one complex gate (traced density, Lueders input and output,
-    purified alpha), one quaternionic gate and classification (proper and
-    purified states), one hermiticity test of the five complex observables
-    and one expectation pass, each value through :func:`check_real`.
+    stack: one density gate on a (5, 2, 2) QMatrix stack (the traced
+    density, the Lueders input and the purified state's alpha as beta = 0
+    slices, then the proper state, whose alpha is the Lueders output, and
+    the purified state), one classification of the last two, one
+    hermiticity test of the five complex observables and one expectation
+    pass, its values through one :func:`check_real` call.
     """
     c_plus = complex(c_plus)
     c_minus = complex(c_minus)
@@ -168,18 +171,24 @@ def run_scenario(
     theta, phi = float(n_hat[0]), float(n_hat[1])
 
     # Improper route: trace the pointer out.  Proper route: the Lueders
-    # update of the uncoupled system, embedded with beta = 0.
+    # update of the uncoupled system, embedded with beta = 0.  The purified
+    # state's block needs no checks: a constant basis, amplitudes of unit norm.
     traced = _partial_trace(psi_t.density(), dims=(2, 2), over=2)
     phi0 = np.array([c_plus, c_minus], dtype=np.complex128)
     uncoupled = np.outer(phi0, phi0.conj())
     updated = _lueders(uncoupled, _MEASURED_FAMILY)
-    pure = block_purify(_MEASURED[:, 0], _MEASURED[:, 1], c_plus, c_minus)
-    _density_gate(np.stack([traced, uncoupled, updated, pure.alpha]), VALIDATION_TOL)
-    states = QMatrix(np.stack([updated, pure.alpha]), np.stack([np.zeros_like(updated), pure.beta]))
-    eigs, (kinds, norms) = _density_gate(states, VALIDATION_TOL), _mixture_kind(states)
+    pure_alpha, pure_beta = _pair_block(_MEASURED[:, 0], _MEASURED[:, 1], c_plus, c_minus)
+    # One gate: chi(C, 0) has C's deviation, trace, entries and paired spectrum.
+    alphas = np.stack([traced, uncoupled, pure_alpha, updated, pure_alpha])
+    betas = np.zeros_like(alphas)
+    betas[4] = pure_beta
+    gated = QMatrix(alphas, betas)
+    states, eigs = gated[3:], _density_gate(gated, VALIDATION_TOL)[3:]
+    kinds, norms = _mixture_kind(states)
     rho_proper, rho_improper = map(QDensity, (states[0], states[1]), kinds, norms.tolist(), eigs)
     mixture_gap = float(np.abs(traced - updated).max())
-    projection_gap = float(np.abs(pure.alpha - updated).max())
+    projection_gap = float(np.abs(pure_alpha - updated).max())
+    pure = states[1]
     idem_residual = frobenius_norm(pure @ pure - pure)  # rank one and idempotent
 
     # The five complex observables in the measured eigenbasis (beta = 0), then the witness.

@@ -920,13 +920,15 @@ _SCENARIO = ["scenario", "--cplus=0.6,0", "--cminus=0.8,0"]
          lambda: check_real("Re c+", _NAN)),
         ("--cminus", ["scenario", "--cplus=0.6,0", "--cminus=0,-inf"],
          lambda: check_real("Im c-", -_INF)),
+        ("--rank", ["lift", "s.json", "--rank", "abc"], lambda: int("abc")),
+        ("--rank", ["lift", "s.json", "--rank=1.5"], lambda: int("1.5")),
         ("--tol", ["--tol", "validate=2", "validate", "s.json"], lambda: validate(_STATE, tol=2.0)),
         ("--tol", ["--tol", "validate=nan", "validate", "s.json"],
          lambda: validate(_STATE, tol=_NAN)),
     ],
     ids=["t-nan", "t-negative-overflow", "steps-zero", "nmax-one", "trials-negative",
          "seed-negative", "QMIX_SEED-negative", "theta-nan", "phi-inf", "cplus-real-nan",
-         "cminus-imaginary-inf", "tol-two", "tol-nan"],
+         "cminus-imaginary-inf", "rank-not-a-number", "rank-fraction", "tol-two", "tol-nan"],
 )
 def test_usage_errors_are_worded_by_the_library(capsys, monkeypatch, option, argv, library):
     # one wording per rule: after its prefix, the CLI's error line is str() of

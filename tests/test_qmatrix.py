@@ -34,7 +34,7 @@ from qmix import (
 )
 import qmix
 from qmix import qmatrix
-from qmix.density import _density_gate, _lift_blocks
+from qmix.density import _density_gate, _expectations, _lift_blocks
 from qmix.errors import (
     DimensionMismatch,
     DriftExceeded,
@@ -964,3 +964,48 @@ def test_check_real_names_the_argument(value, error, message):
             qmatrix.check_real("t", value)
     assert type(excinfo.value) is error
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "bad,shown", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")],
+    ids=["nan", "inf", "negative-inf"],
+)
+def test_check_real_names_the_first_non_finite_value_of_an_array(bad, shown):
+    # one call checks a float array; the first failing value, row-major, is
+    # named with its slice, and a later one is not
+    values = np.arange(6.0).reshape(2, 3)
+    values[1, 1], values[1, 2] = bad, np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QmixError) as excinfo:
+            qmatrix.check_real("t", values)
+        assert qmatrix.check_real("t", np.arange(6.0).reshape(2, 3)) is None
+    assert type(excinfo.value) is QmixError
+    assert str(excinfo.value) == f"t = {shown} is not finite at slice (1, 1)"
+    assert excinfo.value.index == (1, 1)
+
+
+def test_a_zero_dimensional_array_reads_as_its_value():
+    # one expectation value is a 0-d array: its message is the scalar's
+    with pytest.raises(QmixError) as excinfo:
+        qmatrix.check_real("t", np.array(-np.inf))
+    assert str(excinfo.value) == "t = -inf is not finite"
+    assert excinfo.value.index == ()
+    with pytest.raises(ValueError, match=r"^t must be a real number, got array\(\[1, 2\]\)$"):
+        qmatrix.check_real("t", np.array([1, 2]))  # an integer array is not a float array
+
+
+def test_an_overflowing_expectation_is_named_once():
+    # Re Tr(A rho) = 2e308 overflows; the scalar message has no slice, and a
+    # stack of pairs names the first overflowing one
+    huge = Observable.from_qmatrix(QMatrix.from_complex(np.full((2, 2), 1e308)))
+    rho = validate(QMatrix.from_complex(np.full((2, 2), 0.5)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QmixError) as excinfo:
+            qmix.expectation(huge, rho)
+        assert str(excinfo.value) == "expectation value Re Tr(A rho) = inf is not finite"
+        observables = QMatrix(np.stack([np.eye(2), huge.mat.alpha]), np.zeros((2, 2, 2)))
+        with pytest.raises(QmixError) as excinfo:
+            _expectations(observables, rho.mat)
+    assert str(excinfo.value) == "expectation value Re Tr(A rho) = inf is not finite at slice 1"

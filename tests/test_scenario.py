@@ -20,12 +20,15 @@ from qmix import cli, density, scenario
 from qmix.cli import main
 from qmix.errors import (
     DimensionMismatch,
+    NotHermitian,
     NotNormalized,
+    NotPositive,
     PropositionViolated,
     QmixError,
     RankOutOfRange,
     TraceNotOne,
 )
+from qmix.qmatrix import VALIDATION_TOL
 from qmix.scenario import AUDIT_BLOCK_TRIALS, _draw_trials, direction_basis, spin_along
 
 import support
@@ -232,7 +235,7 @@ def _refuse(*args, **kwargs):
          "string-theta"],
 )
 def test_scenario_input_fails_before_any_matrix_is_gated(monkeypatch, args, error, message):
-    for name in ("_density_gate", "_partial_trace", "_lueders", "block_purify", "_mixture_kind",
+    for name in ("_density_gate", "_partial_trace", "_lueders", "_pair_block", "_mixture_kind",
                  "_expectations", "hermiticity_deviation", "discriminating_observable"):
         monkeypatch.setattr(scenario, name, _refuse)
     with pytest.raises(error) as excinfo:
@@ -241,6 +244,59 @@ def test_scenario_input_fails_before_any_matrix_is_gated(monkeypatch, args, erro
     assert str(excinfo.value) == message
     with pytest.raises(AssertionError):  # the patches are the ones a valid input reaches
         run_scenario(0.6, 0.8)
+
+
+def test_scenario_gates_every_density_in_one_call(monkeypatch):
+    shapes = []
+
+    def recording_gate(mat, tol):
+        shapes.append((type(mat).__name__, mat.shape, tol))
+        return density._density_gate(mat, tol)
+
+    monkeypatch.setattr(scenario, "_density_gate", recording_gate)
+    assert run_scenario(0.6, 0.8j, (0.4, 1.1)).passed
+    assert shapes == [("QMatrix", (5, 2, 2), VALIDATION_TOL)]
+
+
+def _corrupt(kernel, change):
+    """``kernel`` with ``change`` applied to what it returns."""
+    return lambda *args, **kwargs: change(kernel(*args, **kwargs))
+
+
+_OFF_DIAGONAL = np.array([[0.0, 0.6], [0.6, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "name,change,error,invariant,index",
+    [
+        ("_partial_trace", lambda m: m + np.array([[0.0, 1e-6], [0.0, 0.0]]), NotHermitian,
+         "hermiticity deviation 1.000e-06 exceeds 1.000e-10", 0),
+        ("_partial_trace", lambda m: 1.5 * m, TraceNotOne,
+         "real trace 1.5000000000000002 deviates from 1 by 5.000e-01", 0),
+        ("_lueders", lambda m: m + np.diag([1e-6, 0.0]), TraceNotOne,
+         "real trace 1.0000010000000001 deviates from 1", 3),
+        ("_lueders", lambda m: m + _OFF_DIAGONAL, NotPositive, "minimum eigenvalue -1.161e-01", 3),
+        ("_pair_block", lambda ab: (ab[0] + np.diag([2.0, -2.0]), ab[1]), NotPositive,
+         "entry magnitude 2.360e+00 exceeds", 2),
+        ("_pair_block", lambda ab: (ab[0], ab[1] + 1e-6), NotHermitian,
+         "hermiticity deviation 2.000e-06 exceeds 1.000e-10", 4),
+        ("_pair_block", lambda ab: (ab[0] + _OFF_DIAGONAL, ab[1]), NotPositive,
+         "minimum eigenvalue -1.161e-01", 2),
+    ],
+    ids=["traced-hermiticity", "traced-trace", "lueders-trace", "lueders-positivity",
+         "purified-entry-bound", "purified-beta-skew", "purified-positivity"],
+)
+def test_the_one_gate_names_a_corrupted_input(monkeypatch, name, change, error, invariant, index):
+    # one input corrupted at a time: the one gate raises the error of the
+    # broken invariant and names the slice, which identifies the input
+    # (traced, uncoupled, purified alpha, proper, purified)
+    monkeypatch.setattr(scenario, name, _corrupt(getattr(scenario, name), change))
+    with pytest.raises(QmixError) as excinfo:
+        run_scenario(0.6, 0.8)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value).startswith(invariant)
+    assert str(excinfo.value).endswith(f" at slice {index}")
+    assert excinfo.value.index == (index,)
 
 
 @pytest.mark.parametrize(
