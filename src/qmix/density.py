@@ -42,10 +42,10 @@ from .errors import (
 from .qmatrix import (
     VALIDATION_TOL,
     QMatrix,
+    _check_reals,
     _paired_eigvals,
     _shown,
     check_int,
-    check_real,
     check_slices,
     check_square,
     check_tol,
@@ -288,14 +288,15 @@ def expectation(a: Observable, rho: QDensity) -> float:
 def _expectations(a: QMatrix, rho: QMatrix):
     """Re Tr(A rho) behind :func:`expectation`, on stacks that broadcast together.
 
-    The values go through one :func:`check_real` call, which names the first
-    non-finite one and its slice; a float for one pair, else lists, row-major.
+    The values go through one :func:`~qmix.qmatrix._check_reals` call, which
+    names the first non-finite one and its slice; a float for one pair, else
+    lists, row-major.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         value = np.trace(a.alpha @ rho.alpha, axis1=-2, axis2=-1)
         value -= np.trace(a.beta.conj() @ rho.beta, axis1=-2, axis2=-1)
     values = np.asarray(value.real)  # 0-d for one pair
-    check_real("expectation value Re Tr(A rho)", values)
+    _check_reals("expectation value Re Tr(A rho)", values)
     return values.tolist()
 
 

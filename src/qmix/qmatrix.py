@@ -265,17 +265,22 @@ def check_real(name: str, value) -> None:
 
     Anything else is a ValueError naming the argument; NaN, +-inf and an int
     past the float range are a :class:`QmixError`, and no value makes numpy warn.
-    A float array is checked in one :func:`check_slices` call, which names
-    its first non-finite value and, past 0-d, that value's slice.
     """
-    if isinstance(value, np.ndarray) and value.dtype.kind == "f":
-        check_slices(np.abs(value), _FLOAT_MAX, QmixError,
-                     lambda i: f"{name} = {value[i].item()!r} is not finite")
-        return
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     mag = abs(value if isinstance(value, int) else float(value))  # no overflow, no numpy cast
     check_slices(mag, _FLOAT_MAX, QmixError, lambda i: f"{name} = {_shown(value)} is not finite")
+
+
+def _check_reals(name: str, values: np.ndarray) -> None:
+    """:func:`check_real`'s finiteness test on a float array the package computed, in one call.
+
+    A :class:`QmixError` names the first non-finite value and, past 0-d, its
+    slice; a 0-d array reads as its value.  Not for arguments: their rule is
+    :func:`check_real`, which takes one number.
+    """
+    check_slices(np.abs(values), _FLOAT_MAX, QmixError,
+                 lambda i: f"{name} = {values[i].item()!r} is not finite")
 
 
 def _shown(value, text=repr) -> str:

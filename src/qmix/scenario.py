@@ -154,12 +154,12 @@ def run_scenario(
     angle then goes through :func:`check_real` (ValueError unless a real
     number, :class:`QmixError` unless finite).  Only then is a matrix built,
     by the kernels of the public functions, and each check runs once on a
-    stack: one density gate on a (5, 2, 2) QMatrix stack (the traced
-    density, the Lueders input and the purified state's alpha as beta = 0
-    slices, then the proper state, whose alpha is the Lueders output, and
-    the purified state), one classification of the last two, one
-    hermiticity test of the five complex observables and one expectation
-    pass, its values through one :func:`check_real` call.
+    stack: one density gate on a (4, 2, 2) QMatrix stack (the traced
+    density and the Lueders input as beta = 0 slices, then the proper
+    state, whose alpha is the Lueders output, and the purified state, whose
+    alpha is a principal block of its chi image), one classification of the
+    last two, one hermiticity test of the five complex observables and one
+    expectation pass, its values through one finiteness check.
     """
     c_plus = complex(c_plus)
     c_minus = complex(c_minus)
@@ -179,11 +179,11 @@ def run_scenario(
     updated = _lueders(uncoupled, _MEASURED_FAMILY)
     pure_alpha, pure_beta = _pair_block(_MEASURED[:, 0], _MEASURED[:, 1], c_plus, c_minus)
     # One gate: chi(C, 0) has C's deviation, trace, entries and paired spectrum.
-    alphas = np.stack([traced, uncoupled, pure_alpha, updated, pure_alpha])
+    alphas = np.stack([traced, uncoupled, updated, pure_alpha])
     betas = np.zeros_like(alphas)
-    betas[4] = pure_beta
+    betas[3] = pure_beta
     gated = QMatrix(alphas, betas)
-    states, eigs = gated[3:], _density_gate(gated, VALIDATION_TOL)[3:]
+    states, eigs = gated[2:], _density_gate(gated, VALIDATION_TOL)[2:]
     kinds, norms = _mixture_kind(states)
     rho_proper, rho_improper = map(QDensity, (states[0], states[1]), kinds, norms.tolist(), eigs)
     mixture_gap = float(np.abs(traced - updated).max())

@@ -680,6 +680,17 @@ def _state_of_three():
          QmixError, "finite-difference step h = nan is not finite"),
         (lambda: time_ordered(Generator(QMatrix.identity(3) * 0.0), True), ValueError,
          "evolution time t must be a real number, got True"),
+        (lambda: time_ordered(Generator(QMatrix.identity(3) * 0.0), np.array([0.5, 1.0])),
+         ValueError, "evolution time t must be a real number, got array([0.5, 1. ])"),
+        (lambda: integrate(_state_of_three(), Generator(QMatrix.identity(3) * 0.0),
+                           np.full(6, 0.5), 3),
+         ValueError, "evolution time t must be a real number, got array([0.5, 0.5, 0.5, 0.5, 0.5, 0.5])"),
+        (lambda: integrate(_state_of_three(), Generator(QMatrix.identity(3) * 0.0),
+                           np.array([1.0]), 3),
+         ValueError, "evolution time t must be a real number, got array([1.])"),
+        (lambda: projected_rate_check(_state_of_three(), Generator(QMatrix.identity(3) * 0.0),
+                                      np.array([1e-3, 2e-3])),
+         ValueError, "finite-difference step h must be a real number, got array([0.001, 0.002])"),
         (lambda: random_generator(2, 0), ValueError, "rng must be an np.random.Generator, got 0"),
     ],
     ids=["generator-non-square", "propagator-non-square", "evolve-dimensions",
@@ -693,7 +704,10 @@ def _state_of_three():
          "identity-negative-dimension", "time-ordered-string-time", "integrate-string-time",
          "projected-rate-check-string-step", "time-ordered-huge-int-time",
          "time-ordered-int-time-past-the-digit-limit",
-         "projected-rate-check-nan-step", "time-ordered-bool-time", "random-generator-int-rng"],
+         "projected-rate-check-nan-step", "time-ordered-bool-time",
+         "time-ordered-float-array-time", "integrate-float-array-time",
+         "integrate-one-element-time", "projected-rate-check-float-array-step",
+         "random-generator-int-rng"],
 )
 def test_input_errors(call, error, fragment):
     with pytest.raises(error) as excinfo:

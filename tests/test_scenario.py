@@ -137,8 +137,11 @@ def test_scenario_rejects_non_finite_direction(n_hat, name):
         ((0.3, 0.5j), "direction angle phi must be a real number, got 0.5j"),
         ((None, 0), "direction angle theta must be a real number, got None"),
         ((0.3, True), "direction angle phi must be a real number, got True"),
+        ((np.array([0.4, 0.5]), 1.1),
+         "direction angle theta must be a real number, got array([0.4, 0.5])"),
+        ((0.4, np.array(1.1)), "direction angle phi must be a real number, got array(1.1)"),
     ],
-    ids=["string", "complex", "none", "bool"],
+    ids=["string", "complex", "none", "bool", "float-array", "zero-d-float-array"],
 )
 def test_scenario_rejects_a_direction_that_is_not_real(n_hat, message):
     with pytest.raises(ValueError) as excinfo:
@@ -255,7 +258,7 @@ def test_scenario_gates_every_density_in_one_call(monkeypatch):
 
     monkeypatch.setattr(scenario, "_density_gate", recording_gate)
     assert run_scenario(0.6, 0.8j, (0.4, 1.1)).passed
-    assert shapes == [("QMatrix", (5, 2, 2), VALIDATION_TOL)]
+    assert shapes == [("QMatrix", (4, 2, 2), VALIDATION_TOL)]
 
 
 def _corrupt(kernel, change):
@@ -274,14 +277,14 @@ _OFF_DIAGONAL = np.array([[0.0, 0.6], [0.6, 0.0]])
         ("_partial_trace", lambda m: 1.5 * m, TraceNotOne,
          "real trace 1.5000000000000002 deviates from 1 by 5.000e-01", 0),
         ("_lueders", lambda m: m + np.diag([1e-6, 0.0]), TraceNotOne,
-         "real trace 1.0000010000000001 deviates from 1", 3),
-        ("_lueders", lambda m: m + _OFF_DIAGONAL, NotPositive, "minimum eigenvalue -1.161e-01", 3),
+         "real trace 1.0000010000000001 deviates from 1", 2),
+        ("_lueders", lambda m: m + _OFF_DIAGONAL, NotPositive, "minimum eigenvalue -1.161e-01", 2),
         ("_pair_block", lambda ab: (ab[0] + np.diag([2.0, -2.0]), ab[1]), NotPositive,
-         "entry magnitude 2.360e+00 exceeds", 2),
+         "entry magnitude 2.360e+00 exceeds", 3),
         ("_pair_block", lambda ab: (ab[0], ab[1] + 1e-6), NotHermitian,
-         "hermiticity deviation 2.000e-06 exceeds 1.000e-10", 4),
+         "hermiticity deviation 2.000e-06 exceeds 1.000e-10", 3),
         ("_pair_block", lambda ab: (ab[0] + _OFF_DIAGONAL, ab[1]), NotPositive,
-         "minimum eigenvalue -1.161e-01", 2),
+         "minimum eigenvalue -2.810e-01", 3),
     ],
     ids=["traced-hermiticity", "traced-trace", "lueders-trace", "lueders-positivity",
          "purified-entry-bound", "purified-beta-skew", "purified-positivity"],
@@ -289,7 +292,7 @@ _OFF_DIAGONAL = np.array([[0.0, 0.6], [0.6, 0.0]])
 def test_the_one_gate_names_a_corrupted_input(monkeypatch, name, change, error, invariant, index):
     # one input corrupted at a time: the one gate raises the error of the
     # broken invariant and names the slice, which identifies the input
-    # (traced, uncoupled, purified alpha, proper, purified)
+    # (traced, uncoupled, proper, purified)
     monkeypatch.setattr(scenario, name, _corrupt(getattr(scenario, name), change))
     with pytest.raises(QmixError) as excinfo:
         run_scenario(0.6, 0.8)
