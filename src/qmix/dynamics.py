@@ -22,10 +22,13 @@ Both solvers run on complex-adjoint images: chi is a linear algebra
 homomorphism (F. Zhang, LAA 251, 1997), so the propagator is one
 exponential of chi(H) (``expm_q``), and the RK4 solver applies one
 step polynomial, built once from powers of h chi(H), to raw 2n x 2n
-arrays, read back once with a chi-membership check.  Its steps write
-into buffers made once per call, so the step loop allocates nothing,
-and its drift gate measures the corrections of a block of up to 64
-steps at once, fewer where their buffers would pass 8 MiB.
+arrays, read back once with a chi-membership check.  Up to n = 4 a
+step is one product by the polynomial's Kronecker matrix, vec(A X B) =
+(A (x) B^T) vec(X) (C. F. Van Loan, J. Comput. Appl. Math. 123, 2000);
+past it, two products.  Its steps write into buffers made once per
+call, so the step loop allocates nothing, and its drift gate measures
+the corrections of a block of up to 64 steps at once, fewer where
+their buffers would pass 8 MiB.
 """
 
 from __future__ import annotations
@@ -57,6 +60,10 @@ DRIFT_TOL = 1e-6
 # ``integrate`` gates the corrections of up to this many steps at once,
 # fewer where their buffers would pass this many entries (8 MiB).
 _DRIFT_BLOCK_STEPS, _DRIFT_BLOCK_ENTRIES = 64, 2**18
+# Up to this width m = 2n a step is one product by the m**2 x m**2 step
+# matrix, m**4 multiply-adds, no more than the 8 m**3 of the two-product
+# form it replaces.
+_KRONECKER_STEP_MAX_WIDTH = 8
 #: Evolution time of each candidate in ``partition_witness``.
 WITNESS_TIME = 1.0
 #: ||beta||_F a ``partition_witness`` leak must exceed.
@@ -149,14 +156,18 @@ def integrate(rho0: QDensity, gen: Generator, t: float, steps: int) -> QDensity:
     L(X) = XK - KX is the fixed polynomial sum_{k<=4} L^k(X) / k!.
     Left and right multiplication commute, so it equals
     sum_{l<=4} A_l X B_l with A_l = (-K)^l / l! and
-    B_l = sum_{j<=4-l} K^j / j!, built once from the powers of K.  As
-    A_0 = B_4 = I, each step on X = chi(rho) is two matrix products:
-    Y = [A_1; ..; A_4] X, then [X, Y_1, Y_2, Y_3] [B_0; ..; B_3] + Y_4.
-    A step reuses buffers made once per call and allocates nothing: X is
-    the first block column of the stage matrix [X, Y_1, Y_2, Y_3], and
-    every product is written in place.
+    B_l = sum_{j<=4-l} K^j / j!, built once from the powers of K.  Up
+    to m = 2n = 8, where its m**4 multiply-adds are no more than the
+    8 m**3 of two products, a step on X = chi(rho) is one product by the
+    m**2 x m**2 step matrix S = sum_l A_l (x) B_l^T, since row-major
+    vec(A X B) = (A (x) B^T) vec(X).  Past m = 8, as A_0 = B_4 = I, it
+    is two matrix products: Y = [A_1; ..; A_4] X, then
+    [X, Y_1, Y_2, Y_3] [B_0; ..; B_3] + Y_4, with X the first block
+    column of the stage matrix [X, Y_1, Y_2, Y_3].  A step reuses
+    buffers made once per call and allocates nothing: every product is
+    written in place.
 
-    Each step does only what the next one reads: the two products, then
+    Each step does only what the next one reads: the product(s), then
     the iterate re-hermitized ((rho + rho^dag)/2) and trace-renormalized.
     The applied correction (quaternionic Frobenius norm, which is
     ||chi||_F / sqrt(2), and trace offset, Re Tr chi / 2 - 1) is measured
@@ -167,9 +178,10 @@ def integrate(rho0: QDensity, gen: Generator, t: float, steps: int) -> QDensity:
     accumulate: steps after a failing one in its block run, but their
     result is dropped.  ``t`` goes through :func:`check_real` (ValueError
     unless a real number, :class:`QmixError` unless finite); a ``t``
-    whose step polynomial overflows raises :class:`QmixError`.  An error
-    of the final density gate keeps its class, its text prefixed with
-    the number of steps and the step size h = t / steps.
+    whose step polynomial (S, or the A_l and B_l) overflows raises
+    :class:`QmixError`.  An error of the final density gate keeps its
+    class, its text prefixed with the number of steps and the step size
+    h = t / steps.
     """
     check_square("generator", gen.h.shape, rho0.dim)
     check_int("steps", steps, 1)
@@ -184,34 +196,55 @@ def integrate(rho0: QDensity, gen: Generator, t: float, steps: int) -> QDensity:
         for j in (2, 3, 4):
             terms.append(terms[-1] @ k / j)
         terms = np.stack(terms)
-        left = (terms[1:] * [[[-1.0]], [[1.0]], [[-1.0]], [[1.0]]]).reshape(4 * m, m)  # A_1..A_4
-        right = np.cumsum(terms, axis=0)[:0:-1].reshape(4 * m, m)  # B_0..B_3
-        if not (np.isfinite(left).all() and np.isfinite(right).all()):
+        lefts = terms * [[[1.0]], [[-1.0]], [[1.0]], [[-1.0]], [[1.0]]]  # A_0..A_4
+        rights = np.cumsum(terms, axis=0)[::-1]  # B_0..B_4
+        if m <= _KRONECKER_STEP_MAX_WIDTH:
+            # S[(i, j), (k, c)] = sum_l A_l[i, k] B_l[c, j], so S vec(X) = vec(sum_l A_l X B_l)
+            pairs = lefts.reshape(5, m * m).T @ rights.transpose(0, 2, 1).reshape(5, m * m)
+            kron = pairs.reshape(m, m, m, m).transpose(0, 2, 1, 3).reshape(m * m, m * m)
+            polynomial = (kron,)
+        else:
+            kron = None
+            left = lefts[1:].reshape(4 * m, m)  # A_1..A_4
+            right = rights[:4].reshape(4 * m, m)  # B_0..B_3
+            polynomial = (left, right)
+        if not all(np.isfinite(factor).all() for factor in polynomial):
             raise QmixError(
                 f"step polynomial of (t / steps) * H overflows at evolution time "
                 f"t = {t!r} with {steps} steps"
             )
-        # Per-call buffers and their views: ``stages`` is [X, Y_1, Y_2, Y_3]
-        stages = np.empty((m, 4 * m), dtype=np.complex128)
-        current = stages[:, :m]
+        # Per-call buffers and their views: X is ``current``, contiguous
+        # for S's product; on the two-product form ``stages`` is
+        # [X, Y_1, Y_2, Y_3] and X its first block column
+        if kron is not None:
+            current = np.empty((m, m), dtype=np.complex128)
+            current_vec = current.reshape(m * m)
+        else:
+            stages = np.empty((m, 4 * m), dtype=np.complex128)
+            current = stages[:, :m]
+            stage_blocks = stages[:, m:].reshape(m, 3, m).transpose(1, 0, 2)
+            y = np.empty((4 * m, m), dtype=np.complex128)
+            y_head, y_last = y[: 3 * m].reshape(3, m, m), y[3 * m :]
         current[...] = chi(rho0.mat)
-        stage_blocks = stages[:, m:].reshape(m, 3, m).transpose(1, 0, 2)
-        y = np.empty((4 * m, m), dtype=np.complex128)
-        y_head, y_last = y[: 3 * m].reshape(3, m, m), y[3 * m :]
-        # one slot per step of a block: raw iterate, its transpose, the
-        # hermitized iterate and its diagonal (the one ``trace`` sums)
+        # one slot per step of a block: raw iterate, its row-major vector,
+        # its transpose, the hermitized iterate and its diagonal (the one
+        # ``trace`` sums)
         block = max(1, min(steps, _DRIFT_BLOCK_STEPS, _DRIFT_BLOCK_ENTRIES // m**2))
         raws, hermitized = np.empty((2, block, m, m), dtype=np.complex128)
         diagonals = hermitized.reshape(block, m * m)[:, :: m + 1]
-        slots = list(zip(raws, raws.transpose(0, 2, 1), hermitized, diagonals))
+        raw_vecs, raws_t = raws.reshape(block, m * m), raws.transpose(0, 2, 1)
+        slots = list(zip(raws, raw_vecs, raws_t, hermitized, diagonals))
         traces = np.empty(block)
         for start in range(0, steps, block):
             count = min(block, steps - start)
-            for slot, (raw, raw_t, herm, diagonal) in enumerate(slots[:count]):
-                np.matmul(left, current, out=y)
-                stage_blocks[...] = y_head
-                np.matmul(stages, right, out=raw)
-                raw += y_last
+            for slot, (raw, raw_vec, raw_t, herm, diagonal) in enumerate(slots[:count]):
+                if kron is not None:
+                    np.matmul(kron, current_vec, out=raw_vec)
+                else:
+                    np.matmul(left, current, out=y)
+                    stage_blocks[...] = y_head
+                    np.matmul(stages, right, out=raw)
+                    raw += y_last
                 np.conjugate(raw_t, out=herm)
                 herm += raw
                 herm *= 0.5

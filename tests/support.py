@@ -29,7 +29,7 @@ from qmix.density import (
     random_density,
     validate,
 )
-from qmix.dynamics import DRIFT_TOL, Generator
+from qmix.dynamics import _KRONECKER_STEP_MAX_WIDTH, DRIFT_TOL, Generator
 from qmix.errors import (
     DimensionMismatch,
     DriftExceeded,
@@ -413,13 +413,19 @@ def reference_run_scenario(
 
 # -- the allocating RK4 loop, the reference for the in-place one -------------
 
-def reference_integrate(rho0: QDensity, gen: Generator, t: float, steps: int) -> QDensity:
+def reference_integrate(
+    rho0: QDensity, gen: Generator, t: float, steps: int, trace_log: list | None = None
+) -> QDensity:
     """``integrate`` as first written, one fresh array per operation.
 
     The reference for the in-place step loop of ``dynamics.integrate``:
-    the same step polynomial, concatenation of the stages, drift gate
-    (``np.linalg.norm`` of the hermitian correction) and message, so the
-    two must agree bit for bit, errors included.
+    the same step forms (one product by the Kronecker step matrix S up
+    to width 8, else the two products on the concatenated stages), built
+    in the same order, the same drift gate (``np.linalg.norm`` of the
+    hermitian correction) and message, so the two must agree bit for
+    bit, errors included.  Given a ``trace_log`` list, the loop appends
+    each step's trace to it and runs ungated, as the steps after a
+    failing one in a drift block of ``integrate`` do.
     """
     check_square("generator", gen.h.shape, rho0.dim)
     check_int("steps", steps, 1)
@@ -432,24 +438,38 @@ def reference_integrate(rho0: QDensity, gen: Generator, t: float, steps: int) ->
         for j in (2, 3, 4):
             terms.append(terms[-1] @ k / j)
         terms = np.stack(terms)
-        left = (terms[1:] * [[[-1.0]], [[1.0]], [[-1.0]], [[1.0]]]).reshape(4 * m, m)  # A_1..A_4
-        right = np.cumsum(terms, axis=0)[:0:-1].reshape(4 * m, m)  # B_0..B_3
-        if not (np.isfinite(left).all() and np.isfinite(right).all()):
+        lefts = terms * [[[1.0]], [[-1.0]], [[1.0]], [[-1.0]], [[1.0]]]  # A_0..A_4
+        rights = np.cumsum(terms, axis=0)[::-1]  # B_0..B_4
+        if m <= _KRONECKER_STEP_MAX_WIDTH:
+            pairs = lefts.reshape(5, m * m).T @ rights.transpose(0, 2, 1).reshape(5, m * m)
+            kron = pairs.reshape(m, m, m, m).transpose(0, 2, 1, 3).reshape(m * m, m * m)
+            polynomial = (kron,)
+        else:
+            left = lefts[1:].reshape(4 * m, m)  # A_1..A_4
+            right = rights[:4].reshape(4 * m, m)  # B_0..B_3
+            polynomial = (left, right)
+        if not all(np.isfinite(factor).all() for factor in polynomial):
             raise QmixError(
                 f"step polynomial of (t / steps) * H overflows at evolution time "
                 f"t = {t!r} with {steps} steps"
             )
         for step in range(steps):
-            y = left @ current
-            stages = np.concatenate((current, y[:m], y[m : 2 * m], y[2 * m : 3 * m]), axis=1)
-            raw = stages @ right + y[3 * m :]
+            if m <= _KRONECKER_STEP_MAX_WIDTH:
+                raw = (kron @ current.reshape(m * m)).reshape(m, m)
+            else:
+                y = left @ current
+                stages = np.concatenate((current, y[:m], y[m : 2 * m], y[2 * m : 3 * m]), axis=1)
+                raw = stages @ right + y[3 * m :]
             hermitized = (raw + raw.conj().T) * 0.5
             herm_correction = float(np.linalg.norm(raw - hermitized)) / 1.4142135623730951  # sqrt 2
             trace = float(np.trace(hermitized).real) / 2.0
             correction = max(herm_correction, abs(trace - 1.0))
-            check_slices(
-                correction, DRIFT_TOL, DriftExceeded,
-                lambda i: f"correction {correction:.3e} at step {step} exceeds {DRIFT_TOL:.0e}",
-            )
+            if trace_log is not None:
+                trace_log.append(trace)
+            else:
+                check_slices(
+                    correction, DRIFT_TOL, DriftExceeded,
+                    lambda i: f"correction {correction:.3e} at step {step} exceeds {DRIFT_TOL:.0e}",
+                )
             current = hermitized / trace
     return validate(chi_inverse(current))

@@ -502,8 +502,8 @@ def test_time_ordered_constant_generator_is_one_exponential():
 
 def test_integrate_drift_names_the_failing_step():
     # |H| h = 125 is far outside RK4's stability region, so the iterate
-    # grows every step; the correction of step 0 is 1.1e-8, below the
-    # 1e-6 cap, and that of step 1 is 2.4e-2
+    # grows every step; the correction of step 0 is 3.0e-9, below the
+    # 1e-6 cap, and that of step 1 is 3.2e-2
     gen = Generator(random_generator(2, np.random.default_rng(71)).h * 1e3)
     rho = random_density(2, MixtureKind.IMPROPER, 72)
     with pytest.raises(DriftExceeded, match="at step 1 "):
@@ -520,7 +520,7 @@ def _ci_smoke_state_and_generator(scale):
 
 def test_integrate_drift_names_a_failing_step_in_a_later_block():
     # scaled by 400 and stepped 200 times, the smoke generator first
-    # fails the drift gate past the first block of 64 steps (at step 111
+    # fails the drift gate past the first block of 64 steps (at step 114
     # with OpenBLAS on x86-64; rounding seeds the mode that grows, so
     # another BLAS can move it by a few steps)
     rho, gen = _ci_smoke_state_and_generator(400)
@@ -530,20 +530,34 @@ def test_integrate_drift_names_a_failing_step_in_a_later_block():
     assert_same_outcome_as_the_allocating_loop(rho, gen, 1.0, 200)
 
 
-def test_integrate_drift_failure_then_a_zero_trace_in_its_block_does_not_warn():
-    # the drift test's generator over 64 steps of h = 0.125: step 1 fails
-    # (correction 2.4e-02), the steps after it in the block run on, and
-    # the trace of step 10 is 0.0 and of step 11 on nan; dividing by them
-    # must not warn
-    gen = Generator(random_generator(2, np.random.default_rng(71)).h * 1e3)
-    rho = random_density(2, MixtureKind.IMPROPER, 72)
+@pytest.mark.parametrize(
+    "n,message",
+    [
+        (2, "correction 3.209e-02 at step 1 exceeds 1e-06"),
+        (5, "correction 6.910e-03 at step 1 exceeds 1e-06"),
+    ],
+    ids=["n2", "n5"],  # n = 2 takes the Kronecker step, n = 5 the two products
+)
+def test_integrate_drift_failure_then_a_zero_trace_in_its_block_does_not_warn(n, message):
+    # the drift test's generator seed and scale over 64 steps of h = 0.125:
+    # step 1 fails, the steps after it in the block run on, and a later
+    # trace is 0.0 and the next nan (steps 23 and 24 at n = 2, 11 and 12
+    # at n = 5); dividing by them must not warn
+    gen = Generator(random_generator(n, np.random.default_rng(71)).h * 1e3)
+    rho = random_density(n, MixtureKind.IMPROPER, 72)
     with pytest.raises(DriftExceeded) as want:
         reference_integrate(rho, gen, 8.0, 64)
+    traces = []
+    # ungated, the reference divides by the zero trace and ends in nan
+    with np.errstate(divide="ignore"), pytest.raises(QmixError):
+        reference_integrate(rho, gen, 8.0, 64, trace_log=traces)
+    zero = traces.index(0.0)
+    assert 1 < zero < 63 and np.isnan(traces[zero + 1])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DriftExceeded) as got:
             integrate(rho, gen, t=8.0, steps=64)
-    assert str(got.value) == str(want.value) == "correction 2.396e-02 at step 1 exceeds 1e-06"
+    assert str(got.value) == str(want.value) == message
 
 
 def test_integrate_halves_the_hermitized_iterate_before_dividing_by_its_trace():
@@ -566,11 +580,18 @@ def test_integrate_read_back_error_names_the_steps_and_step_size():
 
 
 def test_integrate_names_the_time_when_its_step_polynomial_overflows():
-    # K = (t / steps) chi(H) is finite, its square is not: the error names
-    # the time and the steps rather than a drift of nan
-    gen = random_generator(2, np.random.default_rng(73))
-    rho = random_density(2, MixtureKind.IMPROPER, 74)
-    for t, steps in ((1e200, 3), (1e308, 1000)):
+    # K = (t / steps) chi(H) is finite, its square is not; or, in the last
+    # row, every A_l and B_l is finite and a Kronecker entry A_l (x) B_l^T
+    # of the step matrix is not: the error names the time and the steps
+    # rather than a drift of nan or inf
+    rows = [
+        (73, 74, 1e200, 3),
+        (73, 74, 1e308, 1000),
+        (5, 6, 1.905460717963252e77, 1),
+    ]
+    for gen_seed, rho_seed, t, steps in rows:
+        gen = random_generator(2, np.random.default_rng(gen_seed))
+        rho = random_density(2, MixtureKind.IMPROPER, rho_seed)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(QmixError) as excinfo:
