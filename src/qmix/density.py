@@ -49,6 +49,7 @@ from .qmatrix import (
     check_slices,
     check_square,
     check_tol,
+    check_type,
     chi,
     numerical_rank,
     require_hermitian,
@@ -155,8 +156,9 @@ class Observable:
 
     @classmethod
     def from_qmatrix(cls, mat: QMatrix, tol: float = VALIDATION_TOL) -> "Observable":
-        """One square matrix, hermitian at ``tol``; complex when ``slice_norms(beta) <= tol``."""
+        """One square QMatrix, hermitian at ``tol``; complex when ``slice_norms(beta) <= tol``."""
         check_tol(tol)
+        check_type("observable", mat, QMatrix)
         check_square("observable", mat.shape)
         require_hermitian(mat, tol)
         with np.errstate(over="ignore"):  # an overflowing norm reads inf: not complex
@@ -241,12 +243,14 @@ def _mixture_kind(m: QMatrix) -> tuple:
 def validate(m: QMatrix, tol: float = VALIDATION_TOL) -> QDensity:
     """Validate a quaternionic matrix as a density matrix and classify it.
 
-    Runs :func:`_density_gate` and keeps its spectrum.  The
-    proper/improper classification uses the scale-aware zero test
-    :func:`proper_tolerance` on ||rho_beta||_F.  ``tol`` follows
-    :func:`~qmix.qmatrix.check_tol`, as it does for the other public gates.
+    ``m`` is a QMatrix (else a ValueError).  Runs :func:`_density_gate`
+    and keeps its spectrum.  The proper/improper classification uses the
+    scale-aware zero test :func:`proper_tolerance` on ||rho_beta||_F.
+    ``tol`` follows :func:`~qmix.qmatrix.check_tol`, as it does for the
+    other public gates.
     """
     check_tol(tol)
+    check_type("density matrix", m, QMatrix)
     check_square("density matrix", m.shape)
     eigs = _density_gate(m, tol)
     kind, beta_norm = _mixture_kind(m)
@@ -277,10 +281,8 @@ def expectation(a: Observable, rho: QDensity) -> float:
     or a ``rho`` that is not a :class:`QDensity`, is a ValueError; a value
     that overflows raises :class:`QmixError` (see :func:`check_real`).
     """
-    if not isinstance(a, Observable):
-        raise ValueError(f"a must be an Observable, got {a!r}")
-    if not isinstance(rho, QDensity):
-        raise ValueError(f"rho must be a QDensity, got {rho!r}")
+    check_type("a", a, Observable)
+    check_type("rho", rho, QDensity)
     check_square("observable", a.mat.shape, rho.dim)
     return _expectations(a.mat, rho.mat)
 

@@ -23,12 +23,14 @@ homomorphism (F. Zhang, LAA 251, 1997), so the propagator is one
 exponential of chi(H) (``expm_q``), and the RK4 solver applies one
 step polynomial, built once from powers of h chi(H), to raw 2n x 2n
 arrays, read back once with a chi-membership check.  Up to n = 4 a
-step is one product by the polynomial's Kronecker matrix, vec(A X B) =
-(A (x) B^T) vec(X) (C. F. Van Loan, J. Comput. Appl. Math. 123, 2000);
-past it, two products.  Its steps write into buffers made once per
-call, so the step loop allocates nothing, and its drift gate measures
-the corrections of a block of up to 64 steps at once, fewer where
-their buffers would pass 8 MiB.
+step is one real product and one division on the (2n)**2 real
+parameters of the hermitian iterate, by a matrix built once from the
+polynomial's Kronecker matrix, vec(A X B) = (A (x) B^T) vec(X)
+(C. F. Van Loan, J. Comput. Appl. Math. 123, 2000), that also gives the
+trace; past it, two products.  Its steps write into buffers made once
+per call, so the step loop allocates nothing, and its drift gate
+measures the corrections of a block of up to 64 steps at once, fewer
+where their buffers would pass 8 MiB.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .qmatrix import (
     check_real,
     check_slices,
     check_square,
+    check_type,
     chi,
     chi_inverse,
     expm_q,
@@ -78,26 +81,30 @@ class Generator:
 
     Anti-hermiticity (alpha block anti-hermitian, beta block symmetric)
     is enforced at construction, at ``VALIDATION_TOL``; a non-finite
-    entry fails it.
+    entry fails it, and an ``h`` that is not a QMatrix is a ValueError.
     """
 
     h: QMatrix
 
     def __post_init__(self):
+        check_type("generator", self.h, QMatrix)
         check_square("generator", self.h.shape)
         require_anti_hermitian(self.h, "generator")
 
 
 @dataclass(frozen=True, eq=False)
 class Propagator:
-    """Unitary propagator; unitarity checked at construction (NaN fails)."""
+    """Unitary propagator; a QMatrix, its unitarity checked at construction (NaN fails)."""
 
     u: QMatrix
 
     def __post_init__(self):
+        check_type("propagator", self.u, QMatrix)
         check_square("propagator", self.u.shape)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the check
+        try:  # a NaN entry gives a NaN deviation, which fails the check
             dev = max_abs(self.u.h @ self.u - QMatrix.identity(self.u.rows))
+        except QmixError:  # U^dag U overflows
+            dev = float("inf")
         check_slices(
             dev, UNITARY_TOL, NotUnitary,
             lambda i: f"U^dag U deviates from identity by {dev:.3e}, beyond {UNITARY_TOL:.3e}",
@@ -141,11 +148,10 @@ def time_ordered(gen: Generator, t: float) -> Propagator:
     overflows the exponent raises :class:`QmixError`.
     """
     check_real("evolution time t", t)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by the product
-        try:
-            exponent = (gen.h - gen.h.h) * (-t / 2)
-        except QmixError as exc:
-            raise QmixError(f"exponent -t * H overflows at evolution time t = {t!r}") from exc
+    try:  # QMatrix arithmetic refuses an overflow, without a numpy warning
+        exponent = (gen.h - gen.h.h) * (-t / 2)
+    except QmixError as exc:
+        raise QmixError(f"exponent -t * H overflows at evolution time t = {t!r}") from exc
     return Propagator(u=expm_q(exponent))
 
 
@@ -156,29 +162,38 @@ def integrate(rho0: QDensity, gen: Generator, t: float, steps: int) -> QDensity:
     L(X) = XK - KX is the fixed polynomial sum_{k<=4} L^k(X) / k!.
     Left and right multiplication commute, so it equals
     sum_{l<=4} A_l X B_l with A_l = (-K)^l / l! and
-    B_l = sum_{j<=4-l} K^j / j!, built once from the powers of K.  Up
-    to m = 2n = 8, where its m**4 multiply-adds are no more than the
-    8 m**3 of two products, a step on X = chi(rho) is one product by the
-    m**2 x m**2 step matrix S = sum_l A_l (x) B_l^T, since row-major
-    vec(A X B) = (A (x) B^T) vec(X).  Past m = 8, as A_0 = B_4 = I, it
-    is two matrix products: Y = [A_1; ..; A_4] X, then
-    [X, Y_1, Y_2, Y_3] [B_0; ..; B_3] + Y_4, with X the first block
-    column of the stage matrix [X, Y_1, Y_2, Y_3].  A step reuses
-    buffers made once per call and allocates nothing: every product is
-    written in place.
+    B_l = sum_{j<=4-l} K^j / j!, built once from the powers of K.  Each
+    step keeps only what the next one reads: the new iterate,
+    re-hermitized ((X + X^dag)/2) and trace-renormalized.
 
-    Each step does only what the next one reads: the product(s), then
-    the iterate re-hermitized ((rho + rho^dag)/2) and trace-renormalized.
-    The applied correction (quaternionic Frobenius norm, which is
-    ||chi||_F / sqrt(2), and trace offset, Re Tr chi / 2 - 1) is measured
-    once per block of up to 64 steps, fewer where the block's raw and
-    hermitized iterates would pass 2**18 entries each (8 MiB in all),
-    and :class:`DriftExceeded` names the first step of the block whose
-    correction passes ``DRIFT_TOL``.  Silent drift is never allowed to
-    accumulate: steps after a failing one in its block run, but their
-    result is dropped.  ``t`` goes through :func:`check_real` (ValueError
-    unless a real number, :class:`QmixError` unless finite); a ``t``
-    whose step polynomial (S, or the A_l and B_l) overflows raises
+    Up to m = 2n = 8, where its m**4 multiply-adds are no more than the
+    8 m**3 of two products, a step acts on the m**2 real parameters x of
+    the hermitian X = chi(rho) (:func:`_hermitian_parameters`): one
+    product by the real (m**2 + 1) x m**2 matrix R of
+    :func:`_hermitian_step` gives the parameters of the hermitized
+    iterate and, last, its trace, and one division by that trace gives
+    the next x.  R is built once from the m**2 x m**2 step matrix
+    S = sum_l A_l (x) B_l^T, since row-major vec(A X B) =
+    (A (x) B^T) vec(X).  Past m = 8, as A_0 = B_4 = I, a step is two
+    matrix products, Y = [A_1; ..; A_4] X, then
+    [X, Y_1, Y_2, Y_3] [B_0; ..; B_3] + Y_4, with X the first block
+    column of the stage matrix [X, Y_1, Y_2, Y_3], then the
+    hermitization, halving and division.  Steps reuse buffers made once
+    per call and allocate nothing: every operation writes in place.
+
+    The applied correction (quaternionic Frobenius norm of the skew part
+    the hermitization drops, which is ||chi||_F / sqrt(2), and trace
+    offset, Re Tr chi / 2 - 1) is measured once per block of up to 64
+    steps, fewer where the block's raw and hermitized iterates would
+    pass 2**18 entries each (8 MiB in all); on the real form, a block's
+    skew parts are one product of its stored parameters by the real
+    skew map of :func:`_hermitian_step`.  :class:`DriftExceeded` names
+    the first step of the block whose correction passes ``DRIFT_TOL``.
+    Silent drift is never allowed to accumulate: steps after a failing
+    one in its block run, but their result is dropped.  ``t`` goes
+    through :func:`check_real` (ValueError unless a real number,
+    :class:`QmixError` unless finite); a ``t`` whose step polynomial (R
+    and the skew map, or the A_l and B_l) overflows raises
     :class:`QmixError`.  An error of the final density gate keeps its
     class, its text prefixed with the number of steps and the step size
     h = t / steps.
@@ -200,69 +215,151 @@ def integrate(rho0: QDensity, gen: Generator, t: float, steps: int) -> QDensity:
         rights = np.cumsum(terms, axis=0)[::-1]  # B_0..B_4
         if m <= _KRONECKER_STEP_MAX_WIDTH:
             # S[(i, j), (k, c)] = sum_l A_l[i, k] B_l[c, j], so S vec(X) = vec(sum_l A_l X B_l)
-            pairs = lefts.reshape(5, m * m).T @ rights.transpose(0, 2, 1).reshape(5, m * m)
-            kron = pairs.reshape(m, m, m, m).transpose(0, 2, 1, 3).reshape(m * m, m * m)
-            polynomial = (kron,)
+            kron = lefts.reshape(5, m * m).T @ rights.transpose(0, 2, 1).reshape(5, m * m)
+            kron = kron.reshape(m, m, m, m).transpose(0, 2, 1, 3).reshape(m * m, m * m)
+            polynomial, run = _hermitian_step(kron, m), _real_steps
+            del kron  # not held through the steps
         else:
-            kron = None
             left = lefts[1:].reshape(4 * m, m)  # A_1..A_4
             right = rights[:4].reshape(4 * m, m)  # B_0..B_3
-            polynomial = (left, right)
+            polynomial, run = (left, right), _two_product_steps
         if not all(np.isfinite(factor).all() for factor in polynomial):
             raise QmixError(
                 f"step polynomial of (t / steps) * H overflows at evolution time "
                 f"t = {t!r} with {steps} steps"
             )
-        # Per-call buffers and their views: X is ``current``, contiguous
-        # for S's product; on the two-product form ``stages`` is
-        # [X, Y_1, Y_2, Y_3] and X its first block column
-        if kron is not None:
-            current = np.empty((m, m), dtype=np.complex128)
-            current_vec = current.reshape(m * m)
-        else:
-            stages = np.empty((m, 4 * m), dtype=np.complex128)
-            current = stages[:, :m]
-            stage_blocks = stages[:, m:].reshape(m, 3, m).transpose(1, 0, 2)
-            y = np.empty((4 * m, m), dtype=np.complex128)
-            y_head, y_last = y[: 3 * m].reshape(3, m, m), y[3 * m :]
-        current[...] = chi(rho0.mat)
-        # one slot per step of a block: raw iterate, its row-major vector,
-        # its transpose, the hermitized iterate and its diagonal (the one
-        # ``trace`` sums)
         block = max(1, min(steps, _DRIFT_BLOCK_STEPS, _DRIFT_BLOCK_ENTRIES // m**2))
-        raws, hermitized = np.empty((2, block, m, m), dtype=np.complex128)
-        diagonals = hermitized.reshape(block, m * m)[:, :: m + 1]
-        raw_vecs, raws_t = raws.reshape(block, m * m), raws.transpose(0, 2, 1)
-        slots = list(zip(raws, raw_vecs, raws_t, hermitized, diagonals))
-        traces = np.empty(block)
-        for start in range(0, steps, block):
-            count = min(block, steps - start)
-            for slot, (raw, raw_vec, raw_t, herm, diagonal) in enumerate(slots[:count]):
-                if kron is not None:
-                    np.matmul(kron, current_vec, out=raw_vec)
-                else:
-                    np.matmul(left, current, out=y)
-                    stage_blocks[...] = y_head
-                    np.matmul(stages, right, out=raw)
-                    raw += y_last
-                np.conjugate(raw_t, out=herm)
-                herm += raw
-                herm *= 0.5
-                trace = traces[slot] = float(diagonal.sum().real) / 2.0
-                np.divide(herm, trace, out=current)
-            skews = np.subtract(raws[:count], hermitized[:count], out=raws[:count])
-            herm_corrections = slice_norms(skews) / 1.4142135623730951  # sqrt 2
-            corrections = np.maximum(herm_corrections, np.abs(traces[:count] - 1.0))
-            first = int(np.argmin(corrections <= DRIFT_TOL))  # the first failing step, else 0
-            correction = float(corrections[first])
-            check_slices(
-                correction, DRIFT_TOL, DriftExceeded,
-                lambda i: f"correction {correction:.3e} at step {start + first} exceeds {DRIFT_TOL:.0e}",
-            )
+        final = run(chi(rho0.mat), *polynomial, steps, block)
     try:
-        return validate(chi_inverse(current))
+        return validate(chi_inverse(final))
     except QmixError as exc:
         raise type(exc)(f"rk4 result after {steps} steps of h = {t / steps!r}: {exc}") from exc
+
+
+def _upper(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major flat indices of the entries above an m x m diagonal, and of their mirrors."""
+    rows, cols = np.triu_indices(m, 1)
+    return rows * m + cols, cols * m + rows
+
+
+def _hermitian_parameters(x: np.ndarray) -> np.ndarray:
+    """The m**2 real parameters of (X + X^dag) / 2, for an m x m complex X.
+
+    Its real diagonal, then the real parts of the entries above the
+    diagonal, then their imaginary parts, each in row-major order.
+    """
+    flat = x.reshape(-1)
+    up, low = _upper(len(x))
+    above = (flat[up] + flat[low].conj()) * 0.5
+    return np.concatenate((x.diagonal().real, above.real, above.imag))
+
+
+def _hermitian_matrix(params: np.ndarray, m: int) -> np.ndarray:
+    """The hermitian m x m complex matrix whose parameters are ``params``."""
+    up, low = _upper(m)
+    diagonal, real, imag = np.split(params, [m, m + len(up)])
+    flat = np.zeros(m * m, dtype=np.complex128)
+    flat.real[:: m + 1] = diagonal
+    flat.real[up] = flat.real[low] = real
+    flat.imag[up], flat.imag[low] = imag, -imag
+    return flat.reshape(m, m)
+
+
+def _hermitian_step(kron: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The step matrix S on the parameters of a hermitian X: the maps R and K.
+
+    With x the m**2 parameters of X (:func:`_hermitian_parameters`) and
+    Y = S vec(X): R, real (m**2 + 1) x m**2, gives the parameters of
+    (Y + Y^dag) / 2 and, last, Re Tr Y / 2; K, real m**2 x m**2, gives a
+    vector of norm ||(Y - Y^dag) / 2||_F, the skew part's imaginary
+    diagonal, then its real and imaginary parts above the diagonal
+    scaled by sqrt(2).  Both are combinations of S's columns (vec(X) in
+    x), then of their rows, in real arithmetic.
+    """
+    up, low = _upper(m)
+    diagonal = np.arange(0, m * m, m + 1)
+    re, im = kron.real, kron.imag
+    # the real and imaginary parts of S's columns taken into x's: the
+    # entries above X's diagonal are a + ib, their mirrors a - ib
+    re_cols = np.concatenate((re[:, diagonal], re[:, up] + re[:, low], im[:, low] - im[:, up]), 1)
+    im_cols = np.concatenate((im[:, diagonal], im[:, up] + im[:, low], re[:, up] - re[:, low]), 1)
+    step = np.concatenate((
+        re_cols[diagonal],
+        (re_cols[up] + re_cols[low]) * 0.5,
+        (im_cols[up] - im_cols[low]) * 0.5,
+        re_cols[diagonal].sum(0, keepdims=True) * 0.5,
+    ))
+    skew_map = np.concatenate((
+        im_cols[diagonal],
+        (re_cols[up] - re_cols[low]) / 1.4142135623730951,  # sqrt 2
+        (im_cols[up] + im_cols[low]) / 1.4142135623730951,
+    ))
+    return step, skew_map
+
+
+def _check_drift(corrections: np.ndarray, start: int) -> None:
+    """:class:`DriftExceeded` at a block's first step whose correction passes ``DRIFT_TOL``."""
+    first = int(np.argmin(corrections <= DRIFT_TOL))  # the first failing step, else 0
+    correction = float(corrections[first])
+    check_slices(
+        correction, DRIFT_TOL, DriftExceeded,
+        lambda i: f"correction {correction:.3e} at step {start + first} exceeds {DRIFT_TOL:.0e}",
+    )
+
+
+def _real_steps(image, step, skew_map, steps: int, block: int) -> np.ndarray:
+    """``integrate``'s steps on the hermitian parameters of ``image``; the final iterate."""
+    size = step.shape[1]  # m**2
+    # parameter slot b is the input of a block's step b and slot b + 1 its
+    # output; each step's R x holds the hermitized parameters, then the trace
+    params, skews = np.empty((block + 1, size)), np.empty((block, size))
+    outs = np.empty((block, size + 1))
+    params[0] = _hermitian_parameters(image)
+    slots = list(zip(params[:-1], outs, outs[:, :size], outs[:, size:], params[1:]))
+    for start in range(0, steps, block):
+        count = min(block, steps - start)
+        for x, out, hermitized, trace, following in slots[:count]:
+            np.matmul(step, x, out=out)
+            np.divide(hermitized, trace, out=following)
+        skew = np.matmul(params[:count], skew_map.T, out=skews[:count])
+        herm_corrections = np.sqrt(np.vecdot(skew, skew)) / 1.4142135623730951  # sqrt 2
+        _check_drift(np.maximum(herm_corrections, np.abs(outs[:count, size] - 1.0)), start)
+        params[0] = params[count]
+    return _hermitian_matrix(params[0], len(image))
+
+
+def _two_product_steps(image, left, right, steps: int, block: int) -> np.ndarray:
+    """``integrate``'s steps on the chi image ``image`` by two products each; the final iterate."""
+    m = len(image)
+    # X is the first block column of ``stages``, [X, Y_1, Y_2, Y_3]
+    stages = np.empty((m, 4 * m), dtype=np.complex128)
+    current = stages[:, :m]
+    stage_blocks = stages[:, m:].reshape(m, 3, m).transpose(1, 0, 2)
+    y = np.empty((4 * m, m), dtype=np.complex128)
+    y_head, y_last = y[: 3 * m].reshape(3, m, m), y[3 * m :]
+    current[...] = image
+    # one slot per step of a block: raw iterate, its transpose, the
+    # hermitized iterate and its diagonal (the one ``trace`` sums)
+    raws, hermitized = np.empty((2, block, m, m), dtype=np.complex128)
+    diagonals = hermitized.reshape(block, m * m)[:, :: m + 1]
+    slots = list(zip(raws, raws.transpose(0, 2, 1), hermitized, diagonals))
+    traces = np.empty(block)
+    for start in range(0, steps, block):
+        count = min(block, steps - start)
+        for slot, (raw, raw_t, herm, diagonal) in enumerate(slots[:count]):
+            np.matmul(left, current, out=y)
+            stage_blocks[...] = y_head
+            np.matmul(stages, right, out=raw)
+            raw += y_last
+            np.conjugate(raw_t, out=herm)
+            herm += raw
+            herm *= 0.5
+            trace = traces[slot] = float(diagonal.sum().real) / 2.0
+            np.divide(herm, trace, out=current)
+        skews = np.subtract(raws[:count], hermitized[:count], out=raws[:count])
+        herm_corrections = slice_norms(skews) / 1.4142135623730951  # sqrt 2
+        _check_drift(np.maximum(herm_corrections, np.abs(traces[:count] - 1.0)), start)
+    return current
 
 
 def projected_rate_check(rho: QDensity, gen: Generator, h: float = 1e-4) -> float:
@@ -296,8 +393,7 @@ def random_generator(n: int, rng: np.random.Generator, quaternionic: bool = True
     an ``np.random.Generator`` a ValueError.
     """
     check_int("generator dimension", n, 1, DimensionMismatch)
-    if not isinstance(rng, np.random.Generator):
-        raise ValueError(f"rng must be an np.random.Generator, got {rng!r}")
+    check_type("rng", rng, np.random.Generator)
     g = _ginibre(rng.standard_normal((4 if quaternionic else 2, n, n)))
     g = QMatrix(g[0], g[1] if quaternionic else np.zeros_like(g[0]))
     ham = (g - g.h) * 0.5

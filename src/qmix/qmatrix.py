@@ -64,6 +64,8 @@ class QMatrix:
     helpers :func:`chi`, :func:`frobenius_norm`,
     :func:`hermiticity_deviation`, :func:`eigvals_hermitian` and
     :func:`rank_q` act slice by slice, and indexing selects slices.
+    Sums, differences, products and real scalings of finite operands are
+    finite or raise :class:`QmixError`, and never make numpy warn.
     """
 
     alpha: np.ndarray
@@ -123,24 +125,28 @@ class QMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
-        return QMatrix(
+        return _finite_result("product", (self, other), lambda: (
             self.alpha @ other.alpha - self.beta.conj() @ other.beta,
             self.alpha.conj() @ other.beta + self.beta @ other.alpha,
-        )
+        ))
 
     def __add__(self, other):
         if not isinstance(other, QMatrix):
             return NotImplemented
         if self.shape != other.shape:
             raise DimensionMismatch(f"cannot add {self.shape} and {other.shape}")
-        return QMatrix(self.alpha + other.alpha, self.beta + other.beta)
+        return _finite_result(
+            "sum", (self, other), lambda: (self.alpha + other.alpha, self.beta + other.beta)
+        )
 
     def __sub__(self, other):
         if not isinstance(other, QMatrix):
             return NotImplemented
         if self.shape != other.shape:
             raise DimensionMismatch(f"cannot subtract {other.shape} from {self.shape}")
-        return QMatrix(self.alpha - other.alpha, self.beta - other.beta)
+        return _finite_result(
+            "difference", (self, other), lambda: (self.alpha - other.alpha, self.beta - other.beta)
+        )
 
     def __neg__(self) -> "QMatrix":
         return QMatrix(-self.alpha, -self.beta)
@@ -154,16 +160,36 @@ class QMatrix:
         return self._scaled(scalar, "divisor", np.divide)
 
     def _scaled(self, scalar, name: str, op) -> "QMatrix":
-        """Both blocks ``op`` a real scalar, which commutes with j; a non-finite result raises."""
+        """Both blocks ``op`` a real scalar, which commutes with j."""
         if not isinstance(scalar, Real):
             return NotImplemented
         check_real(name, scalar)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below
-            out = QMatrix(op(self.alpha, float(scalar)), op(self.beta, float(scalar)))
-        bad = np.count_nonzero(~np.isfinite(out.alpha)) + np.count_nonzero(~np.isfinite(out.beta))
-        check_slices(bad, 0, QmixError,
-                     lambda i: f"{name} = {scalar!r} gives {bad} non-finite entries")
+        return _finite_result(
+            f"{name} = {scalar!r}", (self,),
+            lambda: (op(self.alpha, float(scalar)), op(self.beta, float(scalar))),
+        )
+
+
+def _all_finite(m: QMatrix) -> bool:
+    return bool(np.isfinite(m.alpha).all() and np.isfinite(m.beta).all())
+
+
+def _finite_result(what: str, operands: tuple, blocks: Callable[[], tuple]) -> QMatrix:
+    """The QMatrix of ``blocks()``, computed with numpy's warnings off.
+
+    ``QMatrix`` arithmetic's one overflow rule: finite operands give a
+    finite result, or a :class:`QmixError` naming ``what`` and counting
+    the non-finite entries; a non-finite operand passes through, as it
+    would in numpy, to the gate that reads it.  The result is scanned,
+    since a BLAS worker thread's overflow raises no floating-point flag
+    in the caller's.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below
+        out = QMatrix(*blocks())
+    if _all_finite(out) or not all(_all_finite(m) for m in operands):
         return out
+    bad = np.count_nonzero(~np.isfinite(out.alpha)) + np.count_nonzero(~np.isfinite(out.beta))
+    raise QmixError(f"{what} gives {bad} non-finite entries")
 
 
 # ---------------------------------------------------------------------
@@ -258,6 +284,20 @@ def check_int(name: str, value, least: int, error: type[Exception] = ValueError)
         raise error(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise error(f"{name} must be >= {least}, got {_shown(value, str)}")
+
+
+def check_type(name: str, value, cls: type) -> None:
+    """The one rule for an argument's type: an instance of ``cls``, else a ValueError naming it.
+
+    The class is named as it is imported: a qmix class by its name, any
+    other by its public module path.
+    """
+    if isinstance(value, cls):
+        return
+    path = [part for part in cls.__module__.split(".") if not part.startswith("_")]
+    label = cls.__name__ if path[0] == "qmix" else ".".join([*path, cls.__name__])
+    article = "an" if label[0] in "AEIOU" else "a"
+    raise ValueError(f"{name} must be {article} {label}, got {_shown(value)}")
 
 
 def check_real(name: str, value) -> None:

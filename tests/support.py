@@ -29,7 +29,15 @@ from qmix.density import (
     random_density,
     validate,
 )
-from qmix.dynamics import _KRONECKER_STEP_MAX_WIDTH, DRIFT_TOL, Generator
+from qmix.dynamics import (
+    _DRIFT_BLOCK_STEPS,
+    _KRONECKER_STEP_MAX_WIDTH,
+    DRIFT_TOL,
+    Generator,
+    _hermitian_matrix,
+    _hermitian_parameters,
+    _hermitian_step,
+)
 from qmix.errors import (
     DimensionMismatch,
     DriftExceeded,
@@ -418,14 +426,18 @@ def reference_integrate(
 ) -> QDensity:
     """``integrate`` as first written, one fresh array per operation.
 
-    The reference for the in-place step loop of ``dynamics.integrate``:
-    the same step forms (one product by the Kronecker step matrix S up
-    to width 8, else the two products on the concatenated stages), built
-    in the same order, the same drift gate (``np.linalg.norm`` of the
-    hermitian correction) and message, so the two must agree bit for
-    bit, errors included.  Given a ``trace_log`` list, the loop appends
-    each step's trace to it and runs ungated, as the steps after a
-    failing one in a drift block of ``integrate`` do.
+    The reference for the in-place step loops of ``dynamics.integrate``:
+    the same step forms (up to width 8, one product by the real step
+    matrix R on the hermitian parameters, from the same
+    ``_hermitian_step``, then a division by the trace it gives; else the
+    two products on the concatenated stages), built in the same order,
+    the same drift gate and message, so the two must agree bit for bit,
+    errors included.  On the real form the hermitian corrections of a
+    drift block are one product of its stacked parameters by the skew
+    map, as in ``integrate``; on the two-product form each step's is
+    ``np.linalg.norm`` of its own skew part.  Given a ``trace_log`` list,
+    the loop appends each step's trace to it and runs ungated, as the
+    steps after a failing one in a drift block of ``integrate`` do.
     """
     check_square("generator", gen.h.shape, rho0.dim)
     check_int("steps", steps, 1)
@@ -443,7 +455,7 @@ def reference_integrate(
         if m <= _KRONECKER_STEP_MAX_WIDTH:
             pairs = lefts.reshape(5, m * m).T @ rights.transpose(0, 2, 1).reshape(5, m * m)
             kron = pairs.reshape(m, m, m, m).transpose(0, 2, 1, 3).reshape(m * m, m * m)
-            polynomial = (kron,)
+            polynomial = _hermitian_step(kron, m)
         else:
             left = lefts[1:].reshape(4 * m, m)  # A_1..A_4
             right = rights[:4].reshape(4 * m, m)  # B_0..B_3
@@ -453,23 +465,41 @@ def reference_integrate(
                 f"step polynomial of (t / steps) * H overflows at evolution time "
                 f"t = {t!r} with {steps} steps"
             )
-        for step in range(steps):
-            if m <= _KRONECKER_STEP_MAX_WIDTH:
-                raw = (kron @ current.reshape(m * m)).reshape(m, m)
-            else:
+
+        def gate(corrections, traces, start):
+            if trace_log is not None:
+                trace_log.extend(traces)
+                return
+            for offset, correction in enumerate(corrections):
+                check_slices(
+                    correction, DRIFT_TOL, DriftExceeded,
+                    lambda i: f"correction {correction:.3e} at step {start + offset} "
+                    f"exceeds {DRIFT_TOL:.0e}",
+                )
+
+        if m <= _KRONECKER_STEP_MAX_WIDTH:
+            step, skew_map = polynomial
+            x = _hermitian_parameters(current)
+            block = min(steps, _DRIFT_BLOCK_STEPS)
+            for start in range(0, steps, block):
+                inputs, traces = [], []
+                for _ in range(min(block, steps - start)):
+                    y = step @ x
+                    inputs.append(x)
+                    traces.append(float(y[-1]))
+                    x = y[:-1] / y[-1]
+                skews = np.array(inputs) @ skew_map.T
+                herm_corrections = np.sqrt(np.vecdot(skews, skews)) / 1.4142135623730951
+                gate(np.maximum(herm_corrections, np.abs(np.array(traces) - 1.0)), traces, start)
+            current = _hermitian_matrix(x, m)
+        else:
+            for step in range(steps):
                 y = left @ current
                 stages = np.concatenate((current, y[:m], y[m : 2 * m], y[2 * m : 3 * m]), axis=1)
                 raw = stages @ right + y[3 * m :]
-            hermitized = (raw + raw.conj().T) * 0.5
-            herm_correction = float(np.linalg.norm(raw - hermitized)) / 1.4142135623730951  # sqrt 2
-            trace = float(np.trace(hermitized).real) / 2.0
-            correction = max(herm_correction, abs(trace - 1.0))
-            if trace_log is not None:
-                trace_log.append(trace)
-            else:
-                check_slices(
-                    correction, DRIFT_TOL, DriftExceeded,
-                    lambda i: f"correction {correction:.3e} at step {step} exceeds {DRIFT_TOL:.0e}",
-                )
-            current = hermitized / trace
+                hermitized = (raw + raw.conj().T) * 0.5
+                herm_correction = float(np.linalg.norm(raw - hermitized)) / 1.4142135623730951
+                trace = float(np.trace(hermitized).real) / 2.0
+                gate([max(herm_correction, abs(trace - 1.0))], [trace], step)
+                current = hermitized / trace
     return validate(chi_inverse(current))

@@ -865,6 +865,10 @@ def test_a_quaternionic_draw_called_proper_is_an_error(monkeypatch, kind):
          "rho must be a QDensity, got QMatrix("),
         (lambda: expectation(Observable.from_complex(np.eye(3)), validate(QMatrix.identity(2) / 2)),
          DimensionMismatch, "observable dimension 3 != state dimension 2"),
+        (lambda: validate(np.eye(2) / 2), ValueError,
+         "density matrix must be a QMatrix, got array("),
+        (lambda: Observable.from_qmatrix(np.eye(2)), ValueError,
+         "observable must be a QMatrix, got array("),
     ],
     ids=["validate-non-square", "from-matrix-non-square", "block-purify-shapes",
          "random-density-kind", "random-density-zero", "random-density-negative",
@@ -877,7 +881,8 @@ def test_a_quaternionic_draw_called_proper_is_an_error(monkeypatch, kind):
          "block-purify-inf-weight", "validate-nan-tol", "validate-negative-tol",
          "validate-unit-tol", "validate-string-tol", "validate-huge-int-tol", "from-matrix-nan-tol",
          "from-qmatrix-nan-tol", "chi-inverse-nan-tol", "expectation-none-observable",
-         "expectation-none-state", "expectation-matrix-state", "expectation-dimension"],
+         "expectation-none-state", "expectation-matrix-state", "expectation-dimension",
+         "validate-array", "from-qmatrix-array"],
 )
 def test_input_errors(call, error, fragment):
     with pytest.raises(error) as excinfo:

@@ -44,6 +44,7 @@ from support import (
     assert_names_value_and_tolerance,
     random_complex,
     random_complex_unitary,
+    random_hermitian_qmatrix,
     reference_integrate,
     with_non_finite,
 )
@@ -261,6 +262,79 @@ def test_integrate_matches_four_stage_rk4(n, kind, steps):
     want = four_stage_integrate(rho, gen, 1.0, steps)
     got = integrate(rho, gen, t=1.0, steps=steps)
     assert max_abs(got.mat - want.mat) <= 1e-14 * max_abs(want.mat)
+
+
+def kronecker_step(gen, h):
+    """The step matrix S = sum_l A_l (x) B_l^T of step size h, by ``np.kron``."""
+    k = chi(gen.h) * h
+    powers = [np.eye(len(k))]
+    for j in range(1, 5):
+        powers.append(powers[-1] @ k / j)  # K^j / j!
+    return sum(
+        np.kron(powers[l] * (-1) ** l, sum(powers[: 5 - l]).T) for l in range(5)
+    )
+
+
+def hermitian_parameters(x):
+    """Real diagonal, then real and imaginary parts above it, read entry by entry."""
+    m = len(x)
+    above = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    return np.array(
+        [x[i, i].real for i in range(m)]
+        + [x[i, j].real for i, j in above]
+        + [x[i, j].imag for i, j in above]
+    )
+
+
+@pytest.mark.parametrize("kind", ["complex", "quaternionic", "at-bound", "any-matrix"])
+@pytest.mark.parametrize("n", range(1, 5))
+def test_real_step_is_the_hermitized_complex_step(n, kind):
+    # R and the skew map K against S in complex arithmetic, on seeded
+    # hermitian chi images: the bit-identity tests build R and K by the
+    # same code as integrate, so only this test sees an indexing error in
+    # them; "any-matrix" is a Gaussian S, whose skew parts are not small
+    m, eps = 2 * n, np.finfo(np.float64).eps
+    rng = np.random.default_rng(2000 + n)
+    if kind == "any-matrix":
+        s = random_complex(rng, m * m)
+    else:
+        s = kronecker_step(rk4_inputs(n, kind)[0], 0.5)
+    step, skew_map = dynamics._hermitian_step(s, m)
+    assert step.shape == (m * m + 1, m * m) and skew_map.shape == (m * m, m * m)
+    for _ in range(4):
+        x = chi(random_hermitian_qmatrix(rng, n))
+        params = hermitian_parameters(x)
+        y = (s @ x.reshape(-1)).reshape(m, m)
+        trace = np.trace(y).real / 2
+        tol = 8 * eps * (np.abs(s) @ np.abs(x.reshape(-1))).max()  # a few ulps of Y's entries
+        got = step @ params
+        assert np.abs(got[:-1] - hermitian_parameters((y + y.conj().T) / 2)).max() <= tol
+        assert abs(got[-1] - trace) <= m * tol
+        skew = np.linalg.norm((y - y.conj().T) / 2)
+        assert abs(np.linalg.norm(skew_map @ params) - skew) <= m * tol
+        assert np.array_equal(dynamics._hermitian_parameters(x), params)
+        assert np.array_equal(dynamics._hermitian_matrix(params, m), x)
+
+
+@pytest.mark.parametrize("kind", ["complex", "quaternionic", "at-bound"])
+@pytest.mark.parametrize("n", range(1, 5))
+def test_real_step_block_corrections_are_the_complex_ones(n, kind, monkeypatch):
+    # the drift gate's corrections, one block of 3 steps, against the same
+    # steps in complex arithmetic: ||skew(S X)||_F / sqrt 2 and |tr - 1|
+    gen, rho = rk4_inputs(n, kind)
+    blocks = []
+    monkeypatch.setattr(dynamics, "_check_drift", lambda c, start: blocks.append(c.copy()))
+    integrate(rho, gen, t=1.0, steps=3)
+    s, x = kronecker_step(gen, 1.0 / 3), chi(rho.mat)
+    x = (x + x.conj().T) / 2
+    want = []
+    for _ in range(3):
+        y = (s @ x.reshape(-1)).reshape(len(x), len(x))
+        trace = np.trace(y).real / 2
+        want.append(max(np.linalg.norm((y - y.conj().T) / 2) / np.sqrt(2), abs(trace - 1)))
+        x = (y + y.conj().T) / 2 / trace
+    assert len(blocks) == 1
+    assert np.abs(blocks[0] - want).max() <= 16 * np.finfo(np.float64).eps
 
 
 def _outcome(solver, rho, gen, t, steps):
@@ -502,8 +576,8 @@ def test_time_ordered_constant_generator_is_one_exponential():
 
 def test_integrate_drift_names_the_failing_step():
     # |H| h = 125 is far outside RK4's stability region, so the iterate
-    # grows every step; the correction of step 0 is 3.0e-9, below the
-    # 1e-6 cap, and that of step 1 is 3.2e-2
+    # grows every step; the correction of step 0 is 5.4e-9, below the
+    # 1e-6 cap, and that of step 1 is 2.6e-2
     gen = Generator(random_generator(2, np.random.default_rng(71)).h * 1e3)
     rho = random_density(2, MixtureKind.IMPROPER, 72)
     with pytest.raises(DriftExceeded, match="at step 1 "):
@@ -520,7 +594,7 @@ def _ci_smoke_state_and_generator(scale):
 
 def test_integrate_drift_names_a_failing_step_in_a_later_block():
     # scaled by 400 and stepped 200 times, the smoke generator first
-    # fails the drift gate past the first block of 64 steps (at step 114
+    # fails the drift gate past the first block of 64 steps (at step 112
     # with OpenBLAS on x86-64; rounding seeds the mode that grows, so
     # another BLAS can move it by a few steps)
     rho, gen = _ci_smoke_state_and_generator(400)
@@ -531,28 +605,34 @@ def test_integrate_drift_names_a_failing_step_in_a_later_block():
 
 
 @pytest.mark.parametrize(
-    "n,message",
+    "n,scale,message",
     [
-        (2, "correction 3.209e-02 at step 1 exceeds 1e-06"),
-        (5, "correction 6.910e-03 at step 1 exceeds 1e-06"),
+        (2, 1e75, "correction inf at step 0 exceeds 1e-06"),
+        (5, 1e3, "correction 6.910e-03 at step 1 exceeds 1e-06"),
     ],
-    ids=["n2", "n5"],  # n = 2 takes the Kronecker step, n = 5 the two products
+    ids=["n2", "n5"],  # n = 2 takes the real step, n = 5 the two products
 )
-def test_integrate_drift_failure_then_a_zero_trace_in_its_block_does_not_warn(n, message):
-    # the drift test's generator seed and scale over 64 steps of h = 0.125:
-    # step 1 fails, the steps after it in the block run on, and a later
-    # trace is 0.0 and the next nan (steps 23 and 24 at n = 2, 11 and 12
-    # at n = 5); dividing by them must not warn
-    gen = Generator(random_generator(n, np.random.default_rng(71)).h * 1e3)
+def test_integrate_drift_failure_then_a_zero_trace_in_its_block_does_not_warn(n, scale, message):
+    # the drift test's generator seed, scaled, over 64 steps of h = 0.125:
+    # a step fails, the steps after it in the block run on, and a later
+    # trace is 0.0 or not finite; dividing by it must not warn.  At n = 5
+    # the scale is the drift test's: trace 0.0 at step 11, nan at 12.  At
+    # n = 2 a diverging iterate of the real step saturates, its trace held
+    # at the rounding of R's trace row, and no trace of 0.0 or inf came up
+    # at scale 1e3, 2e3 or 500 over generator seeds 0..299; at 1e75, R is
+    # finite (h |H| < 1e77) but its product with the saturated iterate
+    # overflows (h |H| > 1e73): step 0 fails and the trace of step 2 is nan
+    gen = Generator(random_generator(n, np.random.default_rng(71)).h * scale)
     rho = random_density(n, MixtureKind.IMPROPER, 72)
     with pytest.raises(DriftExceeded) as want:
         reference_integrate(rho, gen, 8.0, 64)
     traces = []
-    # ungated, the reference divides by the zero trace and ends in nan
-    with np.errstate(divide="ignore"), pytest.raises(QmixError):
+    # ungated, the reference divides by the bad trace and ends in an error
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"), pytest.raises(QmixError):
         reference_integrate(rho, gen, 8.0, 64, trace_log=traces)
-    zero = traces.index(0.0)
-    assert 1 < zero < 63 and np.isnan(traces[zero + 1])
+    failing = int(message.split(" at step ")[1].split()[0])
+    bad = [i for i, trace in enumerate(traces) if trace == 0.0 or not np.isfinite(trace)]
+    assert failing < bad[0] < 63
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DriftExceeded) as got:
@@ -561,12 +641,14 @@ def test_integrate_drift_failure_then_a_zero_trace_in_its_block_does_not_warn(n,
 
 
 def test_integrate_halves_the_hermitized_iterate_before_dividing_by_its_trace():
-    # an entry of raw + raw^dag that halves into the subnormal range
-    # rounds there: dividing the sum by twice the trace would round once
-    # and, with the trace off 1, keep 5e-324 where the loop keeps 1e-323
-    alpha = np.array([[(1 + 1e-13) / 2, 3 * 5e-324], [0, 0.5]], dtype=np.complex128)
-    rho = validate(QMatrix(alpha, np.zeros((2, 2), dtype=np.complex128)))
-    assert_same_outcome_as_the_allocating_loop(rho, Generator(QMatrix.identity(2) * 0.0), 1.0, 1)
+    # on the two-product form (n = 5), an entry of raw + raw^dag that
+    # halves into the subnormal range rounds there: dividing the sum by
+    # twice the trace would round once and, with the trace off 1, keep
+    # 5e-324 where the loop keeps 1e-323
+    alpha = np.diag([(1 + 1e-13) / 2, 0.5, 0.0, 0.0, 0.0]).astype(np.complex128)
+    alpha[0, 1] = 3 * 5e-324
+    rho = validate(QMatrix(alpha, np.zeros((5, 5), dtype=np.complex128)))
+    assert_same_outcome_as_the_allocating_loop(rho, Generator(QMatrix.identity(5) * 0.0), 1.0, 1)
 
 
 def test_integrate_read_back_error_names_the_steps_and_step_size():
@@ -712,7 +794,10 @@ def _state_of_three():
         (lambda: projected_rate_check(_state_of_three(), Generator(QMatrix.identity(3) * 0.0),
                                       np.array([1e-3, 2e-3])),
          ValueError, "finite-difference step h must be a real number, got array([0.001, 0.002])"),
-        (lambda: random_generator(2, 0), ValueError, "rng must be an np.random.Generator, got 0"),
+        (lambda: random_generator(2, 0), ValueError, "rng must be a numpy.random.Generator, got 0"),
+        (lambda: Generator(np.zeros((2, 2))), ValueError,
+         "generator must be a QMatrix, got array("),
+        (lambda: Propagator(np.eye(2)), ValueError, "propagator must be a QMatrix, got array("),
     ],
     ids=["generator-non-square", "propagator-non-square", "evolve-dimensions",
          "projected-evolution-dimensions", "integrate-dimensions", "integrate-zero-steps",
@@ -728,7 +813,7 @@ def _state_of_three():
          "projected-rate-check-nan-step", "time-ordered-bool-time",
          "time-ordered-float-array-time", "integrate-float-array-time",
          "integrate-one-element-time", "projected-rate-check-float-array-step",
-         "random-generator-int-rng"],
+         "random-generator-int-rng", "generator-array", "propagator-array"],
 )
 def test_input_errors(call, error, fragment):
     with pytest.raises(error) as excinfo:

@@ -678,6 +678,40 @@ def test_input_errors(call, error, fragment):
     assert fragment in str(excinfo.value)
 
 
+def test_sums_differences_and_products_refuse_an_overflow():
+    # finite operands whose sum, difference or product is not finite: one
+    # QmixError naming the operation, and no numpy warning; a non-finite
+    # operand passes through, quietly, to the gate that reads it
+    m = QMatrix.identity(2) * 1e308
+    nan = QMatrix.from_complex(np.full((2, 2), np.nan))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, what in ((lambda: m + m, "sum"), (lambda: m - (-m), "difference"),
+                           (lambda: m @ m, "product")):
+            with pytest.raises(QmixError) as excinfo:
+                call()
+            assert type(excinfo.value) is QmixError
+            assert str(excinfo.value) == f"{what} gives 2 non-finite entries"
+        for out in (nan + m, m - nan, nan @ m, m @ nan, nan * 2.0, nan / 0.5):
+            assert np.isnan(out.alpha).all()
+
+
+@pytest.mark.parametrize(
+    "value,cls,message",
+    [(np.eye(2), QMatrix, "x must be a QMatrix, got array([[1., 0.],\n       [0., 1.]])"),
+     (None, Observable, "x must be an Observable, got None"),
+     (0, np.random.Generator, "x must be a numpy.random.Generator, got 0"),
+     (10**400, QMatrix, "x must be a QMatrix, got <int of 1329 bits>")],
+    ids=["array-for-qmatrix", "none-for-observable", "int-for-numpy-generator", "huge-int"],
+)
+def test_check_type_names_the_argument_and_the_class(value, cls, message):
+    assert qmatrix.check_type("x", QMatrix.identity(1), QMatrix) is None
+    with pytest.raises(ValueError) as excinfo:
+        qmatrix.check_type("x", value, cls)
+    assert type(excinfo.value) is ValueError
+    assert str(excinfo.value) == message
+
+
 # -- the shape rule ----------------------------------------------------------------
 
 #: One input of each refused shape: not square, a stack, one axis.  Each is
@@ -885,15 +919,18 @@ def test_tolerance_tests_have_one_path():
     "owners,phrases",
     [(("check_int",), ("must be >=", "must be an integer", "need dimension", "is not an integer")),
      (("check_real", "check_tol"), ("is not finite", "must be a real number", "must be finite")),
-     (("check_square",), ("must be square", "needs a square", "!= state dimension"))],
-    ids=["integer", "real", "square"],
+     (("check_square",), ("must be square", "needs a square", "!= state dimension")),
+     (("check_type",), ("must be a QMatrix", "must be an Observable", "must be a QDensity",
+                        "Generator, got"))],
+    ids=["integer", "real", "square", "type"],
 )
 def test_arguments_have_one_path(owners, phrases):
     # a count, dimension or seed (check_int), a time, step, angle or tol
-    # (check_real, check_tol) or a matrix shape (check_square) refused by a
-    # hand-written raise would be a second rule beside its owner, in the CLI
-    # too, whose argument types call the owners; a SchemaError names an entry
-    # of a matrix file, not an argument, so it is not one
+    # (check_real, check_tol), a matrix shape (check_square) or an argument's
+    # type (check_type) refused by a hand-written raise would be a second
+    # rule beside its owner, in the CLI too, whose argument types call the
+    # owners; a SchemaError names an entry of a matrix file, not an
+    # argument, so it is not one
     hand_written = []
     for path in sorted(pathlib.Path(qmix.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
