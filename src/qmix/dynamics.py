@@ -22,19 +22,22 @@ Both solvers run on complex-adjoint images: chi is a linear algebra
 homomorphism (F. Zhang, LAA 251, 1997), so the propagator is one
 exponential of chi(H) (``expm_q``), and the RK4 solver applies one
 step polynomial, built once from powers of h chi(H), to raw 2n x 2n
-arrays, read back once with a chi-membership check.  Up to n = 4 a
-step is one real product and one division on the (2n)**2 real
-parameters of the hermitian iterate, by a matrix built once from the
-polynomial's Kronecker matrix, vec(A X B) = (A (x) B^T) vec(X)
-(C. F. Van Loan, J. Comput. Appl. Math. 123, 2000), that also gives the
-trace; past it, two products.  Its steps write into buffers made once
-per call, so the step loop allocates nothing, and its drift gate
-measures the corrections of a block of up to 64 steps at once, fewer
-where their buffers would pass 8 MiB.
+arrays, read back once with a chi-membership check.  Up to n = 4 it
+steps on the (2n)**2 real parameters of the hermitian iterate, by a
+matrix built once from the polynomial's Kronecker matrix,
+vec(A X B) = (A (x) B^T) vec(X) (C. F. Van Loan, J. Comput. Appl.
+Math. 123, 2000), that also gives the trace; a step then only rescales,
+so a block of up to 64 steps is the Krylov sequence of one real matrix,
+filled by repeated squaring in six products; past n = 4 a step is two
+products.  Its steps write into buffers made once per call, so the
+step loop allocates nothing, and its drift gate measures the
+corrections of a block of up to 64 steps at once, fewer where their
+buffers would pass 8 MiB.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,26 +171,32 @@ def integrate(rho0: QDensity, gen: Generator, t: float, steps: int) -> QDensity:
 
     Up to m = 2n = 8, where its m**4 multiply-adds are no more than the
     8 m**3 of two products, a step acts on the m**2 real parameters x of
-    the hermitian X = chi(rho) (:func:`_hermitian_parameters`): one
-    product by the real (m**2 + 1) x m**2 matrix R of
-    :func:`_hermitian_step` gives the parameters of the hermitized
-    iterate and, last, its trace, and one division by that trace gives
-    the next x.  R is built once from the m**2 x m**2 step matrix
-    S = sum_l A_l (x) B_l^T, since row-major vec(A X B) =
-    (A (x) B^T) vec(X).  Past m = 8, as A_0 = B_4 = I, a step is two
-    matrix products, Y = [A_1; ..; A_4] X, then
-    [X, Y_1, Y_2, Y_3] [B_0; ..; B_3] + Y_4, with X the first block
-    column of the stage matrix [X, Y_1, Y_2, Y_3], then the
-    hermitization, halving and division.  Steps reuse buffers made once
-    per call and allocate nothing: every operation writes in place.
+    the hermitian X = chi(rho) (:func:`_hermitian_parameters`): the real
+    (m**2 + 1) x m**2 matrix R of :func:`_hermitian_step` gives the
+    parameters P x of the hermitized iterate and, last, its trace, and a
+    division by that trace gives the next x.  R is built once from the
+    m**2 x m**2 step matrix S = sum_l A_l (x) B_l^T, since row-major
+    vec(A X B) = (A (x) B^T) vec(X).  The trace is half the sum of P x's
+    diagonal entries, so a step only rescales and a block's iterates are
+    P**k x_0 / trace: :func:`_real_steps` fills a block of 64 in six
+    products by the powers P, P**2, .., P**32, squared once per call,
+    then reads every step's R x and skew part in one product each, and
+    the next block starts from the last step's R x, divided by its
+    trace.  Past m = 8, as A_0 = B_4 = I, a step is two matrix products,
+    Y = [A_1; ..; A_4] X, then [X, Y_1, Y_2, Y_3] [B_0; ..; B_3] + Y_4,
+    with X the first block column of the stage matrix
+    [X, Y_1, Y_2, Y_3], then the hermitization, halving and division.
+    Steps reuse buffers made once per call and allocate nothing: every
+    operation writes in place.
 
     The applied correction (quaternionic Frobenius norm of the skew part
     the hermitization drops, which is ||chi||_F / sqrt(2), and trace
     offset, Re Tr chi / 2 - 1) is measured once per block of up to 64
     steps, fewer where the block's raw and hermitized iterates would
     pass 2**18 entries each (8 MiB in all); on the real form, a block's
-    skew parts are one product of its stored parameters by the real
-    skew map of :func:`_hermitian_step`.  :class:`DriftExceeded` names
+    skew parts are one product of its unnormalized parameters by the
+    real skew map of :func:`_hermitian_step`, each divided by its
+    iterate's trace.  :class:`DriftExceeded` names
     the first step of the block whose correction passes ``DRIFT_TOL``.
     Silent drift is never allowed to accumulate: steps after a failing
     one in its block run, but their result is dropped.  ``t`` goes
@@ -236,10 +245,17 @@ def integrate(rho0: QDensity, gen: Generator, t: float, steps: int) -> QDensity:
         raise type(exc)(f"rk4 result after {steps} steps of h = {t / steps!r}: {exc}") from exc
 
 
+@functools.lru_cache(maxsize=_KRONECKER_STEP_MAX_WIDTH // 2)
 def _upper(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major flat indices of the entries above an m x m diagonal, and of their mirrors."""
+    """Row-major flat indices of the entries above an m x m diagonal, and of their mirrors.
+
+    Cached, one entry per width of the real step (2, 4, 6 and 8), and
+    read-only, since every caller shares the arrays.
+    """
     rows, cols = np.triu_indices(m, 1)
-    return rows * m + cols, cols * m + rows
+    up, low = rows * m + cols, cols * m + rows
+    up.flags.writeable = low.flags.writeable = False
+    return up, low
 
 
 def _hermitian_parameters(x: np.ndarray) -> np.ndarray:
@@ -308,24 +324,46 @@ def _check_drift(corrections: np.ndarray, start: int) -> None:
 
 
 def _real_steps(image, step, skew_map, steps: int, block: int) -> np.ndarray:
-    """``integrate``'s steps on the hermitian parameters of ``image``; the final iterate."""
+    """``integrate``'s steps on the hermitian parameters of ``image``; the final iterate.
+
+    With P = R[:m**2] and tau(v) half the sum of v's first m entries
+    (Re Tr chi / 2), R's trace row is r with r x = tau(P x), so a step
+    x -> P x / (r x) only rescales: a block's iterates are
+    v_k / tau(v_k), with v_k = P**k x_0.  Row 0 of V holds the block's
+    x_0, and V[2**j : 2**(j + 1)] = V[:2**j] (P**(2**j))^T fills the
+    rest by doubling, from powers squared once per call (C. Moler and
+    C. Van Loan, SIAM Review 45, 2003): six products for 64 steps.  The
+    gate reads every step's R v_k and skew part K v_k in one product
+    each and divides them by tau(v_k); the next block starts from the
+    last step's R v_k, divided by its trace, as a step would.
+    """
     size = step.shape[1]  # m**2
-    # parameter slot b is the input of a block's step b and slot b + 1 its
-    # output; each step's R x holds the hermitized parameters, then the trace
-    params, skews = np.empty((block + 1, size)), np.empty((block, size))
+    powers = [step[:size]]  # P**(2**j) for 2**j < block
+    while 2 ** len(powers) < block:
+        powers.append(powers[-1] @ powers[-1])
+    # row k of ``iterates`` is V's v_k; row k of ``outs`` is R v_k, the
+    # hermitized parameters of step k, then its trace, both times tau(v_k)
+    iterates, skews = np.empty((2, block, size))
     outs = np.empty((block, size + 1))
-    params[0] = _hermitian_parameters(image)
-    slots = list(zip(params[:-1], outs, outs[:, :size], outs[:, size:], params[1:]))
+    iterates[0] = _hermitian_parameters(image)
     for start in range(0, steps, block):
         count = min(block, steps - start)
-        for x, out, hermitized, trace, following in slots[:count]:
-            np.matmul(step, x, out=out)
-            np.divide(hermitized, trace, out=following)
-        skew = np.matmul(params[:count], skew_map.T, out=skews[:count])
-        herm_corrections = np.sqrt(np.vecdot(skew, skew)) / 1.4142135623730951  # sqrt 2
-        _check_drift(np.maximum(herm_corrections, np.abs(outs[:count, size] - 1.0)), start)
-        params[0] = params[count]
-    return _hermitian_matrix(params[0], len(image))
+        filled = 1
+        for power in powers:
+            if filled >= count:
+                break
+            fill = min(filled, count - filled)
+            np.matmul(iterates[:fill], power.T, out=iterates[filled : filled + fill])
+            filled += fill
+        stacked = iterates[:count]
+        out = np.matmul(stacked, step.T, out=outs[:count])
+        skew = np.matmul(stacked, skew_map.T, out=skews[:count])
+        taus = stacked[:, : len(image)].sum(1) * 0.5
+        herm_corrections = np.sqrt(np.vecdot(skew, skew)) / (1.4142135623730951 * np.abs(taus))
+        trace_offsets = np.abs(out[:, size] / taus - 1.0)
+        _check_drift(np.maximum(herm_corrections, trace_offsets), start)
+        np.divide(out[-1, :size], out[-1, size], out=iterates[0])
+    return _hermitian_matrix(iterates[0], len(image))
 
 
 def _two_product_steps(image, left, right, steps: int, block: int) -> np.ndarray:

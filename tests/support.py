@@ -427,17 +427,18 @@ def reference_integrate(
     """``integrate`` as first written, one fresh array per operation.
 
     The reference for the in-place step loops of ``dynamics.integrate``:
-    the same step forms (up to width 8, one product by the real step
-    matrix R on the hermitian parameters, from the same
-    ``_hermitian_step``, then a division by the trace it gives; else the
-    two products on the concatenated stages), built in the same order,
-    the same drift gate and message, so the two must agree bit for bit,
-    errors included.  On the real form the hermitian corrections of a
-    drift block are one product of its stacked parameters by the skew
-    map, as in ``integrate``; on the two-product form each step's is
-    ``np.linalg.norm`` of its own skew part.  Given a ``trace_log`` list,
-    the loop appends each step's trace to it and runs ungated, as the
-    steps after a failing one in a drift block of ``integrate`` do.
+    the same step forms (up to width 8, the real step matrix R on the
+    hermitian parameters, from the same ``_hermitian_step``, a block's
+    iterates P**k x grown by concatenating products by the same squared
+    powers of P = R[:-1], then each step's R v and skew part in one
+    product per block, divided by the trace tau(v); else the two
+    products on the concatenated stages), built in the same order, the
+    same drift gate and message, so the two must agree bit for bit,
+    errors included.  On the two-product form each step's hermitian
+    correction is ``np.linalg.norm`` of its own skew part.  Given a
+    ``trace_log`` list, the loop appends each step's trace to it and
+    runs ungated, as the steps after a failing one in a drift block of
+    ``integrate`` do.
     """
     check_square("generator", gen.h.shape, rho0.dim)
     check_int("steps", steps, 1)
@@ -481,16 +482,26 @@ def reference_integrate(
             step, skew_map = polynomial
             x = _hermitian_parameters(current)
             block = min(steps, _DRIFT_BLOCK_STEPS)
+            powers = [step[:-1]]  # P**(2**j) for 2**j < block
+            while 2 ** len(powers) < block:
+                powers.append(powers[-1] @ powers[-1])
             for start in range(0, steps, block):
-                inputs, traces = [], []
-                for _ in range(min(block, steps - start)):
-                    y = step @ x
-                    inputs.append(x)
-                    traces.append(float(y[-1]))
-                    x = y[:-1] / y[-1]
-                skews = np.array(inputs) @ skew_map.T
-                herm_corrections = np.sqrt(np.vecdot(skews, skews)) / 1.4142135623730951
-                gate(np.maximum(herm_corrections, np.abs(np.array(traces) - 1.0)), traces, start)
+                count = min(block, steps - start)
+                iterates = x[None]  # v_k = P**k x
+                for power in powers:
+                    if len(iterates) >= count:
+                        break
+                    more = iterates[: count - len(iterates)] @ power.T
+                    iterates = np.concatenate((iterates, more))
+                outs = iterates @ step.T
+                skews = iterates @ skew_map.T
+                taus = iterates[:, :m].sum(1) * 0.5
+                herm_corrections = np.sqrt(np.vecdot(skews, skews)) / (
+                    1.4142135623730951 * np.abs(taus)
+                )
+                traces = outs[:, -1] / taus
+                gate(np.maximum(herm_corrections, np.abs(traces - 1.0)), traces, start)
+                x = outs[-1, :-1] / outs[-1, -1]
             current = _hermitian_matrix(x, m)
         else:
             for step in range(steps):

@@ -252,16 +252,25 @@ def rk4_inputs(n, kind):
     return gen, random_density(n, MixtureKind.IMPROPER if n > 1 else MixtureKind.PROPER, rng)
 
 
-@pytest.mark.parametrize("steps", [1, 3])
-@pytest.mark.parametrize("kind", ["complex", "quaternionic", "at-bound"])
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize(
+    "n,kind,steps",
+    [
+        (n, kind, steps)
+        for n in range(1, 9)
+        for kind in ("complex", "quaternionic", "at-bound")
+        for steps in (1, 3, *((63, 64, 65, 129, 200) if n <= 4 else ()))
+    ],
+)
 def test_integrate_matches_four_stage_rk4(n, kind, steps):
     # the step polynomial is the four-stage step regrouped, so the two
-    # agree to rounding
+    # agree to rounding, which grows with the steps.  At n <= 4 the
+    # steps 63 to 200 sit at the edges of the doubling fills (a block's
+    # last power, one full block, a step past it, a partial block after
+    # two): a fill by the wrong power of the step matrix errs by O(h)
     gen, rho = rk4_inputs(n, kind)
     want = four_stage_integrate(rho, gen, 1.0, steps)
     got = integrate(rho, gen, t=1.0, steps=steps)
-    assert max_abs(got.mat - want.mat) <= 1e-14 * max_abs(want.mat)
+    assert max_abs(got.mat - want.mat) <= max(1e-14, 1e-15 * steps) * max_abs(want.mat)
 
 
 def kronecker_step(gen, h):
@@ -314,6 +323,17 @@ def test_real_step_is_the_hermitized_complex_step(n, kind):
         assert abs(np.linalg.norm(skew_map @ params) - skew) <= m * tol
         assert np.array_equal(dynamics._hermitian_parameters(x), params)
         assert np.array_equal(dynamics._hermitian_matrix(params, m), x)
+
+
+def test_upper_indices_are_cached_and_read_only():
+    # one np.triu_indices per width per process: every caller shares the
+    # arrays, so writing to them raises
+    up, low = dynamics._upper(6)
+    assert dynamics._upper(6)[0] is up and dynamics._upper(6)[1] is low
+    for indices in (up, low):
+        with pytest.raises(ValueError, match="read-only"):
+            indices[0] = 0
+    assert np.array_equal(up, [1, 2, 3, 4, 5, 8, 9, 10, 11, 15, 16, 17, 22, 23, 29])
 
 
 @pytest.mark.parametrize("kind", ["complex", "quaternionic", "at-bound"])
@@ -621,7 +641,8 @@ def test_integrate_drift_failure_then_a_zero_trace_in_its_block_does_not_warn(n,
     # at the rounding of R's trace row, and no trace of 0.0 or inf came up
     # at scale 1e3, 2e3 or 500 over generator seeds 0..299; at 1e75, R is
     # finite (h |H| < 1e77) but its product with the saturated iterate
-    # overflows (h |H| > 1e73): step 0 fails and the trace of step 2 is nan
+    # overflows (h |H| > 1e73): step 0 fails, the trace of step 1 is inf
+    # and that of step 2 nan
     gen = Generator(random_generator(n, np.random.default_rng(71)).h * scale)
     rho = random_density(n, MixtureKind.IMPROPER, 72)
     with pytest.raises(DriftExceeded) as want:
