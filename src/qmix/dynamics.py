@@ -23,16 +23,17 @@ homomorphism (F. Zhang, LAA 251, 1997), so the propagator is one
 exponential of chi(H) (``expm_q``), and the RK4 solver applies one
 step polynomial, built once from powers of h chi(H), to raw 2n x 2n
 arrays, read back once with a chi-membership check.  Up to n = 4 it
-steps on the (2n)**2 real parameters of the hermitian iterate, by a
-matrix built once from the polynomial's Kronecker matrix,
-vec(A X B) = (A (x) B^T) vec(X) (C. F. Van Loan, J. Comput. Appl.
-Math. 123, 2000), that also gives the trace; a step then only rescales,
-so a block of up to 64 steps is the Krylov sequence of one real matrix,
-filled by repeated squaring in six products; past n = 4 a step is two
-products.  Its steps write into buffers made once per call, so the
-step loop allocates nothing, and its drift gate measures the
-corrections of a block of up to 64 steps at once, fewer where their
-buffers would pass 8 MiB.
+steps on the (2n)**2 real parameters of the hermitian iterate, whose
+layout one cached basis holds, by a matrix read once from the product
+of the polynomial's Kronecker matrix, vec(A X B) = (A (x) B^T) vec(X)
+(C. F. Van Loan, J. Comput. Appl. Math. 123, 2000), and that basis,
+which also gives the trace; a step then only rescales, so a block of
+up to 64 steps is the Krylov sequence of one real matrix, filled by
+repeated squaring in six products; past n = 4 a step is two products.
+Its steps write into buffers made once per call, so the step loop
+allocates nothing, and its drift gate measures the corrections of a
+block of up to 64 steps at once, fewer where their buffers would pass
+8 MiB.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .errors import DimensionMismatch, DriftExceeded, NotUnitary, QmixError, Wit
 from .qmatrix import (
     UNITARY_TOL,
     QMatrix,
+    _check_reals,
     check_int,
     check_real,
     check_slices,
@@ -116,6 +118,8 @@ class Propagator:
 
 def evolve(rho: QDensity, prop: Propagator) -> QDensity:
     """Conjugate a density by a unitary: rho -> U rho U^dag."""
+    check_type("rho", rho, QDensity)
+    check_type("prop", prop, Propagator)
     check_square("propagator", prop.u.shape, rho.dim)
     return validate(prop.u @ rho.mat @ prop.u.h)
 
@@ -127,6 +131,8 @@ def projected_evolution(rho0: QDensity, prop: Propagator) -> CDensity:
     blocks of U and rho(0); it must agree with projecting after evolving,
     which the tests enforce as a path-equivalence check.
     """
+    check_type("rho0", rho0, QDensity)
+    check_type("prop", prop, Propagator)
     check_square("propagator", prop.u.shape, rho0.dim)
     ua, ub = prop.u.alpha, prop.u.beta
     ra, rb = rho0.alpha, rho0.beta
@@ -150,6 +156,7 @@ def time_ordered(gen: Generator, t: float) -> Propagator:
     real number, :class:`QmixError` unless finite); a ``t`` that
     overflows the exponent raises :class:`QmixError`.
     """
+    check_type("gen", gen, Generator)
     check_real("evolution time t", t)
     try:  # QMatrix arithmetic refuses an overflow, without a numpy warning
         exponent = (gen.h - gen.h.h) * (-t / 2)
@@ -171,11 +178,12 @@ def integrate(rho0: QDensity, gen: Generator, t: float, steps: int) -> QDensity:
 
     Up to m = 2n = 8, where its m**4 multiply-adds are no more than the
     8 m**3 of two products, a step acts on the m**2 real parameters x of
-    the hermitian X = chi(rho) (:func:`_hermitian_parameters`): the real
-    (m**2 + 1) x m**2 matrix R of :func:`_hermitian_step` gives the
-    parameters P x of the hermitized iterate and, last, its trace, and a
-    division by that trace gives the next x.  R is built once from the
-    m**2 x m**2 step matrix S = sum_l A_l (x) B_l^T, since row-major
+    the hermitian X = chi(rho), with vec(X) = basis @ x (:func:`_layout`):
+    the real (m**2 + 1) x m**2 matrix R of :func:`_hermitian_step` gives
+    the parameters P x of the hermitized iterate and, last, its trace,
+    and a division by that trace gives the next x.  R is read once, by
+    :func:`_hermitian_parts`, from the product of the m**2 x m**2 step
+    matrix S = sum_l A_l (x) B_l^T and the basis, since row-major
     vec(A X B) = (A (x) B^T) vec(X).  The trace is half the sum of P x's
     diagonal entries, so a step only rescales and a block's iterates are
     P**k x_0 / trace: :func:`_real_steps` fills a block of 64 in six
@@ -207,6 +215,8 @@ def integrate(rho0: QDensity, gen: Generator, t: float, steps: int) -> QDensity:
     class, its text prefixed with the number of steps and the step size
     h = t / steps.
     """
+    check_type("rho0", rho0, QDensity)
+    check_type("gen", gen, Generator)
     check_square("generator", gen.h.shape, rho0.dim)
     check_int("steps", steps, 1)
     check_real("evolution time t", t)
@@ -246,71 +256,54 @@ def integrate(rho0: QDensity, gen: Generator, t: float, steps: int) -> QDensity:
 
 
 @functools.lru_cache(maxsize=_KRONECKER_STEP_MAX_WIDTH // 2)
-def _upper(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major flat indices of the entries above an m x m diagonal, and of their mirrors.
+def _layout(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The layout of the m**2 real parameters x of an m x m hermitian X.
 
-    Cached, one entry per width of the real step (2, 4, 6 and 8), and
-    read-only, since every caller shares the arrays.
+    x is X's real diagonal, then the real parts of the entries above the
+    diagonal, then their imaginary parts, each in row-major order.
+    Returns the row-major flat indices of the diagonal, of the entries
+    above it and of their mirrors, and the complex m**2 x m**2 ``basis``
+    whose column b is vec of the hermitian matrix of parameter b alone,
+    so vec(X) = basis @ x.  Cached, one entry per width of the real step
+    (2, 4, 6 and 8), and read-only, since every caller shares the arrays.
     """
     rows, cols = np.triu_indices(m, 1)
-    up, low = rows * m + cols, cols * m + rows
-    up.flags.writeable = low.flags.writeable = False
-    return up, low
+    diagonal, up, low = np.arange(0, m * m, m + 1), rows * m + cols, cols * m + rows
+    eye = np.eye(m * m)
+    upper, lower = eye[:, up], eye[:, low]
+    basis = np.concatenate((eye[:, diagonal], upper + lower, 1j * upper - 1j * lower), 1)
+    for array in (diagonal, up, low, basis):
+        array.flags.writeable = False
+    return diagonal, up, low, basis
 
 
-def _hermitian_parameters(x: np.ndarray) -> np.ndarray:
-    """The m**2 real parameters of (X + X^dag) / 2, for an m x m complex X.
+def _hermitian_parts(flat: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The parameters of (Y + Y^dag) / 2 and a vector of norm ||(Y - Y^dag) / 2||_F.
 
-    Its real diagonal, then the real parts of the entries above the
-    diagonal, then their imaginary parts, each in row-major order.
+    ``flat`` holds vec(Y), row-major, along axis 0, for an m x m complex
+    Y.  The vector is the skew part's imaginary diagonal, then its real
+    and imaginary parts above the diagonal, scaled by sqrt(2).
     """
-    flat = x.reshape(-1)
-    up, low = _upper(len(x))
-    above = (flat[up] + flat[low].conj()) * 0.5
-    return np.concatenate((x.diagonal().real, above.real, above.imag))
-
-
-def _hermitian_matrix(params: np.ndarray, m: int) -> np.ndarray:
-    """The hermitian m x m complex matrix whose parameters are ``params``."""
-    up, low = _upper(m)
-    diagonal, real, imag = np.split(params, [m, m + len(up)])
-    flat = np.zeros(m * m, dtype=np.complex128)
-    flat.real[:: m + 1] = diagonal
-    flat.real[up] = flat.real[low] = real
-    flat.imag[up], flat.imag[low] = imag, -imag
-    return flat.reshape(m, m)
+    diagonal, up, low, _ = _layout(m)
+    re, im = flat.real, flat.imag
+    params = np.concatenate((re[diagonal], (re[up] + re[low]) * 0.5, (im[up] - im[low]) * 0.5))
+    skew = np.concatenate((im[diagonal], re[up] - re[low], im[up] + im[low]))
+    skew[m:] /= 1.4142135623730951  # sqrt 2: a product by 1 / sqrt 2 would round otherwise
+    return params, skew
 
 
 def _hermitian_step(kron: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The step matrix S on the parameters of a hermitian X: the maps R and K.
+    """The step matrix S on the parameters x of a hermitian X: the maps R and K.
 
-    With x the m**2 parameters of X (:func:`_hermitian_parameters`) and
-    Y = S vec(X): R, real (m**2 + 1) x m**2, gives the parameters of
-    (Y + Y^dag) / 2 and, last, Re Tr Y / 2; K, real m**2 x m**2, gives a
-    vector of norm ||(Y - Y^dag) / 2||_F, the skew part's imaginary
-    diagonal, then its real and imaginary parts above the diagonal
-    scaled by sqrt(2).  Both are combinations of S's columns (vec(X) in
-    x), then of their rows, in real arithmetic.
+    With Y = S vec(X) = S basis x (:func:`_layout`): R, real
+    (m**2 + 1) x m**2, gives the parameters of (Y + Y^dag) / 2 and, last,
+    Re Tr Y / 2; K, real m**2 x m**2, gives the skew vector of
+    :func:`_hermitian_parts`.  A basis column has one or two entries, of
+    +-1 or +-i, so each entry of S basis is an entry of S or one rounded
+    sum of two.
     """
-    up, low = _upper(m)
-    diagonal = np.arange(0, m * m, m + 1)
-    re, im = kron.real, kron.imag
-    # the real and imaginary parts of S's columns taken into x's: the
-    # entries above X's diagonal are a + ib, their mirrors a - ib
-    re_cols = np.concatenate((re[:, diagonal], re[:, up] + re[:, low], im[:, low] - im[:, up]), 1)
-    im_cols = np.concatenate((im[:, diagonal], im[:, up] + im[:, low], re[:, up] - re[:, low]), 1)
-    step = np.concatenate((
-        re_cols[diagonal],
-        (re_cols[up] + re_cols[low]) * 0.5,
-        (im_cols[up] - im_cols[low]) * 0.5,
-        re_cols[diagonal].sum(0, keepdims=True) * 0.5,
-    ))
-    skew_map = np.concatenate((
-        im_cols[diagonal],
-        (re_cols[up] - re_cols[low]) / 1.4142135623730951,  # sqrt 2
-        (im_cols[up] + im_cols[low]) / 1.4142135623730951,
-    ))
-    return step, skew_map
+    params, skew_map = _hermitian_parts(kron @ _layout(m)[3], m)
+    return np.concatenate((params, params[:m].sum(0, keepdims=True) * 0.5)), skew_map
 
 
 def _check_drift(corrections: np.ndarray, start: int) -> None:
@@ -345,7 +338,7 @@ def _real_steps(image, step, skew_map, steps: int, block: int) -> np.ndarray:
     # hermitized parameters of step k, then its trace, both times tau(v_k)
     iterates, skews = np.empty((2, block, size))
     outs = np.empty((block, size + 1))
-    iterates[0] = _hermitian_parameters(image)
+    iterates[0] = _hermitian_parts(image.reshape(-1), len(image))[0]
     for start in range(0, steps, block):
         count = min(block, steps - start)
         filled = 1
@@ -363,7 +356,7 @@ def _real_steps(image, step, skew_map, steps: int, block: int) -> np.ndarray:
         trace_offsets = np.abs(out[:, size] / taus - 1.0)
         _check_drift(np.maximum(herm_corrections, trace_offsets), start)
         np.divide(out[-1, :size], out[-1, size], out=iterates[0])
-    return _hermitian_matrix(iterates[0], len(image))
+    return (_layout(len(image))[3] @ iterates[0]).reshape(image.shape)
 
 
 def _two_product_steps(image, left, right, steps: int, block: int) -> np.ndarray:
@@ -408,18 +401,24 @@ def projected_rate_check(rho: QDensity, gen: Generator, h: float = 1e-4) -> floa
     -[H_a, rho_a] + conj(H_b) rho_b - conj(rho_b) H_b.  The residual
     shrinks as O(h^2).  ``h`` goes through :func:`check_real` (ValueError
     unless a real number, :class:`QmixError` unless finite), and a zero
-    step is a ValueError.
+    step is a ValueError.  An ``h`` so small that the residual is not
+    finite raises :class:`QmixError`.
     """
+    check_type("rho", rho, QDensity)
+    check_type("gen", gen, Generator)
     check_real("finite-difference step h", h)
     if h == 0:
         raise ValueError(f"finite-difference step h must be nonzero, got {h!r}")
     plus = evolve(rho, time_ordered(gen, h))
     minus = evolve(rho, time_ordered(gen, -h))
-    fd = (plus.alpha - minus.alpha) / (2.0 * h)
     ha, hb = gen.h.alpha, gen.h.beta
     ra, rb = rho.alpha, rho.beta
     rhs = -(ha @ ra - ra @ ha) + hb.conj() @ rb - rb.conj() @ hb
-    return float(slice_norms(fd - rhs))
+    # a tiny h overflows the quotient or its norm, which the check refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = slice_norms((plus.alpha - minus.alpha) / (2.0 * h) - rhs)
+    _check_reals(f"projected-rate residual (finite-difference step h = {h!r})", residual)
+    return float(residual)
 
 
 def random_generator(n: int, rng: np.random.Generator, quaternionic: bool = True) -> Generator:

@@ -34,9 +34,9 @@ from qmix.dynamics import (
     _KRONECKER_STEP_MAX_WIDTH,
     DRIFT_TOL,
     Generator,
-    _hermitian_matrix,
-    _hermitian_parameters,
+    _hermitian_parts,
     _hermitian_step,
+    _layout,
 )
 from qmix.errors import (
     DimensionMismatch,
@@ -428,7 +428,8 @@ def reference_integrate(
 
     The reference for the in-place step loops of ``dynamics.integrate``:
     the same step forms (up to width 8, the real step matrix R on the
-    hermitian parameters, from the same ``_hermitian_step``, a block's
+    hermitian parameters, from the same ``_hermitian_step``, read and
+    written through the same ``_hermitian_parts`` and basis, a block's
     iterates P**k x grown by concatenating products by the same squared
     powers of P = R[:-1], then each step's R v and skew part in one
     product per block, divided by the trace tau(v); else the two
@@ -480,7 +481,7 @@ def reference_integrate(
 
         if m <= _KRONECKER_STEP_MAX_WIDTH:
             step, skew_map = polynomial
-            x = _hermitian_parameters(current)
+            x = _hermitian_parts(current.reshape(-1), m)[0]
             block = min(steps, _DRIFT_BLOCK_STEPS)
             powers = [step[:-1]]  # P**(2**j) for 2**j < block
             while 2 ** len(powers) < block:
@@ -502,7 +503,7 @@ def reference_integrate(
                 traces = outs[:, -1] / taus
                 gate(np.maximum(herm_corrections, np.abs(traces - 1.0)), traces, start)
                 x = outs[-1, :-1] / outs[-1, -1]
-            current = _hermitian_matrix(x, m)
+            current = (_layout(m)[3] @ x).reshape(m, m)
         else:
             for step in range(steps):
                 y = left @ current

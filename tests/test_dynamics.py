@@ -310,6 +310,7 @@ def test_real_step_is_the_hermitized_complex_step(n, kind):
         s = kronecker_step(rk4_inputs(n, kind)[0], 0.5)
     step, skew_map = dynamics._hermitian_step(s, m)
     assert step.shape == (m * m + 1, m * m) and skew_map.shape == (m * m, m * m)
+    basis = dynamics._layout(m)[3]
     for _ in range(4):
         x = chi(random_hermitian_qmatrix(rng, n))
         params = hermitian_parameters(x)
@@ -321,19 +322,32 @@ def test_real_step_is_the_hermitized_complex_step(n, kind):
         assert abs(got[-1] - trace) <= m * tol
         skew = np.linalg.norm((y - y.conj().T) / 2)
         assert abs(np.linalg.norm(skew_map @ params) - skew) <= m * tol
-        assert np.array_equal(dynamics._hermitian_parameters(x), params)
-        assert np.array_equal(dynamics._hermitian_matrix(params, m), x)
+        got, got_skew = dynamics._hermitian_parts(x.reshape(-1), m)
+        assert np.array_equal(got, params) and not got_skew.any()
+        assert np.array_equal((basis @ params).reshape(m, m), x)
 
 
-def test_upper_indices_are_cached_and_read_only():
-    # one np.triu_indices per width per process: every caller shares the
-    # arrays, so writing to them raises
-    up, low = dynamics._upper(6)
-    assert dynamics._upper(6)[0] is up and dynamics._upper(6)[1] is low
-    for indices in (up, low):
-        with pytest.raises(ValueError, match="read-only"):
-            indices[0] = 0
+def test_layout_is_cached_read_only_and_read_back_bit_for_bit():
+    # one layout per width per process: every caller shares the arrays, so
+    # writing to them raises; and the one reader gives a basis product's
+    # parameters back bit for bit, with no skew part
+    dynamics._layout.cache_clear()
+    rng = np.random.default_rng(35)
+    for m in (2, 4, 6, 8):
+        layout = dynamics._layout(m)
+        assert dynamics._layout(m) is layout
+        for array in layout:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        x = rng.standard_normal(m * m) * 10.0 ** rng.integers(-100, 100, m * m)
+        params, skew = dynamics._hermitian_parts(layout[3] @ x, m)
+        assert params.tobytes() == x.tobytes() and not skew.any()
+    info = dynamics._layout.cache_info()
+    assert (info.misses, info.currsize) == (4, 4)
+    diagonal, up, low, _ = dynamics._layout(6)
+    assert np.array_equal(diagonal, [0, 7, 14, 21, 28, 35])
     assert np.array_equal(up, [1, 2, 3, 4, 5, 8, 9, 10, 11, 15, 16, 17, 22, 23, 29])
+    assert np.array_equal(low, [6, 12, 18, 24, 30, 13, 19, 25, 31, 20, 26, 32, 27, 33, 34])
 
 
 @pytest.mark.parametrize("kind", ["complex", "quaternionic", "at-bound"])
@@ -748,6 +762,10 @@ def _state_of_three():
     return random_density(3, MixtureKind.PROPER, 75)
 
 
+def _generator_of_three():
+    return random_generator(3, np.random.default_rng(76))
+
+
 @pytest.mark.parametrize(
     "call,error,fragment",
     [
@@ -819,6 +837,41 @@ def _state_of_three():
         (lambda: Generator(np.zeros((2, 2))), ValueError,
          "generator must be a QMatrix, got array("),
         (lambda: Propagator(np.eye(2)), ValueError, "propagator must be a QMatrix, got array("),
+        # a bare QMatrix is no Generator: its .h is the adjoint, -H, so it
+        # would run backwards in time, past the anti-hermiticity gate
+        (lambda: integrate(_state_of_three(), QMatrix.identity(3) * 0.0, 1.0, 3), ValueError,
+         "gen must be a Generator, got QMatrix("),
+        (lambda: time_ordered(QMatrix.identity(3) * 0.0, 1.0), ValueError,
+         "gen must be a Generator, got QMatrix("),
+        (lambda: projected_rate_check(_state_of_three(), QMatrix.identity(3) * 0.0), ValueError,
+         "gen must be a Generator, got QMatrix("),
+        (lambda: integrate(None, Generator(QMatrix.identity(3) * 0.0), 1.0, 3), ValueError,
+         "rho0 must be a QDensity, got None"),
+        (lambda: integrate(_state_of_three(), None, 1.0, 3), ValueError,
+         "gen must be a Generator, got None"),
+        (lambda: time_ordered(None, 1.0), ValueError, "gen must be a Generator, got None"),
+        (lambda: projected_rate_check(None, Generator(QMatrix.identity(3) * 0.0)), ValueError,
+         "rho must be a QDensity, got None"),
+        (lambda: evolve(_state_of_three(), QMatrix.identity(3)), ValueError,
+         "prop must be a Propagator, got QMatrix("),
+        (lambda: evolve(None, Propagator(QMatrix.identity(3))), ValueError,
+         "rho must be a QDensity, got None"),
+        (lambda: evolve(_state_of_three().mat, Propagator(QMatrix.identity(3))), ValueError,
+         "rho must be a QDensity, got QMatrix("),
+        (lambda: projected_evolution(_state_of_three(), None), ValueError,
+         "prop must be a Propagator, got None"),
+        (lambda: projected_evolution(None, Propagator(QMatrix.identity(3))), ValueError,
+         "rho0 must be a QDensity, got None"),
+        # the types are checked before the shapes and the other arguments
+        (lambda: integrate(_state_of_three(), QMatrix.identity(2) * 0.0, "1", 0), ValueError,
+         "gen must be a Generator, got QMatrix("),
+        # a tiny h overflows the finite-difference quotient or its norm
+        (lambda: projected_rate_check(_state_of_three(), _generator_of_three(), 1e-200),
+         QmixError, "projected-rate residual (finite-difference step h = 1e-200) = inf is not finite"),
+        (lambda: projected_rate_check(_state_of_three(), _generator_of_three(), 1e-310),
+         QmixError, "projected-rate residual (finite-difference step h = 1e-310) = nan is not finite"),
+        (lambda: projected_rate_check(_state_of_three(), _generator_of_three(), 5e-324),
+         QmixError, "projected-rate residual (finite-difference step h = 5e-324) = nan is not finite"),
     ],
     ids=["generator-non-square", "propagator-non-square", "evolve-dimensions",
          "projected-evolution-dimensions", "integrate-dimensions", "integrate-zero-steps",
@@ -834,7 +887,15 @@ def _state_of_three():
          "projected-rate-check-nan-step", "time-ordered-bool-time",
          "time-ordered-float-array-time", "integrate-float-array-time",
          "integrate-one-element-time", "projected-rate-check-float-array-step",
-         "random-generator-int-rng", "generator-array", "propagator-array"],
+         "random-generator-int-rng", "generator-array", "propagator-array",
+         "integrate-qmatrix-generator", "time-ordered-qmatrix-generator",
+         "projected-rate-check-qmatrix-generator", "integrate-none-state",
+         "integrate-none-generator", "time-ordered-none-generator",
+         "projected-rate-check-none-state", "evolve-qmatrix-propagator", "evolve-none-state",
+         "evolve-qmatrix-state", "projected-evolution-none-propagator",
+         "projected-evolution-none-state", "integrate-type-before-shape",
+         "projected-rate-check-step-1e-200", "projected-rate-check-step-1e-310",
+         "projected-rate-check-step-5e-324"],
 )
 def test_input_errors(call, error, fragment):
     with pytest.raises(error) as excinfo:
