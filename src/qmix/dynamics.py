@@ -18,27 +18,20 @@ beta evolves as conj(U_a) rho_b U_a^dag, so beta = 0 is preserved and
 a proper state into the improper class; ``partition_witness`` exhibits
 such a leak.
 
-Both solvers run on complex-adjoint images: chi is a linear algebra
-homomorphism (F. Zhang, LAA 251, 1997), so the propagator is one
-exponential of chi(H) (``expm_q``), and the RK4 solver applies one
-step polynomial, built once from powers of h chi(H), to raw 2n x 2n
-arrays, read back once with a chi-membership check.  Up to n = 4 it
-steps on the (2n)**2 real parameters of the hermitian iterate, whose
-layout one cached basis holds, by a matrix read once from the product
-of the polynomial's Kronecker matrix, vec(A X B) = (A (x) B^T) vec(X)
-(C. F. Van Loan, J. Comput. Appl. Math. 123, 2000), and that basis,
-which also gives the trace; a step then only rescales, so a block of
-up to 64 steps is the Krylov sequence of one real matrix, filled by
-repeated squaring in six products; past n = 4 a step is two products.
-Its steps write into buffers made once per call, so the step loop
-allocates nothing, and its drift gate measures the corrections of a
-block of up to 64 steps at once, fewer where their buffers would pass
-8 MiB.
+Both solvers run on complex-adjoint images (chi is a linear algebra
+homomorphism; F. Zhang, LAA 251, 1997) and read one eigendecomposition,
+-i chi(H) = V diag(w) V^dag, of the anti-hermitian chi(H): the
+eigenvector method for normal matrices (C. Moler and C. Van Loan, SIAM
+Review 45, 2003).  The propagator is its exponential (``expm_q``).  The
+RK4 solver is the closed form of classic fourth-order steps: in V's
+basis one step scales entry (i, j) by R(i h (w_j - w_i)), with R RK4's
+stability function, so any number of steps costs one decomposition and
+four products, and whether the steps are stable is known before they
+run.  Its result is read back once with a chi-membership check.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +46,7 @@ from .qmatrix import (
     check_real,
     check_slices,
     check_square,
+    _anti_hermitian_eigh,
     check_type,
     chi,
     chi_inverse,
@@ -63,15 +57,8 @@ from .qmatrix import (
     slice_norms,
 )
 
-#: Cap on the per-step hermiticity/trace correction in ``integrate``.
+#: Cap on ``integrate``'s growth factor, less 1, and on its final correction.
 DRIFT_TOL = 1e-6
-# ``integrate`` gates the corrections of up to this many steps at once,
-# fewer where their buffers would pass this many entries (8 MiB).
-_DRIFT_BLOCK_STEPS, _DRIFT_BLOCK_ENTRIES = 64, 2**18
-# Up to this width m = 2n a step is one product by the m**2 x m**2 step
-# matrix, m**4 multiply-adds, no more than the 8 m**3 of the two-product
-# form it replaces.
-_KRONECKER_STEP_MAX_WIDTH = 8
 #: Evolution time of each candidate in ``partition_witness``.
 WITNESS_TIME = 1.0
 #: ||beta||_F a ``partition_witness`` leak must exceed.
@@ -166,231 +153,82 @@ def time_ordered(gen: Generator, t: float) -> Propagator:
 
 
 def integrate(rho0: QDensity, gen: Generator, t: float, steps: int) -> QDensity:
-    """Integrate d rho/dt = -[H, rho] with classic fourth-order steps.
+    """Integrate d rho/dt = -[H, rho] by ``steps`` classic fourth-order steps, in closed form.
 
-    With K = (t / steps) chi(H), one RK4 step of the linear rate
-    L(X) = XK - KX is the fixed polynomial sum_{k<=4} L^k(X) / k!.
-    Left and right multiplication commute, so it equals
-    sum_{l<=4} A_l X B_l with A_l = (-K)^l / l! and
-    B_l = sum_{j<=4-l} K^j / j!, built once from the powers of K.  Each
-    step keeps only what the next one reads: the new iterate,
-    re-hermitized ((X + X^dag)/2) and trace-renormalized.
+    One RK4 step of size h = t / steps on the linear rate
+    L(X) = XK - KX, K = chi(H), multiplies X by R(hL), where
+    R(z) = 1 + z + z**2/2 + z**3/6 + z**4/24 is RK4's stability function
+    (E. Hairer and G. Wanner, Solving ODEs II, sec. IV.2).  With
+    -i K = V diag(w) V^dag, L scales entry (i, j) of V^dag X V by
+    i (w_j - w_i), so the steps give V (G**steps o V^dag X V) V^dag, with
+    G_ij = R(i h (w_j - w_i)): one eigendecomposition, by the helper
+    :func:`expm_q` calls, and four products, however many steps.  The
+    spectrum is that of K's anti-hermitian part, which
+    :func:`time_ordered` exponentiates too: the hermitian part a
+    :class:`Generator` admits only adds skew terms to a step, which a
+    step's hermitization drops.  As G_ii = 1 and G_ji = conj(G_ij), the
+    steps keep hermiticity and trace; the result is hermitized and
+    divided by its trace once.
 
-    Up to m = 2n = 8, where its m**4 multiply-adds are no more than the
-    8 m**3 of two products, a step acts on the m**2 real parameters x of
-    the hermitian X = chi(rho), with vec(X) = basis @ x (:func:`_layout`):
-    the real (m**2 + 1) x m**2 matrix R of :func:`_hermitian_step` gives
-    the parameters P x of the hermitized iterate and, last, its trace,
-    and a division by that trace gives the next x.  R is read once, by
-    :func:`_hermitian_parts`, from the product of the m**2 x m**2 step
-    matrix S = sum_l A_l (x) B_l^T and the basis, since row-major
-    vec(A X B) = (A (x) B^T) vec(X).  The trace is half the sum of P x's
-    diagonal entries, so a step only rescales and a block's iterates are
-    P**k x_0 / trace: :func:`_real_steps` fills a block of 64 in six
-    products by the powers P, P**2, .., P**32, squared once per call,
-    then reads every step's R x and skew part in one product each, and
-    the next block starts from the last step's R x, divided by its
-    trace.  Past m = 8, as A_0 = B_4 = I, a step is two matrix products,
-    Y = [A_1; ..; A_4] X, then [X, Y_1, Y_2, Y_3] [B_0; ..; B_3] + Y_4,
-    with X the first block column of the stage matrix
-    [X, Y_1, Y_2, Y_3], then the hermitization, halving and division.
-    Steps reuse buffers made once per call and allocate nothing: every
-    operation writes in place.
-
-    The applied correction (quaternionic Frobenius norm of the skew part
-    the hermitization drops, which is ||chi||_F / sqrt(2), and trace
-    offset, Re Tr chi / 2 - 1) is measured once per block of up to 64
-    steps, fewer where the block's raw and hermitized iterates would
-    pass 2**18 entries each (8 MiB in all); on the real form, a block's
-    skew parts are one product of its unnormalized parameters by the
-    real skew map of :func:`_hermitian_step`, each divided by its
-    iterate's trace.  :class:`DriftExceeded` names
-    the first step of the block whose correction passes ``DRIFT_TOL``.
-    Silent drift is never allowed to accumulate: steps after a failing
-    one in its block run, but their result is dropped.  ``t`` goes
-    through :func:`check_real` (ValueError unless a real number,
-    :class:`QmixError` unless finite); a ``t`` whose step polynomial (R
-    and the skew map, or the A_l and B_l) overflows raises
-    :class:`QmixError`.  An error of the final density gate keeps its
-    class, its text prefixed with the number of steps and the step size
-    h = t / steps.
+    Two gates run at ``DRIFT_TOL``, and either failure is a
+    :class:`DriftExceeded` that names the steps and h.  Before any
+    product, the growth factor max |G_ij|**steps must not pass
+    1 + ``DRIFT_TOL``: from |R(iy)|**2 - 1 = y**6 (y**2 - 8) / 576, in
+    closed form, so a stable step (|y| <= 2 sqrt 2 at the widest gap)
+    reads exactly 1, and |G_ij|**steps is taken from it too.  Past it RK4
+    is unstable and its iterate leaves the density set.  After the
+    products, the final correction, the larger of the skew part the
+    hermitization drops (its quaternionic Frobenius norm, ||.||_F / sqrt 2
+    on chi) and the trace offset Re Tr chi / 2 - 1, must not pass
+    ``DRIFT_TOL``.  ``t`` goes through :func:`check_real` (ValueError
+    unless a real number, :class:`QmixError` unless finite); a ``t``
+    whose h (w_j - w_i) or G overflows raises :class:`QmixError`.  An
+    error of the final density gate keeps its class, its text prefixed
+    with the number of steps and the step size h = t / steps.
     """
     check_type("rho0", rho0, QDensity)
     check_type("gen", gen, Generator)
     check_square("generator", gen.h.shape, rho0.dim)
     check_int("steps", steps, 1)
     check_real("evolution time t", t)
-    m = 2 * rho0.dim
-    # A step polynomial that overflows raises below, and an iterate that
-    # does, or a zero trace, fails the drift gate, so numpy's overflow,
-    # invalid-value and division warnings add nothing.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        k = chi(gen.h) * (t / steps)
-        terms = [np.eye(m), k]  # K^j / j!
-        for j in (2, 3, 4):
-            terms.append(terms[-1] @ k / j)
-        terms = np.stack(terms)
-        lefts = terms * [[[1.0]], [[-1.0]], [[1.0]], [[-1.0]], [[1.0]]]  # A_0..A_4
-        rights = np.cumsum(terms, axis=0)[::-1]  # B_0..B_4
-        if m <= _KRONECKER_STEP_MAX_WIDTH:
-            # S[(i, j), (k, c)] = sum_l A_l[i, k] B_l[c, j], so S vec(X) = vec(sum_l A_l X B_l)
-            kron = lefts.reshape(5, m * m).T @ rights.transpose(0, 2, 1).reshape(5, m * m)
-            kron = kron.reshape(m, m, m, m).transpose(0, 2, 1, 3).reshape(m * m, m * m)
-            polynomial, run = _hermitian_step(kron, m), _real_steps
-            del kron  # not held through the steps
-        else:
-            left = lefts[1:].reshape(4 * m, m)  # A_1..A_4
-            right = rights[:4].reshape(4 * m, m)  # B_0..B_3
-            polynomial, run = (left, right), _two_product_steps
-        if not all(np.isfinite(factor).all() for factor in polynomial):
+    h = t / steps
+    image = chi(gen.h)
+    # K's anti-hermitian part, K itself when H is exactly anti-hermitian
+    w, v = _anti_hermitian_eigh(image * 0.5 - image.conj().T * 0.5)
+    # an overflow raises below, and an infinite growth fails its gate
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = h * (w - w[:, None])  # y[i, j] = h (w_j - w_i)
+        y2 = y * y
+        re, im = 1.0 - y2 * (0.5 - y2 / 24.0), y * (1.0 - y2 / 6.0)  # G = R(iy)
+        if not (np.isfinite(re).all() and np.isfinite(im).all()):
             raise QmixError(
                 f"step polynomial of (t / steps) * H overflows at evolution time "
                 f"t = {t!r} with {steps} steps"
             )
-        block = max(1, min(steps, _DRIFT_BLOCK_STEPS, _DRIFT_BLOCK_ENTRIES // m**2))
-        final = run(chi(rho0.mat), *polynomial, steps, block)
-    try:
-        return validate(chi_inverse(final))
-    except QmixError as exc:
-        raise type(exc)(f"rk4 result after {steps} steps of h = {t / steps!r}: {exc}") from exc
-
-
-@functools.lru_cache(maxsize=_KRONECKER_STEP_MAX_WIDTH // 2)
-def _layout(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The layout of the m**2 real parameters x of an m x m hermitian X.
-
-    x is X's real diagonal, then the real parts of the entries above the
-    diagonal, then their imaginary parts, each in row-major order.
-    Returns the row-major flat indices of the diagonal, of the entries
-    above it and of their mirrors, and the complex m**2 x m**2 ``basis``
-    whose column b is vec of the hermitian matrix of parameter b alone,
-    so vec(X) = basis @ x.  Cached, one entry per width of the real step
-    (2, 4, 6 and 8), and read-only, since every caller shares the arrays.
-    """
-    rows, cols = np.triu_indices(m, 1)
-    diagonal, up, low = np.arange(0, m * m, m + 1), rows * m + cols, cols * m + rows
-    eye = np.eye(m * m)
-    upper, lower = eye[:, up], eye[:, low]
-    basis = np.concatenate((eye[:, diagonal], upper + lower, 1j * upper - 1j * lower), 1)
-    for array in (diagonal, up, low, basis):
-        array.flags.writeable = False
-    return diagonal, up, low, basis
-
-
-def _hermitian_parts(flat: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The parameters of (Y + Y^dag) / 2 and a vector of norm ||(Y - Y^dag) / 2||_F.
-
-    ``flat`` holds vec(Y), row-major, along axis 0, for an m x m complex
-    Y.  The vector is the skew part's imaginary diagonal, then its real
-    and imaginary parts above the diagonal, scaled by sqrt(2).
-    """
-    diagonal, up, low, _ = _layout(m)
-    re, im = flat.real, flat.imag
-    params = np.concatenate((re[diagonal], (re[up] + re[low]) * 0.5, (im[up] - im[low]) * 0.5))
-    skew = np.concatenate((im[diagonal], re[up] - re[low], im[up] + im[low]))
-    skew[m:] /= 1.4142135623730951  # sqrt 2: a product by 1 / sqrt 2 would round otherwise
-    return params, skew
-
-
-def _hermitian_step(kron: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The step matrix S on the parameters x of a hermitian X: the maps R and K.
-
-    With Y = S vec(X) = S basis x (:func:`_layout`): R, real
-    (m**2 + 1) x m**2, gives the parameters of (Y + Y^dag) / 2 and, last,
-    Re Tr Y / 2; K, real m**2 x m**2, gives the skew vector of
-    :func:`_hermitian_parts`.  A basis column has one or two entries, of
-    +-1 or +-i, so each entry of S basis is an entry of S or one rounded
-    sum of two.
-    """
-    params, skew_map = _hermitian_parts(kron @ _layout(m)[3], m)
-    return np.concatenate((params, params[:m].sum(0, keepdims=True) * 0.5)), skew_map
-
-
-def _check_drift(corrections: np.ndarray, start: int) -> None:
-    """:class:`DriftExceeded` at a block's first step whose correction passes ``DRIFT_TOL``."""
-    first = int(np.argmin(corrections <= DRIFT_TOL))  # the first failing step, else 0
-    correction = float(corrections[first])
+        moduli = np.exp(steps / 2 * np.log1p(y2**3 * (y2 - 8.0) / 576.0))  # |G|**steps
+    growth, gap = moduli.max(), w[-1] - w[0]
+    check_slices(
+        growth, 1 + DRIFT_TOL, DriftExceeded,
+        lambda i: f"rk4 growth factor {growth:.3e} after {steps} steps of h = {h!r} exceeds "
+        f"1 + {DRIFT_TOL:.0e}: |h| times the widest spectral gap {gap:.3e} is "
+        f"{abs(h) * gap:.3e}, past the stability bound 2 sqrt 2",
+    )
+    gains = moduli * np.exp(1j * (steps * np.arctan2(im, re)))  # G**steps
+    vh = v.conj().T
+    out = v @ (gains * (vh @ chi(rho0.mat) @ v)) @ vh
+    hermitized = (out + out.conj().T) * 0.5
+    trace = float(np.trace(hermitized).real) / 2.0
+    skew = slice_norms(out - hermitized) / 1.4142135623730951  # sqrt 2
+    correction = float(np.maximum(skew, abs(trace - 1.0)))
     check_slices(
         correction, DRIFT_TOL, DriftExceeded,
-        lambda i: f"correction {correction:.3e} at step {start + first} exceeds {DRIFT_TOL:.0e}",
+        lambda i: f"rk4 correction {correction:.3e} after {steps} steps of h = {h!r} "
+        f"exceeds {DRIFT_TOL:.0e}",
     )
-
-
-def _real_steps(image, step, skew_map, steps: int, block: int) -> np.ndarray:
-    """``integrate``'s steps on the hermitian parameters of ``image``; the final iterate.
-
-    With P = R[:m**2] and tau(v) half the sum of v's first m entries
-    (Re Tr chi / 2), R's trace row is r with r x = tau(P x), so a step
-    x -> P x / (r x) only rescales: a block's iterates are
-    v_k / tau(v_k), with v_k = P**k x_0.  Row 0 of V holds the block's
-    x_0, and V[2**j : 2**(j + 1)] = V[:2**j] (P**(2**j))^T fills the
-    rest by doubling, from powers squared once per call (C. Moler and
-    C. Van Loan, SIAM Review 45, 2003): six products for 64 steps.  The
-    gate reads every step's R v_k and skew part K v_k in one product
-    each and divides them by tau(v_k); the next block starts from the
-    last step's R v_k, divided by its trace, as a step would.
-    """
-    size = step.shape[1]  # m**2
-    powers = [step[:size]]  # P**(2**j) for 2**j < block
-    while 2 ** len(powers) < block:
-        powers.append(powers[-1] @ powers[-1])
-    # row k of ``iterates`` is V's v_k; row k of ``outs`` is R v_k, the
-    # hermitized parameters of step k, then its trace, both times tau(v_k)
-    iterates, skews = np.empty((2, block, size))
-    outs = np.empty((block, size + 1))
-    iterates[0] = _hermitian_parts(image.reshape(-1), len(image))[0]
-    for start in range(0, steps, block):
-        count = min(block, steps - start)
-        filled = 1
-        for power in powers:
-            if filled >= count:
-                break
-            fill = min(filled, count - filled)
-            np.matmul(iterates[:fill], power.T, out=iterates[filled : filled + fill])
-            filled += fill
-        stacked = iterates[:count]
-        out = np.matmul(stacked, step.T, out=outs[:count])
-        skew = np.matmul(stacked, skew_map.T, out=skews[:count])
-        taus = stacked[:, : len(image)].sum(1) * 0.5
-        herm_corrections = np.sqrt(np.vecdot(skew, skew)) / (1.4142135623730951 * np.abs(taus))
-        trace_offsets = np.abs(out[:, size] / taus - 1.0)
-        _check_drift(np.maximum(herm_corrections, trace_offsets), start)
-        np.divide(out[-1, :size], out[-1, size], out=iterates[0])
-    return (_layout(len(image))[3] @ iterates[0]).reshape(image.shape)
-
-
-def _two_product_steps(image, left, right, steps: int, block: int) -> np.ndarray:
-    """``integrate``'s steps on the chi image ``image`` by two products each; the final iterate."""
-    m = len(image)
-    # X is the first block column of ``stages``, [X, Y_1, Y_2, Y_3]
-    stages = np.empty((m, 4 * m), dtype=np.complex128)
-    current = stages[:, :m]
-    stage_blocks = stages[:, m:].reshape(m, 3, m).transpose(1, 0, 2)
-    y = np.empty((4 * m, m), dtype=np.complex128)
-    y_head, y_last = y[: 3 * m].reshape(3, m, m), y[3 * m :]
-    current[...] = image
-    # one slot per step of a block: raw iterate, its transpose, the
-    # hermitized iterate and its diagonal (the one ``trace`` sums)
-    raws, hermitized = np.empty((2, block, m, m), dtype=np.complex128)
-    diagonals = hermitized.reshape(block, m * m)[:, :: m + 1]
-    slots = list(zip(raws, raws.transpose(0, 2, 1), hermitized, diagonals))
-    traces = np.empty(block)
-    for start in range(0, steps, block):
-        count = min(block, steps - start)
-        for slot, (raw, raw_t, herm, diagonal) in enumerate(slots[:count]):
-            np.matmul(left, current, out=y)
-            stage_blocks[...] = y_head
-            np.matmul(stages, right, out=raw)
-            raw += y_last
-            np.conjugate(raw_t, out=herm)
-            herm += raw
-            herm *= 0.5
-            trace = traces[slot] = float(diagonal.sum().real) / 2.0
-            np.divide(herm, trace, out=current)
-        skews = np.subtract(raws[:count], hermitized[:count], out=raws[:count])
-        herm_corrections = slice_norms(skews) / 1.4142135623730951  # sqrt 2
-        _check_drift(np.maximum(herm_corrections, np.abs(traces[:count] - 1.0)), start)
-    return current
+    try:
+        return validate(chi_inverse(hermitized / trace))
+    except QmixError as exc:
+        raise type(exc)(f"rk4 result after {steps} steps of h = {h!r}: {exc}") from exc
 
 
 def projected_rate_check(rho: QDensity, gen: Generator, h: float = 1e-4) -> float:
@@ -399,10 +237,16 @@ def projected_rate_check(rho: QDensity, gen: Generator, h: float = 1e-4) -> floa
     Evolves by exp(-hH) forward and exp(hH) backward, takes the central
     difference of the projection at t = 0, and compares with
     -[H_a, rho_a] + conj(H_b) rho_b - conj(rho_b) H_b.  The residual
-    shrinks as O(h^2).  ``h`` goes through :func:`check_real` (ValueError
-    unless a real number, :class:`QmixError` unless finite), and a zero
-    step is a ValueError.  An ``h`` so small that the residual is not
-    finite raises :class:`QmixError`.
+    shrinks as O(h^2) only while that truncation term passes the rounding
+    of the difference, about eps / h: the two cross where h**3 is about
+    eps over the third-order term.  On a unit-norm 3 x 3 generator the
+    residual falls as h**2 to 8.3e-10 at h = 1e-4, is smallest near
+    h = 1e-5, and below that is rounding, growing as h shrinks (6.6e-9 at
+    h = 1e-8, 2.1e-4 at 1e-12), where it says nothing about the formula.
+    ``h`` goes through :func:`check_real` (ValueError unless a real
+    number, :class:`QmixError` unless finite), and a zero step is a
+    ValueError.  An ``h`` so small that the residual is not finite raises
+    :class:`QmixError`.
     """
     check_type("rho", rho, QDensity)
     check_type("gen", gen, Generator)

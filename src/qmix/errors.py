@@ -79,7 +79,12 @@ class NotPurifiable(QmixError):
 
 
 class DriftExceeded(QmixError):
-    """Integrator hermiticity/trace correction exceeded its cap."""
+    """RK4 steps that leave the density set: ``integrate``'s growth factor or final correction.
+
+    The growth factor max |R|**steps of unstable steps passes
+    1 + ``DRIFT_TOL``, or the correction that the final hermitization and
+    trace division apply passes ``DRIFT_TOL``.
+    """
 
 
 class WitnessNotFound(QmixError):

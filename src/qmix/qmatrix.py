@@ -290,14 +290,18 @@ def check_type(name: str, value, cls: type) -> None:
     """The one rule for an argument's type: an instance of ``cls``, else a ValueError naming it.
 
     The class is named as it is imported: a qmix class by its name, any
-    other by its public module path.
+    other by its public module path.  A wrong value with a nonempty
+    ``shape`` is named by its type and shape, anything else by its repr.
     """
     if isinstance(value, cls):
         return
     path = [part for part in cls.__module__.split(".") if not part.startswith("_")]
     label = cls.__name__ if path[0] == "qmix" else ".".join([*path, cls.__name__])
     article = "an" if label[0] in "AEIOU" else "a"
-    raise ValueError(f"{name} must be {article} {label}, got {_shown(value)}")
+    shape = getattr(value, "shape", ())
+    # an array or matrix by its type and shape: its repr can run to many kB
+    shown = f"{type(value).__name__} of shape {shape}" if shape else _shown(value)
+    raise ValueError(f"{name} must be {article} {label}, got {shown}")
 
 
 def check_real(name: str, value) -> None:
@@ -517,6 +521,15 @@ def rank_q(m: QMatrix):
     return numerical_rank(sigma[..., 0::2] / 2 + sigma[..., 1::2] / 2)
 
 
+def _anti_hermitian_eigh(image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, V) with -i K = V diag(w) V^dag for an anti-hermitian image K, w ascending.
+
+    The one eigendecomposition behind both dynamics solvers: :func:`expm_q`
+    and ``dynamics.integrate``.  ``np.linalg.eigh`` reads the lower triangle.
+    """
+    return np.linalg.eigh(-1j * image)
+
+
 def expm_q(m: QMatrix) -> QMatrix:
     """Exponential of an anti-hermitian matrix, a quaternionic unitary.
 
@@ -533,7 +546,7 @@ def expm_q(m: QMatrix) -> QMatrix:
     check_square("exponent", m.shape)
     image = chi(m)
     require_anti_hermitian(image, "exponent")
-    w, v = np.linalg.eigh(-1j * image)
+    w, v = _anti_hermitian_eigh(image)
     radius = float(np.abs(w).max(initial=0.0))
     check_slices(
         radius * _EPS, UNITARY_TOL, NotUnitary,

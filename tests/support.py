@@ -29,15 +29,7 @@ from qmix.density import (
     random_density,
     validate,
 )
-from qmix.dynamics import (
-    _DRIFT_BLOCK_STEPS,
-    _KRONECKER_STEP_MAX_WIDTH,
-    DRIFT_TOL,
-    Generator,
-    _hermitian_parts,
-    _hermitian_step,
-    _layout,
-)
+from qmix.dynamics import DRIFT_TOL, Generator
 from qmix.errors import (
     DimensionMismatch,
     DriftExceeded,
@@ -419,99 +411,56 @@ def reference_run_scenario(
     )
 
 
-# -- the allocating RK4 loop, the reference for the in-place one -------------
+# -- integrate written out plainly, the reference for its bits ---------------
 
-def reference_integrate(
-    rho0: QDensity, gen: Generator, t: float, steps: int, trace_log: list | None = None
-) -> QDensity:
+def reference_integrate(rho0: QDensity, gen: Generator, t: float, steps: int) -> QDensity:
     """``integrate`` as first written, one fresh array per operation.
 
-    The reference for the in-place step loops of ``dynamics.integrate``:
-    the same step forms (up to width 8, the real step matrix R on the
-    hermitian parameters, from the same ``_hermitian_step``, read and
-    written through the same ``_hermitian_parts`` and basis, a block's
-    iterates P**k x grown by concatenating products by the same squared
-    powers of P = R[:-1], then each step's R v and skew part in one
-    product per block, divided by the trace tau(v); else the two
-    products on the concatenated stages), built in the same order, the
-    same drift gate and message, so the two must agree bit for bit,
-    errors included.  On the two-product form each step's hermitian
-    correction is ``np.linalg.norm`` of its own skew part.  Given a
-    ``trace_log`` list, the loop appends each step's trace to it and
-    runs ungated, as the steps after a failing one in a drift block of
-    ``integrate`` do.
+    The closed form V (G**steps o V^dag X V) V^dag, with (w, V) from
+    ``np.linalg.eigh`` of -i times the anti-hermitian part of chi(H), G_ij
+    = R(i h (w_j - w_i)) and |G|**steps from |R(iy)|**2 - 1 =
+    y**6 (y**2 - 8) / 576: the same operations in the same order, the same
+    overflow refusal and the same two drift gates and messages, so the two
+    agree bit for bit, errors included.  The stage-by-stage loop of
+    ``test_dynamics`` is the independent check of the method itself.
     """
     check_square("generator", gen.h.shape, rho0.dim)
     check_int("steps", steps, 1)
     check_real("evolution time t", t)
-    current = chi(rho0.mat)
-    m = len(current)
+    h = t / steps
+    k = chi(gen.h)
+    w, v = np.linalg.eigh(-1j * (k * 0.5 - k.conj().T * 0.5))
     with np.errstate(over="ignore", invalid="ignore"):
-        k = chi(gen.h) * (t / steps)
-        terms = [np.eye(m), k]  # K^j / j!
-        for j in (2, 3, 4):
-            terms.append(terms[-1] @ k / j)
-        terms = np.stack(terms)
-        lefts = terms * [[[1.0]], [[-1.0]], [[1.0]], [[-1.0]], [[1.0]]]  # A_0..A_4
-        rights = np.cumsum(terms, axis=0)[::-1]  # B_0..B_4
-        if m <= _KRONECKER_STEP_MAX_WIDTH:
-            pairs = lefts.reshape(5, m * m).T @ rights.transpose(0, 2, 1).reshape(5, m * m)
-            kron = pairs.reshape(m, m, m, m).transpose(0, 2, 1, 3).reshape(m * m, m * m)
-            polynomial = _hermitian_step(kron, m)
-        else:
-            left = lefts[1:].reshape(4 * m, m)  # A_1..A_4
-            right = rights[:4].reshape(4 * m, m)  # B_0..B_3
-            polynomial = (left, right)
-        if not all(np.isfinite(factor).all() for factor in polynomial):
+        y = h * (w[None, :] - w[:, None])
+        re = 1.0 - y * y * (0.5 - y * y / 24.0)
+        im = y * (1.0 - y * y / 6.0)
+        if not (np.isfinite(re).all() and np.isfinite(im).all()):
             raise QmixError(
                 f"step polynomial of (t / steps) * H overflows at evolution time "
                 f"t = {t!r} with {steps} steps"
             )
-
-        def gate(corrections, traces, start):
-            if trace_log is not None:
-                trace_log.extend(traces)
-                return
-            for offset, correction in enumerate(corrections):
-                check_slices(
-                    correction, DRIFT_TOL, DriftExceeded,
-                    lambda i: f"correction {correction:.3e} at step {start + offset} "
-                    f"exceeds {DRIFT_TOL:.0e}",
-                )
-
-        if m <= _KRONECKER_STEP_MAX_WIDTH:
-            step, skew_map = polynomial
-            x = _hermitian_parts(current.reshape(-1), m)[0]
-            block = min(steps, _DRIFT_BLOCK_STEPS)
-            powers = [step[:-1]]  # P**(2**j) for 2**j < block
-            while 2 ** len(powers) < block:
-                powers.append(powers[-1] @ powers[-1])
-            for start in range(0, steps, block):
-                count = min(block, steps - start)
-                iterates = x[None]  # v_k = P**k x
-                for power in powers:
-                    if len(iterates) >= count:
-                        break
-                    more = iterates[: count - len(iterates)] @ power.T
-                    iterates = np.concatenate((iterates, more))
-                outs = iterates @ step.T
-                skews = iterates @ skew_map.T
-                taus = iterates[:, :m].sum(1) * 0.5
-                herm_corrections = np.sqrt(np.vecdot(skews, skews)) / (
-                    1.4142135623730951 * np.abs(taus)
-                )
-                traces = outs[:, -1] / taus
-                gate(np.maximum(herm_corrections, np.abs(traces - 1.0)), traces, start)
-                x = outs[-1, :-1] / outs[-1, -1]
-            current = (_layout(m)[3] @ x).reshape(m, m)
-        else:
-            for step in range(steps):
-                y = left @ current
-                stages = np.concatenate((current, y[:m], y[m : 2 * m], y[2 * m : 3 * m]), axis=1)
-                raw = stages @ right + y[3 * m :]
-                hermitized = (raw + raw.conj().T) * 0.5
-                herm_correction = float(np.linalg.norm(raw - hermitized)) / 1.4142135623730951
-                trace = float(np.trace(hermitized).real) / 2.0
-                gate([max(herm_correction, abs(trace - 1.0))], [trace], step)
-                current = hermitized / trace
-    return validate(chi_inverse(current))
+        moduli = np.exp(steps / 2 * np.log1p((y * y) ** 3 * (y * y - 8.0) / 576.0))
+    growth = moduli.max()
+    gap = w[-1] - w[0]
+    check_slices(
+        growth, 1 + DRIFT_TOL, DriftExceeded,
+        lambda i: f"rk4 growth factor {growth:.3e} after {steps} steps of h = {h!r} exceeds "
+        f"1 + {DRIFT_TOL:.0e}: |h| times the widest spectral gap {gap:.3e} is "
+        f"{abs(h) * gap:.3e}, past the stability bound 2 sqrt 2",
+    )
+    phases = np.exp(1j * (steps * np.arctan2(im, re)))
+    z = v.conj().T @ chi(rho0.mat) @ v
+    out = v @ ((moduli * phases) * z) @ v.conj().T
+    hermitized = (out + out.conj().T) * 0.5
+    trace = float(np.trace(hermitized).real) / 2.0
+    skew = float(np.linalg.norm(out - hermitized)) / 1.4142135623730951
+    correction = max(skew, abs(trace - 1.0))
+    check_slices(
+        correction, DRIFT_TOL, DriftExceeded,
+        lambda i: f"rk4 correction {correction:.3e} after {steps} steps of h = {h!r} "
+        f"exceeds {DRIFT_TOL:.0e}",
+    )
+    try:
+        return validate(chi_inverse(hermitized / trace))
+    except QmixError as exc:
+        raise type(exc)(f"rk4 result after {steps} steps of h = {h!r}: {exc}") from exc

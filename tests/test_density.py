@@ -862,13 +862,13 @@ def test_a_quaternionic_draw_called_proper_is_an_error(monkeypatch, kind):
         (lambda: expectation(Observable.from_complex(np.eye(2)), None), ValueError,
          "rho must be a QDensity, got None"),
         (lambda: expectation(Observable.from_complex(np.eye(2)), QMatrix.identity(2)), ValueError,
-         "rho must be a QDensity, got QMatrix("),
+         "rho must be a QDensity, got QMatrix of shape (2, 2)"),
         (lambda: expectation(Observable.from_complex(np.eye(3)), validate(QMatrix.identity(2) / 2)),
          DimensionMismatch, "observable dimension 3 != state dimension 2"),
         (lambda: validate(np.eye(2) / 2), ValueError,
-         "density matrix must be a QMatrix, got array("),
+         "density matrix must be a QMatrix, got ndarray of shape (2, 2)"),
         (lambda: Observable.from_qmatrix(np.eye(2)), ValueError,
-         "observable must be a QMatrix, got array("),
+         "observable must be a QMatrix, got ndarray of shape (2, 2)"),
     ],
     ids=["validate-non-square", "from-matrix-non-square", "block-purify-shapes",
          "random-density-kind", "random-density-zero", "random-density-negative",

@@ -37,7 +37,7 @@ from qmix.errors import (
     QmixError,
     WitnessNotFound,
 )
-from qmix.qmatrix import chi, chi_inverse, max_abs
+from qmix.qmatrix import check_slices, chi, chi_inverse, max_abs
 
 from support import (
     NON_FINITE_CASES,
@@ -212,7 +212,7 @@ def test_integrate_complex_generator_keeps_proper_states_proper():
 
 
 def four_stage_integrate(rho0, gen, t, steps):
-    """Classic RK4 written stage by stage, with the same drift gate."""
+    """Classic RK4 written stage by stage, gating each step's hermiticity and trace correction."""
     h = t / steps
     ham = chi(gen.h)
 
@@ -262,11 +262,9 @@ def rk4_inputs(n, kind):
     ],
 )
 def test_integrate_matches_four_stage_rk4(n, kind, steps):
-    # the step polynomial is the four-stage step regrouped, so the two
-    # agree to rounding, which grows with the steps.  At n <= 4 the
-    # steps 63 to 200 sit at the edges of the doubling fills (a block's
-    # last power, one full block, a step past it, a partial block after
-    # two): a fill by the wrong power of the step matrix errs by O(h)
+    # the closed form is the four-stage step taken ``steps`` times, so the
+    # two agree to rounding, which grows with the steps in the loop; a
+    # wrong power of the gains, or a gain off R, errs by O(h)
     gen, rho = rk4_inputs(n, kind)
     want = four_stage_integrate(rho, gen, 1.0, steps)
     got = integrate(rho, gen, t=1.0, steps=steps)
@@ -274,7 +272,12 @@ def test_integrate_matches_four_stage_rk4(n, kind, steps):
 
 
 def kronecker_step(gen, h):
-    """The step matrix S = sum_l A_l (x) B_l^T of step size h, by ``np.kron``."""
+    """The step matrix S = sum_l A_l (x) B_l^T of step size h, by ``np.kron``.
+
+    Row-major vec(sum_l A_l X B_l) = S vec(X), with A_l = (-K)^l / l! and
+    B_l = sum_{j<=4-l} K^j / j!, K = h chi(H): one RK4 step of the rate
+    XK - KX, grouped by powers of left and right multiplication.
+    """
     k = chi(gen.h) * h
     powers = [np.eye(len(k))]
     for j in range(1, 5):
@@ -284,91 +287,69 @@ def kronecker_step(gen, h):
     )
 
 
-def hermitian_parameters(x):
-    """Real diagonal, then real and imaginary parts above it, read entry by entry."""
-    m = len(x)
-    above = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    return np.array(
-        [x[i, i].real for i in range(m)]
-        + [x[i, j].real for i, j in above]
-        + [x[i, j].imag for i, j in above]
-    )
+def _generator_of_kind(n, kind):
+    """``rk4_inputs``, or for "any-matrix" a generator off anti-hermiticity in every entry.
+
+    "any-matrix" adds a random hermitian QMatrix of largest entry 4e-11 to
+    the quaternionic draw: every entry, not one diagonal, at the edge of
+    what :class:`Generator` admits.
+    """
+    gen, rho = rk4_inputs(n, "quaternionic" if kind == "any-matrix" else kind)
+    if kind == "any-matrix":
+        off = random_hermitian_qmatrix(np.random.default_rng(2000 + n), n)
+        gen = Generator(gen.h + off * (4e-11 / max_abs(off)))
+    return gen, rho
 
 
 @pytest.mark.parametrize("kind", ["complex", "quaternionic", "at-bound", "any-matrix"])
 @pytest.mark.parametrize("n", range(1, 5))
 def test_real_step_is_the_hermitized_complex_step(n, kind):
-    # R and the skew map K against S in complex arithmetic, on seeded
-    # hermitian chi images: the bit-identity tests build R and K by the
-    # same code as integrate, so only this test sees an indexing error in
-    # them; "any-matrix" is a Gaussian S, whose skew parts are not small
+    # one step of integrate against the step matrix S in complex
+    # arithmetic, hermitized and divided by its trace: S holds the whole
+    # of K, hermitian part included, so this also checks that the
+    # spectrum of K's anti-hermitian part loses nothing the hermitization
+    # keeps
     m, eps = 2 * n, np.finfo(np.float64).eps
-    rng = np.random.default_rng(2000 + n)
-    if kind == "any-matrix":
-        s = random_complex(rng, m * m)
-    else:
-        s = kronecker_step(rk4_inputs(n, kind)[0], 0.5)
-    step, skew_map = dynamics._hermitian_step(s, m)
-    assert step.shape == (m * m + 1, m * m) and skew_map.shape == (m * m, m * m)
-    basis = dynamics._layout(m)[3]
-    for _ in range(4):
-        x = chi(random_hermitian_qmatrix(rng, n))
-        params = hermitian_parameters(x)
-        y = (s @ x.reshape(-1)).reshape(m, m)
-        trace = np.trace(y).real / 2
-        tol = 8 * eps * (np.abs(s) @ np.abs(x.reshape(-1))).max()  # a few ulps of Y's entries
-        got = step @ params
-        assert np.abs(got[:-1] - hermitian_parameters((y + y.conj().T) / 2)).max() <= tol
-        assert abs(got[-1] - trace) <= m * tol
-        skew = np.linalg.norm((y - y.conj().T) / 2)
-        assert abs(np.linalg.norm(skew_map @ params) - skew) <= m * tol
-        got, got_skew = dynamics._hermitian_parts(x.reshape(-1), m)
-        assert np.array_equal(got, params) and not got_skew.any()
-        assert np.array_equal((basis @ params).reshape(m, m), x)
-
-
-def test_layout_is_cached_read_only_and_read_back_bit_for_bit():
-    # one layout per width per process: every caller shares the arrays, so
-    # writing to them raises; and the one reader gives a basis product's
-    # parameters back bit for bit, with no skew part
-    dynamics._layout.cache_clear()
-    rng = np.random.default_rng(35)
-    for m in (2, 4, 6, 8):
-        layout = dynamics._layout(m)
-        assert dynamics._layout(m) is layout
-        for array in layout:
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
-        x = rng.standard_normal(m * m) * 10.0 ** rng.integers(-100, 100, m * m)
-        params, skew = dynamics._hermitian_parts(layout[3] @ x, m)
-        assert params.tobytes() == x.tobytes() and not skew.any()
-    info = dynamics._layout.cache_info()
-    assert (info.misses, info.currsize) == (4, 4)
-    diagonal, up, low, _ = dynamics._layout(6)
-    assert np.array_equal(diagonal, [0, 7, 14, 21, 28, 35])
-    assert np.array_equal(up, [1, 2, 3, 4, 5, 8, 9, 10, 11, 15, 16, 17, 22, 23, 29])
-    assert np.array_equal(low, [6, 12, 18, 24, 30, 13, 19, 25, 31, 20, 26, 32, 27, 33, 34])
+    gen, rho = _generator_of_kind(n, kind)
+    x = chi(rho.mat)
+    y = (kronecker_step(gen, 0.5) @ x.reshape(-1)).reshape(m, m)
+    want = (y + y.conj().T) / 2 / (np.trace(y).real / 2)
+    got = chi(integrate(rho, gen, t=0.5, steps=1).mat)
+    assert np.abs(got - want).max() <= 16 * m * eps * np.abs(x).max()
 
 
 @pytest.mark.parametrize("kind", ["complex", "quaternionic", "at-bound"])
 @pytest.mark.parametrize("n", range(1, 5))
 def test_real_step_block_corrections_are_the_complex_ones(n, kind, monkeypatch):
-    # the drift gate's corrections, one block of 3 steps, against the same
-    # steps in complex arithmetic: ||skew(S X)||_F / sqrt 2 and |tr - 1|
+    # the two gates' measures.  The growth factor, from the closed form
+    # |R(iy)|**2 - 1 = y**6 (y**2 - 8) / 576, against |R(iy)|**3 in
+    # complex arithmetic at 3 steps just past the stability bound, where
+    # it passes 1 by 6.6e-7, within the gate; and exactly 1 at a stable
+    # step.  The final correction is rounding alone
     gen, rho = rk4_inputs(n, kind)
-    blocks = []
-    monkeypatch.setattr(dynamics, "_check_drift", lambda c, start: blocks.append(c.copy()))
-    integrate(rho, gen, t=1.0, steps=3)
-    s, x = kronecker_step(gen, 1.0 / 3), chi(rho.mat)
-    x = (x + x.conj().T) / 2
-    want = []
-    for _ in range(3):
-        y = (s @ x.reshape(-1)).reshape(len(x), len(x))
-        trace = np.trace(y).real / 2
-        want.append(max(np.linalg.norm((y - y.conj().T) / 2) / np.sqrt(2), abs(trace - 1)))
-        x = (y + y.conj().T) / 2 / trace
-    assert len(blocks) == 1
-    assert np.abs(blocks[0] - want).max() <= 16 * np.finfo(np.float64).eps
+    measured = []
+
+    def recording_gate(value, tol, error, describe):
+        measured.append(float(value))
+        check_slices(value, tol, error, describe)
+
+    monkeypatch.setattr(dynamics, "check_slices", recording_gate)
+    image = chi(gen.h)
+    w = np.linalg.eigvalsh(-0.5j * (image - image.conj().T))
+    for y_max, want in ((np.sqrt(8 + 5e-7), None), (2.0, 1.0)):
+        t = 3 * y_max / (w[-1] - w[0])
+        measured.clear()
+        integrate(rho, gen, t=t, steps=3)
+        growth, correction = measured
+        y = t / 3 * (w[:, None] - w[None, :])
+        r = 1 + 1j * y + (1j * y) ** 2 / 2 + (1j * y) ** 3 / 6 + (1j * y) ** 4 / 24
+        complex_growth = float(np.abs(r).max() ** 3)
+        if want is None:
+            assert 1 + 1e-7 < growth < 1 + DRIFT_TOL
+            assert abs(growth - complex_growth) <= 64 * np.finfo(np.float64).eps
+        else:
+            assert growth == want and complex_growth <= 1 + 4 * np.finfo(np.float64).eps
+        assert correction <= 64 * np.finfo(np.float64).eps
 
 
 def _outcome(solver, rho, gen, t, steps):
@@ -380,13 +361,11 @@ def _outcome(solver, rho, gen, t, steps):
     return out.alpha, out.beta
 
 
-def assert_same_outcome_as_the_allocating_loop(rho, gen, t, steps):
-    """Bit-identical results and drift errors; read-back errors name the run."""
+def assert_same_outcome_as_the_reference(rho, gen, t, steps):
+    """Bit-identical results, and the same error types and texts, as ``reference_integrate``."""
     want = _outcome(reference_integrate, rho, gen, t, steps)
     got = _outcome(integrate, rho, gen, t, steps)
     if isinstance(want[0], type):
-        if want[0] is not DriftExceeded:
-            want = (want[0], f"rk4 result after {steps} steps of h = {t / steps!r}: {want[1]}")
         assert got == want
     else:
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -397,20 +376,20 @@ def assert_same_outcome_as_the_allocating_loop(rho, gen, t, steps):
 @pytest.mark.parametrize("kind", ["complex", "quaternionic", "at-bound"])
 @pytest.mark.parametrize("n", [*range(1, 9), 32])
 def test_integrate_is_bit_identical_to_the_allocating_loop(n, kind, steps, t):
-    # the in-place step loop does the allocating one's operations in the
-    # same order, so results, drift errors and their texts agree exactly
+    # reference_integrate writes the closed form out plainly, one array per
+    # operation, in the same order, so results, gate errors and their texts
+    # agree exactly; one step of t = -3.5 is unstable on every input
     gen, rho = rk4_inputs(n, kind)
-    assert_same_outcome_as_the_allocating_loop(rho, gen, t, steps)
+    assert_same_outcome_as_the_reference(rho, gen, t, steps)
 
 
 @pytest.mark.parametrize("steps", [1, 63, 64, 65, 129, 1000])
 @pytest.mark.parametrize("n", [2, 4, 32, 48])
 def test_integrate_is_bit_identical_across_drift_blocks(n, steps):
-    # the drift gate runs once per block of 64 steps, 28 at n = 48 where
-    # a block would pass 2**18 entries: one block, a full one, a full one
-    # and a step, and several blocks with a partial last one
+    # the step counts and widths where the step loop once changed its
+    # drift blocks: the closed form reads the count only in G**steps
     gen, rho = rk4_inputs(n, "quaternionic")
-    assert_same_outcome_as_the_allocating_loop(rho, gen, 1.0, steps)
+    assert_same_outcome_as_the_reference(rho, gen, 1.0, steps)
 
 
 @pytest.mark.parametrize(
@@ -419,8 +398,8 @@ def test_integrate_is_bit_identical_across_drift_blocks(n, steps):
     ids=["flags-excessive-drift", "names-the-failing-step"],
 )
 def test_integrate_drift_message_matches_the_allocating_loop(gen_seed, scale, rho_seed, kind, steps):
-    # the inputs of the two drift tests: the norm over views of the skew
-    # part measures the correction np.linalg.norm does, to the last digit
+    # the inputs of the two drift tests: the same growth factor, to the
+    # last digit
     gen = Generator(random_generator(2, np.random.default_rng(gen_seed)).h * scale)
     rho = random_density(2, kind, rho_seed)
     with pytest.raises(DriftExceeded) as want:
@@ -431,25 +410,25 @@ def test_integrate_drift_message_matches_the_allocating_loop(gen_seed, scale, rh
 
 
 def test_integrate_drift_block_buffers_stay_within_8_mib():
-    # at n = 48 a block of 64 steps would hold 18 MiB of iterates: the
-    # block shrinks to 28 steps, 7.9 MiB, over the one step of a 1-step call
+    # the closed form holds a few 2n x 2n arrays however many steps it
+    # takes: at n = 48, 1,000 steps peak where one step does
     gen, rho = rk4_inputs(48, "quaternionic")
     peaks = []
-    for steps in (1, 64):
+    for steps in (1, 64, 1000):
         tracemalloc.start()
         try:
             integrate(rho, gen, t=1.0, steps=steps)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] - peaks[0] <= 8 * 2**20
+    assert max(peaks) - peaks[0] <= 2**16
+    assert peaks[0] <= 8 * 2**20
 
 
 def test_integrate_buffers_belong_to_one_call(monkeypatch):
-    # a second call runs inside the first one's first drift gate, after
-    # the first call's first block of steps (all 5, or 64 of 150): buffers
-    # shared between calls would change the first call's result; each
-    # call gates once per block, 1 or 3 times
+    # a second call runs inside the first one's growth gate, after its
+    # decomposition: arrays shared between calls would change the first
+    # call's result; each call gates twice
     rng = np.random.default_rng(64)
     gen = random_generator(3, rng)
     first_rho, second_rho = (random_density(3, MixtureKind.IMPROPER, rng) for _ in range(2))
@@ -461,14 +440,14 @@ def test_integrate_buffers_belong_to_one_call(monkeypatch):
             inner.append(integrate(second_rho, gen, t=1.0, steps=steps))
         gate(*args)
 
-    for steps, gates in ((5, 2), (150, 6)):
+    for steps in (5, 150):
         monkeypatch.undo()
         want = [integrate(rho, gen, t=1.0, steps=steps) for rho in (first_rho, second_rho)]
         calls.clear()
         inner.clear()
         monkeypatch.setattr(dynamics, "check_slices", interleaving_gate)
         got = [integrate(first_rho, gen, t=1.0, steps=steps), *inner]
-        assert len(calls) == gates
+        assert len(calls) == 4
         for g, w in zip(got, want, strict=True):
             assert np.array_equal(g.alpha, w.alpha) and np.array_equal(g.beta, w.beta)
         for a in (got[0].alpha, got[0].beta):
@@ -609,13 +588,16 @@ def test_time_ordered_constant_generator_is_one_exponential():
 
 
 def test_integrate_drift_names_the_failing_step():
-    # |H| h = 125 is far outside RK4's stability region, so the iterate
-    # grows every step; the correction of step 0 is 5.4e-9, below the
-    # 1e-6 cap, and that of step 1 is 2.6e-2
+    # |H| h = 125 is far outside RK4's stability region: the run is
+    # refused before any product, naming the steps, h and the widest gap
     gen = Generator(random_generator(2, np.random.default_rng(71)).h * 1e3)
     rho = random_density(2, MixtureKind.IMPROPER, 72)
-    with pytest.raises(DriftExceeded, match="at step 1 "):
+    with pytest.raises(DriftExceeded) as excinfo:
         integrate(rho, gen, t=1.0, steps=8)
+    assert str(excinfo.value) == (
+        "rk4 growth factor 1.119e+65 after 8 steps of h = 0.125 exceeds 1 + 1e-06: |h| times "
+        "the widest spectral gap 1.910e+03 is 2.387e+02, past the stability bound 2 sqrt 2"
+    )
 
 
 def _ci_smoke_state_and_generator(scale):
@@ -626,81 +608,91 @@ def _ci_smoke_state_and_generator(scale):
     return validate(state), Generator(QMatrix(alpha * scale, beta * scale))
 
 
-def test_integrate_drift_names_a_failing_step_in_a_later_block():
-    # scaled by 400 and stepped 200 times, the smoke generator first
-    # fails the drift gate past the first block of 64 steps (at step 112
-    # with OpenBLAS on x86-64; rounding seeds the mode that grows, so
-    # another BLAS can move it by a few steps)
-    rho, gen = _ci_smoke_state_and_generator(400)
-    with pytest.raises(DriftExceeded) as want:
-        reference_integrate(rho, gen, 1.0, 200)
-    assert int(str(want.value).split(" at step ")[1].split()[0]) >= 64
-    assert_same_outcome_as_the_allocating_loop(rho, gen, 1.0, 200)
+#: The CI smoke runs, (scale, t, steps, |h| times the widest gap).  The
+#: step loop that the closed form replaced passed the first three and
+#: refused the other four only after running them: by its per-step drift
+#: gate (at steps 112 and 3) or at the read-back (minimum eigenvalue -0.22,
+#: block symmetry deviation 8.4e-7), naming no step size in the first two.
+STABILITY_TABLE = {
+    "gen-200-steps": (1, 1.0, 200, "7.662e-03"),
+    "gen100-200-steps": (100, 1.0, 200, "7.662e-01"),
+    "gen-1-step": (1, 1.0, 1, "1.532e+00"),
+    "gen400-200-steps": (400, 1.0, 200, "3.064e+00"),
+    "gen-t-3.5-1-step": (1, -3.5, 1, "5.361e+00"),
+    "gen30-8-steps": (30, 1.0, 8, "5.744e+00"),
+    "gen100-8-steps": (100, 1.0, 8, "1.915e+01"),
+}
 
 
-@pytest.mark.parametrize(
-    "n,scale,message",
-    [
-        (2, 1e75, "correction inf at step 0 exceeds 1e-06"),
-        (5, 1e3, "correction 6.910e-03 at step 1 exceeds 1e-06"),
-    ],
-    ids=["n2", "n5"],  # n = 2 takes the real step, n = 5 the two products
-)
-def test_integrate_drift_failure_then_a_zero_trace_in_its_block_does_not_warn(n, scale, message):
+@pytest.mark.parametrize("row", list(STABILITY_TABLE))
+def test_integrate_refuses_exactly_the_unstable_smoke_runs(row):
+    # |R(iy)| <= 1 exactly while |y| <= 2 sqrt 2 = 2.828 at the widest gap:
+    # the runs below it pass, and past it the gate names h before any
+    # product, with no numpy warning
+    scale, t, steps, y = STABILITY_TABLE[row]
+    rho, gen = _ci_smoke_state_and_generator(scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if float(y) <= 2.8:
+            integrate(rho, gen, t=t, steps=steps)
+            return
+        with pytest.raises(DriftExceeded) as excinfo:
+            integrate(rho, gen, t=t, steps=steps)
+    message = str(excinfo.value)
+    assert message.startswith("rk4 growth factor ")
+    assert f" after {steps} steps of h = {t / steps!r} exceeds 1 + 1e-06: " in message
+    assert message.endswith(f" is {y}, past the stability bound 2 sqrt 2")
+
+
+@pytest.mark.parametrize("n,scale", [(2, 1e75), (5, 1e3)], ids=["n2", "n5"])
+def test_integrate_refuses_a_growth_past_the_float_range_without_a_warning(n, scale):
     # the drift test's generator seed, scaled, over 64 steps of h = 0.125:
-    # a step fails, the steps after it in the block run on, and a later
-    # trace is 0.0 or not finite; dividing by it must not warn.  At n = 5
-    # the scale is the drift test's: trace 0.0 at step 11, nan at 12.  At
-    # n = 2 a diverging iterate of the real step saturates, its trace held
-    # at the rounding of R's trace row, and no trace of 0.0 or inf came up
-    # at scale 1e3, 2e3 or 500 over generator seeds 0..299; at 1e75, R is
-    # finite (h |H| < 1e77) but its product with the saturated iterate
-    # overflows (h |H| > 1e73): step 0 fails, the trace of step 1 is inf
-    # and that of step 2 nan
+    # G is finite, |G|**64 is not, and the gate reads inf
     gen = Generator(random_generator(n, np.random.default_rng(71)).h * scale)
     rho = random_density(n, MixtureKind.IMPROPER, 72)
-    with pytest.raises(DriftExceeded) as want:
-        reference_integrate(rho, gen, 8.0, 64)
-    traces = []
-    # ungated, the reference divides by the bad trace and ends in an error
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"), pytest.raises(QmixError):
-        reference_integrate(rho, gen, 8.0, 64, trace_log=traces)
-    failing = int(message.split(" at step ")[1].split()[0])
-    bad = [i for i, trace in enumerate(traces) if trace == 0.0 or not np.isfinite(trace)]
-    assert failing < bad[0] < 63
     with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(DriftExceeded) as got:
+        warnings.simplefilter("error")
+        with pytest.raises(DriftExceeded, match="^rk4 growth factor inf after 64 steps of h = 0.125 "):
             integrate(rho, gen, t=8.0, steps=64)
-    assert str(got.value) == str(want.value) == message
 
 
 def test_integrate_halves_the_hermitized_iterate_before_dividing_by_its_trace():
-    # on the two-product form (n = 5), an entry of raw + raw^dag that
-    # halves into the subnormal range rounds there: dividing the sum by
-    # twice the trace would round once and, with the trace off 1, keep
-    # 5e-324 where the loop keeps 1e-323
+    # an entry of out + out^dag that halves into the subnormal range
+    # rounds there: dividing the sum by twice the trace would round once
+    # and, with the trace off 1, keep 5e-324 where the closed form keeps
+    # 1e-323 (a zero generator leaves the state as it is)
     alpha = np.diag([(1 + 1e-13) / 2, 0.5, 0.0, 0.0, 0.0]).astype(np.complex128)
     alpha[0, 1] = 3 * 5e-324
     rho = validate(QMatrix(alpha, np.zeros((5, 5), dtype=np.complex128)))
-    assert_same_outcome_as_the_allocating_loop(rho, Generator(QMatrix.identity(5) * 0.0), 1.0, 1)
+    assert_same_outcome_as_the_reference(rho, Generator(QMatrix.identity(5) * 0.0), 1.0, 1)
 
 
-def test_integrate_read_back_error_names_the_steps_and_step_size():
-    # scaled by 30 and stepped 8 times, the smoke generator passes every
-    # drift gate, but the iterate has left the chi image: the read-back
-    # error keeps its class and names the run
+def test_integrate_read_back_error_names_the_steps_and_step_size(monkeypatch):
+    # scaled by 30 and stepped 8 times, the smoke generator once passed
+    # every drift gate and failed the read-back; the stability gate now
+    # refuses it.  A result off the chi image, here from eigenvectors that
+    # are unitary but not chi-structured, still fails the read-back, which
+    # keeps its class and names the run
     rho, gen = _ci_smoke_state_and_generator(30)
+    with pytest.raises(DriftExceeded) as excinfo:
+        integrate(rho, gen, t=1.0, steps=8)
+    assert str(excinfo.value) == (
+        "rk4 growth factor 5.927e+12 after 8 steps of h = 0.125 exceeds 1 + 1e-06: |h| times "
+        "the widest spectral gap 4.595e+01 is 5.744e+00, past the stability bound 2 sqrt 2"
+    )
+    rho, gen = _ci_smoke_state_and_generator(1)
+    unitary = np.linalg.qr(random_complex(np.random.default_rng(36), 4))[0]
+    eigh = dynamics._anti_hermitian_eigh
+    monkeypatch.setattr(dynamics, "_anti_hermitian_eigh", lambda k: (eigh(k)[0], unitary))
     with pytest.raises(NotInChiImage) as excinfo:
         integrate(rho, gen, t=1.0, steps=8)
     assert str(excinfo.value).startswith("rk4 result after 8 steps of h = 0.125: block symmetry deviation ")
 
 
 def test_integrate_names_the_time_when_its_step_polynomial_overflows():
-    # K = (t / steps) chi(H) is finite, its square is not; or, in the last
-    # row, every A_l and B_l is finite and a Kronecker entry A_l (x) B_l^T
-    # of the step matrix is not: the error names the time and the steps
-    # rather than a drift of nan or inf
+    # y = h (w_j - w_i) is finite and a power of it in G = R(iy) is not:
+    # the error names the time and the steps rather than a growth factor
+    # of nan or inf
     rows = [
         (73, 74, 1e200, 3),
         (73, 74, 1e308, 1000),
@@ -835,16 +827,16 @@ def _generator_of_three():
          ValueError, "finite-difference step h must be a real number, got array([0.001, 0.002])"),
         (lambda: random_generator(2, 0), ValueError, "rng must be a numpy.random.Generator, got 0"),
         (lambda: Generator(np.zeros((2, 2))), ValueError,
-         "generator must be a QMatrix, got array("),
-        (lambda: Propagator(np.eye(2)), ValueError, "propagator must be a QMatrix, got array("),
+         "generator must be a QMatrix, got ndarray of shape (2, 2)"),
+        (lambda: Propagator(np.eye(2)), ValueError, "propagator must be a QMatrix, got ndarray of shape (2, 2)"),
         # a bare QMatrix is no Generator: its .h is the adjoint, -H, so it
         # would run backwards in time, past the anti-hermiticity gate
         (lambda: integrate(_state_of_three(), QMatrix.identity(3) * 0.0, 1.0, 3), ValueError,
-         "gen must be a Generator, got QMatrix("),
+         "gen must be a Generator, got QMatrix of shape (3, 3)"),
         (lambda: time_ordered(QMatrix.identity(3) * 0.0, 1.0), ValueError,
-         "gen must be a Generator, got QMatrix("),
+         "gen must be a Generator, got QMatrix of shape (3, 3)"),
         (lambda: projected_rate_check(_state_of_three(), QMatrix.identity(3) * 0.0), ValueError,
-         "gen must be a Generator, got QMatrix("),
+         "gen must be a Generator, got QMatrix of shape (3, 3)"),
         (lambda: integrate(None, Generator(QMatrix.identity(3) * 0.0), 1.0, 3), ValueError,
          "rho0 must be a QDensity, got None"),
         (lambda: integrate(_state_of_three(), None, 1.0, 3), ValueError,
@@ -853,18 +845,18 @@ def _generator_of_three():
         (lambda: projected_rate_check(None, Generator(QMatrix.identity(3) * 0.0)), ValueError,
          "rho must be a QDensity, got None"),
         (lambda: evolve(_state_of_three(), QMatrix.identity(3)), ValueError,
-         "prop must be a Propagator, got QMatrix("),
+         "prop must be a Propagator, got QMatrix of shape (3, 3)"),
         (lambda: evolve(None, Propagator(QMatrix.identity(3))), ValueError,
          "rho must be a QDensity, got None"),
         (lambda: evolve(_state_of_three().mat, Propagator(QMatrix.identity(3))), ValueError,
-         "rho must be a QDensity, got QMatrix("),
+         "rho must be a QDensity, got QMatrix of shape (3, 3)"),
         (lambda: projected_evolution(_state_of_three(), None), ValueError,
          "prop must be a Propagator, got None"),
         (lambda: projected_evolution(None, Propagator(QMatrix.identity(3))), ValueError,
          "rho0 must be a QDensity, got None"),
         # the types are checked before the shapes and the other arguments
         (lambda: integrate(_state_of_three(), QMatrix.identity(2) * 0.0, "1", 0), ValueError,
-         "gen must be a Generator, got QMatrix("),
+         "gen must be a Generator, got QMatrix of shape (2, 2)"),
         # a tiny h overflows the finite-difference quotient or its norm
         (lambda: projected_rate_check(_state_of_three(), _generator_of_three(), 1e-200),
          QmixError, "projected-rate residual (finite-difference step h = 1e-200) = inf is not finite"),

@@ -3,6 +3,7 @@
 import ast
 import pathlib
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from qmix import (
     validate,
 )
 import qmix
-from qmix import qmatrix
+from qmix import dynamics, qmatrix
 from qmix.density import _density_gate, _expectations, _lift_blocks
 from qmix.errors import (
     DimensionMismatch,
@@ -698,18 +699,26 @@ def test_sums_differences_and_products_refuse_an_overflow():
 
 @pytest.mark.parametrize(
     "value,cls,message",
-    [(np.eye(2), QMatrix, "x must be a QMatrix, got array([[1., 0.],\n       [0., 1.]])"),
+    [(np.eye(2), QMatrix, "x must be a QMatrix, got ndarray of shape (2, 2)"),
      (None, Observable, "x must be an Observable, got None"),
      (0, np.random.Generator, "x must be a numpy.random.Generator, got 0"),
-     (10**400, QMatrix, "x must be a QMatrix, got <int of 1329 bits>")],
-    ids=["array-for-qmatrix", "none-for-observable", "int-for-numpy-generator", "huge-int"],
+     (10**400, QMatrix, "x must be a QMatrix, got <int of 1329 bits>"),
+     # its repr runs to 71,475 characters
+     (random_qmatrix(np.random.default_rng(31), 31), Generator,
+      "x must be a Generator, got QMatrix of shape (31, 31)"),
+     (np.array(0.5), QMatrix, "x must be a QMatrix, got array(0.5)")],
+    ids=["array-for-qmatrix", "none-for-observable", "int-for-numpy-generator", "huge-int",
+         "qmatrix-n31-for-generator", "zero-dimensional-array"],
 )
 def test_check_type_names_the_argument_and_the_class(value, cls, message):
+    # an array or matrix is named by its type and shape, not its repr, so
+    # no refusal passes one short line
     assert qmatrix.check_type("x", QMatrix.identity(1), QMatrix) is None
     with pytest.raises(ValueError) as excinfo:
         qmatrix.check_type("x", value, cls)
     assert type(excinfo.value) is ValueError
     assert str(excinfo.value) == message
+    assert len(message) <= 80
 
 
 # -- the shape rule ----------------------------------------------------------------
@@ -820,6 +829,19 @@ def _lift_with_skewed_vectors():
     return _lift_blocks(sources, [0, 1], [1, 1])
 
 
+_PURE_HALF = validate(QMatrix.from_complex(np.full((2, 2), 0.5)))
+
+
+def _integrate_with_eigenvectors_off_unitary():
+    # the closed form keeps hermiticity and trace to rounding, so only an
+    # eigensolver whose vectors are off unitary (here scaled by 1.001)
+    # reaches the final correction gate: the trace reads 1.001**4
+    eigh = qmatrix._anti_hermitian_eigh
+    with mock.patch.object(dynamics, "_anti_hermitian_eigh",
+                           lambda k: (eigh(k)[0], eigh(k)[1] * 1.001)):
+        integrate(_PURE_HALF, Generator(QMatrix.from_complex(np.diag([1j, -1j]))), 1.0, 1)
+
+
 # One row per tolerance test in src/qmix: a failing input, the error type,
 # the whole message and the failing slice (``()`` for one matrix).
 TOLERANCE_FAILURES = {
@@ -843,12 +865,16 @@ TOLERANCE_FAILURES = {
     "propagator-unitarity": (
         lambda: Propagator(QMatrix.identity(2) * 2.0), NotUnitary,
         "U^dag U deviates from identity by 3.000e+00, beyond 1.000e-09", ()),
-    # a generator at the edge of anti-hermiticity (real diagonal 4e-11)
-    # turns the pure state's off-diagonal entries by 2e-6 at t = 1e5
+    # chi(H) has the spectrum -i (-1, -1, 1, 1): one RK4 step of h = 2
+    # across the gap 2 grows by |R(4i)| = sqrt(1 + 4**6 * 8 / 576)
     "integrate-drift": (
-        lambda: integrate(validate(QMatrix.from_complex(np.full((2, 2), 0.5))),
-                          Generator(QMatrix.from_complex(np.diag([4e-11, 0.0]))), 1e5, 1),
-        DriftExceeded, "correction 2.828e-06 at step 0 exceeds 1e-06", ()),
+        lambda: integrate(_PURE_HALF, Generator(QMatrix.from_complex(np.diag([1j, -1j]))), 2.0, 1),
+        DriftExceeded, "rk4 growth factor 7.608e+00 after 1 steps of h = 2.0 exceeds 1 + 1e-06: "
+        "|h| times the widest spectral gap 2.000e+00 is 4.000e+00, past the stability bound "
+        "2 sqrt 2", ()),
+    "integrate-correction": (
+        _integrate_with_eigenvectors_off_unitary, DriftExceeded,
+        "rk4 correction 4.006e-03 after 1 steps of h = 1.0 exceeds 1e-06", ()),
     "state-norm": (
         lambda: BipartiteState((2, 2), [2.0, 0.0, 0.0, 0.0]), NotNormalized,
         "state norm 2.0 off unity by 1.000e+00", ()),
