@@ -11,7 +11,8 @@ write, so write(read(f)) reproduces a canonical file byte for byte).
 Every report is ``json.dumps(payload, indent=2)`` plus a newline, byte
 for byte, so numbers keep full double precision and json's spelling of
 NaN and the infinities; identical invocations produce byte-identical
-output.
+output.  Reports hold matrix blocks as complex arrays, which the writer
+formats as above; only the parser tests a block's lists.
 
 Exit codes: 0 on success, 1 on validation failure, 2 on usage errors,
 each worded by the library's rule for the option (check_int, check_real,
@@ -106,16 +107,16 @@ def parse_matrix(obj) -> QMatrix:
     return QMatrix(alpha, beta)
 
 
-def _block_to_lists(block: np.ndarray) -> list:
-    return np.stack([block.real, block.imag], -1).tolist()
+def _matrix_object(m: QMatrix) -> dict:
+    """Matrix-file object for a QMatrix, blocks as complex arrays; zero beta is omitted."""
+    beta = {"beta": m.beta} if np.any(m.beta != 0) else {}
+    return {"rows": m.rows, "cols": m.cols, "alpha": m.alpha, **beta}
 
 
 def serialize_matrix(m: QMatrix) -> dict:
-    """Matrix-file object for a QMatrix; zero beta is omitted."""
-    out = {"rows": m.rows, "cols": m.cols, "alpha": _block_to_lists(m.alpha)}
-    if np.any(m.beta != 0):
-        out["beta"] = _block_to_lists(m.beta)
-    return out
+    """Matrix-file object for a QMatrix, blocks as ``[re, im]`` lists that json.dump takes."""
+    return {key: np.stack([v.real, v.imag], -1).tolist() if isinstance(v, np.ndarray) else v
+            for key, v in _matrix_object(m).items()}
 
 
 def load_matrix(path: str) -> QMatrix:
@@ -149,7 +150,7 @@ def _block_leaves(node: list) -> list | None:
 
     A block is a non-empty list of equally long non-empty lists of ``[re, im]`` lists of ints
     and floats, no bool.  Subclasses pass, by ``issubclass`` only where the exact-type set
-    comparisons fail.  The file parser and the report writer both ask it.
+    comparisons fail.  Only the file parser asks it: the writer takes its blocks as arrays.
     """
     if not isinstance(node[0], list) or not node[0] or not isinstance(node[0][0], list):
         return None
@@ -165,9 +166,9 @@ def _block_leaves(node: list) -> list | None:
 def _dumps(node, pad: str = "") -> str:
     """``json.dumps(node, indent=2)`` for a value nested at indent ``pad``.
 
-    Matrix blocks, the bulk of a report, are filled into a cached layout
-    with number text from json's C encoder, so every float reads exactly
-    as json writes it.  Report keys are strings.
+    A matrix block, the bulk of a report, is a 2-D complex array: its
+    ``[re, im]`` pairs take their text from one call of json's C encoder
+    into a cached layout, so every float reads as json writes it.  Report keys are strings.
     """
     if isinstance(node, str):
         return encode_basestring_ascii(node)
@@ -177,15 +178,14 @@ def _dumps(node, pad: str = "") -> str:
         return "true" if node else "false"
     if isinstance(node, int):
         return int.__repr__(node)
+    if isinstance(node, np.ndarray):
+        pairs = np.ascontiguousarray(node).view(np.float64).ravel().tolist()
+        return _block_layout(*node.shape, pad) % tuple(json.dumps(pairs)[1:-1].split(", "))
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(node, (list, tuple)):
         if not node:
             return "[]"
-        flat = _block_leaves(node)
-        if flat is not None:
-            leaves = json.dumps(flat)[1:-1].split(", ")
-            return _block_layout(len(node), len(node[0]), pad) % tuple(leaves)
         items = [_dumps(value, inner) for value in node]
         return f"[\n{inner}{sep.join(items)}\n{pad}]"
     if isinstance(node, dict):
@@ -217,7 +217,7 @@ def _complex_pair(z: complex) -> list:
 
 def serialize_density(rho: QDensity) -> dict:
     return {
-        "matrix": serialize_matrix(rho.mat),
+        "matrix": _matrix_object(rho.mat),
         "classification": rho.classification.value,
         "beta_norm": rho.beta_norm,
     }
@@ -238,7 +238,7 @@ def serialize_report(report: scenario.ScenarioReport) -> dict:
         "complex_expectations": [dict(vars(row)) for row in report.complex_expectation_table],
         "quaternionic_discriminator": {
             **vars(report.quaternionic_discriminator),
-            "observable": serialize_matrix(report.quaternionic_discriminator.observable.mat),
+            "observable": _matrix_object(report.quaternionic_discriminator.observable.mat),
         },
         "checks": {name: dict(vars(check)) for name, check in report.checks.items()},
         "passed": report.passed,
@@ -282,16 +282,16 @@ def _cmd_classify(args) -> dict:
 
 def _cmd_project(args) -> dict:
     projected = density.complex_projection(_load_density(args.file, args.tol))
-    return serialize_matrix(QMatrix.from_complex(projected.mat))
+    return _matrix_object(QMatrix.from_complex(projected.mat))
 
 
 def _cmd_lift(args) -> dict:
     source = _load_complex_source(args.file, args.tol)
-    return serialize_matrix(density.lift(source, args.rank).mat)
+    return _matrix_object(density.lift(source, args.rank).mat)
 
 
 def _cmd_purify(args) -> dict:
-    return serialize_matrix(density.purify(_load_complex_source(args.file, args.tol)).mat)
+    return _matrix_object(density.purify(_load_complex_source(args.file, args.tol)).mat)
 
 
 def _cmd_expect(args) -> dict:
@@ -311,7 +311,7 @@ def _cmd_evolve(args) -> dict:
         evolved = dynamics.integrate(rho, gen, args.t, args.steps)
     else:
         evolved = dynamics.evolve(rho, dynamics.time_ordered(gen, args.t))
-    return serialize_matrix(evolved.mat)
+    return _matrix_object(evolved.mat)
 
 
 def _cmd_scenario(args) -> dict:

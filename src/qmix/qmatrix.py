@@ -281,7 +281,7 @@ def check_slices(measured, tol, error: type[QmixError], describe: Callable[[tupl
 def check_int(name: str, value, least: int, error: type[Exception] = ValueError) -> None:
     """The one rule for counts, dimensions and seeds: an int or np.integer, no bool, >= least."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {_shown(value)}")
     if value < least:
         raise error(f"{name} must be >= {least}, got {_shown(value, str)}")
 
@@ -290,18 +290,14 @@ def check_type(name: str, value, cls: type) -> None:
     """The one rule for an argument's type: an instance of ``cls``, else a ValueError naming it.
 
     The class is named as it is imported: a qmix class by its name, any
-    other by its public module path.  A wrong value with a nonempty
-    ``shape`` is named by its type and shape, anything else by its repr.
+    other by its public module path, and the wrong value as :func:`_shown` names it.
     """
     if isinstance(value, cls):
         return
     path = [part for part in cls.__module__.split(".") if not part.startswith("_")]
     label = cls.__name__ if path[0] == "qmix" else ".".join([*path, cls.__name__])
     article = "an" if label[0] in "AEIOU" else "a"
-    shape = getattr(value, "shape", ())
-    # an array or matrix by its type and shape: its repr can run to many kB
-    shown = f"{type(value).__name__} of shape {shape}" if shape else _shown(value)
-    raise ValueError(f"{name} must be {article} {label}, got {shown}")
+    raise ValueError(f"{name} must be {article} {label}, got {_shown(value)}")
 
 
 def check_real(name: str, value) -> None:
@@ -311,7 +307,7 @@ def check_real(name: str, value) -> None:
     past the float range are a :class:`QmixError`, and no value makes numpy warn.
     """
     if isinstance(value, bool) or not isinstance(value, Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
+        raise ValueError(f"{name} must be a real number, got {_shown(value)}")
     mag = abs(value if isinstance(value, int) else float(value))  # no overflow, no numpy cast
     check_slices(mag, _FLOAT_MAX, QmixError, lambda i: f"{name} = {_shown(value)} is not finite")
 
@@ -328,7 +324,10 @@ def _check_reals(name: str, values: np.ndarray) -> None:
 
 
 def _shown(value, text=repr) -> str:
-    """``text(value)``, but an int past the float range by its bit length, not its digits."""
+    """``text(value)``, short: an array or matrix by its type and shape (a ``shape`` that is not
+    empty), an int past the float range by its bit length, as either's text can run to many kB."""
+    if getattr(value, "shape", ()):
+        return f"{type(value).__name__} of shape {value.shape}"
     if isinstance(value, int) and abs(value) > _FLOAT_MAX:
         return f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
     return text(value)

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qmix
-from qmix import scenario
+from qmix import cli, scenario
 from qmix.cli import _emit, build_parser, main, parse_matrix, serialize_matrix
 from qmix.density import random_density, validate
 from qmix.dynamics import Generator, integrate, random_generator, time_ordered
@@ -158,6 +158,35 @@ def test_report_writer_is_json_dumps_indent_two(payload):
     with contextlib.redirect_stdout(out):
         _emit(payload, None)
     assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+
+#: Entries whose text json spells its own way, or at the float range's ends.
+EDGE_ENTRIES = [-0.0, 5e-324, 1e308, -1e-308, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("transposed", [False, True], ids=["contiguous", "transposed"])
+@pytest.mark.parametrize("beta", [False, True], ids=["zero-beta", "nonzero-beta"])
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (4, 1), (32, 32)], ids=str)
+def test_report_writer_formats_complex_arrays_as_their_lists(monkeypatch, shape, beta, transposed):
+    # reports hold matrix blocks as arrays; each is written as the bytes json
+    # writes for serialize_matrix's [re, im] lists, with no block test
+    rng = np.random.default_rng(shape[0] * shape[1])
+    floats = rng.standard_normal(4 * shape[0] * shape[1])
+    floats[: len(EDGE_ENTRIES)] = EDGE_ENTRIES[: len(floats)]
+    alpha, beta_block = floats.view(np.complex128).reshape(2, *shape[::-1] if transposed else shape)
+    if transposed:
+        alpha, beta_block = alpha.T, beta_block.T
+        assert alpha.flags.c_contiguous == (1 in shape)  # numpy skips an axis of length 1
+    m = QMatrix(alpha, beta_block if beta else np.zeros(shape))
+    monkeypatch.setattr(cli, "_block_leaves", None)
+    for wrap in (lambda block: block,
+                 lambda block: {"rho_improper": {"matrix": block, "beta_norm": 0.5},
+                                "quaternionic_discriminator": {"observable": block}}):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _emit(wrap(cli._matrix_object(m)), None)
+        assert out.getvalue() == json.dumps(wrap(serialize_matrix(m)), indent=2) + "\n"
+    assert ("beta" in serialize_matrix(m)) == beta
 
 
 # -- subcommands -------------------------------------------------------------

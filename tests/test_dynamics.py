@@ -815,16 +815,16 @@ def _generator_of_three():
         (lambda: time_ordered(Generator(QMatrix.identity(3) * 0.0), True), ValueError,
          "evolution time t must be a real number, got True"),
         (lambda: time_ordered(Generator(QMatrix.identity(3) * 0.0), np.array([0.5, 1.0])),
-         ValueError, "evolution time t must be a real number, got array([0.5, 1. ])"),
+         ValueError, "evolution time t must be a real number, got ndarray of shape (2,)"),
         (lambda: integrate(_state_of_three(), Generator(QMatrix.identity(3) * 0.0),
                            np.full(6, 0.5), 3),
-         ValueError, "evolution time t must be a real number, got array([0.5, 0.5, 0.5, 0.5, 0.5, 0.5])"),
+         ValueError, "evolution time t must be a real number, got ndarray of shape (6,)"),
         (lambda: integrate(_state_of_three(), Generator(QMatrix.identity(3) * 0.0),
                            np.array([1.0]), 3),
-         ValueError, "evolution time t must be a real number, got array([1.])"),
+         ValueError, "evolution time t must be a real number, got ndarray of shape (1,)"),
         (lambda: projected_rate_check(_state_of_three(), Generator(QMatrix.identity(3) * 0.0),
                                       np.array([1e-3, 2e-3])),
-         ValueError, "finite-difference step h must be a real number, got array([0.001, 0.002])"),
+         ValueError, "finite-difference step h must be a real number, got ndarray of shape (2,)"),
         (lambda: random_generator(2, 0), ValueError, "rng must be a numpy.random.Generator, got 0"),
         (lambda: Generator(np.zeros((2, 2))), ValueError,
          "generator must be a QMatrix, got ndarray of shape (2, 2)"),

@@ -984,14 +984,21 @@ def test_check_int_takes_integers_and_numpy_integers(value):
      ("2", ValueError, "count must be an integer, got '2'"),
      (None, DimensionMismatch, "count must be an integer, got None"),
      (-(10**300), ValueError, f"count must be >= 0, got {-(10**300)}"),
-     (-(10**5000), ValueError, "count must be >= 0, got <negative int of 16610 bits>")],
+     (-(10**5000), ValueError, "count must be >= 0, got <negative int of 16610 bits>"),
+     # their reprs run to 3,191 and 4,371 characters
+     (np.full(961, 3), ValueError, "count must be an integer, got ndarray of shape (961,)"),
+     (np.zeros((31, 31)), DimensionMismatch, "count must be an integer, got ndarray of shape (31, 31)"),
+     (np.array(3), ValueError, "count must be an integer, got array(3)")],
     ids=["negative", "numpy-negative", "float", "numpy-float", "bool", "numpy-bool", "string",
-         "none-as-dimension", "negative-int-in-float-range", "negative-int-past-the-digit-limit"],
+         "none-as-dimension", "negative-int-in-float-range", "negative-int-past-the-digit-limit",
+         "int-array", "float-matrix-as-dimension", "zero-dimensional-int-array"],
 )
 def test_check_int_names_the_argument(value, error, message):
     with pytest.raises(error) as excinfo:
         qmatrix.check_int("count", value, 0, error)
     assert str(excinfo.value) == message
+    # an array is named by its type and shape, not its repr: one short line
+    assert len(message) <= 80 or not np.ndim(value)
 
 
 @pytest.mark.parametrize(
@@ -1016,13 +1023,15 @@ def test_check_real_takes_finite_real_numbers(value):
      (10**400, QmixError, "t = <int of 1329 bits> is not finite"),
      (-(10**400), QmixError, "t = <negative int of 1329 bits> is not finite"),
      (10**5000, QmixError, "t = <int of 16610 bits> is not finite"),
-     (np.array([0.5, 1.5]), ValueError, "t must be a real number, got array([0.5, 1.5])"),
+     (np.array([0.5, 1.5]), ValueError, "t must be a real number, got ndarray of shape (2,)"),
      (np.array(0.5), ValueError, "t must be a real number, got array(0.5)"),
-     (np.array([np.inf]), ValueError, "t must be a real number, got array([inf])")],
+     (np.array([np.inf]), ValueError, "t must be a real number, got ndarray of shape (1,)"),
+     # its repr runs to 5,323 characters
+     (np.full(961, 0.5), ValueError, "t must be a real number, got ndarray of shape (961,)")],
     ids=["bool", "numpy-bool", "string", "none", "complex", "nan", "negative-inf",
          "numpy-float32-inf", "int-past-float-range", "negative-int-past-float-range",
          "int-past-the-digit-limit", "float-array", "zero-d-float-array",
-         "non-finite-float-array"],
+         "non-finite-float-array", "long-float-array"],
 )
 def test_check_real_names_the_argument(value, error, message):
     with warnings.catch_warnings():
@@ -1031,6 +1040,7 @@ def test_check_real_names_the_argument(value, error, message):
             qmatrix.check_real("t", value)
     assert type(excinfo.value) is error
     assert str(excinfo.value) == message
+    assert len(message) <= 80 or not np.ndim(value)
 
 
 @pytest.mark.parametrize(

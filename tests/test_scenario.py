@@ -138,7 +138,7 @@ def test_scenario_rejects_non_finite_direction(n_hat, name):
         ((None, 0), "direction angle theta must be a real number, got None"),
         ((0.3, True), "direction angle phi must be a real number, got True"),
         ((np.array([0.4, 0.5]), 1.1),
-         "direction angle theta must be a real number, got array([0.4, 0.5])"),
+         "direction angle theta must be a real number, got ndarray of shape (2,)"),
         ((0.4, np.array(1.1)), "direction angle phi must be a real number, got array(1.1)"),
     ],
     ids=["string", "complex", "none", "bool", "float-array", "zero-d-float-array"],
