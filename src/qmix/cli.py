@@ -38,6 +38,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -199,12 +200,21 @@ def _dumps(node, pad: str = "") -> str:
 
 
 def _emit(payload: dict, output: str | None) -> None:
+    """Write the report to stdout, or over the file ``output`` in place.
+
+    The file is opened without truncation and written from its start; a
+    regular file is then cut to the report's length (``/dev/stdout`` and
+    FIFOs cannot be cut).  The bytes are those of a fresh file, but a write
+    interrupted part way can leave the new bytes followed by the old tail.
+    """
     text = _dumps(payload) + "\n"
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
+    if output is None:
         sys.stdout.write(text)
+        return
+    with open(os.open(output, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as handle:
+        handle.write(text)
+        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            handle.truncate()
 
 
 # ---------------------------------------------------------------------
@@ -323,20 +333,6 @@ def _cmd_check_props(args) -> dict:
     return serialize_summary(scenario.check_propositions(args.nmax, args.trials, args.seed))
 
 
-#: name -> (help, handler, positional arguments); build_parser adds the options.
-_COMMANDS = {
-    "validate": ("validate and classify a density matrix file", _cmd_classify, "file"),
-    "project": ("complex projection of a density matrix", _cmd_project, "file"),
-    "classify": ("report the proper/improper classification", _cmd_classify, "file"),
-    "lift": ("lift a complex density to a target quaternionic rank", _cmd_lift, "file"),
-    "purify": ("purify a complex density of rank at most two", _cmd_purify, "file"),
-    "expect": ("expectation value of an observable in a state", _cmd_expect, "observable state"),
-    "evolve": ("evolve a state under a constant generator", _cmd_evolve, "state"),
-    "scenario": ("run the measurement scenario and emit the report", _cmd_scenario, ""),
-    "check-props": ("run the randomized structural audit", _cmd_check_props, ""),
-}
-
-
 def _checked(convert, rule=None, *args, **kwargs):
     """Argument type: ``convert`` the text, then any library ``rule(*args, value, **kwargs)``."""
 
@@ -376,6 +372,79 @@ def _parse_tolerance(text: str) -> float:
 _seed = _checked(int, check_int, "seed", least=0)
 
 
+def _output_path(text: str) -> str:
+    """Argument type of --output: any path but the empty one, which names no file."""
+    if not text:
+        raise argparse.ArgumentTypeError(f"expected a file path, got {text!r}")
+    return text
+
+
+#: The options of every subcommand and of the top level, as flag -> add_argument
+#: keywords.  The same options are accepted before and after the subcommand.  No
+#: copy has a default, so one not given never clobbers one that was: main
+#: supplies _DEFAULTS in the namespace it parses into.
+_COMMON = {
+    "--seed": dict(
+        type=_seed,
+        default=argparse.SUPPRESS,
+        help="random seed, read only by check-props; defaults to QMIX_SEED, then 0",
+    ),
+    "--tol": dict(
+        type=_checked(_parse_tolerance, check_tol),
+        default=argparse.SUPPRESS,
+        metavar="validate=VALUE",
+        help=f"density-validation tolerance, finite with 0 < VALUE < 1 "
+        f"(default: {VALIDATION_TOL:g}), read only by the commands that load "
+        "matrix files; the last one wins",
+    ),
+    "--output": dict(
+        type=_output_path, default=argparse.SUPPRESS, help="write the report here instead of stdout"
+    ),
+}
+_DEFAULTS = {"seed": None, "tol": VALIDATION_TOL, "output": None}
+
+#: name -> (help, handler, positional arguments, options as flag -> add_argument
+#: keywords); every subcommand takes the _COMMON options after its own.
+_COMMANDS = {
+    "validate": ("validate and classify a density matrix file", _cmd_classify, "file", {}),
+    "project": ("complex projection of a density matrix", _cmd_project, "file", {}),
+    "classify": ("report the proper/improper classification", _cmd_classify, "file", {}),
+    "lift": ("lift a complex density to a target quaternionic rank", _cmd_lift, "file", {
+        # the admissible ranks depend on the file: lift refuses the others, exit 1
+        "--rank": dict(type=_checked(int), required=True),
+    }),
+    "purify": ("purify a complex density of rank at most two", _cmd_purify, "file", {}),
+    "expect": (
+        "expectation value of an observable in a state", _cmd_expect, "observable state", {}
+    ),
+    "evolve": ("evolve a state under a constant generator", _cmd_evolve, "state", {
+        "--gen": dict(required=True, help="matrix file with the anti-hermitian generator"),
+        "--t": dict(type=_checked(float, check_real, "evolution time t"), default=1.0),
+        "--steps": dict(
+            type=_checked(int, check_int, "steps", least=1),
+            default=1000,
+            help="rk4 time steps (default: 1000); the propagator method "
+            "ignores it, a constant generator taking one exponential",
+        ),
+        "--method": dict(choices=("propagator", "rk4"), default="propagator"),
+    }),
+    "scenario": ("run the measurement scenario and emit the report", _cmd_scenario, "", {
+        "--cplus": dict(type=_pair("Re c+", "Im c+"), required=True, metavar="RE,IM"),
+        "--cminus": dict(type=_pair("Re c-", "Im c-"), required=True, metavar="RE,IM"),
+        "--nhat": dict(
+            type=_pair("direction angle theta", "direction angle phi"),
+            default=(0.0, 0.0),
+            metavar="THETA,PHI",
+            help="measurement direction in radians (default: the z axis)",
+        ),
+    }),
+    "check-props": ("run the randomized structural audit", _cmd_check_props, "", {
+        "--nmax": dict(type=_checked(int, check_int, "n_max", least=2), default=6),
+        "--trials": dict(type=_checked(int, check_int, "trials", least=0), default=100),
+    }),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """Reads a token such as ``-0.3,0.2`` as a value, not as an option.
 
@@ -388,34 +457,9 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
-def _add_common_options(parser: argparse.ArgumentParser) -> None:
-    # The same options are accepted before and after the subcommand.  No
-    # copy has a default, so one not given never clobbers one that was:
-    # main supplies the defaults in the namespace it parses into.
-    suppress = argparse.SUPPRESS
-    parser.add_argument(
-        "--seed",
-        type=_seed,
-        default=suppress,
-        help="random seed, read only by check-props; defaults to QMIX_SEED, then 0",
-    )
-    parser.add_argument(
-        "--tol",
-        type=_checked(_parse_tolerance, check_tol),
-        default=suppress,
-        metavar="validate=VALUE",
-        help=f"density-validation tolerance, finite with 0 < VALUE < 1 "
-        f"(default: {VALIDATION_TOL:g}), read only by the commands that load "
-        "matrix files; the last one wins",
-    )
-    parser.add_argument(
-        "--output", default=suppress, help="write the report here instead of stdout"
-    )
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built on the first call and shared by later ones.
+    """The CLI parser, built from _COMMANDS on the first call and shared by later ones.
 
     Parsing reads it and never changes it: every ``parse_args`` call
     fills a fresh namespace.
@@ -426,55 +470,78 @@ def build_parser() -> argparse.ArgumentParser:
         "purification, dynamics and the measurement scenario.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
-    for name, (help_text, handler, positionals) in _COMMANDS.items():
-        commands[name] = p = sub.add_parser(name, help=help_text)
+    parsers = [parser]
+    for name, (help_text, handler, positionals, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         for positional in positionals.split():
             p.add_argument(positional)
+        for flag, spec in options.items():
+            p.add_argument(flag, **spec)
         p.set_defaults(handler=handler)
-
-    # the admissible ranks depend on the file: lift refuses the others, exit 1
-    commands["lift"].add_argument("--rank", type=_checked(int), required=True)
-
-    p = commands["evolve"]
-    p.add_argument("--gen", required=True, help="matrix file with the anti-hermitian generator")
-    p.add_argument("--t", type=_checked(float, check_real, "evolution time t"), default=1.0)
-    p.add_argument(
-        "--steps",
-        type=_checked(int, check_int, "steps", least=1),
-        default=1000,
-        help="rk4 time steps (default: 1000); the propagator method "
-        "ignores it, a constant generator taking one exponential",
-    )
-    p.add_argument("--method", choices=("propagator", "rk4"), default="propagator")
-
-    p = commands["scenario"]
-    p.add_argument("--cplus", type=_pair("Re c+", "Im c+"), required=True, metavar="RE,IM")
-    p.add_argument("--cminus", type=_pair("Re c-", "Im c-"), required=True, metavar="RE,IM")
-    p.add_argument(
-        "--nhat",
-        type=_pair("direction angle theta", "direction angle phi"),
-        default=(0.0, 0.0),
-        metavar="THETA,PHI",
-        help="measurement direction in radians (default: the z axis)",
-    )
-
-    p = commands["check-props"]
-    p.add_argument("--nmax", type=_checked(int, check_int, "n_max", least=2), default=6)
-    p.add_argument("--trials", type=_checked(int, check_int, "trials", least=0), default=100)
-
+        parsers.append(p)
     # last, so each command's help lists its own options first
-    for p in (parser, *commands.values()):
-        _add_common_options(p)
+    for p in parsers:
+        for flag, spec in _COMMON.items():
+            p.add_argument(flag, **spec)
     return parser
 
 
+def _read_plain(argv: list) -> argparse.Namespace | None:
+    """The namespace argparse reads from a plain ``argv``, or None; never prints or exits.
+
+    Plain is: a command, then positionals that do not start with "-", and
+    ``--name VALUE`` or ``--name=VALUE`` for exact long options of that command
+    or of _COMMON, each at most once, a separate VALUE not starting with "-";
+    every value passes its option's type and choices, and every required option
+    is given.  All else is argparse's to read: help, abbreviations, options
+    before the command, repeats, "--", a negative value as its own token and
+    every usage error, with its message and exit 2.
+    """
+    if not argv or not all(isinstance(token, str) for token in argv) or argv[0] not in _COMMANDS:
+        return None
+    _, handler, positionals, options = _COMMANDS[argv[0]]
+    words, given = [], {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            words.append(token)
+            continue
+        flag, joined, text = token.partition("=")
+        spec = options.get(flag, _COMMON.get(flag))
+        if spec is None or flag in given:
+            return None
+        if not joined:
+            text = next(tokens, None)
+            if text is None or text.startswith("-"):
+                return None
+        try:
+            value = spec["type"](text) if "type" in spec else text
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[flag] = value
+    names = positionals.split()
+    if len(words) != len(names) or any(
+        spec.get("required") and flag not in given for flag, spec in options.items()
+    ):
+        return None
+    # in argparse's order: top-level defaults, command, positionals, option defaults, handler
+    namespace = {**_DEFAULTS, "command": argv[0], **dict(zip(names, words))}
+    namespace.update((flag[2:], spec.get("default")) for flag, spec in options.items())
+    namespace["handler"] = handler
+    namespace.update((flag[2:], value) for flag, value in given.items())
+    return argparse.Namespace(**namespace)
+
+
 def main(argv=None) -> int:
-    defaults = argparse.Namespace(seed=None, tol=VALIDATION_TOL, output=None)
-    try:
-        args = build_parser().parse_args(argv, defaults)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_plain(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv, argparse.Namespace(**_DEFAULTS))
+        except SystemExit as exc:
+            return int(exc.code or 0)
     if args.seed is None and args.command == "check-props":
         try:
             args.seed = _seed(os.environ.get("QMIX_SEED", "0"))

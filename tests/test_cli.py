@@ -1,5 +1,6 @@
 """CLI: matrix file schema, subcommands, exit codes, determinism."""
 
+import argparse
 import ast
 import contextlib
 import dataclasses
@@ -12,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -631,6 +633,161 @@ def test_output_into_missing_directory_exits_two(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert len(captured.err.splitlines()) == 1
+
+
+def test_empty_output_path_is_a_usage_error(tmp_path, capsys):
+    # an empty path names no file: before and after the subcommand, both
+    # spellings exit 2 with one error line and write nothing to stdout
+    state = write_json(tmp_path / "state.json", half_mixed())
+    for argv in (["classify", state, "--output", ""], ["classify", state, "--output="],
+                 ["--output", "", "classify", state]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert errors[0].endswith("error: argument --output: expected a file path, got ''")
+
+
+@pytest.mark.parametrize("old_size", [0, 10, 200_000], ids=["empty", "shorter", "longer"])
+def test_output_overwrites_a_report_in_place(tmp_path, capsys, old_size):
+    # the report is written over the old file from its start, then the
+    # old tail, if any, is cut off: the bytes are those of stdout
+    argv = report_argv(tmp_path, "scenario")
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    target = tmp_path / "out.json"
+    target.write_bytes(b"x" * old_size)
+    assert main(argv + ["--output", str(target)]) == 0
+    assert target.read_bytes() == expected
+
+
+def test_output_to_files_that_cannot_be_cut(tmp_path, capsys):
+    # a character device and a FIFO take the report and are not truncated
+    argv = report_argv(tmp_path, "classify")
+    assert main(argv + ["--output", os.devnull]) == 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(argv + ["--output", str(fifo)]) == 0
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert main(argv) == 0
+    assert received == [capsys.readouterr().out.encode()]
+
+
+# -- argument reading: the plain reader against argparse -----------------------
+
+def argparse_reads(argv) -> dict | None:
+    """vars() of the namespace argparse reads from argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv, argparse.Namespace(**cli._DEFAULTS)))
+        except SystemExit:
+            return None
+
+
+def assert_read_alike(argv) -> bool:
+    """Whether the plain reader reads argv; what it reads is argparse's namespace, key order too.
+
+    Either way it prints nothing.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        plain = cli._read_plain(argv)
+    assert out.getvalue() == err.getvalue() == ""
+    if plain is not None:
+        assert list(vars(plain).items()) == list(argparse_reads(argv).items())
+    return plain is not None
+
+
+FLAGS = sorted({*cli._COMMON, *(flag for *_, flags in cli._COMMANDS.values() for flag in flags)})
+ARGV_VALUES = [
+    "s.json", "0.5", "1", "0", "3", "64", "rk4", "propagator", "0.6,0", "0,0.8", "-0.3,0.2",
+    "-1", "nan", "1e400", "10**20", "validate=1e-8", "validate=2", "x", "check-props", "",
+    "-", "-h", "--",
+]
+ARGV_TOKENS = [*cli._COMMANDS, *FLAGS, "--out", "--meth", "--help", *ARGV_VALUES]
+
+
+#: One value that each option reads; the fuzz mixes them with ARGV_VALUES.
+GOOD_VALUES = {
+    "--rank": "1", "--gen": "g.json", "--t": "0.5", "--steps": "3", "--method": "rk4",
+    "--cplus": "0.6,0", "--cminus": "-0.3,0.2", "--nhat": "0.4,1.1", "--nmax": "3",
+    "--trials": "2", "--seed": "0", "--tol": "validate=1e-8", "--output": "out.json",
+}
+
+
+@st.composite
+def argvs(draw) -> list:
+    """A command's words and options over ARGV_TOKENS, then up to three edits."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    _, _, positionals, options = cli._COMMANDS[command]
+    flags = st.sampled_from([*options, *cli._COMMON])
+
+    def option(flag, joined):
+        value = draw(st.sampled_from([GOOD_VALUES.get(flag, "x")] * 4 + [None]))
+        value = draw(st.sampled_from(ARGV_VALUES)) if value is None else value
+        return [f"{flag}={value}"] if joined else [flag, value]
+
+    argv = [command, *["s.json"] * len(positionals.split())]
+    required = [flag for flag, spec in options.items() if spec.get("required")]
+    for flag in required + draw(st.lists(flags, max_size=3, unique=True)):
+        argv += option(flag, draw(st.booleans()))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        i, edit = draw(st.integers(0, len(argv))), draw(st.integers(0, 2))
+        if edit == 0:
+            argv.insert(i, draw(st.sampled_from(ARGV_TOKENS)))
+        elif edit == 1 and argv:
+            del argv[i - 1]
+        else:  # at i = 0, an option before the command
+            argv[i:i] = option(draw(flags), False)
+    return argv
+
+
+@given(argvs())
+@example(["evolve", "s.json", "--gen", "g.json", "--t", "0.5", "--steps", "3", "--method", "rk4"])
+@example(["scenario", "--cplus=0.6,0", "--cminus=-0.3,0.2", "--nhat", "0.4,1.1"])
+@example(["check-props", "--nmax", "3", "--trials", "1", "--seed", "0", "--tol=validate=1e-8"])
+@example(["evolve", "s.json", "--gen", "g.json", "--out", "x"])
+@example(["evolve", "s.json", "--gen=", "--method="])
+@example(["lift", "s.json", "--rank", "10**20"])
+@settings(max_examples=1500, deadline=None, derandomize=True)
+def test_plain_reader_reads_as_argparse_or_declines(argv):
+    assert_read_alike(argv)
+
+
+#: The argv of each benchmark workload, one request each.
+BENCHMARK_ARGV = {
+    "evolve-propagator": ["evolve", "{state}", "--gen", "{gen}", "--t", "1.0", "--steps", "200",
+                          "--method", "propagator", "--output", "{out}"],
+    "evolve-rk4": ["evolve", "{state}", "--gen", "{gen}", "--t", "1.0", "--steps", "200",
+                   "--method", "rk4", "--output", "{out}"],
+    "audit": ["check-props", "--nmax", "6", "--trials", "30", "--seed", "1804289383",
+              "--output", "{out}"],
+    "scenario": ["scenario", "--cplus=0.5403023058681398,-0.8414709848078965",
+                 "--cminus=-0.0,1e-300", "--nhat=3.141592653589793,0.0", "--output", "{out}"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [pytest.param(argv, id=name) for name, argv in [*REPORT_ARGV.items(), *BENCHMARK_ARGV.items()]],
+)
+def test_plain_reader_reads_every_report_and_benchmark_argv(tmp_path, capsys, monkeypatch, argv):
+    report_argv(tmp_path, "evolve-rk4")  # writes state.json and gen.json
+    files = {name: str(tmp_path / f"{name}.json") for name in ("state", "gen", "out")}
+    argv = [arg.format(**files) for arg in argv]
+    assert assert_read_alike(argv)
+    expected = main(argv), capsys.readouterr()
+    # argv=None reads sys.argv[1:], a tuple reads as its list, and none of
+    # these builds the argparse parser
+    monkeypatch.setattr(cli, "build_parser", None)
+    monkeypatch.setattr(sys, "argv", ["qmix", *argv])
+    assert (main(), capsys.readouterr()) == expected
+    assert (main(tuple(argv)), capsys.readouterr()) == expected
 
 
 # -- the collector pause ---------------------------------------------------
