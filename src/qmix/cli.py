@@ -12,7 +12,9 @@ Every report is ``json.dumps(payload, indent=2)`` plus a newline, byte
 for byte, so numbers keep full double precision and json's spelling of
 NaN and the infinities; identical invocations produce byte-identical
 output.  Reports hold matrix blocks as complex arrays, which the writer
-formats as above; only the parser tests a block's lists.
+formats as above; only the parser tests a block's lists.  A report goes
+to stdout, or to the file --output names, which ``open(path, "w")``
+creates or empties before the report is written.
 
 Exit codes: 0 on success, 1 on validation failure, 2 on usage errors,
 each worded by the library's rule for the option (check_int, check_real,
@@ -38,7 +40,6 @@ import json
 import math
 import os
 import re
-import stat
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -66,14 +67,25 @@ def _as_float(x) -> float:
 
 
 def _parse_block(node, rows: int, cols: int, pointer: str) -> np.ndarray:
+    """The complex array of a matrix block: the one test of a block and its entries.
+
+    A block is a list of ``rows`` lists of ``cols`` entries, and an entry an ``[re, im]``
+    list of two ints or floats, no bool; subclasses pass.  The writer never calls it: it
+    takes its blocks as arrays.
+    """
     if not isinstance(node, list) or len(node) != rows:
         raise SchemaError(pointer, f"expected {rows} rows")
     for i, row in enumerate(node):
         if not isinstance(row, list) or len(row) != cols:
             raise SchemaError(f"{pointer}/{i}", f"expected {cols} entries")
-    flat = _block_leaves(node)
-    if flat is None:  # name the first entry that is not a block of its own
-        k = next(k for k, e in enumerate(chain.from_iterable(node)) if _block_leaves([[e]]) is None)
+    entries = list(chain.from_iterable(node))
+    flat = []
+    if all(issubclass(t, list) for t in set(map(type, entries))) and set(map(len, entries)) == {2}:
+        flat = list(chain.from_iterable(entries))
+    leaf_types = set(map(type, flat))
+    if not flat or not all(issubclass(t, (float, int)) and t is not bool for t in leaf_types):
+        k = next(k for k, e in enumerate(entries) if not isinstance(e, list) or len(e) != 2
+                 or not all(isinstance(x, (float, int)) and not isinstance(x, bool) for x in e))
         raise SchemaError(f"{pointer}/{k // cols}/{k % cols}", "expected [re, im]")
     try:
         values = np.array(flat, dtype=np.float64)
@@ -140,30 +152,6 @@ def _block_layout(rows: int, cols: int, pad: str) -> str:
     return f"[\n{pad1}" + f",\n{pad1}".join([row] * rows) + f"\n{pad}]"
 
 
-def _of_types(values, exact: set, kind) -> bool:
-    """Every value's type is in ``exact``, or else a subclass of ``kind`` other than bool."""
-    types = set(map(type, values))
-    return types <= exact or all(issubclass(t, kind) and t is not bool for t in types)
-
-
-def _block_leaves(node: list) -> list | None:
-    """Numbers of a matrix block, row-major, or None: the one test of a block and its entries.
-
-    A block is a non-empty list of equally long non-empty lists of ``[re, im]`` lists of ints
-    and floats, no bool.  Subclasses pass, by ``issubclass`` only where the exact-type set
-    comparisons fail.  Only the file parser asks it: the writer takes its blocks as arrays.
-    """
-    if not isinstance(node[0], list) or not node[0] or not isinstance(node[0][0], list):
-        return None
-    if not _of_types(node, {list}, list) or len(set(map(len, node))) != 1:
-        return None
-    entries = list(chain.from_iterable(node))
-    if not _of_types(entries, {list}, list) or set(map(len, entries)) != {2}:
-        return None
-    flat = list(chain.from_iterable(entries))
-    return flat if _of_types(flat, {float, int}, (float, int)) else None
-
-
 def _dumps(node, pad: str = "") -> str:
     """``json.dumps(node, indent=2)`` for a value nested at indent ``pad``.
 
@@ -200,21 +188,13 @@ def _dumps(node, pad: str = "") -> str:
 
 
 def _emit(payload: dict, output: str | None) -> None:
-    """Write the report to stdout, or over the file ``output`` in place.
-
-    The file is opened without truncation and written from its start; a
-    regular file is then cut to the report's length (``/dev/stdout`` and
-    FIFOs cannot be cut).  The bytes are those of a fresh file, but a write
-    interrupted part way can leave the new bytes followed by the old tail.
-    """
+    """Write the report to stdout, or to the file ``output``, emptied first."""
     text = _dumps(payload) + "\n"
     if output is None:
         sys.stdout.write(text)
         return
-    with open(os.open(output, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as handle:
+    with open(output, "w", encoding="utf-8") as handle:
         handle.write(text)
-        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
-            handle.truncate()
 
 
 # ---------------------------------------------------------------------

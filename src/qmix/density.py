@@ -14,9 +14,11 @@ Constructive content:
 * ``lift`` builds, for a complex density of rank m > 1 and any target
   rank m' with ceil(m/2) <= m' <= m, a quaternionic density of rank m'
   projecting back onto it, by replacing pairs of spectral terms with
-  rank-one quaternionic blocks (``block_purify``).  Its alpha block is
-  the full spectral sum of the source, every eigenpair of one ``eigh``
-  call, so terms below the rank threshold are kept too.
+  rank-one quaternionic blocks of ``block_purify``'s formula, which
+  ``_lift_blocks`` builds for every pair at once without calling
+  ``block_purify``.  Its alpha block is the full spectral sum of the
+  source, every eigenpair of one ``eigh`` call, so terms below the rank
+  threshold are kept too.
 * ``purify`` is the extreme case m' = 1, possible exactly when m <= 2.
 """
 
@@ -460,8 +462,9 @@ def lift(rho_alpha: CDensity, target_rank: int) -> QDensity:
     The construction pairs the eigenvectors of :attr:`CDensity.eigenpairs`
     (one ``eigh`` call; ties kept in its order), largest eigenvalues first
     and adjacent in the descending order, and replaces each of the
-    k = m - target_rank pairs by a rank-one quaternionic block
-    (:func:`block_purify` with weights sqrt(lambda)); every other
+    k = m - target_rank pairs by a rank-one quaternionic block, the one
+    :func:`block_purify` gives with weights sqrt(lambda), though
+    :func:`_lift_blocks` builds them all without calling it; every other
     spectral term stays complex.  Terms below the rank threshold are
     never paired.
 
@@ -530,13 +533,13 @@ def random_density(n: int, kind: MixtureKind | str, seed=None) -> QDensity:
     """
     if seed is not None and not isinstance(seed, np.random.Generator):
         check_int("seed", seed, 0)
-    return validate(_random_density_matrix(n, kind, np.random.default_rng(seed)))
+    return validate(_random_density_matrix(n, kind, [np.random.default_rng(seed)])[0])
 
 
-def _random_density_matrix(n: int, kind: MixtureKind | str, rng) -> QMatrix:
-    """The unvalidated draw behind :func:`random_density`, at unit real trace.
+def _random_density_matrix(n: int, kind: MixtureKind | str, rngs) -> QMatrix:
+    """The unvalidated stack of draws behind :func:`random_density`, at unit real trace.
 
-    ``rng`` is one generator, or a sequence of them for a stack of draws.
+    ``rngs`` is a sequence of generators, one per draw of the stack.
     Each generator makes one ``standard_normal`` call, and the arithmetic
     runs once on the stack, giving each slice the bits its generator alone
     gives.  Drawn once: an Improper or Pure-Q draw that the classification
@@ -547,8 +550,6 @@ def _random_density_matrix(n: int, kind: MixtureKind | str, rng) -> QMatrix:
         raise ValueError(f"unknown density kind: {kind!r}")
     check_int(f"{label} density dimension", n, 1 if label == "proper" else 2, DimensionMismatch)
     shape = (2, n, n) if label == "proper" else (4, n, n if label == "improper" else 1)
-    single = isinstance(rng, np.random.Generator)
-    rngs = [rng] if single else rng
     parts = np.empty((len(rngs), *shape))
     for part, r in zip(parts, rngs):
         r.standard_normal(shape, out=part)
@@ -569,4 +570,4 @@ def _random_density_matrix(n: int, kind: MixtureKind | str, rng) -> QMatrix:
             raise QmixError(
                 f"random {label} draw is proper: ||beta||_F = {beta_norm[i]:.3e} <= {tol:.3e}"
             )
-    return mat[0] if single else mat
+    return mat

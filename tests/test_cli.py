@@ -180,7 +180,7 @@ def test_report_writer_formats_complex_arrays_as_their_lists(monkeypatch, shape,
         alpha, beta_block = alpha.T, beta_block.T
         assert alpha.flags.c_contiguous == (1 in shape)  # numpy skips an axis of length 1
     m = QMatrix(alpha, beta_block if beta else np.zeros(shape))
-    monkeypatch.setattr(cli, "_block_leaves", None)
+    monkeypatch.setattr(cli, "_parse_block", None)
     for wrap in (lambda block: block,
                  lambda block: {"rho_improper": {"matrix": block, "beta_norm": 0.5},
                                 "quaternionic_discriminator": {"observable": block}}):
@@ -650,9 +650,9 @@ def test_empty_output_path_is_a_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("old_size", [0, 10, 200_000], ids=["empty", "shorter", "longer"])
-def test_output_overwrites_a_report_in_place(tmp_path, capsys, old_size):
-    # the report is written over the old file from its start, then the
-    # old tail, if any, is cut off: the bytes are those of stdout
+def test_output_replaces_a_file_with_the_report(tmp_path, capsys, old_size):
+    # the old file, whatever its length, is truncated before the report
+    # is written: the bytes are those of stdout
     argv = report_argv(tmp_path, "scenario")
     assert main(argv) == 0
     expected = capsys.readouterr().out.encode()
@@ -662,8 +662,8 @@ def test_output_overwrites_a_report_in_place(tmp_path, capsys, old_size):
     assert target.read_bytes() == expected
 
 
-def test_output_to_files_that_cannot_be_cut(tmp_path, capsys):
-    # a character device and a FIFO take the report and are not truncated
+def test_output_to_a_device_and_a_fifo(tmp_path, capsys):
+    # a character device and a FIFO take the report as a regular file does
     argv = report_argv(tmp_path, "classify")
     assert main(argv + ["--output", os.devnull]) == 0
     fifo = tmp_path / "fifo"
@@ -910,8 +910,8 @@ def test_non_finite_entries_report_first_pointer(value):
 
 
 def test_parse_admits_float_subclass_leaves_bitwise():
-    # np.float64 leaves fail the block test's exact-type set comparisons
-    # and pass its subclass test, to the same bits
+    # np.float64 leaves pass the block test as a float subclass, and
+    # parse to the same bits as plain floats
     obj = serialize_matrix(random_qmatrix(np.random.default_rng(81), 3, 4))
     subclassed = {
         **obj,

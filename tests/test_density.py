@@ -774,7 +774,7 @@ def test_draw_streams_are_pinned(kind, n):
     # every seeded output rests on these bits and on the stream left after them
     for seed in range(50):
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _random_density_matrix(n, kind, got_rng)
+        got = _random_density_matrix(n, kind, [got_rng])[0]
         want = _reference_draw(n, kind, want_rng)
         assert got.alpha.tobytes() == want.alpha.tobytes()
         assert got.beta.tobytes() == want.beta.tobytes()

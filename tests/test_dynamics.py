@@ -352,6 +352,27 @@ def test_real_step_block_corrections_are_the_complex_ones(n, kind, monkeypatch):
         assert correction <= 64 * np.finfo(np.float64).eps
 
 
+def test_integrate_reads_the_dropped_skew_part_as_its_quaternionic_norm(monkeypatch):
+    # the final correction measures the skew part E that the hermitization
+    # drops on chi as ||E||_F / sqrt 2; a zero generator keeps the state's
+    # chi image, into which a known anti-hermitian E is put
+    rho = random_density(3, MixtureKind.IMPROPER, 12)
+    g = random_complex(np.random.default_rng(12), 6)
+    skew = (g - g.conj().T) * (1.2e-6 / np.linalg.norm(g - g.conj().T))
+    image, measured = dynamics.chi, []
+
+    def recording_gate(value, tol, error, describe):
+        measured.append(float(value))
+        check_slices(value, tol, error, describe)
+
+    monkeypatch.setattr(dynamics, "chi", lambda m: image(m) + skew if m is rho.mat else image(m))
+    monkeypatch.setattr(dynamics, "check_slices", recording_gate)
+    integrate(rho, Generator(QMatrix.identity(3) * 0.0), t=1.0, steps=5)
+    growth, correction = measured
+    assert growth == 1.0
+    assert correction == pytest.approx(1.2e-6 / np.sqrt(2), rel=1e-9)
+
+
 def _outcome(solver, rho, gen, t, steps):
     """The (alpha, beta) a solver returns, or the type and text of its error."""
     try:
@@ -409,7 +430,7 @@ def test_integrate_drift_message_matches_the_allocating_loop(gen_seed, scale, rh
     assert str(got.value) == str(want.value)
 
 
-def test_integrate_drift_block_buffers_stay_within_8_mib():
+def test_integrate_memory_does_not_grow_with_steps():
     # the closed form holds a few 2n x 2n arrays however many steps it
     # takes: at n = 48, 1,000 steps peak where one step does
     gen, rho = rk4_inputs(48, "quaternionic")

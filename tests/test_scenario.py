@@ -455,8 +455,8 @@ def _inject_faults(monkeypatch):
     draw = density._random_density_matrix
     lift_blocks = density._lift_blocks
 
-    def faulty_draw(n, kind, rng):
-        mat = draw(n, kind, rng)  # one draw, or a stack of them
+    def faulty_draw(n, kind, rngs):
+        mat = draw(n, kind, rngs)  # a stack of draws
         scale = np.where((n == 5) & (mat.alpha[..., 0, 0].real > 0.26), 1.5, 1.0)
         return QMatrix(mat.alpha * scale[..., None, None], mat.beta * scale[..., None, None])
 
@@ -539,8 +539,8 @@ def _state_trace_off(monkeypatch):
     # 1e-10, outside projection_is_density's 1e-12
     draw = density._random_density_matrix
 
-    def draw_off(n, kind, rng):
-        mat = draw(n, kind, rng)
+    def draw_off(n, kind, rngs):
+        mat = draw(n, kind, rngs)
         return mat * (1 + 5e-11) if n == 4 else mat
 
     for module in (density, scenario):
@@ -556,8 +556,8 @@ def _state_rank_off_bounds(monkeypatch):
     tail = np.sqrt(weight / 2)
     state = QMatrix.from_complex(np.diag([1 - weight, 0, 0])) + block_purify(e[1], e[2], tail, tail)
 
-    def draw_state(n, kind, rng):
-        mat = draw(n, kind, rng)  # one draw, or a stack of them
+    def draw_state(n, kind, rngs):
+        mat = draw(n, kind, rngs)  # a stack of draws
         if n != 3:
             return mat
         blocks = (state.alpha, state.beta)
