@@ -19,7 +19,7 @@ import numpy as np
 
 from .density import CDensity
 from .errors import DimensionMismatch, NotNormalized, NotOrthogonal
-from .qmatrix import check_slices, check_square
+from .qmatrix import check_slices, check_square, check_type
 
 #: Unit-norm tolerance for state vectors.
 STATE_NORM_TOL = 1e-12
@@ -66,6 +66,7 @@ def schmidt(state: BipartiteState) -> tuple[tuple[float, np.ndarray, np.ndarray]
     factors give the orthonormal left/right families.  Weights at or
     below ``FAMILY_TOL`` carry no correlation and are dropped.
     """
+    check_type("state", state, BipartiteState)
     n1, n2 = state.dims
     coeff = state.vec.reshape(n1, n2)
     left, weights, right_h = np.linalg.svd(coeff)
@@ -147,6 +148,8 @@ def lueders_nonselective(rho: CDensity, family: ProjectorFamily) -> CDensity:
     idempotent, which the tests exercise; here only shape compatibility
     is enforced and the output revalidated.
     """
+    check_type("rho", rho, CDensity)
+    check_type("family", family, ProjectorFamily)
     check_square("family", family.projectors[0].shape, rho.dim)
     return CDensity.from_matrix(_lueders(rho.mat, family))
 

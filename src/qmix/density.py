@@ -266,11 +266,13 @@ def complex_projection(rho: QDensity) -> CDensity:
     validation of the result is a structural self-check, not a data
     filter.
     """
+    check_type("rho", rho, QDensity)
     return CDensity.from_matrix(rho.alpha)
 
 
 def embed_proper(rho_alpha: CDensity) -> QDensity:
     """Embed a complex density as the beta = 0 member of its class."""
+    check_type("rho_alpha", rho_alpha, CDensity)
     return validate(QMatrix.from_complex(rho_alpha.mat))
 
 
@@ -311,6 +313,7 @@ def discriminating_observable(rho: QDensity) -> Observable:
     beta = 0 member of the same projection class, which separates the
     two whenever rho is improper.
     """
+    check_type("rho", rho, QDensity)
     return Observable.from_qmatrix(QMatrix(np.zeros_like(rho.beta), rho.beta.copy()))
 
 
@@ -320,6 +323,7 @@ def rank_bounds_check(rho: QDensity) -> tuple[int, int, bool]:
     Both ranks come from cached spectra under the one rank rule; chi's
     eigenvalues pair up (F. Zhang, LAA 251, 1997), so no SVD is needed.
     """
+    check_type("rho", rho, QDensity)
     m = rho.rank
     rank_alpha = complex_projection(rho).rank
     return m, rank_alpha, (m <= rank_alpha <= 2 * m)
@@ -483,6 +487,7 @@ def lift(rho_alpha: CDensity, target_rank: int) -> QDensity:
     same builder once per dimension, on every lift and every purification
     (a lift to rank one) of it, and gates them as one stack.
     """
+    check_type("rho_alpha", rho_alpha, CDensity)
     check_int("target rank", target_rank, 1, RankOutOfRange)
     return validate(QMatrix(*_lift_blocks(rho_alpha, 0, target_rank)))
 
@@ -495,6 +500,7 @@ def purify(rho_alpha: CDensity) -> QDensity:
     (:func:`embed_proper`); rank-two input is lifted to rank one
     (``lift(rho_alpha, 1)``); any other rank raises :class:`NotPurifiable`.
     """
+    check_type("rho_alpha", rho_alpha, CDensity)
     if rho_alpha.rank == 1:
         return embed_proper(rho_alpha)
     if rho_alpha.rank != 2:

@@ -222,9 +222,22 @@ def test_measurement_interaction_rejects_unnormalized():
          "system state must have two components, got 3"),
         (lambda: BipartiteState(dims=(2, 2), vec=np.ones(3) / np.sqrt(3)), DimensionMismatch,
          "vector length 3 != 2 * 2"),
+        (lambda: lueders_nonselective(None, ProjectorFamily.from_basis(np.eye(2))), ValueError,
+         "rho must be a CDensity, got None"),
+        (lambda: lueders_nonselective(np.eye(2) / 2, ProjectorFamily.from_basis(np.eye(2))),
+         ValueError, "rho must be a CDensity, got ndarray of shape (2, 2)"),
+        (lambda: lueders_nonselective(CDensity.from_matrix(np.eye(2) / 2), None), ValueError,
+         "family must be a ProjectorFamily, got None"),
+        (lambda: lueders_nonselective(CDensity.from_matrix(np.eye(2) / 2), np.eye(2)), ValueError,
+         "family must be a ProjectorFamily, got ndarray of shape (2, 2)"),
+        (lambda: schmidt(None), ValueError, "state must be a BipartiteState, got None"),
+        (lambda: schmidt(np.ones(4) / 2), ValueError,
+         "state must be a BipartiteState, got ndarray of shape (4,)"),
     ],
     ids=["partial-trace-over", "family-empty", "family-mixed-shapes", "lueders-dimensions",
-         "interaction-three-components", "state-length"],
+         "interaction-three-components", "state-length", "lueders-none-state",
+         "lueders-array-state", "lueders-none-family", "lueders-array-family", "schmidt-none",
+         "schmidt-array"],
 )
 def test_input_errors(call, error, fragment):
     with pytest.raises(error) as excinfo:

@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qmix
-from qmix import cli, scenario
+from qmix import cli, qmatrix, scenario
 from qmix.cli import _emit, build_parser, main, parse_matrix, serialize_matrix
 from qmix.density import random_density, validate
 from qmix.dynamics import Generator, integrate, random_generator, time_ordered
@@ -790,11 +790,62 @@ def test_plain_reader_reads_every_report_and_benchmark_argv(tmp_path, capsys, mo
     assert (main(tuple(argv)), capsys.readouterr()) == expected
 
 
+# -- the work of a request ---------------------------------------------------
+
+#: Calls per request of each benchmark shape (200 steps of t = 1.0 for
+#: evolve): LAPACK factorizations, chi images through every qmix module
+#: that imports ``chi``, and the finiteness scans of QMatrix arithmetic
+#: (``qmatrix._finite_result``).  The counts are exact, so redundant work
+#: fails here at once, where timings would hide it in the machine's noise.
+#: A change that lowers a count updates its row; one that raises a count
+#: says why.
+WORK_COUNTS = {
+    "evolve-propagator-32": (
+        ("propagator", 32), dict(chi=4, eigh=1, eigvalsh=2, qr=0, svd=0, scans=6)),
+    "evolve-rk4-4": (("rk4", 4), dict(chi=5, eigh=1, eigvalsh=2, qr=0, svd=0, scans=0)),
+    "scenario": ("scenario", dict(chi=2, eigh=0, eigvalsh=1, qr=0, svd=0, scans=2)),
+    # one stacked qr per frame rank of a dimension, and the lift sources'
+    # ranks are drawn, so the qr count depends on the seed
+    "audit-seed-0": (0, dict(chi=5, eigh=5, eigvalsh=10, qr=13, svd=0, scans=20)),
+    "audit-seed-1": (1, dict(chi=5, eigh=5, eigvalsh=10, qr=14, svd=0, scans=20)),
+}
+
+
+def _counted(counts, key, fn):
+    def counting(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+    return counting
+
+
+@pytest.mark.parametrize("name", list(WORK_COUNTS))
+def test_each_benchmark_request_does_pinned_work(tmp_path, monkeypatch, name):
+    shape, want = WORK_COUNTS[name]
+    out = str(tmp_path / "out.json")
+    if isinstance(shape, tuple):
+        argv = [*_evolve_argv(tmp_path, *shape), "--t", "1.0", "--steps", "200", "--output", out]
+    elif shape == "scenario":
+        argv = [arg.format(out=out) for arg in BENCHMARK_ARGV["scenario"]]
+    else:
+        argv = ["check-props", "--nmax", "6", "--trials", "30", "--seed", str(shape), "--output", out]
+    counts = dict.fromkeys(want, 0)
+    for key in ("eigh", "eigvalsh", "qr", "svd"):
+        monkeypatch.setattr(np.linalg, key, _counted(counts, key, getattr(np.linalg, key)))
+    chi = qmatrix.chi
+    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "qmix"]:
+        if getattr(module, "chi", None) is chi:
+            monkeypatch.setattr(module, "chi", _counted(counts, "chi", chi))
+    scan = _counted(counts, "scans", qmatrix._finite_result)
+    monkeypatch.setattr(qmatrix, "_finite_result", scan)
+    assert main(argv) == 0
+    assert counts == want
+
+
 # -- the collector pause ---------------------------------------------------
 
-def _evolve_argv(tmp_path, method):
-    state = serialize_matrix(random_density(8, "improper", 8).mat)
-    gen = serialize_matrix(random_generator(8, np.random.default_rng(8)).h)
+def _evolve_argv(tmp_path, method, n=8):
+    state = serialize_matrix(random_density(n, "improper", n).mat)
+    gen = serialize_matrix(random_generator(n, np.random.default_rng(n)).h)
     state, gen = write_json(tmp_path / "s.json", state), write_json(tmp_path / "g.json", gen)
     return ["evolve", state, "--gen", gen, "--method", method]
 

@@ -869,6 +869,29 @@ def test_a_quaternionic_draw_called_proper_is_an_error(monkeypatch, kind):
          "density matrix must be a QMatrix, got ndarray of shape (2, 2)"),
         (lambda: Observable.from_qmatrix(np.eye(2)), ValueError,
          "observable must be a QMatrix, got ndarray of shape (2, 2)"),
+        (lambda: lift(None, 1), ValueError, "rho_alpha must be a CDensity, got None"),
+        (lambda: lift(np.eye(2) / 2, 1), ValueError,
+         "rho_alpha must be a CDensity, got ndarray of shape (2, 2)"),
+        # the type is checked before the target rank
+        (lambda: lift(None, None), ValueError, "rho_alpha must be a CDensity, got None"),
+        (lambda: purify(None), ValueError, "rho_alpha must be a CDensity, got None"),
+        (lambda: purify(np.eye(2) / 2), ValueError,
+         "rho_alpha must be a CDensity, got ndarray of shape (2, 2)"),
+        (lambda: embed_proper(None), ValueError, "rho_alpha must be a CDensity, got None"),
+        (lambda: embed_proper(np.eye(2) / 2), ValueError,
+         "rho_alpha must be a CDensity, got ndarray of shape (2, 2)"),
+        (lambda: complex_projection(None), ValueError, "rho must be a QDensity, got None"),
+        (lambda: complex_projection(np.eye(2) / 2), ValueError,
+         "rho must be a QDensity, got ndarray of shape (2, 2)"),
+        # an unvalidated QMatrix has the blocks but is no density
+        (lambda: complex_projection(QMatrix.identity(2) / 2), ValueError,
+         "rho must be a QDensity, got QMatrix of shape (2, 2)"),
+        (lambda: discriminating_observable(None), ValueError, "rho must be a QDensity, got None"),
+        (lambda: discriminating_observable(np.eye(2) / 2), ValueError,
+         "rho must be a QDensity, got ndarray of shape (2, 2)"),
+        (lambda: rank_bounds_check(None), ValueError, "rho must be a QDensity, got None"),
+        (lambda: rank_bounds_check(np.eye(2) / 2), ValueError,
+         "rho must be a QDensity, got ndarray of shape (2, 2)"),
     ],
     ids=["validate-non-square", "from-matrix-non-square", "block-purify-shapes",
          "random-density-kind", "random-density-zero", "random-density-negative",
@@ -882,7 +905,11 @@ def test_a_quaternionic_draw_called_proper_is_an_error(monkeypatch, kind):
          "validate-unit-tol", "validate-string-tol", "validate-huge-int-tol", "from-matrix-nan-tol",
          "from-qmatrix-nan-tol", "chi-inverse-nan-tol", "expectation-none-observable",
          "expectation-none-state", "expectation-matrix-state", "expectation-dimension",
-         "validate-array", "from-qmatrix-array"],
+         "validate-array", "from-qmatrix-array", "lift-none-state", "lift-array-state",
+         "lift-type-before-target", "purify-none", "purify-array", "embed-proper-none",
+         "embed-proper-array", "complex-projection-none", "complex-projection-array",
+         "complex-projection-qmatrix", "discriminating-observable-none",
+         "discriminating-observable-array", "rank-bounds-check-none", "rank-bounds-check-array"],
 )
 def test_input_errors(call, error, fragment):
     with pytest.raises(error) as excinfo:
