@@ -17,6 +17,7 @@ from qmix.bipartite import (
 )
 from qmix.density import (
     CDensity,
+    QDensity,
     Observable,
     block_purify,
     complex_projection,
@@ -28,13 +29,24 @@ from qmix.density import (
     random_density,
     validate,
 )
+from qmix.dynamics import DRIFT_TOL, Generator
 from qmix.errors import (
     DimensionMismatch,
+    DriftExceeded,
     NotPurifiable,
     PropositionViolated,
     QmixError,
 )
-from qmix.qmatrix import check_real, frobenius_norm, real_trace
+from qmix.qmatrix import (
+    check_int,
+    check_real,
+    check_slices,
+    check_square,
+    chi,
+    chi_inverse,
+    frobenius_norm,
+    real_trace,
+)
 from qmix.scenario import (
     _AUDIT_KINDS,
     COMPLEX_AGREEMENT_TOL,
@@ -397,3 +409,58 @@ def reference_run_scenario(
         quaternionic_discriminator=disc,
         checks=checks,
     )
+
+
+# -- integrate written out plainly, the reference for its bits ---------------
+
+def reference_integrate(rho0: QDensity, gen: Generator, t: float, steps: int) -> QDensity:
+    """``integrate`` as first written, one fresh array per operation.
+
+    The closed form V (G**steps o V^dag X V) V^dag, with (w, V) from
+    ``np.linalg.eigh`` of -i times the anti-hermitian part of chi(H), G_ij
+    = R(i h (w_j - w_i)) and |G|**steps from |R(iy)|**2 - 1 =
+    y**6 (y**2 - 8) / 576: the same operations in the same order, the same
+    overflow refusal and the same two drift gates and messages, so the two
+    agree bit for bit, errors included.  The stage-by-stage loop of
+    ``test_dynamics`` is the independent check of the method itself.
+    """
+    check_square("generator", gen.h.shape, rho0.dim)
+    check_int("steps", steps, 1)
+    check_real("evolution time t", t)
+    h = t / steps
+    k = chi(gen.h)
+    w, v = np.linalg.eigh(-1j * (k * 0.5 - k.conj().T * 0.5))
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = h * (w[None, :] - w[:, None])
+        re = 1.0 - y * y * (0.5 - y * y / 24.0)
+        im = y * (1.0 - y * y / 6.0)
+        if not (np.isfinite(re).all() and np.isfinite(im).all()):
+            raise QmixError(
+                f"step polynomial of (t / steps) * H overflows at evolution time "
+                f"t = {t!r} with {steps} steps"
+            )
+        moduli = np.exp(steps / 2 * np.log1p((y * y) ** 3 * (y * y - 8.0) / 576.0))
+    growth = moduli.max()
+    gap = w[-1] - w[0]
+    check_slices(
+        growth, 1 + DRIFT_TOL, DriftExceeded,
+        lambda i: f"rk4 growth factor {growth:.3e} after {steps} steps of h = {h!r} exceeds "
+        f"1 + {DRIFT_TOL:.0e}: |h| times the widest spectral gap {gap:.3e} is "
+        f"{abs(h) * gap:.3e}, past the stability bound 2 sqrt 2",
+    )
+    phases = np.exp(1j * (steps * np.arctan2(im, re)))
+    z = v.conj().T @ chi(rho0.mat) @ v
+    out = v @ ((moduli * phases) * z) @ v.conj().T
+    hermitized = (out + out.conj().T) * 0.5
+    trace = float(np.trace(hermitized).real) / 2.0
+    skew = float(np.linalg.norm(out - hermitized)) / 1.4142135623730951
+    correction = max(skew, abs(trace - 1.0))
+    check_slices(
+        correction, DRIFT_TOL, DriftExceeded,
+        lambda i: f"rk4 correction {correction:.3e} after {steps} steps of h = {h!r} "
+        f"exceeds {DRIFT_TOL:.0e}",
+    )
+    try:
+        return validate(chi_inverse(hermitized / trace))
+    except QmixError as exc:
+        raise type(exc)(f"rk4 result after {steps} steps of h = {h!r}: {exc}") from exc

@@ -45,6 +45,7 @@ from support import (
     random_complex,
     random_complex_unitary,
     random_hermitian_qmatrix,
+    reference_integrate,
     with_non_finite,
 )
 
@@ -302,7 +303,7 @@ def _generator_of_kind(n, kind):
 
 @pytest.mark.parametrize("kind", ["complex", "quaternionic", "at-bound", "any-matrix"])
 @pytest.mark.parametrize("n", range(1, 5))
-def test_one_step_is_the_hermitized_kronecker_step(n, kind):
+def test_real_step_is_the_hermitized_complex_step(n, kind):
     # one step of integrate against the step matrix S in complex
     # arithmetic, hermitized and divided by its trace: S holds the whole
     # of K, hermitian part included, so this also checks that the
@@ -319,7 +320,7 @@ def test_one_step_is_the_hermitized_kronecker_step(n, kind):
 
 @pytest.mark.parametrize("kind", ["complex", "quaternionic", "at-bound"])
 @pytest.mark.parametrize("n", range(1, 5))
-def test_gate_measures_match_complex_rk4(n, kind, monkeypatch):
+def test_real_step_block_corrections_are_the_complex_ones(n, kind, monkeypatch):
     # the two gates' measures.  The growth factor, from the closed form
     # |R(iy)|**2 - 1 = y**6 (y**2 - 8) / 576, against |R(iy)|**3 in
     # complex arithmetic at 3 steps just past the stability bound, where
@@ -372,6 +373,63 @@ def test_integrate_reads_the_dropped_skew_part_as_its_quaternionic_norm(monkeypa
     assert correction == pytest.approx(1.2e-6 / np.sqrt(2), rel=1e-9)
 
 
+def _outcome(solver, rho, gen, t, steps):
+    """The (alpha, beta) a solver returns, or the type and text of its error."""
+    try:
+        out = solver(rho, gen, t, steps)
+    except QmixError as exc:
+        return type(exc), str(exc)
+    return out.alpha, out.beta
+
+
+def assert_same_outcome_as_the_reference(rho, gen, t, steps):
+    """Bit-identical results, and the same error types and texts, as ``reference_integrate``."""
+    want = _outcome(reference_integrate, rho, gen, t, steps)
+    got = _outcome(integrate, rho, gen, t, steps)
+    if isinstance(want[0], type):
+        assert got == want
+    else:
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("t", [1.0, -3.5])
+@pytest.mark.parametrize("steps", [1, 3, 200])
+@pytest.mark.parametrize("kind", ["complex", "quaternionic", "at-bound"])
+@pytest.mark.parametrize("n", [*range(1, 9), 32])
+def test_integrate_is_bit_identical_to_the_allocating_loop(n, kind, steps, t):
+    # reference_integrate writes the closed form out plainly, one array per
+    # operation, in the same order, so results, gate errors and their texts
+    # agree exactly; one step of t = -3.5 is unstable on every input
+    gen, rho = rk4_inputs(n, kind)
+    assert_same_outcome_as_the_reference(rho, gen, t, steps)
+
+
+@pytest.mark.parametrize("steps", [1, 63, 64, 65, 129, 1000])
+@pytest.mark.parametrize("n", [2, 4, 32, 48])
+def test_integrate_is_bit_identical_across_drift_blocks(n, steps):
+    # the step counts and widths where the step loop once changed its
+    # drift blocks: the closed form reads the count only in G**steps
+    gen, rho = rk4_inputs(n, "quaternionic")
+    assert_same_outcome_as_the_reference(rho, gen, 1.0, steps)
+
+
+@pytest.mark.parametrize(
+    "gen_seed,scale,rho_seed,kind,steps",
+    [(60, 1e8, 61, MixtureKind.PROPER, 1), (71, 1e3, 72, MixtureKind.IMPROPER, 8)],
+    ids=["flags-excessive-drift", "names-the-failing-step"],
+)
+def test_integrate_drift_message_matches_the_allocating_loop(gen_seed, scale, rho_seed, kind, steps):
+    # the inputs of the two drift tests: the same growth factor, to the
+    # last digit
+    gen = Generator(random_generator(2, np.random.default_rng(gen_seed)).h * scale)
+    rho = random_density(2, kind, rho_seed)
+    with pytest.raises(DriftExceeded) as want:
+        reference_integrate(rho, gen, 1.0, steps)
+    with pytest.raises(DriftExceeded) as got:
+        integrate(rho, gen, t=1.0, steps=steps)
+    assert str(got.value) == str(want.value)
+
+
 def test_integrate_memory_does_not_grow_with_steps():
     # the closed form holds a few 2n x 2n arrays however many steps it
     # takes: at n = 48, 1,000 steps peak where one step does
@@ -388,7 +446,7 @@ def test_integrate_memory_does_not_grow_with_steps():
     assert peaks[0] <= 8 * 2**20
 
 
-def test_integrate_calls_share_no_arrays(monkeypatch):
+def test_integrate_buffers_belong_to_one_call(monkeypatch):
     # a second call runs inside the first one's growth gate, after its
     # decomposition: arrays shared between calls would change the first
     # call's result; each call gates twice
