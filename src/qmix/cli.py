@@ -437,13 +437,8 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built from _COMMANDS on the first call and shared by later ones.
-
-    Parsing reads it and never changes it: every ``parse_args`` call
-    fills a fresh namespace.
-    """
+    """The CLI parser, built from _COMMANDS for the argvs ``_read_plain`` declines."""
     parser = _Parser(
         prog="qmix",
         description="Quaternionic density matrices: projection, lifting, "

@@ -79,7 +79,7 @@ class NotPurifiable(QmixError):
 
 
 class DriftExceeded(QmixError):
-    """RK4 steps that leave the density set: ``integrate``'s growth factor or final correction.
+    """An RK4 run that ``integrate`` refuses: its growth factor or final correction.
 
     The growth factor max |R|**steps of unstable steps passes
     1 + ``DRIFT_TOL``, or the correction that the final hermitization and

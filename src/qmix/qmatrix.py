@@ -71,6 +71,9 @@ class QMatrix:
     alpha: np.ndarray
     beta: np.ndarray
 
+    #: numpy defers every operator to this class: an ndarray operand is a TypeError.
+    __array_ufunc__ = None
+
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=np.complex128)
         beta = np.asarray(self.beta, dtype=np.complex128)
@@ -201,6 +204,7 @@ def chi(m: QMatrix) -> np.ndarray:
 
     A stack of shape (..., n, m) gives a stack of shape (..., 2n, 2m).
     """
+    check_type("m", m, QMatrix)
     alpha, beta = m.alpha, m.beta
     n, k = alpha.shape[-2:]
     out = np.empty(alpha.shape[:-2] + (2 * n, 2 * k), dtype=np.complex128)
@@ -354,6 +358,7 @@ def check_tol(tol) -> None:
 
 def real_trace(m: QMatrix) -> float:
     """Re Tr M = Re Tr M_alpha; equals (1/2) Re Tr chi(M)."""
+    check_type("trace argument", m, QMatrix)
     check_square("trace argument", m.shape)
     return float(np.trace(m.alpha).real)
 
@@ -378,6 +383,7 @@ def frobenius_norm(m: QMatrix):
     as numpy scalars (by libm ``pow``, which an array square misses about
     once in a thousand).  A norm past the float range is inf.
     """
+    check_type("m", m, QMatrix)
     with np.errstate(over="ignore"):
         pairs = zip(slice_norms(m.alpha).ravel(), slice_norms(m.beta).ravel())
         norms = [np.sqrt(a**2 + b**2) for a, b in pairs]
@@ -386,6 +392,7 @@ def frobenius_norm(m: QMatrix):
 
 def max_abs(m: QMatrix) -> float:
     """Largest entrywise quaternion norm; inf past the float range."""
+    check_type("m", m, QMatrix)
     with np.errstate(over="ignore"):
         mags = np.abs(m.alpha) ** 2 + np.abs(m.beta) ** 2
     return float(np.sqrt(mags.max(initial=0.0)))
@@ -400,6 +407,8 @@ def hermiticity_deviation(m: QMatrix | np.ndarray, sign: int = 1):
     anti-hermitian and beta symmetric).  A non-finite entry always gives
     a non-finite deviation, and no entry size makes numpy warn.
     """
+    if not isinstance(m, np.ndarray):
+        check_type("hermiticity argument", m, QMatrix)
     check_square("hermiticity argument", m.shape, stack=True)
     image = chi(m) if isinstance(m, QMatrix) else m
     adjoint = image.conj().swapaxes(-2, -1)
@@ -437,6 +446,7 @@ def require_anti_hermitian(m: QMatrix | np.ndarray, what: str) -> None:
 
 def is_positive_semidefinite(m: QMatrix) -> bool:
     """Hermitian with all eigenvalues >= -VALIDATION_TOL; a spectrum past the float range raises."""
+    check_type("m", m, QMatrix)
     if m.rows != m.cols:
         return False
     try:
@@ -542,6 +552,7 @@ def expm_q(m: QMatrix) -> QMatrix:
     a unitary of meaningless phases.  The result is read back with a
     membership assertion rather than a silent projection.
     """
+    check_type("exponent", m, QMatrix)
     check_square("exponent", m.shape)
     image = chi(m)
     require_anti_hermitian(image, "exponent")

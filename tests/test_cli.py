@@ -404,8 +404,7 @@ def test_tolerance_override(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
-    assert build_parser() is build_parser()
+def test_main_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
     audit = ["check-props", "--nmax", "3", "--trials", "6"]
     assert main(audit + ["--seed", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 3
@@ -857,8 +856,6 @@ def _evolve_argv(tmp_path, method, n=8):
 def test_request_paths_make_no_reference_cycles(tmp_path, capsys, command):
     # main runs a request with the collector paused, which is safe only
     # while reference counting frees all it allocates: no cycle is left.
-    # Building the parser, outside the pause, leaves cycles once.
-    build_parser()
     if command == "check-props-blocks":  # several audit blocks per dimension
         argv = ["check-props", "--nmax", "3", "--trials", "200"]
     elif command.startswith("evolve-8-"):
@@ -1557,6 +1554,9 @@ def test_runtime_imports_no_scipy(tmp_path):
         ["evolve", state, "--gen", gen, "--method", "rk4", "--output", out],
         ["scenario", "--cplus=0.6,0", "--cminus=0,0.8", "--nhat=0.4,1.1", "--output", out],
         ["check-props", "--nmax", "3", "--trials", "4", "--seed", "0", "--output", out],
+        *([command, state, "--output", out] for command in ("validate", "classify", "project", "purify")),
+        ["lift", state, "--rank", "1", "--output", out],
+        ["expect", state, state, "--output", out],
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run(

@@ -413,23 +413,6 @@ def test_integrate_is_bit_identical_across_drift_blocks(n, steps):
     assert_same_outcome_as_the_reference(rho, gen, 1.0, steps)
 
 
-@pytest.mark.parametrize(
-    "gen_seed,scale,rho_seed,kind,steps",
-    [(60, 1e8, 61, MixtureKind.PROPER, 1), (71, 1e3, 72, MixtureKind.IMPROPER, 8)],
-    ids=["flags-excessive-drift", "names-the-failing-step"],
-)
-def test_integrate_drift_message_matches_the_allocating_loop(gen_seed, scale, rho_seed, kind, steps):
-    # the inputs of the two drift tests: the same growth factor, to the
-    # last digit
-    gen = Generator(random_generator(2, np.random.default_rng(gen_seed)).h * scale)
-    rho = random_density(2, kind, rho_seed)
-    with pytest.raises(DriftExceeded) as want:
-        reference_integrate(rho, gen, 1.0, steps)
-    with pytest.raises(DriftExceeded) as got:
-        integrate(rho, gen, t=1.0, steps=steps)
-    assert str(got.value) == str(want.value)
-
-
 def test_integrate_memory_does_not_grow_with_steps():
     # the closed form holds a few 2n x 2n arrays however many steps it
     # takes: at n = 48, 1,000 steps peak where one step does
@@ -446,7 +429,7 @@ def test_integrate_memory_does_not_grow_with_steps():
     assert peaks[0] <= 8 * 2**20
 
 
-def test_integrate_buffers_belong_to_one_call(monkeypatch):
+def test_integrate_calls_share_no_arrays(monkeypatch):
     # a second call runs inside the first one's growth gate, after its
     # decomposition: arrays shared between calls would change the first
     # call's result; each call gates twice
@@ -490,8 +473,12 @@ def test_integrate_rejects_non_finite_time(t):
 def test_integrate_flags_excessive_drift():
     gen = Generator(random_generator(2, np.random.default_rng(60)).h * 1e8)
     rho = random_density(2, MixtureKind.PROPER, 61)
-    with pytest.raises(DriftExceeded):
+    with pytest.raises(DriftExceeded) as excinfo:
         integrate(rho, gen, t=1.0, steps=1)
+    assert str(excinfo.value) == (
+        "rk4 growth factor 4.606e+31 after 1 steps of h = 1.0 exceeds 1 + 1e-06: |h| times "
+        "the widest spectral gap 1.823e+08 is 1.823e+08, past the stability bound 2 sqrt 2"
+    )
 
 
 # -- time-ordered propagator ----------------------------------------------------

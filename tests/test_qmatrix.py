@@ -550,6 +550,27 @@ def test_real_scalar_arithmetic():
     assert qclose(2.0 * mat, mat * 2.0, tol=0.0)
     assert qclose(mat / 2, QMatrix(np.eye(2) / 2, np.eye(2) / 2), tol=0.0)
     assert qclose(mat - mat, QMatrix.from_complex(np.zeros((2, 2))), tol=0.0)
+    # a numpy scalar defers to QMatrix's own scaling, and keeps its bits
+    mat = random_qmatrix(np.random.default_rng(30), 3)
+    for scalar in (np.float64(-2.5), np.int64(3)):
+        scaled, want = scalar * mat, mat * float(scalar)
+        assert type(scaled) is QMatrix
+        assert scaled.alpha.tobytes() == want.alpha.tobytes()
+        assert scaled.beta.tobytes() == want.beta.tobytes()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda m: m @ np.eye(2), lambda m: np.eye(2) @ m, lambda m: m + np.eye(2),
+     lambda m: np.eye(2) + m, lambda m: m - np.eye(2), lambda m: np.eye(2) - m,
+     lambda m: m * 1j, lambda m: 1j * m, lambda m: m / 1j],
+    ids=["matmul-array", "array-matmul", "add-array", "array-add", "subtract-array",
+         "array-subtract", "complex-scalar", "complex-scalar-on-the-left", "complex-divisor"],
+)
+def test_operators_take_no_array_and_no_complex_scalar(call):
+    # numpy defers to QMatrix, which takes a QMatrix or a real scalar
+    with pytest.raises(TypeError):
+        call(QMatrix.identity(2))
 
 
 @pytest.mark.parametrize(
@@ -640,6 +661,29 @@ def test_rank_of_a_stack_is_one_rank_per_slice():
 
 # -- input errors ----------------------------------------------------------------
 
+#: A wrong type for a QMatrix argument, and the refusal's name for it.
+WRONG_TYPES = {
+    "none": (None, "None"),
+    "array": (np.eye(2) / 2, "ndarray of shape (2, 2)"),
+    "nested-list": ([[0.5, 0], [0, 0.5]], "[[0.5, 0], [0, 0.5]]"),
+}
+#: Each helper's refusal of a wrong type, by the name its rules give the
+#: argument; a complex array is a hermiticity argument too.
+TYPE_ERRORS = {
+    f"{helper.__name__}-{kind}": (
+        lambda helper=helper, value=value: helper(value), ValueError,
+        f"{name} must be a QMatrix, got {shown}",
+    )
+    for helper, name in [
+        (chi, "m"), (eigvals_hermitian, "m"), (expm_q, "exponent"), (frobenius_norm, "m"),
+        (hermiticity_deviation, "hermiticity argument"), (is_positive_semidefinite, "m"),
+        (max_abs, "m"), (rank_q, "m"), (real_trace, "trace argument"),
+    ]
+    for kind, (value, shown) in WRONG_TYPES.items()
+    if (helper, kind) != (hermiticity_deviation, "array")
+}
+
+
 @pytest.mark.parametrize(
     "call,error,fragment",
     [
@@ -665,10 +709,15 @@ def test_rank_of_a_stack_is_one_rank_per_slice():
         (lambda: QMatrix.identity(2) / 0, QmixError, "divisor = 0 gives 8 non-finite entries"),
         (lambda: QMatrix.identity(2) * 1e308 * 10, QmixError,
          "scalar = 10 gives 2 non-finite entries"),
+        (lambda: QMatrix.identity(2) + QMatrix.identity(3), DimensionMismatch,
+         "cannot add (2, 2) and (3, 3)"),
+        (lambda: QMatrix.identity(2) - QMatrix.identity(3), DimensionMismatch,
+         "cannot subtract (3, 3) from (2, 2)"),
+        *TYPE_ERRORS.values(),
     ],
     ids=["hermiticity-array", "hermiticity-qmatrix", "hermiticity-one-axis", "expm", "chi-odd-rows",
          "chi-odd-cols", "chi-one-dimensional", "chi-inverse-stack", "chi-inverse-odd-rows",
-         "divide-by-zero", "multiply-overflow"],
+         "divide-by-zero", "multiply-overflow", "add-shapes", "subtract-shapes", *TYPE_ERRORS],
 )
 def test_input_errors(call, error, fragment):
     with warnings.catch_warnings():

@@ -130,7 +130,20 @@ def test_complex_scalars_coerce():
     assert (q * 2).is_close(Quaternion(2, 4))
     assert (2 * q).is_close(Quaternion(2, 4))
     assert (q + 1).is_close(Quaternion(2, 2))
+    assert 1 - q == Quaternion(0, -2)
     assert q * ONE == q
+    assert Quaternion.from_complex(2 - 1j) == Quaternion(2 - 1j, 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda q: q + None, lambda q: None + q, lambda q: q - None, lambda q: None - q,
+     lambda q: q * None, lambda q: None * q],
+    ids=["add", "add-on-the-left", "subtract", "subtract-from", "multiply", "multiply-on-the-left"],
+)
+def test_a_non_number_operand_is_a_type_error(call):
+    with pytest.raises(TypeError):
+        call(ONE)
 
 
 def test_arithmetic_helpers():
